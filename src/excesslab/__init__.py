@@ -42,10 +42,7 @@ from .exact import (
     entropy,
     enumerate_joint,
     label_entropy,
-    merge_tables,
-    read_table_cache,
     triple_information,
-    write_table_cache,
     write_table_csv,
 )
 from .intervals import Interval, binary_entropy
@@ -55,7 +52,6 @@ from .models import (
     Kind,
     ProcessModel,
     StateId,
-    TransitionLaw,
     binary_digit,
     binary_length,
     phase_count,
@@ -99,7 +95,6 @@ __all__ = [
     "SeriesBracket",
     "StateId",
     "Trajectory",
-    "TransitionLaw",
     "VerificationLedger",
     "binary_digit",
     "binary_entropy",
@@ -125,14 +120,12 @@ __all__ = [
     "label_entropy",
     "level_weight",
     "level_weight_sums",
-    "merge_tables",
     "mi_decomposition_residual",
     "normalization_sum",
     "partial_sum_bracket",
     "past_decoder",
     "phase_count",
     "predicted_rate_class",
-    "read_table_cache",
     "read_trajectory",
     "run_verification",
     "sample_branch_level",
@@ -143,7 +136,6 @@ __all__ = [
     "tail_sum_bracket",
     "triple_information",
     "write_series_csv",
-    "write_table_cache",
     "write_table_csv",
     "write_trajectory",
     "__version__",

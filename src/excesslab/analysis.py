@@ -28,7 +28,7 @@ import numpy as np
 
 from .intervals import Interval, entropy_term
 from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind
-from .series import level_weight_sums, normalization_sum, tail_sum_bracket
+from .series import LevelSums, level_weight_sums, normalization_sum, tail_sum_bracket
 
 REGRESSORS = ("power", "log", "loglog", "logpow")
 
@@ -52,17 +52,27 @@ def block_mi_upper_bound(
     c = normalization_sum(alpha, series_cutoff).reciprocal()
     top = 1 << n
     sums = level_weight_sums(alpha, top)
+    p_b = (c * sums.s0).clamp(0.0, 1.0)
+    p_bc = (c * tail_sum_bracket(alpha, top + 1).interval).clamp(0.0, 1.0)
+    low_part = _restricted_state_entropy(kind, alpha, c, sums) - entropy_term(p_b)
+    high_part = float(n) * p_bc * math.log2(len(ALPHABETS[kind]))
+    return low_part + high_part + 1.0
+
+
+def _restricted_state_entropy(kind: Kind, alpha: float, c: Interval, sums: LevelSums) -> Interval:
+    """Enclosure of sum -pi*log2(pi) over the hidden states of the levels in
+    `sums`, with pi = c * w(m) / r(m) and no renormalization.
+
+    Splitting -log2(pi) into -log2(c) + log2(m) + alpha*log2(log2(m)) +
+    log2(r(m)) gives c * (S1 + alpha*S2 + S_phase) + (-c*log2(c)) * S0.
+    """
     if kind is Kind.HPM1:
         s_phase = sums.s1
     elif kind is Kind.HPM2:
         s_phase = sums.s_digit
     else:
         s_phase = math.log2(3.0) * sums.s0 + sums.s_digit
-    p_b = (c * sums.s0).clamp(0.0, 1.0)
-    p_bc = (c * tail_sum_bracket(alpha, top + 1).interval).clamp(0.0, 1.0)
-    low_part = c * (sums.s1 + alpha * sums.s2 + s_phase) + entropy_term(c) * sums.s0 - entropy_term(p_b)
-    high_part = float(n) * p_bc * math.log2(len(ALPHABETS[kind]))
-    return low_part + high_part + 1.0
+    return c * (sums.s1 + alpha * sums.s2 + s_phase) + entropy_term(c) * sums.s0
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ Subcommands:
 
 Configuration can come from a JSON file (--config PATH); command-line flags
 override file values.  Every run writes a manifest.json carrying the full
-effective configuration and the library version.  EXCESSLAB_THREADS caps
-the worker pool used for sweeps.
+effective configuration and the library version.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -105,20 +102,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def worker_count(tasks: int) -> int:
-    cap = os.environ.get("EXCESSLAB_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(tasks, limit))
-
-
-def _run_parallel(fn, items):
-    workers = worker_count(len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_manifest(out: Path, command: str, config: RunConfig, outputs: list[str]) -> None:
     manifest = {
         "command": command,
@@ -186,7 +169,7 @@ def _exact_row(config: RunConfig, n: int) -> dict:
 
 
 def cmd_exact(config: RunConfig, out: Path) -> int:
-    rows = _run_parallel(lambda n: _exact_row(config, n), config.block_lengths)
+    rows = [_exact_row(config, n) for n in config.block_lengths]
     path = out / "exact.csv"
     write_series_csv(
         rows, path, extra_columns=("entries", "pruned_mass_hi", "level_cutoff", "prune_eps", "status")
@@ -232,8 +215,7 @@ def _estimate_row(config: RunConfig, n: int, seed: int) -> dict:
 
 
 def cmd_estimate(config: RunConfig, out: Path) -> int:
-    tasks = [(n, seed) for n in config.block_lengths for seed in config.seeds]
-    rows = _run_parallel(lambda t: _estimate_row(config, *t), tasks)
+    rows = [_estimate_row(config, n, seed) for n in config.block_lengths for seed in config.seeds]
     path = out / "estimate.csv"
     write_series_csv(
         rows,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .exact import JointBlockTable, MIResult, block_mi, conditional_mi_given, label_entropy
+from .exact import JointBlockTable, MIResult, _label_decomposition
 from .intervals import Interval, entropy_term
 from .models import DEFAULT_SERIES_CUTOFF, Kind, binary_length
 from .series import level_weight_sums, normalization_sum
@@ -246,10 +246,7 @@ def mi_decomposition_residual(table: JointBlockTable, kind: Kind | str) -> Decom
     fudge proportional to the table size.
     """
     kind = Kind(kind)
-    past, future = past_decoder(kind), future_decoder(kind)
-    e = block_mi(table)
-    h_label = label_entropy(table, past, future)
-    cond = conditional_mi_given(table, past, future)
+    e, h_label, cond = _label_decomposition(table, past_decoder(kind), future_decoder(kind))
     residual = e.value - h_label.value - cond.value
     fudge = 1e-11 * max(1.0, math.log2(1 + len(table.entries))) * (1 + table.n)
     allowance = e.err_high + h_label.err_high + cond.err_high + fudge

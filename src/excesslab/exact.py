@@ -28,7 +28,6 @@ summation, whose rounding is far below every certified width.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Iterable
@@ -37,15 +36,12 @@ import numpy as np
 
 from .intervals import Interval, binary_entropy
 from .models import Kind, ProcessModel
-from .series import level_weight, squared_level_tail, tail_sum_bracket
+from .series import squared_level_tail, tail_sum_bracket
 
 MIN_ENTRY_MASS = 1e-30
 
 DEFAULT_PATH_BUDGET = 100_000_000
 DEFAULT_ENTRY_BUDGET = 2_000_000
-
-_CACHE_MAGIC = b"XLBT"
-_CACHE_VERSION = 1
 
 
 class BudgetExceededError(RuntimeError):
@@ -167,6 +163,7 @@ def enumerate_joint(
         {
             "kind": model.kind.value,
             "alpha": model.alpha,
+            "series_cutoff": model.series_cutoff,
             "n": n,
             "level_cutoff": level_cutoff,
             "prune_eps": prune_eps,
@@ -307,17 +304,9 @@ def _enumerate_hmc(
         relw = 0.0
     else:
         branch_levels = list(range(2, level_cutoff + 1))
-        d_mid = model.norm_d.mid
-        branch_p = {
-            m: d_mid * level_weight(m, model.alpha) / model.phase_count(m)
-            for m in branch_levels
-        }
+        branch_p = {m: model.branch_probability(m).mid for m in branch_levels}
         branch_tail = model.branch_tail_mass(level_cutoff)
-        c_mid = model.norm_c.mid
-        seed_masses = {
-            m: c_mid * level_weight(m, model.alpha) / model.phase_count(m)
-            for m in branch_levels
-        }
+        seed_masses = {m: model.level_mass(m).mid / model.phase_count(m) for m in branch_levels}
         # Each path multiplies one stationary weight and at most 2n branch
         # weights, so the constant enclosures enter with these multipliers.
         relw = model.norm_c.width / model.norm_c.mid + length * (
@@ -466,15 +455,14 @@ def label_entropy(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None = None
 ) -> MIResult:
     """Certified entropy of a label that both blocks determine."""
-    groups = _label_groups(table, past_label, future_label)
-    masses = [math.fsum(g.values()) for g in groups.values()]
-    support = table.n * math.log2(table.alphabet_size)
-    return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
+    return _label_profile(table, past_label, future_label)[2]
 
 
-def _label_groups(
+def _label_profile(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> dict:
+) -> tuple[list[dict], list[float], MIResult]:
+    """One labelling pass: the entries grouped by label, the group masses and
+    the certified label entropy."""
     if future_label is None:
         future_label = past_label
     groups: dict = {}
@@ -487,7 +475,25 @@ def _label_groups(
                 f"past-computed {zp!r} vs future-computed {zf!r}"
             )
         groups.setdefault(zp, {})[(past, future)] = p
-    return groups
+    subs = list(groups.values())
+    masses = [math.fsum(g.values()) for g in subs]
+    support = table.n * math.log2(table.alphabet_size)
+    h_label = _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
+    return subs, masses, h_label
+
+
+def _label_decomposition(
+    table: JointBlockTable, past_label: Callable, future_label: Callable | None
+) -> tuple[MIResult, MIResult, MIResult]:
+    """block_mi, H(label) and I(past; future | label) from one labelling pass."""
+    subs, masses, h_label = _label_profile(table, past_label, future_label)
+    e = block_mi(table)
+    total = table.assigned_mass()
+    if total <= 0.0:
+        return e, h_label, MIResult(0.0, 0.0, 0.0)
+    value = math.fsum((mass / total) * _sub_table_mi(sub) for mass, sub in zip(masses, subs))
+    err = e.err_high + h_label.err_high
+    return e, h_label, MIResult(value, err, err)
 
 
 def _sub_table_mi(sub: dict[tuple[bytes, bytes], float]) -> float:
@@ -521,15 +527,7 @@ def conditional_mi_given(
     mutual informations, which for a two-sided label equals
     block_mi(table) - H(label) identically.
     """
-    groups = _label_groups(table, past_label, future_label)
-    total = table.assigned_mass()
-    if total <= 0.0:
-        return MIResult(0.0, 0.0, 0.0)
-    value = math.fsum(
-        (math.fsum(sub.values()) / total) * _sub_table_mi(sub) for sub in groups.values()
-    )
-    err = block_mi(table).err_high + label_entropy(table, past_label, future_label).err_high
-    return MIResult(value, err, err)
+    return _label_decomposition(table, past_label, future_label)[2]
 
 
 def triple_information(table: JointBlockTable, event: Callable) -> float:
@@ -560,23 +558,6 @@ def triple_information(table: JointBlockTable, event: Callable) -> float:
 # ----- table plumbing ---------------------------------------------------------
 
 
-def merge_tables(a: JointBlockTable, b: JointBlockTable) -> JointBlockTable:
-    """Associative, commutative merge of partial tables (masses add)."""
-    if (a.n, a.alphabet_size) != (b.n, b.alphabet_size):
-        raise ValueError("cannot merge tables with different shapes")
-    entries = dict(a.entries)
-    for key, p in b.entries.items():
-        entries[key] = entries.get(key, 0.0) + p
-    return JointBlockTable(
-        n=a.n,
-        alphabet_size=a.alphabet_size,
-        entries=entries,
-        pruned_mass=a.pruned_mass + b.pruned_mass,
-        entry_slack=a.entry_slack + b.entry_slack,
-        meta={**a.meta, **b.meta},
-    )._finalize()
-
-
 def write_table_csv(table: JointBlockTable, path) -> None:
     """Columns past,future,probability; symbols rendered as digit strings."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -587,52 +568,3 @@ def write_table_csv(table: JointBlockTable, path) -> None:
 
 def _render(block: bytes) -> str:
     return "".join(str(b) for b in block)
-
-
-def write_table_cache(table: JointBlockTable, path) -> None:
-    """Versioned binary cache: header, then fixed-width records."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIqdd d",
-                _CACHE_VERSION,
-                table.n,
-                table.alphabet_size,
-                len(table.entries),
-                table.pruned_mass.lo,
-                table.pruned_mass.hi,
-                table.entry_slack,
-            )
-        )
-        for (past, future), p in table.entries.items():
-            fh.write(past)
-            fh.write(future)
-            fh.write(struct.pack("<d", p))
-
-
-def read_table_cache(path) -> JointBlockTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a table cache file: bad magic {magic!r}")
-        header = struct.Struct("<IIIqdd d")
-        version, n, alphabet_size, count, plo, phi, slack = header.unpack(
-            fh.read(header.size)
-        )
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported table cache version {version}")
-        entries: dict[tuple[bytes, bytes], float] = {}
-        rec = struct.Struct("<d")
-        for _ in range(count):
-            past = fh.read(n)
-            future = fh.read(n)
-            (p,) = rec.unpack(fh.read(rec.size))
-            entries[(past, future)] = p
-    return JointBlockTable(
-        n=n,
-        alphabet_size=alphabet_size,
-        entries=entries,
-        pruned_mass=Interval(plo, phi),
-        entry_slack=slack,
-    )

@@ -83,21 +83,6 @@ class StateId:
     phase: int
 
 
-@dataclass(frozen=True)
-class TransitionLaw:
-    """Outgoing law of one state: explicit successors plus unresolved tail mass.
-
-    For the cyclic kinds the single successor has probability exactly 1 and
-    the tail is the zero interval.  For the ergodic kind's branch states the
-    successors enumerate levels up to a cutoff and `tail_mass` encloses the
-    probability of branching beyond it; it is reported rather than
-    renormalized away so that enumeration can keep its error certificate.
-    """
-
-    moves: tuple[tuple[StateId, Interval], ...]
-    tail_mass: Interval
-
-
 class ProcessModel:
     """One of the three constructions, with certified normalization constants.
 
@@ -148,13 +133,6 @@ class ProcessModel:
     def phase_count(self, level: int) -> int:
         return phase_count(self.kind, level)
 
-    def validate_state(self, state: StateId) -> None:
-        r = self.phase_count(state.level)
-        if not 1 <= state.phase <= r:
-            raise ValueError(
-                f"phase {state.phase} out of range 1..{r} for level {state.level} ({self.kind.value})"
-            )
-
     # ----- stationary law ---------------------------------------------------
 
     def level_mass(self, level: int) -> Interval:
@@ -172,11 +150,6 @@ class ProcessModel:
         tail = tail_sum_bracket(self.alpha, level_cutoff + 1)
         return (self.norm_c * tail.interval).clamp(0.0, 1.0)
 
-    def stationary_probability(self, state: StateId) -> Interval:
-        """Enclosure of the stationary mass of one hidden state (uniform phases)."""
-        self.validate_state(state)
-        return self.level_mass(state.level) * Interval.point(1.0 / self.phase_count(state.level))
-
     # ----- kernel -----------------------------------------------------------
 
     def branch_probability(self, level: int) -> Interval:
@@ -193,36 +166,14 @@ class ProcessModel:
         )
         return (1.0 - self.norm_d * Interval.point(total)).clamp(0.0, 1.0)
 
-    def transition_distribution(self, state: StateId, level_cutoff: int | None = None) -> TransitionLaw:
-        """Outgoing transition law of `state`.
-
-        Cyclic kinds return the single deterministic successor.  The ergodic
-        kind's end-of-word states branch over levels up to `level_cutoff`
-        (required there), with the remaining branch mass in `tail_mass`.
-        """
-        self.validate_state(state)
-        r = self.phase_count(state.level)
-        one = Interval.point(1.0)
-        zero = Interval.point(0.0)
-        if state.phase < r:
-            return TransitionLaw(((StateId(state.level, state.phase + 1), one),), zero)
-        if self.kind is not Kind.HMC:
-            return TransitionLaw(((StateId(state.level, 1), one),), zero)
-        if self.fixed_level is not None:
-            return TransitionLaw(((StateId(self.fixed_level, 1), one),), zero)
-        if level_cutoff is None:
-            raise ValueError("branch states need a level cutoff to enumerate successors")
-        moves = tuple(
-            (StateId(n, 1), self.branch_probability(n)) for n in range(2, level_cutoff + 1)
-        )
-        return TransitionLaw(moves, self.branch_tail_mass(level_cutoff))
-
     # ----- emission ---------------------------------------------------------
 
     def emission(self, state: StateId) -> int:
         """The deterministic observable symbol of one hidden state."""
-        self.validate_state(state)
         m, k = state.level, state.phase
+        r = self.phase_count(m)
+        if not 1 <= k <= r:
+            raise ValueError(f"phase {k} out of range 1..{r} for level {m} ({self.kind.value})")
         if self.kind is Kind.HPM1:
             return 1 if k == m else 0
         s = binary_length(m)

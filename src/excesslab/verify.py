@@ -32,12 +32,12 @@ from .decoders import (
     mi_decomposition_residual,
     past_decoder,
 )
-from .exact import JointBlockTable, block_mi, enumerate_joint, triple_information
-from .analysis import block_mi_upper_bound
+from .exact import JointBlockTable, MIResult, block_mi, enumerate_joint, triple_information
+from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import binary_entropy
 from .models import Kind, ProcessModel
 from .sampling import sample_trajectory
-from .series import partial_sum_bracket, tail_sum_bracket
+from .series import level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
 
 
 @dataclass
@@ -161,14 +161,14 @@ def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:
         bound = block_mi_upper_bound(kind, alpha, n, series_cutoff)
         if e.lower > bound.hi + 1e-9:
             failures.append(f"{kind} a={alpha} n={n}: E lower {e.lower:.4f} > bound {bound.hi:.4f}")
-        gap = _data_processing_gap(table)
+        gap = _data_processing_gap(table, e)
         if gap is not None and gap > 1e-9:
             failures.append(f"{kind} a={alpha} n={n}: data-processing gap {gap:.3e}")
     detail = "all sandwich inequalities hold" if not failures else "; ".join(failures)
     return CheckResult("sandwich", not failures, detail)
 
 
-def _data_processing_gap(table: JointBlockTable) -> float | None:
+def _data_processing_gap(table: JointBlockTable, e: MIResult) -> float | None:
     """lower(E) minus the restricted hidden-state entropy plus tail slack.
 
     Only meaningful for tables that truncate the level support (the
@@ -178,19 +178,13 @@ def _data_processing_gap(table: JointBlockTable) -> float | None:
     meta = table.meta
     if meta.get("tail_aggregation") or meta.get("fixed_level"):
         return None
-    kind = Kind(meta["kind"])
-    model = ProcessModel(kind, meta["alpha"], series_cutoff=meta.get("series_cutoff", 10**6))
-    cutoff = meta["level_cutoff"]
-    masses = []
-    for m in range(2, cutoff + 1):
-        lm = model.level_mass(m).mid
-        r = model.phase_count(m)
-        masses.extend([lm / r] * r)
-    arr = np.asarray(masses)
-    h_restricted = float(-np.sum(arr * np.log2(arr)))
+    alpha = meta["alpha"]
+    c = normalization_sum(alpha, meta["series_cutoff"]).reciprocal()
+    sums = level_weight_sums(alpha, meta["level_cutoff"])
+    h_restricted = _restricted_state_entropy(Kind(meta["kind"]), alpha, c, sums).mid
     delta = table.pruned_mass.hi
     slack = delta * 2 * table.n * math.log2(table.alphabet_size) + binary_entropy(delta)
-    return block_mi(table).lower - (h_restricted + slack)
+    return e.lower - (h_restricted + slack)
 
 
 def predicate_grid(alphabet: tuple[int, ...], count: int = 20) -> list:
@@ -283,7 +277,6 @@ def run_verification(
                     table = enumerate_joint(model, n, 1 << 12, tail_aggregation=True)
                 else:
                     table = enumerate_joint(model, n, max(4, (1 << (n // 2)) - 1))
-                table.meta["series_cutoff"] = series_cutoff
                 tables[(kind, alpha, n)] = table
                 mi_results[(kind, alpha, n)] = block_mi(table)
 

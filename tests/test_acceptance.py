@@ -1,8 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary lines.  Scales and tolerances are pinned here; shared sweeps are
-computed once per session and reused across criteria.
+summary lines.  Scales are pinned here; criteria 2, 5, 7 and 9 run the
+checks of `excesslab verify` (`verify.check_*`) with their tolerances, so the
+gate and the CLI cannot drift apart.  Shared sweeps are computed once per
+session and reused across criteria.
 """
 
 import math
@@ -11,19 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from excesslab.analysis import block_mi_upper_bound, fit_rate
-from excesslab.decoders import (
-    decoded_level_entropy,
-    future_decoder,
-    hidden_truth,
-    mi_decomposition_residual,
-    past_decoder,
-)
-from excesslab.exact import block_mi, enumerate_joint, triple_information
-from excesslab.intervals import binary_entropy
+from excesslab.analysis import fit_rate
+from excesslab.decoders import decoded_level_entropy, future_decoder, hidden_truth, past_decoder
+from excesslab.exact import block_mi, enumerate_joint
 from excesslab.sampling import estimate_block_mi, sample_trajectories, sample_trajectory
 from excesslab.series import partial_sum_bracket, tail_sum_bracket
-from excesslab.verify import predicate_grid
+from excesslab.verify import (
+    check_decomposition,
+    check_monotonicity,
+    check_sandwich,
+    check_triple_bound,
+)
 
 from conftest import (
     FAST_SERIES_CUTOFF,
@@ -94,16 +94,13 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_decomposition_identity(sweep_tables):
     """|E(n) - H(D) - I(past;future|D)| within the certified width everywhere."""
     start = time.time()
-    worst = 0.0
-    for (kind, alpha, n), table in sweep_tables.items():
-        chk = mi_decomposition_residual(table, kind)
-        assert abs(chk.residual) <= chk.allowance, (kind, alpha, n, chk.residual)
-        worst = max(worst, abs(chk.residual))
+    check = check_decomposition(sweep_tables)
+    assert check.passed, check.detail
     elapsed = time.time() - start
     assert elapsed <= 600.0
     print(
         f"\nACCEPTANCE 2 PASS decomposition identity: {len(sweep_tables)} tables, "
-        f"worst residual {worst:.2e} within certified widths, {elapsed:.0f}s <= 600s"
+        f"{check.detail} within certified widths, {elapsed:.0f}s <= 600s"
     )
 
 
@@ -176,35 +173,11 @@ def test_criterion_4_series_brackets():
     print(f"\nACCEPTANCE 4 PASS series brackets: {checks} checks, zero failures, {elapsed:.0f}s <= 60s")
 
 
-def test_criterion_5_sandwich_and_data_processing(sweep_tables, sweep_mi):
+def test_criterion_5_sandwich_and_data_processing(sweep_tables):
     """H(D) <= upper(E), lower(E) <= bound, lower(E) <= restricted entropy + slack."""
-    violations = []
-    dp_checked = 0
-    for (kind, alpha, n), table in sweep_tables.items():
-        e = sweep_mi[(kind, alpha, n)]
-        h_d = decoded_level_entropy(kind, alpha, n, FAST_SERIES_CUTOFF)
-        if h_d.lower > e.upper + 1e-9:
-            violations.append(f"H(D) vs E at {(kind, alpha, n)}")
-        bound = block_mi_upper_bound(kind, alpha, n, FAST_SERIES_CUTOFF)
-        if e.lower > bound.hi + 1e-9:
-            violations.append(f"bound at {(kind, alpha, n)}")
-        if not table.meta.get("tail_aggregation"):
-            model = make_model(kind, alpha)
-            cutoff = table.meta["level_cutoff"]
-            masses = []
-            for m in range(2, cutoff + 1):
-                lm = model.level_mass(m).mid
-                r = model.phase_count(m)
-                masses.extend([lm / r] * r)
-            arr = np.asarray(masses)
-            total = arr.sum()
-            h_restricted = float(-np.sum(arr / total * np.log2(arr / total)))
-            delta = table.pruned_mass.hi
-            slack = delta * 2 * n * math.log2(table.alphabet_size) + binary_entropy(delta)
-            if e.lower > h_restricted + slack + 1e-9:
-                violations.append(f"data processing at {(kind, alpha, n)}")
-            dp_checked += 1
-    assert not violations, violations
+    check = check_sandwich(sweep_tables, FAST_SERIES_CUTOFF)
+    assert check.passed, check.detail
+    dp_checked = sum(1 for t in sweep_tables.values() if not t.meta["tail_aggregation"])
     print(
         f"\nACCEPTANCE 5 PASS sandwich: {len(sweep_tables)} points, "
         f"{dp_checked} data-processing comparisons, zero violations"
@@ -288,19 +261,14 @@ def test_criterion_6_rate_laws():
 
 
 def test_criterion_7_triple_information_bound(sweep_tables):
-    """|I(past; future; 1_B)| <= 1 over 20 predicates x 3 kinds x n in {4, 8}."""
-    worst = 0.0
-    checks = 0
-    for kind in KINDS:
-        for n in (4, 8):
-            table = sweep_tables[(kind, 1.5, n)]
-            for pred in predicate_grid(tuple(range(table.alphabet_size)), 20):
-                value = triple_information(table, pred)
-                worst = max(worst, abs(value))
-                assert abs(value) <= 1.0 + 1e-9, (kind, n, value)
-                checks += 1
-    assert checks == 20 * len(KINDS) * 2
-    print(f"\nACCEPTANCE 7 PASS triple-information bound: {checks} evaluations, worst |value| {worst:.4f} <= 1")
+    """|I(past; future; 1_B)| <= H(1_B) <= 1 over 20 predicates x 3 kinds x n in {4, 8}."""
+    tables = {(kind, 1.5, n): sweep_tables[(kind, 1.5, n)] for kind in KINDS for n in (4, 8)}
+    check = check_triple_bound(tables, 20)
+    assert check.passed, check.detail
+    print(
+        f"\nACCEPTANCE 7 PASS triple-information bound: {20 * len(tables)} evaluations, "
+        f"{check.detail} <= H(1_B)"
+    )
 
 
 def test_criterion_8_estimator_calibration():
@@ -332,13 +300,6 @@ def test_criterion_8_estimator_calibration():
 
 def test_criterion_9_monotonicity(sweep_mi):
     """Certified intervals consistent with nondecreasing E(n) on every sweep."""
-    series: dict = {}
-    for (kind, alpha, n), mi in sweep_mi.items():
-        series.setdefault((kind, alpha), []).append((n, mi))
-    checks = 0
-    for (kind, alpha), seq in series.items():
-        seq.sort()
-        for (n1, a), (n2, b) in zip(seq, seq[1:]):
-            assert b.upper >= a.lower - 1e-9, (kind, alpha, n1, n2)
-            checks += 1
-    print(f"\nACCEPTANCE 9 PASS monotonicity: {checks} adjacent interval pairs consistent")
+    check = check_monotonicity(sweep_mi)
+    assert check.passed, check.detail
+    print(f"\nACCEPTANCE 9 PASS monotonicity: {check.detail} on {len(sweep_mi)} points")

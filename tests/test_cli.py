@@ -228,16 +228,6 @@ def test_info_prints_constants(capsys):
     assert "poly(0.5)" in text
 
 
-def test_thread_cap_environment_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("EXCESSLAB_THREADS", "2")
-    out = tmp_path / "run"
-    code = run_cli(
-        ["exact", "--process", "hpm2", "--alpha", "1.5", "--n", "2,3,4,5", "--out", str(out)] + FAST
-    )
-    assert code == 0
-    assert len(read_csv(out / "exact.csv")) == 4
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "excesslab.cli", "--version"],
@@ -246,6 +236,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "excesslab" in proc.stdout
+
+
+def test_every_exported_name_resolves():
+    import excesslab
+
+    missing = [name for name in excesslab.__all__ if not hasattr(excesslab, name)]
+    assert not missing
 
 
 def test_fit_closed_form_source_for_ergodic_kind(tmp_path):

@@ -14,10 +14,7 @@ from excesslab.exact import (
     entropy,
     enumerate_joint,
     label_entropy,
-    merge_tables,
-    read_table_cache,
     triple_information,
-    write_table_cache,
     write_table_csv,
 )
 from excesslab.intervals import Interval
@@ -265,42 +262,6 @@ def test_triple_information_bounded_by_indicator_entropy():
 # ----- plumbing -------------------------------------------------------------------
 
 
-def test_merge_tables_partition_equals_whole():
-    m = make_model("hpm2", 1.5)
-    whole = enumerate_joint(m, 3, 100)
-    lo = enumerate_joint(make_model("hpm2", 1.5), 3, 40)
-    # build the complementary slice by hand from levels 41..100
-    hi_entries = {}
-    for level in range(41, 101):
-        word = m.emission_word(level)
-        ext = word * ((6 + len(word) - 1) // len(word) + 1)
-        per = m.level_mass(level).mid / len(word)
-        for k in range(len(word)):
-            win = ext[k : k + 6]
-            key = (win[:3], win[3:])
-            hi_entries[key] = hi_entries.get(key, 0.0) + per
-    hi = JointBlockTable(
-        n=3,
-        alphabet_size=3,
-        entries=hi_entries,
-        pruned_mass=whole.pruned_mass - lo.pruned_mass + Interval.point(0.0),
-        entry_slack=0.0,
-    )
-    merged = merge_tables(lo, hi)
-    assert set(merged.entries) == set(whole.entries)
-    for key in whole.entries:
-        assert merged.entries[key] == pytest.approx(whole.entries[key], abs=1e-15)
-
-
-def test_merge_is_commutative():
-    a = enumerate_joint(make_model("hpm1", 1.5), 2, 16)
-    b = enumerate_joint(make_model("hpm1", 2.0), 2, 16)
-    ab = merge_tables(a, b)
-    ba = merge_tables(b, a)
-    assert ab.entries == ba.entries
-    assert ab.pruned_mass == ba.pruned_mass
-
-
 def test_table_csv_export(tmp_path):
     m = make_model("hpm1", 1.5)
     t = enumerate_joint(m, 2, 16)
@@ -312,26 +273,6 @@ def test_table_csv_export(tmp_path):
     past, future, prob = lines[1].split(",")
     assert set(past) <= set("01") and len(past) == 2
     float(prob)
-
-
-def test_table_cache_round_trip(tmp_path):
-    m = make_model("hmc", 1.5)
-    t = enumerate_joint(m, 3, 16)
-    path = tmp_path / "table.bin"
-    write_table_cache(t, path)
-    back = read_table_cache(path)
-    assert back.n == t.n
-    assert back.alphabet_size == t.alphabet_size
-    assert back.entries == t.entries
-    assert back.pruned_mass == t.pruned_mass
-    assert back.entry_slack == t.entry_slack
-
-
-def test_table_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a cache")
-    with pytest.raises(ValueError):
-        read_table_cache(path)
 
 
 def test_monotonicity_of_certified_intervals():

@@ -1,10 +1,11 @@
-"""Model-core contracts: binary helpers, constants, stationary law, kernel,
-emission maps, and the truncated stationarity audit."""
+"""Model-core contracts: binary helpers, constants, level law, branch law,
+emission maps, and the stationarity audits."""
 
 import math
 
 import pytest
 
+from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_digit, binary_length
 
@@ -66,42 +67,12 @@ def test_level_mass_rejects_low_levels():
         m.level_mass(1)
 
 
-def test_stationary_uniform_within_level():
-    m = make_model("hpm1", 1.5)
-    a = m.stationary_probability(StateId(3, 1))
-    b = m.stationary_probability(StateId(3, 3))
-    assert a.mid == pytest.approx(b.mid)
-
-
-def test_stationary_hmc_level5_phase_share():
-    h = make_model("hmc", 1.5)
-    state_mass = h.stationary_probability(StateId(5, 4))
-    level_mass = h.level_mass(5)
-    # r(5) = 3*s(5) = 9
-    assert state_mass.mid == pytest.approx(level_mass.mid / 9.0, rel=1e-12)
-
-
-def test_stationary_hpm2_phases_marginalize_to_level():
-    m = make_model("hpm2", 1.5)
-    total = sum(m.stationary_probability(StateId(5, k)).mid for k in (1, 2, 3))
-    assert total == pytest.approx(m.level_mass(5).mid, rel=1e-12)
-
-
 def test_invalid_states_rejected():
     m = make_model("hpm2", 1.5)
     with pytest.raises(ValueError):
-        m.stationary_probability(StateId(5, 4))  # r(5) = s(5) = 3
+        m.emission(StateId(5, 4))  # r(5) = s(5) = 3
     with pytest.raises(ValueError):
         m.emission(StateId(5, 0))
-
-
-def test_hpm1_transitions_follow_the_cycle():
-    m = make_model("hpm1", 1.5)
-    law = m.transition_distribution(StateId(3, 2))
-    assert law.moves == ((StateId(3, 3), Interval.point(1.0)),)
-    assert law.tail_mass == Interval.point(0.0)
-    law = m.transition_distribution(StateId(3, 3))
-    assert law.moves == ((StateId(3, 1), Interval.point(1.0)),)
 
 
 def test_hmc_branch_ratio():
@@ -112,28 +83,11 @@ def test_hmc_branch_ratio():
 
 def test_hmc_branch_masses_sum_to_one_within_enclosure():
     h = make_model("hmc", 1.5)
-    law = h.transition_distribution(StateId(2, 6), level_cutoff=500)
     total = Interval.point(0.0)
-    for _, p in law.moves:
-        total = total + p
-    total = total + law.tail_mass
+    for level in range(2, 501):
+        total = total + h.branch_probability(level)
+    total = total + h.branch_tail_mass(500)
     assert total.lo - 1e-9 <= 1.0 <= total.hi + 1e-9
-
-
-def test_hmc_branch_requires_cutoff():
-    h = make_model("hmc", 1.5)
-    with pytest.raises(ValueError):
-        h.transition_distribution(StateId(2, 6))
-
-
-def test_outgoing_mass_is_exactly_one_for_cyclic_kinds():
-    for kind in ("hpm1", "hpm2"):
-        m = make_model(kind, 1.5)
-        for level in range(2, 20):
-            for phase in range(1, m.phase_count(level) + 1):
-                law = m.transition_distribution(StateId(level, phase))
-                assert len(law.moves) == 1
-                assert law.moves[0][1] == Interval.point(1.0)
 
 
 @pytest.mark.parametrize(
@@ -176,37 +130,37 @@ def test_hmc_word_shape():
 
 
 def test_cyclic_stationarity_is_exact_per_level():
-    # Pushing the uniform phase law one step around the cycle reproduces it.
+    # The uniform phase law is stationary on each cycle, so the enumerated
+    # past block and future block of one level have the same law.
     for kind in ("hpm1", "hpm2"):
-        m = make_model(kind, 1.5)
         for level in (2, 5, 9):
-            r = m.phase_count(level)
-            mass_in = {k: 0.0 for k in range(1, r + 1)}
-            for phase in range(1, r + 1):
-                law = m.transition_distribution(StateId(level, phase))
-                nxt, p = law.moves[0]
-                mass_in[nxt.phase] += p.mid / r
-            for k in range(1, r + 1):
-                assert mass_in[k] == pytest.approx(1.0 / r, rel=1e-12)
+            table = enumerate_joint(make_model(kind, 1.5, fixed_level=level), 4, level)
+            past, future = table.past_marginal(), table.future_marginal()
+            assert past.keys() == future.keys()
+            for block, p in past.items():
+                assert future[block] == pytest.approx(p, rel=1e-12)
 
 
 def test_hmc_truncated_stationarity_audit():
     # On the truncated support, |pi.P - pi| in total variation is bounded by
     # the level tail mass; mass flows between levels only through the branch.
+    # pi and the branch law are the weights the path enumerator uses.
     h = make_model("hmc", 1.5)
     cutoff = 64
+    levels = range(2, cutoff + 1)
+    branch = {m: h.branch_probability(m).mid for m in levels}
     pi = {}
-    for m in range(2, cutoff + 1):
+    for m in levels:
         r = h.phase_count(m)
-        lm = h.level_mass(m).mid
         for k in range(1, r + 1):
-            pi[StateId(m, k)] = lm / r
-    flow = {s: 0.0 for s in pi}
-    for state, mass in pi.items():
-        law = h.transition_distribution(state, level_cutoff=cutoff)
-        for nxt, p in law.moves:
-            if nxt in flow:
-                flow[nxt] += mass * p.mid
+            pi[(m, k)] = h.level_mass(m).mid / r
+    flow = dict.fromkeys(pi, 0.0)
+    for (m, k), mass in pi.items():
+        if k < h.phase_count(m):
+            flow[(m, k + 1)] += mass
+        else:
+            for nxt, p in branch.items():
+                flow[(nxt, 1)] += mass * p
     tv = 0.5 * sum(abs(flow[s] - pi[s]) for s in pi)
     tail = h.level_tail_mass(cutoff).hi
     assert tv <= tail + 1e-9
