@@ -6,9 +6,9 @@ length n each as a finite table:
   * the two cyclic kinds are mixtures of deterministic cycles, so each
     (level, phase) pair contributes its stationary mass to exactly one
     (past, future) key;
-  * the ergodic kind is enumerated over hidden paths of length 2n that branch
-    at word boundaries, with optional probability pruning and a best-first
-    expansion order so a fixed path budget drops the least possible mass.
+  * the ergodic kind is enumerated depth-first over hidden paths of length 2n
+    that branch at word boundaries; a path whose probability falls below the
+    optional pruning threshold goes to the pruned mass.
 
 Every table tracks the probability mass that was *not* assigned to a key
 (`pruned_mass`, an interval upper-bounding level tails plus pruned paths) and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Callable, Iterable
 
 import numpy as np
@@ -320,7 +319,8 @@ def _enumerate_hmc(
     extensions = 0
     assigned = 0.0
 
-    use_heap = prune_eps > 0.0
+    # A LIFO frontier expands depth-first: it holds the seeds plus at most
+    # (cutoff - 1) siblings per word boundary on the current path.
     frontier: list = []
 
     def push(prefix: bytes, prob: float, m: int, k: int) -> None:
@@ -331,10 +331,7 @@ def _enumerate_hmc(
                 f"path budget {path_budget} exceeded (n={n}, cutoff={level_cutoff}, "
                 f"prune_eps={prune_eps})"
             )
-        if use_heap:
-            heappush(frontier, (-prob, prefix, m, k))
-        else:
-            frontier.append((prob, prefix, m, k))
+        frontier.append((prob, prefix, m, k))
 
     for m in branch_levels:
         word = words[m]
@@ -346,11 +343,7 @@ def _enumerate_hmc(
         pruned_hi += seed_tail.hi
 
     while frontier:
-        if use_heap:
-            neg, prefix, m, k = heappop(frontier)
-            prob = -neg
-        else:
-            prob, prefix, m, k = frontier.pop()
+        prob, prefix, m, k = frontier.pop()
         word = words[m]
         take = word[k - 1 :]
         need = length - len(prefix)
@@ -443,8 +436,12 @@ def _marginal_entropy(table: JointBlockTable, marginal: dict[bytes, float]) -> M
 
 def block_mi(table: JointBlockTable) -> MIResult:
     """Certified block mutual information H(past) + H(future) - H(joint)."""
-    h_past = _marginal_entropy(table, table.past_marginal())
-    h_future = _marginal_entropy(table, table.future_marginal())
+    return _block_mi(table, table.past_marginal(), table.future_marginal())
+
+
+def _block_mi(table: JointBlockTable, past: dict, future: dict) -> MIResult:
+    h_past = _marginal_entropy(table, past)
+    h_future = _marginal_entropy(table, future)
     h_joint = entropy(table)
     value = h_past.value + h_future.value - h_joint.value
     err = h_past.err_high + h_future.err_high + h_joint.err_high
@@ -455,39 +452,43 @@ def label_entropy(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None = None
 ) -> MIResult:
     """Certified entropy of a label that both blocks determine."""
-    return _label_profile(table, past_label, future_label)[2]
+    return _label_profile(table, past_label, future_label)[3]
 
 
 def _label_profile(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[list[dict], list[float], MIResult]:
-    """One labelling pass: the entries grouped by label, the group masses and
-    the certified label entropy."""
+) -> tuple[tuple[dict, dict], list[dict], list[float], MIResult]:
+    """One labelling pass: the past and future marginals, the entries grouped
+    by label, the group masses and the certified label entropy.  Each
+    distinct block (a marginal key) is labelled once."""
     if future_label is None:
         future_label = past_label
+    past, future = table.past_marginal(), table.future_marginal()
+    past_z = {block: past_label(block) for block in past}
+    future_z = {block: future_label(block) for block in future}
     groups: dict = {}
-    for (past, future), p in table.entries.items():
-        zp = past_label(past)
-        zf = future_label(future)
+    for key, p in table.entries.items():
+        zp = past_z[key[0]]
+        zf = future_z[key[1]]
         if zp != zf:
             raise LabelDisagreementError(
-                f"label mismatch on entry past={list(past)} future={list(future)}: "
+                f"label mismatch on entry past={list(key[0])} future={list(key[1])}: "
                 f"past-computed {zp!r} vs future-computed {zf!r}"
             )
-        groups.setdefault(zp, {})[(past, future)] = p
+        groups.setdefault(zp, {})[key] = p
     subs = list(groups.values())
     masses = [math.fsum(g.values()) for g in subs]
     support = table.n * math.log2(table.alphabet_size)
     h_label = _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
-    return subs, masses, h_label
+    return (past, future), subs, masses, h_label
 
 
 def _label_decomposition(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
 ) -> tuple[MIResult, MIResult, MIResult]:
     """block_mi, H(label) and I(past; future | label) from one labelling pass."""
-    subs, masses, h_label = _label_profile(table, past_label, future_label)
-    e = block_mi(table)
+    marginals, subs, masses, h_label = _label_profile(table, past_label, future_label)
+    e = _block_mi(table, *marginals)
     total = table.assigned_mass()
     if total <= 0.0:
         return e, h_label, MIResult(0.0, 0.0, 0.0)
@@ -537,22 +538,26 @@ def triple_information(table: JointBlockTable, event: Callable) -> float:
     event-mass-weighted conditional informations; the information diagram
     bounds it by H(1_B) <= 1 bit in absolute value.
     """
+    return _triple_information(table, event, _sub_table_mi(table.entries))[0]
+
+
+def _triple_information(
+    table: JointBlockTable, event: Callable, full_mi: float
+) -> tuple[float, float]:
+    """I(past; future; 1_B) and P(B) on the renormalized table, given its
+    plug-in mutual information `full_mi`; the event is evaluated once per
+    entry."""
     total = math.fsum(table.entries.values())
     if total <= 0.0:
-        return 0.0
+        return 0.0, 0.0
     inside: dict = {}
     outside: dict = {}
     for key, p in table.entries.items():
         (inside if event(key) else outside)[key] = p
-    full_mi = _sub_table_mi(table.entries)
     mass_in = math.fsum(inside.values()) / total
     mass_out = math.fsum(outside.values()) / total
-    cond = 0.0
-    if inside:
-        cond += mass_in * _sub_table_mi(inside)
-    if outside:
-        cond += mass_out * _sub_table_mi(outside)
-    return full_mi - cond
+    cond = mass_in * _sub_table_mi(inside) + mass_out * _sub_table_mi(outside)
+    return full_mi - cond, mass_in
 
 
 # ----- table plumbing ---------------------------------------------------------

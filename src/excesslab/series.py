@@ -10,7 +10,7 @@ log2 log2 m, digit-count terms).  For a positive decreasing f,
 and the integrals have closed forms after substituting p = log2 m.  That
 turns every needed sum into a certified two-sided enclosure: direct
 summation up to a configurable cutoff, per-digit-group brackets beyond it,
-so cutoffs as large as 2**n for block length n stay cheap.
+so cutoffs as large as 2**n for block length n cost little.
 
 All logarithms are base 2; entropies derived from these sums are in bits.
 """

@@ -3,6 +3,8 @@ enumerators used as oracles against the production engine."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from excesslab.models import ProcessModel
@@ -50,9 +52,12 @@ def naive_cyclic_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
     return entries
 
 
-def naive_hmc_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
+def naive_hmc_table(
+    model: ProcessModel, n: int, level_cutoff: int, prune_eps: float = 0.0
+) -> dict:
     """Reference for the ergodic kind: full recursive path expansion with no
-    pruning, no ordering tricks, and no merging shortcuts."""
+    ordering tricks and no merging shortcuts.  A branch whose path
+    probability falls below `prune_eps` is skipped, as the engine does."""
     length = 2 * n
     words = {m: model.emission_word(m) for m in range(2, level_cutoff + 1)}
     c_mid = model.norm_c.mid
@@ -71,7 +76,8 @@ def naive_hmc_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
             entries[key] = entries.get(key, 0.0) + prob
             return
         for nxt in words:
-            walk(prefix, prob * branch[nxt], nxt, 1)
+            if prob * branch[nxt] >= prune_eps:
+                walk(prefix, prob * branch[nxt], nxt, 1)
 
     for m in words:
         seed = c_mid * level_weight(m, model.alpha) / model.phase_count(m)
@@ -89,3 +95,9 @@ def assert_tables_match(reference: dict, entries: dict, tol: float = 1e-12) -> f
     worst = max(abs(reference[k] - entries[k]) for k in reference)
     assert worst <= tol, f"worst per-entry gap {worst:.3e} exceeds {tol:.0e}"
     return worst
+
+
+def truth_hits(detail: str) -> int:
+    """Windows with a defined hidden truth, read off a decoder_agreement
+    detail ("..., <errors>/<hits> hidden-truth mismatches")."""
+    return int(re.search(r"(\d+)/(\d+) hidden-truth", detail).group(2))

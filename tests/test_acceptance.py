@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary lines.  Scales are pinned here; criteria 2, 5, 7 and 9 run the
+summary lines.  Scales are pinned here; criteria 2, 3, 5, 7 and 9 run the
 checks of `excesslab verify` (`verify.check_*`) with their tolerances, so the
 gate and the CLI cannot drift apart.  Shared sweeps are computed once per
 session and reused across criteria.
@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 
 from excesslab.analysis import fit_rate
-from excesslab.decoders import decoded_level_entropy, future_decoder, hidden_truth, past_decoder
+from excesslab.decoders import decoded_level_entropy
 from excesslab.exact import block_mi, enumerate_joint
-from excesslab.sampling import estimate_block_mi, sample_trajectories, sample_trajectory
+from excesslab.sampling import estimate_block_mi, sample_trajectories
 from excesslab.series import partial_sum_bracket, tail_sum_bracket
 from excesslab.verify import (
+    check_decoder_agreement,
     check_decomposition,
     check_monotonicity,
     check_sandwich,
     check_triple_bound,
+    predicate_grid,
 )
 
 from conftest import (
@@ -31,6 +33,7 @@ from conftest import (
     make_model,
     naive_cyclic_table,
     naive_hmc_table,
+    truth_hits,
 )
 
 ALPHAS = (1.5, 2.0)
@@ -107,46 +110,11 @@ def test_criterion_2_decomposition_identity(sweep_tables):
 def test_criterion_3_decoder_agreement():
     """>= 1e6 sampled windows per kind: past = future decode, hidden truth holds."""
     start = time.time()
-    per_kind = 1_000_000
     for kind in KINDS:
-        model = make_model(kind, 1.5)
-        past = past_decoder(kind)
-        future = future_decoder(kind)
-        cyclic = kind != "hmc"
-        windows_per_traj = 500
-        seen = 0
-        disagreements = 0
-        truth_errors = 0
-        truth_hits = 0
-        stream = 0
-        while seen < per_kind:
-            n = 6 if stream % 2 == 0 else 12
-            traj = sample_trajectory(
-                model, 2 * n + windows_per_traj, seed=2026, stream=stream, keep_hidden=not cyclic
-            )
-            sym = traj.symbols
-            hid = traj.hidden
-            # The cyclic kinds never change level, so the truth is constant
-            # over the whole trajectory.
-            fixed_truth = hidden_truth(kind, traj.initial_state, n) if cyclic else None
-            for t in range(windows_per_traj):
-                dp = past(sym[t : t + n])
-                if dp != future(sym[t + n : t + 2 * n]):
-                    disagreements += 1
-                truth = fixed_truth if cyclic else hidden_truth(kind, hid[t + n - 1], n)
-                if truth:
-                    truth_hits += 1
-                    if dp != truth:
-                        truth_errors += 1
-            seen += windows_per_traj
-            stream += 1
-        assert disagreements == 0
-        assert truth_errors == 0
-        assert truth_hits > 0
-        print(
-            f"\nACCEPTANCE 3 PASS decoder agreement[{kind}]: {seen} windows, "
-            f"0 disagreements, 0/{truth_hits} hidden-truth mismatches"
-        )
+        check = check_decoder_agreement(make_model(kind, 1.5), windows=1_000_000, seed=2026)
+        assert check.passed, check.detail
+        assert truth_hits(check.detail) > 0, check.detail
+        print(f"\nACCEPTANCE 3 PASS {check.name}: {check.detail}")
     elapsed = time.time() - start
     assert elapsed <= 120.0
     print(f"ACCEPTANCE 3 runtime {elapsed:.0f}s <= 120s")
@@ -263,10 +231,11 @@ def test_criterion_6_rate_laws():
 def test_criterion_7_triple_information_bound(sweep_tables):
     """|I(past; future; 1_B)| <= H(1_B) <= 1 over 20 predicates x 3 kinds x n in {4, 8}."""
     tables = {(kind, 1.5, n): sweep_tables[(kind, 1.5, n)] for kind in KINDS for n in (4, 8)}
-    check = check_triple_bound(tables, 20)
+    check = check_triple_bound(tables)
     assert check.passed, check.detail
+    evaluations = sum(len(predicate_grid(tuple(range(t.alphabet_size)))) for t in tables.values())
     print(
-        f"\nACCEPTANCE 7 PASS triple-information bound: {20 * len(tables)} evaluations, "
+        f"\nACCEPTANCE 7 PASS triple-information bound: {evaluations} evaluations, "
         f"{check.detail} <= H(1_B)"
     )
 

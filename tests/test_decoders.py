@@ -14,15 +14,15 @@ from excesslab.decoders import (
     decode_past_hpm2,
     decoded_level_entropy,
     future_decoder,
-    hidden_truth,
     mi_decomposition_residual,
     past_decoder,
 )
 from excesslab.exact import block_mi, conditional_mi_given, enumerate_joint, label_entropy
 from excesslab.analysis import fit_rate
-from excesslab.sampling import sample_trajectory
+from excesslab.models import Kind
+from excesslab.verify import check_decoder_agreement
 
-from conftest import FAST_SERIES_CUTOFF, make_model
+from conftest import FAST_SERIES_CUTOFF, make_model, truth_hits
 
 
 # ----- block rules --------------------------------------------------------------
@@ -133,23 +133,10 @@ def test_decoders_are_total_on_unreachable_blocks():
 
 @pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))
 def test_past_future_agreement_and_hidden_truth(kind):
-    model = make_model(kind, 1.5)
-    past = past_decoder(kind)
-    future = future_decoder(kind)
-    checked = 0
-    for stream in range(40):
-        for n in (6, 12):
-            traj = sample_trajectory(model, 2 * n + 250, seed=77, stream=stream, keep_hidden=True)
-            sym = traj.symbols
-            for t in range(250):
-                dp = past(sym[t : t + n])
-                df = future(sym[t + n : t + 2 * n])
-                assert dp == df, f"{kind} n={n} window {t}: past {dp} vs future {df}"
-                truth = hidden_truth(kind, traj.hidden[t + n - 1], n)
-                if truth:
-                    assert dp == truth
-                checked += 1
-    assert checked == 40 * 2 * 250
+    check = check_decoder_agreement(make_model(kind, 1.5), windows=20_000, seed=77)
+    assert check.passed, check.detail
+    assert check.detail.startswith("20000 windows, 0 past/future disagreements")
+    assert truth_hits(check.detail) > 0
 
 
 # ----- closed-form H(D) ------------------------------------------------------------
@@ -224,6 +211,27 @@ def test_decomposition_residual_within_allowance(kind, alpha, n, cutoff):
     chk = mi_decomposition_residual(table, kind)
     assert abs(chk.residual) <= 1e-10  # exact identity in plug-in arithmetic
     assert chk.passed
+
+
+def test_decomposition_decodes_each_distinct_block_once(monkeypatch):
+    import excesslab.decoders as decoders
+
+    calls = []
+
+    def counting(decoder):
+        def wrapped(block):
+            calls.append(block)
+            return decoder(block)
+
+        return wrapped
+
+    monkeypatch.setitem(decoders._PAST, Kind.HMC, counting(decode_past_hmc))
+    monkeypatch.setitem(decoders._FUTURE, Kind.HMC, counting(decode_future_hmc))
+    table = enumerate_joint(make_model("hmc", 1.5), 6, 32)
+    chk = mi_decomposition_residual(table, "hmc")
+    assert chk.passed
+    distinct = len(table.past_marginal()) + len(table.future_marginal())
+    assert len(calls) == distinct < len(table.entries)
 
 
 def test_conditional_mi_equals_block_mi_minus_label_entropy():

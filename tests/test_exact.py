@@ -100,6 +100,21 @@ def test_hpm1_block_mi_matches_oracle_n8_cutoff_4096():
     assert block_mi(ref_table).value == pytest.approx(block_mi(table).value, abs=1e-10)
 
 
+def test_hmc_pruned_table_matches_pruned_oracle():
+    # The oracle skips the same branches; the mass it never reaches from the
+    # seeds is what the engine books as pruned beyond the level tail.
+    h = make_model("hmc", 1.5)
+    reference = naive_hmc_table(h, 6, 32, 1e-6)
+    table = enumerate_joint(h, 6, 32, 1e-6)
+    assert_tables_match(reference, table.entries, tol=1e-12)
+    seeds = math.fsum(h.level_mass(m).mid for m in range(2, 33))
+    missed = seeds - math.fsum(reference.values())
+    tail = h.level_tail_mass(32)
+    path_pruned = Interval(table.pruned_mass.lo - tail.lo, table.pruned_mass.hi - tail.hi)
+    assert path_pruned.lo - 1e-12 <= missed <= path_pruned.hi + 1e-12
+    assert abs(path_pruned.mid - missed) <= 1e-12
+
+
 def test_hmc_pruning_moves_mass_to_pruned():
     h = make_model("hmc", 1.5)
     full = enumerate_joint(h, 4, 1 << 5)

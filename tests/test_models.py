@@ -164,6 +164,16 @@ def test_hmc_truncated_stationarity_audit():
     tv = 0.5 * sum(abs(flow[s] - pi[s]) for s in pi)
     tail = h.level_tail_mass(cutoff).hi
     assert tv <= tail + 1e-9
+    # Per-state balance: mass enters (m, 1) only through the branch, and
+    # p(m) / pi(m, 1) = D / C, so every level sees the same inflow ratio:
+    # the retained word-end mass times D / C, up to the enclosure widths.
+    c, d = h.norm_c, h.norm_d
+    word_ends = math.fsum(pi[(m, h.phase_count(m))] for m in levels)
+    expected = word_ends * d.mid / c.mid
+    rel = c.width / c.mid + d.width / d.mid
+    assert rel < 1e-5  # so a branch law off by 1e-3 cannot pass
+    for m in levels:
+        assert flow[(m, 1)] / pi[(m, 1)] == pytest.approx(expected, rel=rel), m
 
 
 def test_level_mass_at_two_matches_normalization_oracle():
