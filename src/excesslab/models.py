@@ -144,11 +144,13 @@ class ProcessModel:
         return self.norm_c * Interval.point(level_weight(level, self.alpha))
 
     def level_tail_mass(self, level_cutoff: int) -> Interval:
-        """Enclosure of P(N > level_cutoff)."""
+        """Enclosure of P(N > level_cutoff): 4096 weights summed, the rest bracketed."""
         if self.fixed_level is not None:
             return Interval.point(1.0 if self.fixed_level > level_cutoff else 0.0)
-        tail = tail_sum_bracket(self.alpha, level_cutoff + 1)
-        return (self.norm_c * tail.interval).clamp(0.0, 1.0)
+        top = level_cutoff + 4096
+        direct = math.fsum(level_weight(m, self.alpha) for m in range(level_cutoff + 1, top + 1))
+        tail = tail_sum_bracket(self.alpha, top + 1)
+        return (self.norm_c * (direct + tail.interval)).clamp(0.0, 1.0)
 
     # ----- kernel -----------------------------------------------------------
 

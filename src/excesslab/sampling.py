@@ -19,13 +19,15 @@ forever, so time averages estimate per-component information, not the
 ensemble block MI.  Ensemble estimation therefore pools disjoint windows
 across many independently seeded trajectories; the ergodic kind uses
 sliding windows over one trajectory.  The report records which regime ran.
+Either way each window is encoded once, and the bootstraps reweight window
+counts with the same random draws as a window-by-window resample.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Kind, ProcessModel, StateId, binary_length
-from .series import LN2
+from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
 _EXACT_REJECT_DIGITS = 512  # exact within-group rejection up to this digit count
@@ -52,8 +54,6 @@ def _generator(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
 
 @lru_cache(maxsize=32)
 def _stationary_tables(alpha: float, series_cutoff: int):
-    from .series import normalization_sum
-
     c_mid = normalization_sum(alpha, series_cutoff).reciprocal().mid
     # levels of at most 20 binary digits; digit groups take over at j = 21
     m = np.arange(2, _PREFIX_TOP, dtype=np.float64)
@@ -64,8 +64,6 @@ def _stationary_tables(alpha: float, series_cutoff: int):
 
 @lru_cache(maxsize=32)
 def _branch_tables(alpha: float, series_cutoff: int):
-    from .series import branch_normalization_sum
-
     d_mid = branch_normalization_sum(alpha, series_cutoff).reciprocal().mid
     m = np.arange(2, _PREFIX_TOP, dtype=np.float64)
     s = np.frexp(m)[1].astype(np.float64)
@@ -323,41 +321,42 @@ class EstimatorReport:
     meta: dict = field(default_factory=dict)
 
 
-def _windows_sliding(symbols: bytes, n: int) -> list[tuple[bytes, bytes]]:
-    length = 2 * n
-    return [
-        (symbols[t : t + n], symbols[t + n : t + length])
-        for t in range(len(symbols) - length + 1)
-    ]
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D uint8 array, sorted, and the id of each row."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    keys = rows.view(np.dtype((np.void, width))).ravel()
+    distinct, ids = np.unique(keys, return_inverse=True)
+    return distinct.view(np.uint8).reshape(-1, width), ids
 
 
-def _windows_disjoint(symbols: bytes, n: int) -> list[tuple[bytes, bytes]]:
-    length = 2 * n
-    return [
-        (symbols[t : t + n], symbols[t + n : t + length])
-        for t in range(0, len(symbols) - length + 1, length)
-    ]
+def _encode_windows(windows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encode (count, 2n) windows once: the distinct-window id of every
+    window, and the past id and future id of every distinct window."""
+    distinct, joint_id = _distinct_rows(windows)
+    _, past_of = _distinct_rows(distinct[:, :n])
+    _, future_of = _distinct_rows(distinct[:, n:])
+    return joint_id, past_of, future_of
 
 
-def _mi_from_counts(joint: Counter, total: int, method: str) -> float:
-    past: Counter = Counter()
-    future: Counter = Counter()
-    for (p_key, f_key), c in joint.items():
-        past[p_key] += c
-        future[f_key] += c
-    h_p = _entropy_counts(past, total)
-    h_f = _entropy_counts(future, total)
-    h_j = _entropy_counts(joint, total)
-    value = h_p + h_f - h_j
-    if method == "miller_madow":
-        value += (len(past) + len(future) - len(joint) - 1) / (2.0 * total * LN2)
-    return value
-
-
-def _entropy_counts(counts: Counter, total: int) -> float:
-    arr = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    p = arr / total
+def _entropy_counts(counts: np.ndarray, total: float) -> float:
+    p = counts[counts > 0] / total
     return float(-np.sum(p * np.log2(p)))
+
+
+def _mi_from_counts(
+    joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str
+) -> float:
+    """Plug-in (or Miller-Madow) MI from the count of every distinct window."""
+    total = joint.sum()
+    past = np.bincount(past_of, weights=joint)
+    future = np.bincount(future_of, weights=joint)
+    value = _entropy_counts(past, total) + _entropy_counts(future, total)
+    value -= _entropy_counts(joint, total)
+    if method == "miller_madow":
+        k_past, k_future, k_joint = (np.count_nonzero(c) for c in (past, future, joint))
+        value += (k_past + k_future - k_joint - 1) / (2.0 * total * LN2)
+    return value
 
 
 def estimate_block_mi(
@@ -376,6 +375,10 @@ def estimate_block_mi(
     the usual (K_joint - K_past - K_future + 1)/(2*S*ln 2) from the MI.
     Standard errors come from a block bootstrap: over trajectories in the
     pooled regime, over circular window blocks in the sliding regime.
+
+    Each window is encoded once, as the id of its distinct block, and each
+    MI comes from count vectors; a bootstrap resample reweights those counts,
+    with the same random draws as a window-by-window resample.
     """
     if method not in ("plugin", "miller_madow"):
         raise ValueError(f"unknown estimator method {method!r}")
@@ -389,93 +392,84 @@ def estimate_block_mi(
                 f"insufficient data: sliding estimation at n={n} needs length >= {min_len}, "
                 f"got {len(data)}"
             )
-        windows = _windows_sliding(data.symbols, n)
-        total = len(windows)
-        joint = Counter(windows)
-        value = _mi_from_counts(joint, total, method)
-        std = _bootstrap_sliding(windows, method, bootstrap_resamples, bootstrap_seed)
-        return EstimatorReport(
-            point_estimate=value,
-            std_error=std,
-            sample_count=total,
-            method=method,
-            regime="sliding",
-            n=n,
-            trajectory_count=1,
-            bootstrap_resamples=bootstrap_resamples,
+        regime, trajectories, step = "sliding", [data], 1
+    else:
+        trajectories = list(data)
+        min_len = 2 * n
+        if not trajectories:
+            raise ValueError("insufficient data: no trajectories supplied")
+        short = [len(t) for t in trajectories if len(t) < min_len]
+        if short:
+            raise ValueError(
+                f"insufficient data: pooled estimation at n={n} needs every trajectory "
+                f"length >= {min_len}, got one of length {short[0]}"
+            )
+        regime, step = "pooled", 2 * n
+
+    # Every trajectory's windows, gathered in one pass from the joined symbols.
+    lengths = np.fromiter((len(t) for t in trajectories), np.int64, len(trajectories))
+    counts = (lengths - 2 * n) // step + 1
+    owner = np.repeat(np.arange(len(trajectories)), counts)
+    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    starts = (np.cumsum(lengths) - lengths)[owner] + rank * step
+    joined = np.frombuffer(b"".join(t.symbols for t in trajectories), np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
+    if len(windows) < MIN_WINDOWS:  # only reachable by the pooled regime
+        raise ValueError(
+            f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, "
+            f"got {len(windows)}"
         )
 
-    trajectories = list(data)
-    min_len = 2 * n
-    if not trajectories:
-        raise ValueError("insufficient data: no trajectories supplied")
-    short = [len(t) for t in trajectories if len(t) < min_len]
-    if short:
-        raise ValueError(
-            f"insufficient data: pooled estimation at n={n} needs every trajectory "
-            f"length >= {min_len}, got one of length {short[0]}"
+    joint_id, past_of, future_of = _encode_windows(windows, n)
+    value = _mi_from_counts(np.bincount(joint_id), past_of, future_of, method)
+    if regime == "sliding":
+        resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, bootstrap_seed)
+    else:
+        resampled = _pooled_resamples(
+            joint_id, owner, len(trajectories), len(past_of), bootstrap_resamples, bootstrap_seed
         )
-    per_traj = [Counter(_windows_disjoint(t.symbols, n)) for t in trajectories]
-    joint: Counter = Counter()
-    for c in per_traj:
-        joint.update(c)
-    total = sum(joint.values())
-    if total < MIN_WINDOWS:
-        raise ValueError(
-            f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, got {total}"
-        )
-    value = _mi_from_counts(joint, total, method)
-    std = _bootstrap_pooled(per_traj, method, bootstrap_resamples, bootstrap_seed)
+    values = [_mi_from_counts(joint, past_of, future_of, method) for joint in resampled]
     return EstimatorReport(
         point_estimate=value,
-        std_error=std,
-        sample_count=total,
+        std_error=float(np.std(values, ddof=1)) if values else 0.0,
+        sample_count=len(joint_id),
         method=method,
-        regime="pooled",
+        regime=regime,
         n=n,
         trajectory_count=len(trajectories),
         bootstrap_resamples=bootstrap_resamples,
     )
 
 
-def _bootstrap_pooled(
-    per_traj: list[Counter], method: str, resamples: int, seed: int
-) -> float:
-    if resamples < 2 or len(per_traj) < 2:
-        return 0.0
+def _pooled_resamples(
+    joint_id: np.ndarray, owner: np.ndarray, k: int, distinct: int, resamples: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Trajectory bootstrap: every window counts as often as its trajectory
+    is drawn.  Yields the distinct-window counts of each resample."""
+    if resamples < 2 or k < 2:
+        return
     rng = _generator(seed, (0xB0, 0x07))
-    k = len(per_traj)
-    values = []
     for _ in range(resamples):
-        joint: Counter = Counter()
-        for idx in rng.integers(0, k, size=k):
-            joint.update(per_traj[idx])
-        total = sum(joint.values())
-        values.append(_mi_from_counts(joint, total, method))
-    return float(np.std(values, ddof=1))
+        weights = np.bincount(rng.integers(0, k, size=k), minlength=k)[owner]
+        yield np.bincount(joint_id, weights=weights, minlength=distinct)
 
 
-def _bootstrap_sliding(
-    windows: list[tuple[bytes, bytes]], method: str, resamples: int, seed: int
-) -> float:
-    total = len(windows)
-    if resamples < 2 or total < 2:
-        return 0.0
+def _sliding_resamples(
+    joint_id: np.ndarray, distinct: int, resamples: int, seed: int
+) -> Iterator[np.ndarray]:
+    """Circular block bootstrap: blocks of sqrt(total) consecutive windows
+    from uniform starts, cut to the window count.  Yields the distinct-window
+    counts of each resample."""
+    total = len(joint_id)
+    if resamples < 2:
+        return
     rng = _generator(seed, (0xB0, 0x08))
     block = max(1, int(math.sqrt(total)))
-    n_blocks = (total + block - 1) // block
-    values = []
+    offsets = np.arange(block)
     for _ in range(resamples):
-        joint: Counter = Counter()
-        count = 0
-        for start in rng.integers(0, total, size=n_blocks):
-            for off in range(block):
-                if count >= total:
-                    break
-                joint[windows[(start + off) % total]] += 1
-                count += 1
-        values.append(_mi_from_counts(joint, count, method))
-    return float(np.std(values, ddof=1))
+        starts = rng.integers(0, total, size=(total + block - 1) // block)
+        picks = (starts[:, None] + offsets).ravel()[:total] % total
+        yield np.bincount(joint_id[picks], minlength=distinct)
 
 
 # ----- export ------------------------------------------------------------------

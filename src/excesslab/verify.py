@@ -188,14 +188,8 @@ def _data_processing_gap(table: JointBlockTable, e: MIResult) -> float | None:
 
 
 def predicate_grid(alphabet: tuple[int, ...]) -> list:
-    """A deterministic grid of 20 block-pair predicates."""
+    """20 block-pair predicates: the 12 structural ones, then per-symbol ones."""
     preds = []
-    for sym in alphabet:
-        preds.append(lambda key, s=sym: s in key[0])
-        preds.append(lambda key, s=sym: s in key[1])
-        preds.append(lambda key, s=sym: key[0][0] == s)
-        preds.append(lambda key, s=sym: key[1][-1] == s)
-        preds.append(lambda key, s=sym: key[0].count(s) > key[1].count(s))
     preds.append(lambda key: key[0] < key[1])
     preds.append(lambda key: key[0] == key[1])
     preds.append(lambda key: sum(key[0]) % 2 == 0)
@@ -208,6 +202,12 @@ def predicate_grid(alphabet: tuple[int, ...]) -> list:
     preds.append(lambda key: key[0][: len(key[0]) // 2] == key[1][: len(key[1]) // 2])
     preds.append(lambda key: max(key[0]) >= max(key[1]))
     preds.append(lambda key: True)
+    for sym in alphabet:
+        preds.append(lambda key, s=sym: s in key[0])
+        preds.append(lambda key, s=sym: s in key[1])
+        preds.append(lambda key, s=sym: key[0][0] == s)
+        preds.append(lambda key, s=sym: key[1][-1] == s)
+        preds.append(lambda key, s=sym: key[0].count(s) > key[1].count(s))
     # Every alphabet has at least two symbols, so the list holds >= 22.
     return preds[:20]
 

@@ -3,12 +3,16 @@ enumerators used as oracles against the production engine."""
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from excesslab.models import ProcessModel
-from excesslab.series import level_weight
+from excesslab.sampling import Trajectory, _generator
+from excesslab.series import LN2, level_weight
 
 # Tests run the normalization series at a reduced cutoff; enclosures stay
 # certified, just a few orders of magnitude wider than the default.
@@ -101,3 +105,67 @@ def truth_hits(detail: str) -> int:
     """Windows with a defined hidden truth, read off a decoder_agreement
     detail ("..., <errors>/<hits> hidden-truth mismatches")."""
     return int(re.search(r"(\d+)/(\d+) hidden-truth", detail).group(2))
+
+
+def naive_estimate(data, n: int, method: str, resamples: int, seed: int):
+    """Reference block-MI estimator: windows as (past, future) byte pairs in
+    a `Counter`, resampled in plain Python loops with the production
+    bootstrap streams.  Returns (point estimate, standard error, windows)."""
+
+    def windows(symbols: bytes, step: int) -> list:
+        return [
+            (symbols[t : t + n], symbols[t + n : t + 2 * n])
+            for t in range(0, len(symbols) - 2 * n + 1, step)
+        ]
+
+    def entropy(counts: Counter, total: int) -> float:
+        p = np.fromiter(counts.values(), dtype=np.float64, count=len(counts)) / total
+        return float(-np.sum(p * np.log2(p)))
+
+    def mi(joint: Counter, total: int) -> float:
+        past: Counter = Counter()
+        future: Counter = Counter()
+        for (p_key, f_key), c in joint.items():
+            past[p_key] += c
+            future[f_key] += c
+        value = entropy(past, total) + entropy(future, total) - entropy(joint, total)
+        if method == "miller_madow":
+            value += (len(past) + len(future) - len(joint) - 1) / (2.0 * total * LN2)
+        return value
+
+    values = []
+    if isinstance(data, Trajectory):
+        wins = windows(data.symbols, 1)
+        total = len(wins)
+        point = mi(Counter(wins), total)
+        if resamples >= 2 and total >= 2:
+            rng = _generator(seed, (0xB0, 0x08))
+            block = max(1, int(math.sqrt(total)))
+            n_blocks = (total + block - 1) // block
+            for _ in range(resamples):
+                joint: Counter = Counter()
+                count = 0
+                for start in rng.integers(0, total, size=n_blocks):
+                    for off in range(block):
+                        if count >= total:
+                            break
+                        joint[wins[(start + off) % total]] += 1
+                        count += 1
+                values.append(mi(joint, count))
+    else:
+        per_traj = [Counter(windows(t.symbols, 2 * n)) for t in data]
+        joint = Counter()
+        for c in per_traj:
+            joint.update(c)
+        total = sum(joint.values())
+        point = mi(joint, total)
+        k = len(per_traj)
+        if resamples >= 2 and k >= 2:
+            rng = _generator(seed, (0xB0, 0x07))
+            for _ in range(resamples):
+                joint = Counter()
+                for idx in rng.integers(0, k, size=k):
+                    joint.update(per_traj[idx])
+                values.append(mi(joint, sum(joint.values())))
+    std = float(np.std(values, ddof=1)) if values else 0.0
+    return point, std, total

@@ -3,11 +3,13 @@ emission maps, and the stationarity audits."""
 
 import math
 
+import numpy as np
 import pytest
 
 from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_digit, binary_length
+from excesslab.series import tail_sum_bracket
 
 from conftest import FAST_SERIES_CUTOFF, make_model
 
@@ -59,6 +61,22 @@ def test_level_probabilities_sum_to_one_within_enclosure():
         total = total + m.level_mass(level)
     total = total + m.level_tail_mass(1999)
     assert total.lo - 1e-9 <= 1.0 <= total.hi + 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind,alpha,cutoff", [("hmc", 1.5, 32), ("hmc", 1.5, 64), ("hpm2", 2.0, 255), ("hpm1", 1.5, 4096)]
+)
+def test_level_tail_mass_is_tight_and_inside_the_bracket(kind, alpha, cutoff):
+    m = make_model(kind, alpha)
+    tail = m.level_tail_mass(cutoff)
+    bracket = m.norm_c * tail_sum_bracket(alpha, cutoff + 1).interval
+    assert bracket.lo <= tail.lo and tail.hi <= bracket.hi
+    assert tail.width < 4e-6  # the bare bracket is up to 1.6e-3 wide here
+    top = 1 << 22
+    levels = np.arange(cutoff + 1, top + 1, dtype=np.float64)
+    direct = math.fsum(1.0 / (levels * np.log2(levels) ** alpha))
+    reference = m.norm_c * (direct + tail_sum_bracket(alpha, top + 1).interval)
+    assert tail.lo <= reference.lo and reference.hi <= tail.hi
 
 
 def test_level_mass_rejects_low_levels():
