@@ -39,6 +39,9 @@ from .verify import run_verification
 DEFAULT_HMC_CUTOFF = 64
 DEFAULT_HMC_PRUNE = 1e-9
 
+# What `_exact_row` resolves per block length; the manifest records it.
+_RESOLVED_KEYS = ("n", "level_cutoff", "prune_eps", "tail_aggregation")
+
 
 @dataclasses.dataclass
 class RunConfig:
@@ -102,13 +105,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _write_manifest(out: Path, command: str, config: RunConfig, outputs: list[str]) -> None:
+def _write_manifest(
+    out: Path, command: str, config: RunConfig, outputs: list[str], rows: list[dict] | None = None
+) -> None:
+    """`rows`, from `_exact_row`, add the configuration each n actually ran
+    with, where `config` may leave it to the per-kind defaults (null)."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config.to_dict(),
         "outputs": outputs,
     }
+    if rows is not None:
+        manifest["resolved"] = [{k: r[k] for k in _RESOLVED_KEYS} for r in rows]
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -140,6 +149,7 @@ def _exact_row(config: RunConfig, n: int) -> dict:
         "source": "exact",
         "level_cutoff": cutoff,
         "prune_eps": prune,
+        "tail_aggregation": aggregate,
         "status": "ok",
     }
     try:
@@ -174,7 +184,7 @@ def cmd_exact(config: RunConfig, out: Path) -> int:
     write_series_csv(
         rows, path, extra_columns=("entries", "pruned_mass_hi", "level_cutoff", "prune_eps", "status")
     )
-    _write_manifest(out, "exact", config, [path.name])
+    _write_manifest(out, "exact", config, [path.name], rows)
     skipped = [r for r in rows if r["status"] != "ok"]
     for r in skipped:
         print(f"n={r['n']}: {r['status']}", file=sys.stderr)
@@ -253,6 +263,7 @@ def cmd_fit(config: RunConfig, out: Path) -> int:
     kind = Kind(config.process)
     points = []
     sources = []
+    rows = None
     if config.source == "closed_form":
         # the revealed-level entropy: the exact lower-bound series with the
         # same growth class, available far beyond exact-enumeration reach
@@ -261,8 +272,8 @@ def cmd_fit(config: RunConfig, out: Path) -> int:
             points.append((n, mi.value))
             sources.append("closed_form")
     else:
-        for n in config.block_lengths:
-            row = _exact_row(config, n)
+        rows = [_exact_row(config, n) for n in config.block_lengths]
+        for n, row in zip(config.block_lengths, rows):
             if row["status"] != "ok":
                 print(f"n={n}: {row['status']}", file=sys.stderr)
                 continue
@@ -286,6 +297,7 @@ def cmd_fit(config: RunConfig, out: Path) -> int:
     payload["version"] = __version__
     payload["config"] = config.to_dict()
     path.write_text(json.dumps(payload, indent=2))
+    _write_manifest(out, "fit", config, [path.name], rows)
     print(report.to_json())
     print(f"wrote {path}")
     return 0

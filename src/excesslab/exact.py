@@ -23,6 +23,12 @@ with h the binary entropy function and slope the worst Lipschitz constant of
 into the pruned mass before any entropy is taken.  Mass reductions use exact
 compensated summation (math.fsum); entropy reductions use numpy's pairwise
 summation, whose rounding is far below every certified width.
+
+The reductions are array-native.  One pass over the entries gives each its
+past and future block ids and the two marginals; a label reduction then
+labels each distinct block once, and takes every label group's mass, past,
+future and joint entropy from sorted per-group runs, with no sub-table per
+group.
 """
 
 from __future__ import annotations
@@ -380,9 +386,48 @@ def _enumerate_hmc(
 # ----- information quantities ------------------------------------------------
 
 
-def _plug_in_entropy(masses: Iterable[float]) -> float:
+@dataclass(frozen=True)
+class _Profile:
+    """A table's entries as arrays: masses, past and future block ids (in
+    first-appearance order) and the two marginals, built in one pass."""
+
+    masses: np.ndarray
+    past: np.ndarray
+    future: np.ndarray
+    past_blocks: list[bytes]
+    future_blocks: list[bytes]
+    past_mass: np.ndarray
+    future_mass: np.ndarray
+
+
+def _profile(table: JointBlockTable) -> _Profile:
+    """The table's profile, from one pass over its entries.  Each marginal
+    accumulates its entries in table order, as `past_marginal` does, so the
+    marginal masses are the same floats."""
+    count = len(table.entries)
+    past_ids: dict[bytes, int] = {}
+    future_ids: dict[bytes, int] = {}
+    past = np.fromiter(
+        (past_ids.setdefault(p, len(past_ids)) for p, _ in table.entries), np.intp, count
+    )
+    future = np.fromiter(
+        (future_ids.setdefault(f, len(future_ids)) for _, f in table.entries), np.intp, count
+    )
+    masses = np.fromiter(table.entries.values(), np.float64, count)
+    return _Profile(
+        masses,
+        past,
+        future,
+        list(past_ids),
+        list(future_ids),
+        np.bincount(past, masses, len(past_ids)),
+        np.bincount(future, masses, len(future_ids)),
+    )
+
+
+def _plug_in_entropy(masses: list[float] | np.ndarray) -> float:
     """Entropy of the masses renormalized to a distribution."""
-    arr = np.asarray(list(masses), dtype=np.float64)
+    arr = np.asarray(masses, dtype=np.float64)
     if arr.size == 0:
         return 0.0
     total = float(np.sum(arr))
@@ -392,8 +437,40 @@ def _plug_in_entropy(masses: Iterable[float]) -> float:
     return float(-np.sum(q * np.log2(q)))
 
 
+def _runs(group: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`values` stably sorted by group id, and the length of each group's run."""
+    return values[np.argsort(group, kind="stable")], np.bincount(group, minlength=count)
+
+
+def _grouped_entropy(group: np.ndarray, masses: np.ndarray, count: int) -> np.ndarray:
+    """Plug-in entropy of each group's masses, renormalized within the group.
+
+    Every group must be non-empty.  Each group's run is summed pairwise
+    (np.add.reduceat), as `_plug_in_entropy` sums a whole table."""
+    m, lengths = _runs(group, masses, count)
+    starts = np.cumsum(lengths) - lengths
+    q = m / np.repeat(np.add.reduceat(m, starts), lengths)
+    return -np.add.reduceat(q * np.log2(q), starts)
+
+
+def _plug_in_mi(masses: np.ndarray, past: np.ndarray, future: np.ndarray) -> float:
+    """Plug-in I(past; future) of the entries with these masses and past and
+    future block ids, renormalized by their exact total."""
+    total = math.fsum(masses.tolist())
+    if total <= 0.0:
+        return 0.0
+    q = masses / total
+    past_q = np.bincount(past, q)
+    future_q = np.bincount(future, q)
+    return (
+        _plug_in_entropy(past_q[past_q > 0.0])
+        + _plug_in_entropy(future_q[future_q > 0.0])
+        - _plug_in_entropy(q)
+    )
+
+
 def _entropy_result(
-    masses: list[float], delta: float, support_log2: float, entry_slack: float
+    masses: list[float] | np.ndarray, delta: float, support_log2: float, entry_slack: float
 ) -> MIResult:
     """Certified entropy from a subnormalized mass list.
 
@@ -403,12 +480,13 @@ def _entropy_result(
     in both directions.  The slack of the stored masses enters through the
     worst slope of -q*log2(q) above the smallest retained atom.
     """
-    value = _plug_in_entropy(masses)
+    arr = np.asarray(masses, dtype=np.float64)
+    value = _plug_in_entropy(arr)
     delta = min(max(delta, 0.0), 1.0)
     err = delta * support_log2 + binary_entropy(delta)
-    if entry_slack > 0.0 and masses:
-        total = math.fsum(masses)
-        q_min = min(masses) / total
+    if entry_slack > 0.0 and arr.size:
+        total = math.fsum(arr.tolist())
+        q_min = float(np.min(arr)) / total
         slope = (max(0.0, -math.log(q_min)) + 1.0) / math.log(2.0)
         err += slope * 2.0 * entry_slack / total
     return MIResult(value, err, err)
@@ -427,21 +505,19 @@ def entropy(table: JointBlockTable) -> MIResult:
     )
 
 
-def _marginal_entropy(table: JointBlockTable, marginal: dict[bytes, float]) -> MIResult:
+def _marginal_entropy(table: JointBlockTable, masses: np.ndarray) -> MIResult:
     support = table.n * math.log2(table.alphabet_size)
-    return _entropy_result(
-        list(marginal.values()), table.pruned_mass.hi, support, table.entry_slack
-    )
+    return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
 
 
 def block_mi(table: JointBlockTable) -> MIResult:
     """Certified block mutual information H(past) + H(future) - H(joint)."""
-    return _block_mi(table, table.past_marginal(), table.future_marginal())
+    return _block_mi(table, _profile(table))
 
 
-def _block_mi(table: JointBlockTable, past: dict, future: dict) -> MIResult:
-    h_past = _marginal_entropy(table, past)
-    h_future = _marginal_entropy(table, future)
+def _block_mi(table: JointBlockTable, prof: _Profile) -> MIResult:
+    h_past = _marginal_entropy(table, prof.past_mass)
+    h_future = _marginal_entropy(table, prof.future_mass)
     h_joint = entropy(table)
     value = h_past.value + h_future.value - h_joint.value
     err = h_past.err_high + h_future.err_high + h_joint.err_high
@@ -452,69 +528,71 @@ def label_entropy(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None = None
 ) -> MIResult:
     """Certified entropy of a label that both blocks determine."""
-    return _label_profile(table, past_label, future_label)[3]
+    return _label_profile(table, _profile(table), past_label, future_label)[2]
 
 
 def _label_profile(
-    table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[tuple[dict, dict], list[dict], list[float], MIResult]:
-    """One labelling pass: the past and future marginals, the entries grouped
-    by label, the group masses and the certified label entropy.  Each
-    distinct block (a marginal key) is labelled once."""
+    table: JointBlockTable, prof: _Profile, past_label: Callable, future_label: Callable | None
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[float], MIResult]:
+    """One labelling pass: the group id of every entry, past block and future
+    block, the group masses and the certified label entropy.
+
+    Each distinct block is labelled once; labels may be any hashable.  Groups
+    are numbered in order of first appearance among the entries, and each
+    group mass is an exact (math.fsum) sum of its entries."""
     if future_label is None:
         future_label = past_label
-    past, future = table.past_marginal(), table.future_marginal()
-    past_z = {block: past_label(block) for block in past}
-    future_z = {block: future_label(block) for block in future}
-    groups: dict = {}
-    for key, p in table.entries.items():
-        zp = past_z[key[0]]
-        zf = future_z[key[1]]
-        if zp != zf:
-            raise LabelDisagreementError(
-                f"label mismatch on entry past={list(key[0])} future={list(key[1])}: "
-                f"past-computed {zp!r} vs future-computed {zf!r}"
-            )
-        groups.setdefault(zp, {})[key] = p
-    subs = list(groups.values())
-    masses = [math.fsum(g.values()) for g in subs]
+    past_z = [past_label(block) for block in prof.past_blocks]
+    future_z = [future_label(block) for block in prof.future_blocks]
+    ids: dict = {}
+    past_group = np.fromiter((ids.setdefault(z, len(ids)) for z in past_z), np.intp, len(past_z))
+    future_group = np.fromiter(
+        (ids.setdefault(z, len(ids)) for z in future_z), np.intp, len(future_z)
+    )
+    entry_group = past_group[prof.past]
+    bad = np.flatnonzero(entry_group != future_group[prof.future])
+    if bad.size:
+        i = int(bad[0])
+        past, future = prof.past_blocks[prof.past[i]], prof.future_blocks[prof.future[i]]
+        raise LabelDisagreementError(
+            f"label mismatch on entry past={list(past)} future={list(future)}: "
+            f"past-computed {past_z[prof.past[i]]!r} vs "
+            f"future-computed {future_z[prof.future[i]]!r}"
+        )
+    ordered, lengths = _runs(entry_group, prof.masses, len(ids))
+    bounds = [0] + np.cumsum(lengths).tolist()
+    ordered = ordered.tolist()
+    masses = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
     support = table.n * math.log2(table.alphabet_size)
     h_label = _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
-    return (past, future), subs, masses, h_label
+    return (entry_group, past_group, future_group), masses, h_label
 
 
 def _label_decomposition(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
 ) -> tuple[MIResult, MIResult, MIResult]:
-    """block_mi, H(label) and I(past; future | label) from one labelling pass."""
-    marginals, subs, masses, h_label = _label_profile(table, past_label, future_label)
-    e = _block_mi(table, *marginals)
+    """block_mi, H(label) and I(past; future | label) from one labelling pass.
+
+    A past block has exactly one label, and so has a future block, so each
+    group's past and future laws are the global marginals restricted to the
+    blocks of that label."""
+    prof = _profile(table)
+    (entry_group, past_group, future_group), masses, h_label = _label_profile(
+        table, prof, past_label, future_label
+    )
+    e = _block_mi(table, prof)
     total = table.assigned_mass()
     if total <= 0.0:
         return e, h_label, MIResult(0.0, 0.0, 0.0)
-    value = math.fsum((mass / total) * _sub_table_mi(sub) for mass, sub in zip(masses, subs))
+    count = len(masses)
+    mis = (
+        _grouped_entropy(past_group, prof.past_mass, count)
+        + _grouped_entropy(future_group, prof.future_mass, count)
+        - _grouped_entropy(entry_group, prof.masses, count)
+    )
+    value = math.fsum(((np.asarray(masses) / total) * mis).tolist())
     err = e.err_high + h_label.err_high
     return e, h_label, MIResult(value, err, err)
-
-
-def _sub_table_mi(sub: dict[tuple[bytes, bytes], float]) -> float:
-    """Plug-in mutual information of a renormalized sub-table."""
-    total = math.fsum(sub.values())
-    if total <= 0.0:
-        return 0.0
-    past: dict[bytes, float] = {}
-    future: dict[bytes, float] = {}
-    joint = []
-    for (p_key, f_key), p in sub.items():
-        q = p / total
-        joint.append(q)
-        past[p_key] = past.get(p_key, 0.0) + q
-        future[f_key] = future.get(f_key, 0.0) + q
-    return (
-        _plug_in_entropy(past.values())
-        + _plug_in_entropy(future.values())
-        - _plug_in_entropy(joint)
-    )
 
 
 def conditional_mi_given(
@@ -538,26 +616,31 @@ def triple_information(table: JointBlockTable, event: Callable) -> float:
     event-mass-weighted conditional informations; the information diagram
     bounds it by H(1_B) <= 1 bit in absolute value.
     """
-    return _triple_information(table, event, _sub_table_mi(table.entries))[0]
+    return _triple_informations(table, [event])[0][0]
 
 
-def _triple_information(
-    table: JointBlockTable, event: Callable, full_mi: float
-) -> tuple[float, float]:
-    """I(past; future; 1_B) and P(B) on the renormalized table, given its
-    plug-in mutual information `full_mi`; the event is evaluated once per
-    entry."""
-    total = math.fsum(table.entries.values())
+def _triple_informations(
+    table: JointBlockTable, events: list[Callable]
+) -> list[tuple[float, float]]:
+    """I(past; future; 1_B) and P(B) on the renormalized table for each event
+    B.  The table is profiled and its plug-in MI taken once; each event is
+    evaluated once per entry."""
+    prof = _profile(table)
+    total = math.fsum(prof.masses.tolist())
     if total <= 0.0:
-        return 0.0, 0.0
-    inside: dict = {}
-    outside: dict = {}
-    for key, p in table.entries.items():
-        (inside if event(key) else outside)[key] = p
-    mass_in = math.fsum(inside.values()) / total
-    mass_out = math.fsum(outside.values()) / total
-    cond = mass_in * _sub_table_mi(inside) + mass_out * _sub_table_mi(outside)
-    return full_mi - cond, mass_in
+        return [(0.0, 0.0)] * len(events)
+    full_mi = _plug_in_mi(prof.masses, prof.past, prof.future)
+
+    def side_mi(side: np.ndarray) -> float:
+        return _plug_in_mi(prof.masses[side], prof.past[side], prof.future[side])
+
+    out = []
+    for event in events:
+        inside = np.fromiter((bool(event(key)) for key in table.entries), bool, len(prof.masses))
+        mass_in, mass_out = (math.fsum(prof.masses[s].tolist()) / total for s in (inside, ~inside))
+        cond = mass_in * side_mi(inside) + mass_out * side_mi(~inside)
+        out.append((full_mi - cond, mass_in))
+    return out
 
 
 # ----- table plumbing ---------------------------------------------------------

@@ -10,7 +10,10 @@ log2 log2 m, digit-count terms).  For a positive decreasing f,
 and the integrals have closed forms after substituting p = log2 m.  That
 turns every needed sum into a certified two-sided enclosure: direct
 summation up to a configurable cutoff, per-digit-group brackets beyond it,
-so cutoffs as large as 2**n for block length n cost little.
+so cutoffs as large as 2**n for block length n cost little.  The direct
+prefix of the level sums is summed once per (alpha, direct limit) per
+process, so every call whose top reaches 2**22 - 1 shares one 4.2M-term
+prefix per alpha.
 
 All logarithms are base 2; entropies derived from these sums are in bits.
 """
@@ -134,55 +137,58 @@ class LevelSums:
     s_inv_digit: Interval
 
 
-def level_weight_sums(alpha: float, m_max: int, direct_digits: int = _DIRECT_DIGITS) -> LevelSums:
+def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     """Certified enclosures of the weighted level sums up to m_max (inclusive).
 
     m_max may be astronomically large (it is an int, e.g. 2**n); only
-    min(m_max, 2**direct_digits - 1) terms are summed directly and the rest is
-    bracketed one binary-digit group at a time.
+    min(m_max, 2**22 - 1) terms are summed directly, and that prefix is
+    summed once per (alpha, direct limit) per process.  The rest is
+    bracketed one binary-digit group at a time on every call.
     """
     _check_alpha(alpha)
     if m_max < 2:
         raise ValueError(f"level sums start at m=2, got m_max={m_max}")
 
-    direct_top = min(m_max, (1 << direct_digits) - 1)
-    acc = {k: [] for k in ("s0", "s1", "s2", "sd", "sid")}
+    direct_top = min(m_max, (1 << _DIRECT_DIGITS) - 1)
+    s0, s1, s2, sd, sid = (Interval.point(v) for v in _direct_level_sums(alpha, direct_top))
+
+    if m_max > direct_top:
+        top_digits = digit_length(m_max)
+        for j in range(_DIRECT_DIGITS + 1, top_digits + 1):
+            a = 1 << (j - 1)
+            b = min((1 << j) - 1, m_max)
+            g0 = _group_sum(alpha, a, b)
+            g1 = _group_sum(alpha - 1.0, a, b)
+            s0 = s0 + g0
+            s1 = s1 + g1
+            s2 = s2 + g0 * Interval(math.log2(j - 1), math.log2(j))
+            sd = sd + g0 * Interval.point(math.log2(j))
+            sid = sid + g0 * Interval.point(1.0 / j)
+
+    return LevelSums(s0, s1, s2, sd, sid)
+
+
+@lru_cache(maxsize=None)
+def _direct_level_sums(alpha: float, direct_top: int) -> tuple[float, float, float, float, float]:
+    """sum_{m=2}^{direct_top} w(m) * factor(m) for the five LevelSums factors,
+    in chunks, each chunk summed by numpy and the chunks by math.fsum.  Each
+    weighted term array is built and summed on its own, so a chunk holds one
+    at a time."""
+    s0, s1, s2, sd, sid = [], [], [], [], []
     for lo in range(2, direct_top + 1, _CHUNK):
         m = np.arange(lo, min(lo + _CHUNK, direct_top + 1), dtype=np.int64)
         mf = m.astype(np.float64)
         logm = np.log2(mf)
         w = 1.0 / (mf * logm**alpha)
         s = np.frexp(mf)[1].astype(np.float64)  # binary digit count, exact
-        acc["s0"].append(float(np.sum(w)))
-        acc["s1"].append(float(np.sum(w * logm)))
+        s0.append(float(np.sum(w)))
+        s1.append(float(np.sum(w * logm)))
         with np.errstate(divide="ignore"):
             ll = np.where(m == 2, 0.0, np.log2(logm))
-        acc["s2"].append(float(np.sum(w * ll)))
-        acc["sd"].append(float(np.sum(w * np.log2(s))))
-        acc["sid"].append(float(np.sum(w / s)))
-    vals = {k: math.fsum(v) for k, v in acc.items()}
-    sums = {
-        "s0": Interval.point(vals["s0"]),
-        "s1": Interval.point(vals["s1"]),
-        "s2": Interval.point(vals["s2"]),
-        "sd": Interval.point(vals["sd"]),
-        "sid": Interval.point(vals["sid"]),
-    }
-
-    if m_max > direct_top:
-        top_digits = digit_length(m_max)
-        for j in range(direct_digits + 1, top_digits + 1):
-            a = 1 << (j - 1)
-            b = min((1 << j) - 1, m_max)
-            g0 = _group_sum(alpha, a, b)
-            g1 = _group_sum(alpha - 1.0, a, b)
-            sums["s0"] = sums["s0"] + g0
-            sums["s1"] = sums["s1"] + g1
-            sums["s2"] = sums["s2"] + g0 * Interval(math.log2(j - 1), math.log2(j))
-            sums["sd"] = sums["sd"] + g0 * Interval.point(math.log2(j))
-            sums["sid"] = sums["sid"] + g0 * Interval.point(1.0 / j)
-
-    return LevelSums(sums["s0"], sums["s1"], sums["s2"], sums["sd"], sums["sid"])
+        s2.append(float(np.sum(w * ll)))
+        sd.append(float(np.sum(w * np.log2(s))))
+        sid.append(float(np.sum(w / s)))
+    return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd), math.fsum(sid)
 
 
 @lru_cache(maxsize=None)

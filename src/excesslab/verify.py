@@ -32,9 +32,7 @@ from .decoders import (
     mi_decomposition_residual,
     past_decoder,
 )
-from .exact import (
-    JointBlockTable, MIResult, _sub_table_mi, _triple_information, block_mi, enumerate_joint
-)
+from .exact import JointBlockTable, MIResult, _triple_informations, block_mi, enumerate_joint
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import binary_entropy
 from .models import Kind, ProcessModel
@@ -216,9 +214,8 @@ def check_triple_bound(tables: dict) -> CheckResult:
     failures = []
     worst = 0.0
     for (kind, alpha, n), table in tables.items():
-        full_mi = _sub_table_mi(table.entries)
-        for i, pred in enumerate(predicate_grid(tuple(range(table.alphabet_size)))):
-            value, mass_in = _triple_information(table, pred, full_mi)
+        preds = predicate_grid(tuple(range(table.alphabet_size)))
+        for i, (value, mass_in) in enumerate(_triple_informations(table, preds)):
             h_ind = binary_entropy(mass_in)
             worst = max(worst, abs(value))
             if abs(value) > h_ind + 1e-9 or abs(value) > 1.0 + 1e-9:

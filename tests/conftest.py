@@ -101,6 +101,62 @@ def assert_tables_match(reference: dict, entries: dict, tol: float = 1e-12) -> f
     return worst
 
 
+def _naive_sub_table_mi(sub: dict) -> float:
+    """Plug-in mutual information of a renormalized sub-table."""
+    total = math.fsum(sub.values())
+    if total <= 0.0:
+        return 0.0
+    past: dict = {}
+    future: dict = {}
+    joint = []
+    for (p_key, f_key), p in sub.items():
+        q = p / total
+        joint.append(q)
+        past[p_key] = past.get(p_key, 0.0) + q
+        future[f_key] = future.get(f_key, 0.0) + q
+    return (
+        _plug_in_entropy(list(past.values()))
+        + _plug_in_entropy(list(future.values()))
+        - _plug_in_entropy(joint)
+    )
+
+
+def naive_conditional_mi(table, past_label, future_label=None) -> float:
+    """Reference I(past; future | label): the entries split into one dict
+    sub-table per label, each sub-table's plug-in MI taken on its own and
+    weighted by the label's mass."""
+    future_label = future_label or past_label
+    groups: dict = {}
+    for key, p in table.entries.items():
+        label = past_label(key[0])
+        assert label == future_label(key[1]), f"label mismatch on {key}"
+        groups.setdefault(label, {})[key] = p
+    total = math.fsum(table.entries.values())
+    return math.fsum(
+        (math.fsum(sub.values()) / total) * _naive_sub_table_mi(sub) for sub in groups.values()
+    )
+
+
+def naive_triple_information(table, event) -> float:
+    """Reference I(past; future; 1_B): the table split into two dict
+    sub-tables on the event."""
+    total = math.fsum(table.entries.values())
+    inside: dict = {}
+    outside: dict = {}
+    for key, p in table.entries.items():
+        (inside if event(key) else outside)[key] = p
+    mass_in = math.fsum(inside.values()) / total
+    mass_out = math.fsum(outside.values()) / total
+    cond = mass_in * _naive_sub_table_mi(inside) + mass_out * _naive_sub_table_mi(outside)
+    return _naive_sub_table_mi(table.entries) - cond
+
+
+def _plug_in_entropy(masses: list) -> float:
+    arr = np.asarray(masses, dtype=np.float64)
+    q = arr / np.sum(arr)
+    return float(-np.sum(q * np.log2(q)))
+
+
 def truth_hits(detail: str) -> int:
     """Windows with a defined hidden truth, read off a decoder_agreement
     detail ("..., <errors>/<hits> hidden-truth mismatches")."""

@@ -40,6 +40,31 @@ def test_exact_writes_one_row_per_n(tmp_path):
     assert manifest["version"]
 
 
+def test_manifest_records_resolved_configuration(tmp_path):
+    # hpm2's default cutoff grows with n, so the config's null cannot say it.
+    out = tmp_path / "exact"
+    assert run_cli(["exact", "--process", "hpm2", "--n", "4,8", "--out", str(out)] + FAST) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["level_cutoff"] is None
+    assert manifest["resolved"] == [
+        {"n": 4, "level_cutoff": 4, "prune_eps": 0.0, "tail_aggregation": False},
+        {"n": 8, "level_cutoff": 15, "prune_eps": 0.0, "tail_aggregation": False},
+    ]
+    rows = read_csv(out / "exact.csv")
+    assert [int(r["level_cutoff"]) for r in rows] == [4, 15]
+
+    out = tmp_path / "fit"
+    args = ["fit", "--process", "hpm1", "--alpha", "2.0", "--n", "4,6,8,10"]
+    assert run_cli(args + ["--out", str(out)] + FAST) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "fit"
+    assert manifest["outputs"] == ["fit.json"]
+    assert manifest["resolved"] == [
+        {"n": n, "level_cutoff": 1 << 12, "prune_eps": 0.0, "tail_aggregation": True}
+        for n in (4, 6, 8, 10)
+    ]
+
+
 def test_exact_empty_block_lengths_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli(["exact", "--process", "hpm1", "--n", "", "--out", str(tmp_path)] + FAST)

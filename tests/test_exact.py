@@ -17,9 +17,18 @@ from excesslab.exact import (
     triple_information,
     write_table_csv,
 )
+from excesslab.decoders import future_decoder, past_decoder
 from excesslab.intervals import Interval
+from excesslab.verify import predicate_grid
 
-from conftest import assert_tables_match, make_model, naive_cyclic_table, naive_hmc_table
+from conftest import (
+    assert_tables_match,
+    make_model,
+    naive_conditional_mi,
+    naive_cyclic_table,
+    naive_hmc_table,
+    naive_triple_information,
+)
 
 
 def manual_table(n, alphabet_size, entries, pruned=0.0, slack=0.0):
@@ -315,3 +324,37 @@ def test_aggregated_covers_full_support_even_with_tiny_cutoff():
     ref = enumerate_joint(m, 8, 1 << 12, tail_aggregation=True)
     for key in ref.entries:
         assert t.entries[key] == pytest.approx(ref.entries[key], abs=1e-9)
+
+
+# ----- array-native label reductions against the per-group loop --------------
+
+ORACLE_TABLES = {
+    "hpm1-aggregated": ("hpm1", 16, 1 << 12, 0.0, True),
+    "hpm2": ("hpm2", 16, 255, 0.0, False),
+    "hmc": ("hmc", 6, 32, 0.0, False),
+    "hmc-pruned": ("hmc", 6, 32, 1e-6, False),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_TABLES))
+def oracle_table(request):
+    kind, n, cutoff, eps, aggregate = ORACLE_TABLES[request.param]
+    table = enumerate_joint(make_model(kind, 1.5), n, cutoff, eps, tail_aggregation=aggregate)
+    return kind, table
+
+
+def test_conditional_mi_matches_per_group_loop(oracle_table):
+    kind, table = oracle_table
+    past, future = past_decoder(kind), future_decoder(kind)
+    value = conditional_mi_given(table, past, future).value
+    assert value == pytest.approx(naive_conditional_mi(table, past, future), rel=1e-12)
+
+
+def test_triple_information_matches_two_sub_table_loop(oracle_table):
+    _, table = oracle_table
+    for i, pred in enumerate(predicate_grid(tuple(range(table.alphabet_size)))):
+        reference = naive_triple_information(table, pred)
+        value = triple_information(table, pred)
+        assert abs(value - reference) <= 1e-12 * abs(reference) or value == reference, (
+            f"predicate {i}: {value!r} vs loop {reference!r}"
+        )

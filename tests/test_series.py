@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from excesslab import series
 from excesslab.series import (
     branch_normalization_sum,
     level_weight,
@@ -151,6 +152,29 @@ def test_level_weight_sums_match_direct_summation(alpha):
     for name, value in direct.items():
         iv = getattr(sums, name)
         assert iv.lo - 1e-10 <= value <= iv.hi + 1e-10, f"{name}: {value} not in {iv}"
+
+
+def test_level_weight_sums_sum_each_direct_prefix_once():
+    cached = series._direct_level_sums
+    # An alpha no other test uses, so the entries counted here are new.
+    alpha = 1.37
+    before = cached.cache_info().currsize
+    sums = [series.level_weight_sums(alpha, top) for top in ((1 << 22) - 1, 1 << 32, 1 << 64)]
+    assert cached.cache_info().currsize == before + 1
+    assert sums[0].s0.lo == sums[0].s0.hi  # a top of 2**22 - 1 is summed directly
+    assert sums[1].s0.lo > sums[0].s0.hi  # larger tops add bracketed groups on top
+    prefix = cached(alpha, (1 << 22) - 1)
+    fresh = cached.__wrapped__(alpha, (1 << 22) - 1)
+    assert [v.hex() for v in prefix] == [v.hex() for v in fresh]
+    assert [getattr(sums[0], f).lo for f in ("s0", "s1", "s2", "s_digit", "s_inv_digit")] == list(fresh)
+
+    series.level_weight_sums(1.63, 1 << 40)
+    assert cached.cache_info().currsize == before + 2  # one entry per alpha
+
+    for bad_alpha, m_max in ((2.5, 1 << 32), (1.37, 1)):
+        with pytest.raises(ValueError):
+            series.level_weight_sums(bad_alpha, m_max)
+    assert cached.cache_info().currsize == before + 2
 
 
 @pytest.mark.parametrize("alpha", (1.5, 2.0))
