@@ -43,7 +43,6 @@ from .exact import (
     enumerate_joint,
     label_entropy,
     triple_information,
-    write_table_csv,
 )
 from .intervals import Interval, binary_entropy
 from .models import (
@@ -60,12 +59,10 @@ from .sampling import (
     EstimatorReport,
     Trajectory,
     estimate_block_mi,
-    read_trajectory,
     sample_branch_level,
     sample_level,
     sample_trajectories,
     sample_trajectory,
-    write_trajectory,
 )
 from .series import (
     SeriesBracket,
@@ -126,7 +123,6 @@ __all__ = [
     "past_decoder",
     "phase_count",
     "predicted_rate_class",
-    "read_trajectory",
     "run_verification",
     "sample_branch_level",
     "sample_level",
@@ -136,7 +132,5 @@ __all__ = [
     "tail_sum_bracket",
     "triple_information",
     "write_series_csv",
-    "write_table_csv",
-    "write_trajectory",
     "__version__",
 ]

@@ -25,21 +25,23 @@ from .series import level_weight_sums, normalization_sum
 Block = Sequence[int]
 
 _RUN_BYTE = b"\x03"
+_SYMBOLS = {top: bytes(range(top + 1)) for top in (1, 2, 3)}
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _as_bytes(block: Block, top: int) -> bytes:
     """Validate the symbol range and get a bytes view for C-speed scanning."""
     b = block if isinstance(block, bytes) else bytes(block)
-    if b and max(b) > top:
+    # Stripping the alphabet off both ends leaves nothing unless some
+    # symbol lies outside it; the largest symbol is then a bad one.
+    if b.strip(_SYMBOLS[top]):
         raise ValueError(f"symbol {max(b)} outside alphabet 0..{top}")
     return b
 
 
 def _level_from_digits(digits: bytes) -> int:
-    m = 1
-    for d in digits:
-        m = (m << 1) | d
-    return m
+    """The level whose binary digits after the leading 1 are `digits`."""
+    return int(b"1" + digits.translate(_DIGIT_CHARS), 2)
 
 
 # ----- single-marker cyclic kind ---------------------------------------------

@@ -641,18 +641,3 @@ def _triple_informations(
         cond = mass_in * side_mi(inside) + mass_out * side_mi(~inside)
         out.append((full_mi - cond, mass_in))
     return out
-
-
-# ----- table plumbing ---------------------------------------------------------
-
-
-def write_table_csv(table: JointBlockTable, path) -> None:
-    """Columns past,future,probability; symbols rendered as digit strings."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("past,future,probability\n")
-        for (past, future), p in sorted(table.entries.items()):
-            fh.write(f"{_render(past)},{_render(future)},{p:.17g}\n")
-
-
-def _render(block: bytes) -> str:
-    return "".join(str(b) for b in block)

@@ -25,12 +25,10 @@ counts with the same random draws as a window-by-window resample.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -470,37 +468,3 @@ def _sliding_resamples(
         starts = rng.integers(0, total, size=(total + block - 1) // block)
         picks = (starts[:, None] + offsets).ravel()[:total] % total
         yield np.bincount(joint_id[picks], minlength=distinct)
-
-
-# ----- export ------------------------------------------------------------------
-
-
-def write_trajectory(trajectory: Trajectory, path) -> None:
-    """Byte-per-symbol binary file plus a JSON sidecar describing the run."""
-    path = Path(path)
-    path.write_bytes(trajectory.symbols)
-    sidecar = {
-        "kind": trajectory.kind,
-        "alpha": trajectory.alpha,
-        "seed": trajectory.seed,
-        "stream": trajectory.stream,
-        "length": len(trajectory.symbols),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def read_trajectory(path) -> Trajectory:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    symbols = path.read_bytes()
-    if len(symbols) != sidecar["length"]:
-        raise ValueError(
-            f"trajectory file length {len(symbols)} disagrees with sidecar {sidecar['length']}"
-        )
-    return Trajectory(
-        symbols=symbols,
-        seed=sidecar["seed"],
-        stream=sidecar.get("stream", 0),
-        kind=sidecar["kind"],
-        alpha=sidecar["alpha"],
-    )

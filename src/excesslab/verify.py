@@ -8,7 +8,8 @@ checks mirror the library's contracts:
                       their closed-form enclosures;
   decomposition       |E(n) - H(D) - I(past;future|D)| within certified width;
   decoder_agreement   past- and future-decoded levels agree on sampled
-                      windows and match the hidden truth where defined;
+                      windows and match the hidden truth where defined
+                      (each distinct sampled block is decoded once);
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       restricted hidden-state entropy;
@@ -71,24 +72,33 @@ class VerificationLedger:
 def check_series_brackets(
     alphas=(1.2, 1.5, 1.8, 2.0), points=(2, 2**4, 2**10, 2**20)
 ) -> CheckResult:
+    partials = {n: _direct_sums(2, n + 1, [alpha - 1.0 for alpha in alphas]) for n in points}
+    # Telescoping: the tail brackets at n and 2n must enclose the directly
+    # summed finite segment [n, 2n).
+    segments = {n: _direct_sums(n, 2 * n, alphas) for n in points}
     failures = []
-    for alpha in alphas:
+    for i, alpha in enumerate(alphas):
         for n in points:
-            m = np.arange(2, n + 1, dtype=np.float64)
-            direct_partial = float(np.sum(1.0 / (m * np.log2(m) ** (alpha - 1.0))))
             br = partial_sum_bracket(alpha, n)
-            if not br.lower - 1e-12 <= direct_partial <= br.upper + 1e-12:
+            if not br.lower - 1e-12 <= partials[n][i] <= br.upper + 1e-12:
                 failures.append(f"partial alpha={alpha} n={n}")
-            # Telescoping: the tail brackets at n and 2n must enclose the
-            # directly summed finite segment [n, 2n).
-            seg = np.arange(n, 2 * n, dtype=np.float64)
-            direct_seg = float(np.sum(1.0 / (seg * np.log2(seg) ** alpha)))
-            lo = tail_sum_bracket(alpha, n).lower - tail_sum_bracket(alpha, 2 * n).upper
-            hi = tail_sum_bracket(alpha, n).upper - tail_sum_bracket(alpha, 2 * n).lower
-            if not lo - 1e-12 <= direct_seg <= hi + 1e-12:
+            near, far = tail_sum_bracket(alpha, n), tail_sum_bracket(alpha, 2 * n)
+            if not near.lower - far.upper - 1e-12 <= segments[n][i] <= near.upper - far.lower + 1e-12:
                 failures.append(f"tail alpha={alpha} n={n}")
     detail = "all direct sums inside brackets" if not failures else "; ".join(failures)
     return CheckResult("series_brackets", not failures, detail)
+
+
+def _direct_sums(lo: int, hi: int, exponents) -> list[float]:
+    """sum_{lo <= m < hi} 1/(m*log2(m)**e) for each exponent e, from chunks
+    of 2**16 terms (so temporaries stay small) added with math.fsum."""
+    chunks: list[list[float]] = [[] for _ in exponents]
+    for start in range(lo, hi, 1 << 16):
+        m = np.arange(start, min(start + (1 << 16), hi), dtype=np.float64)
+        log_m = np.log2(m)
+        for acc, e in zip(chunks, exponents):
+            acc.append(float(np.sum(1.0 / (m * log_m**e))))
+    return [math.fsum(acc) for acc in chunks]
 
 
 def check_decomposition(tables: dict) -> CheckResult:
@@ -114,12 +124,16 @@ def check_decoder_agreement(
     """Compare past-decoded vs future-decoded levels on sampled windows and
     against the hidden truth at the block boundary, on streams 0, 1, ... of
     `seed` with n alternating 6 and 12, 500 windows each.  The cyclic kinds
-    never change level, so their truth comes from the initial state."""
+    never change level, so their truth comes from the initial state.
+
+    Each distinct block is decoded once per call, by each decoder, and the
+    windows are counted from those results one trajectory at a time."""
     kind = model.kind
     past = past_override or past_decoder(kind)
     future = future_decoder(kind)
     cyclic = kind is not Kind.HMC
     per_traj = 500
+    decoded: dict = {}
     disagreements = 0
     truth_errors = 0
     truth_hits = 0
@@ -127,26 +141,53 @@ def check_decoder_agreement(
     stream = 0
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
+        count = min(per_traj, windows - seen)
         traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream, keep_hidden=not cyclic)
         stream += 1
-        sym = traj.symbols
-        fixed_truth = hidden_truth(kind, traj.initial_state, n) if cyclic else 0
-        for t in range(min(per_traj, windows - seen)):
-            dp = past(sym[t : t + n])
-            if dp != future(sym[t + n : t + 2 * n]):
-                disagreements += 1
-            truth = fixed_truth if cyclic else hidden_truth(kind, traj.hidden[t + n - 1], n)
-            if truth:
-                truth_hits += 1
-                if dp != truth:
-                    truth_errors += 1
-            seen += 1
+        dp, df = _window_levels(traj.symbols, n, count, past, future, decoded)
+        if cyclic:
+            truth = np.full(count, hidden_truth(kind, traj.initial_state, n), np.int64)
+        else:
+            states = traj.hidden[n - 1 : n - 1 + count]
+            truth = np.fromiter((hidden_truth(kind, h, n) for h in states), np.int64, count)
+        defined = truth != 0
+        disagreements += int(np.count_nonzero(dp != df))
+        truth_hits += int(np.count_nonzero(defined))
+        truth_errors += int(np.count_nonzero(defined & (dp != truth)))
+        seen += count
     ok = disagreements == 0 and truth_errors == 0
     detail = (
         f"{seen} windows, {disagreements} past/future disagreements, "
         f"{truth_errors}/{truth_hits} hidden-truth mismatches"
     )
     return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail)
+
+
+def _window_levels(
+    symbols: bytes, n: int, count: int, past: Callable, future: Callable, decoded: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Past- and future-decoded levels of the `count` windows of length 2n
+    starting at 0, 1, ... of `symbols`.
+
+    Every block is keyed by its base-4 digits behind a leading 1, so blocks
+    of different lengths get different keys (no alphabet has more than four
+    symbols); `decoded` maps a key to the (past, future) levels of its block
+    and is filled only for keys it does not hold yet.
+    """
+    blocks = np.lib.stride_tricks.sliding_window_view(
+        np.frombuffer(symbols, np.uint8, count + 2 * n - 1), n
+    )
+    codes = blocks @ (4 ** np.arange(n - 1, -1, -1, dtype=np.int64)) + 4**n
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    levels = []
+    for code, t in zip(distinct.tolist(), first.tolist()):
+        pair = decoded.get(code)
+        if pair is None:
+            block = symbols[t : t + n]
+            pair = decoded[code] = (past(block), future(block))
+        levels.append(pair)
+    table = np.array(levels, np.int64)
+    return table[inverse[:count], 0], table[inverse[n : n + count], 1]
 
 
 def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:

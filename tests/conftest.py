@@ -10,8 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from excesslab.models import ProcessModel
-from excesslab.sampling import Trajectory, _generator
+from excesslab.decoders import future_decoder, hidden_truth, past_decoder
+from excesslab.models import Kind, ProcessModel
+from excesslab.sampling import Trajectory, _generator, sample_trajectory
 from excesslab.series import LN2, level_weight
 
 # Tests run the normalization series at a reduced cutoff; enclosures stay
@@ -161,6 +162,41 @@ def truth_hits(detail: str) -> int:
     """Windows with a defined hidden truth, read off a decoder_agreement
     detail ("..., <errors>/<hits> hidden-truth mismatches")."""
     return int(re.search(r"(\d+)/(\d+) hidden-truth", detail).group(2))
+
+
+def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) -> str:
+    """Reference for `verify.check_decoder_agreement`: every window decoded
+    on its own, side by side, on the same streams.  Returns the detail."""
+    kind = model.kind
+    past = past_override or past_decoder(kind)
+    future = future_decoder(kind)
+    cyclic = kind is not Kind.HMC
+    per_traj = 500
+    disagreements = 0
+    truth_errors = 0
+    truth_hits = 0
+    seen = 0
+    stream = 0
+    while seen < windows:
+        n = 6 if stream % 2 == 0 else 12
+        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream, keep_hidden=not cyclic)
+        stream += 1
+        sym = traj.symbols
+        fixed_truth = hidden_truth(kind, traj.initial_state, n) if cyclic else 0
+        for t in range(min(per_traj, windows - seen)):
+            dp = past(sym[t : t + n])
+            if dp != future(sym[t + n : t + 2 * n]):
+                disagreements += 1
+            truth = fixed_truth if cyclic else hidden_truth(kind, traj.hidden[t + n - 1], n)
+            if truth:
+                truth_hits += 1
+                if dp != truth:
+                    truth_errors += 1
+            seen += 1
+    return (
+        f"{seen} windows, {disagreements} past/future disagreements, "
+        f"{truth_errors}/{truth_hits} hidden-truth mismatches"
+    )
 
 
 def naive_estimate(data, n: int, method: str, resamples: int, seed: int):

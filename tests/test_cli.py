@@ -210,7 +210,7 @@ def test_verify_detects_injected_decoder_fault(tmp_path):
             "--n",
             "2,4",
             "--windows",
-            "500",
+            "5000",
             "--inject-decoder-fault",
             "--out",
             str(out),
@@ -219,9 +219,8 @@ def test_verify_detects_injected_decoder_fault(tmp_path):
     )
     assert code == 1
     ledger = json.loads((out / "verify.json").read_text())
-    failed = [c for c in ledger["checks"] if not c["passed"]]
-    assert failed
-    assert all(c["name"].startswith("decoder_agreement") for c in failed)
+    failed = [c["name"] for c in ledger["checks"] if not c["passed"]]
+    assert failed == [f"decoder_agreement[{kind}]" for kind in ("hpm1", "hpm2", "hmc")]
 
 
 def test_fit_auto_selects_log_for_alpha_two(tmp_path):

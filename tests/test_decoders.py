@@ -2,10 +2,12 @@
 the closed-form revealed-level entropy, and the decomposition identity."""
 
 import math
+from itertools import product
 
 import pytest
 
 from excesslab.decoders import (
+    _level_from_digits,
     decode_future_hmc,
     decode_future_hpm1,
     decode_future_hpm2,
@@ -22,7 +24,7 @@ from excesslab.analysis import fit_rate
 from excesslab.models import Kind
 from excesslab.verify import check_decoder_agreement
 
-from conftest import FAST_SERIES_CUTOFF, make_model, truth_hits
+from conftest import FAST_SERIES_CUTOFF, make_model, naive_decoder_agreement, truth_hits
 
 
 # ----- block rules --------------------------------------------------------------
@@ -113,12 +115,23 @@ def test_decode_future_hmc(block, expected):
 
 
 def test_decoders_reject_foreign_symbols():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol 2 outside alphabet 0\.\.1$"):
         decode_past_hpm1([0, 2, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol 3 outside alphabet 0\.\.2$"):
         decode_past_hpm2([0, 3, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^symbol 4 outside alphabet 0\.\.3$"):
         decode_past_hmc([0, 4, 0])
+    with pytest.raises(ValueError, match=r"^symbol 7 outside alphabet 0\.\.3$"):
+        decode_future_hmc(bytes([3, 2, 7, 4, 0]))
+
+
+def test_level_from_digits_matches_bit_loop():
+    for length in range(13):
+        for digits in product((0, 1), repeat=length):
+            m = 1
+            for d in digits:
+                m = (m << 1) | d
+            assert _level_from_digits(bytes(digits)) == m, digits
 
 
 def test_decoders_are_total_on_unreachable_blocks():
@@ -137,6 +150,22 @@ def test_past_future_agreement_and_hidden_truth(kind):
     assert check.passed, check.detail
     assert check.detail.startswith("20000 windows, 0 past/future disagreements")
     assert truth_hits(check.detail) > 0
+
+
+@pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))
+def test_decoder_agreement_matches_per_window_oracle(kind):
+    model = make_model(kind, 1.5)
+    check = check_decoder_agreement(model, windows=2_345, seed=91)
+    assert check.detail == naive_decoder_agreement(model, 2_345, 91)
+    assert truth_hits(check.detail) > 0
+
+    true_past = past_decoder(kind)
+
+    def faulty(block):
+        return 3 if true_past(block) == 2 else true_past(block)
+
+    check = check_decoder_agreement(model, windows=2_345, seed=91, past_override=faulty)
+    assert check.detail == naive_decoder_agreement(model, 2_345, 91, faulty)
 
 
 # ----- closed-form H(D) ------------------------------------------------------------

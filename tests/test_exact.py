@@ -15,7 +15,6 @@ from excesslab.exact import (
     enumerate_joint,
     label_entropy,
     triple_information,
-    write_table_csv,
 )
 from excesslab.decoders import future_decoder, past_decoder
 from excesslab.intervals import Interval
@@ -281,22 +280,6 @@ def test_triple_information_bounded_by_indicator_entropy():
     h_ind = -mass * math.log2(mass) - (1 - mass) * math.log2(1 - mass)
     assert abs(value) <= h_ind + 1e-12
     assert abs(value) <= 1.0
-
-
-# ----- plumbing -------------------------------------------------------------------
-
-
-def test_table_csv_export(tmp_path):
-    m = make_model("hpm1", 1.5)
-    t = enumerate_joint(m, 2, 16)
-    path = tmp_path / "table.csv"
-    write_table_csv(t, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "past,future,probability"
-    assert len(lines) == len(t.entries) + 1
-    past, future, prob = lines[1].split(",")
-    assert set(past) <= set("01") and len(past) == 2
-    float(prob)
 
 
 def test_monotonicity_of_certified_intervals():

@@ -11,11 +11,9 @@ from excesslab.models import binary_length
 from excesslab.sampling import (
     Trajectory,
     estimate_block_mi,
-    read_trajectory,
     sample_level,
     sample_trajectories,
     sample_trajectory,
-    write_trajectory,
     _generator,
 )
 
@@ -134,18 +132,6 @@ def test_hmc_word_start_level_frequencies():
     p2 = model.branch_probability(2).mid
     se = math.sqrt(p2 * (1 - p2) / starts)
     assert abs(counts[2] / starts - p2) <= 5 * se
-
-
-def test_trajectory_export_round_trip(tmp_path):
-    model = make_model("hmc", 1.5)
-    traj = sample_trajectory(model, 500, seed=61)
-    path = tmp_path / "traj.bin"
-    write_trajectory(traj, path)
-    back = read_trajectory(path)
-    assert back.symbols == traj.symbols
-    assert back.seed == traj.seed
-    assert back.kind == traj.kind
-    assert back.alpha == traj.alpha
 
 
 # ----- estimators ------------------------------------------------------------------
