@@ -31,7 +31,13 @@ from .analysis import (
     write_series_csv,
 )
 from .decoders import decoded_level_entropy
-from .exact import BudgetExceededError, block_mi, enumerate_joint
+from .exact import (
+    DEFAULT_ENTRY_BUDGET,
+    DEFAULT_PATH_BUDGET,
+    BudgetExceededError,
+    block_mi,
+    enumerate_joint,
+)
 from .models import DEFAULT_SERIES_CUTOFF, Kind, ProcessModel
 from .sampling import estimate_block_mi, sample_trajectories, sample_trajectory
 from .verify import run_verification
@@ -59,8 +65,8 @@ class RunConfig:
     trajectory_length: int | None = None
     bootstrap: int = 64
     windows: int = 100_000
-    path_budget: int = 100_000_000
-    entry_budget: int = 2_000_000
+    path_budget: int = DEFAULT_PATH_BUDGET
+    entry_budget: int = DEFAULT_ENTRY_BUDGET
     regressor: str = "auto"
     source: str = "exact"
 

@@ -173,16 +173,22 @@ def future_decoder(kind: Kind | str) -> Callable[[Block], int]:
 def hidden_truth(kind: Kind | str, state_at_origin, n: int) -> int:
     """The defined value of the revealed level, from the hidden state at the
     last past position (time 0).  Used to check decoders against the truth."""
-    kind = Kind(kind)
     level, phase = state_at_origin.level, state_at_origin.phase
+    return level if phase in _revealed_phases(Kind(kind), level, n) else 0
+
+
+def _revealed_phases(kind: Kind, level: int, n: int) -> range:
+    """The phases of `level` at which the state at time 0 reveals the level
+    to blocks of length n.  A cyclic kind reveals at every phase or at none:
+    when two markers (hpm1) or two delimiters (hpm2) fit in each block.  hmc
+    reveals when 2s <= n and the state sits in phases s+1..2s, the run of
+    threes that the past block ends in and the future block starts from."""
     if kind is Kind.HPM1:
-        return level if 2 * level <= n else 0
+        return range(1, level + 1) if 2 * level <= n else range(0)
     s = binary_length(level)
-    if kind is Kind.HPM2:
-        return level if 2 * s <= n else 0
-    if s + 1 <= phase <= 2 * s and 2 * s <= n:
-        return level
-    return 0
+    if 2 * s > n:
+        return range(0)
+    return range(1, s + 1) if kind is Kind.HPM2 else range(s + 1, 2 * s + 1)
 
 
 # ----- closed-form entropy of the revealed level ------------------------------

@@ -39,9 +39,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __add__(self, other) -> "Interval":
         o = _coerce(other)
         return Interval(self.lo + o.lo, self.hi + o.hi)
@@ -70,16 +67,8 @@ class Interval:
     def __truediv__(self, other) -> "Interval":
         return self * _coerce(other).reciprocal()
 
-    def __rtruediv__(self, other) -> "Interval":
-        return _coerce(other) * self.reciprocal()
-
     def clamp(self, lo: float = 0.0, hi: float = 1.0) -> "Interval":
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
-
-    def log2(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise ValueError("log2 of interval touching zero")
-        return Interval(math.log2(self.lo), math.log2(self.hi))
 
 
 def _coerce(x) -> Interval:

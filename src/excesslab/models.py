@@ -35,6 +35,8 @@ from .series import (
 
 DEFAULT_SERIES_CUTOFF = 10_000_000
 
+_DIGIT_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> symbols
+
 
 class Kind(str, enum.Enum):
     HPM1 = "hpm1"
@@ -108,7 +110,6 @@ class ProcessModel:
         self.alpha = float(alpha)
         self.series_cutoff = int(series_cutoff)
         self.fixed_level = fixed_level
-        self._word_cache: dict[int, bytes] = {}
 
     def __repr__(self) -> str:
         extra = f", fixed_level={self.fixed_level}" if self.fixed_level else ""
@@ -191,12 +192,16 @@ class ProcessModel:
         return binary_digit(m, k - 2 * s)
 
     def emission_word(self, level: int) -> bytes:
-        """One full cycle of emissions, phases 1..r(level), as bytes."""
-        word = self._word_cache.get(level)
-        if word is not None:
-            return word
-        r = self.phase_count(level)
-        word = bytes(self.emission(StateId(level, k)) for k in range(1, r + 1))
-        if len(self._word_cache) < 65536:
-            self._word_cache[level] = word
-        return word
+        """One full cycle of emissions, phases 1..r(level), as bytes.
+
+        Built from the binary digits of `level` in one pass; `emission` is
+        the per-state reference it agrees with.
+        """
+        if level < 2:
+            raise ValueError(f"levels start at 2, got {level}")
+        if self.kind is Kind.HPM1:
+            return bytes(level - 1) + b"\x01"
+        digits = bin(level)[3:].encode().translate(_DIGIT_SYMBOLS)  # digits 2..s
+        if self.kind is Kind.HPM2:
+            return b"\x02" + digits
+        return b"\x02" + digits + b"\x03" * (len(digits) + 2) + digits

@@ -14,6 +14,13 @@ about 1.6e-3 of the stationary mass at alpha = 1.5 and smaller otherwise.
 These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
+A trajectory's symbols are slices of the emission words of its levels
+(`ProcessModel.emission_word`); hpm1 alone places its markers directly,
+since its word has `level` symbols.  Hidden states are not stored per
+symbol: each trajectory keeps one entry per word (its initial state and
+the level of every later word), and `Trajectory.hidden_states` expands
+that record on demand.
+
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
 ensemble block MI.  Ensemble estimation therefore pools disjoint windows
@@ -32,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import Kind, ProcessModel, StateId, binary_length
+from .models import Kind, ProcessModel, StateId, phase_count
 from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
@@ -164,10 +171,13 @@ def _uniform_phase(rng: np.random.Generator, r: int) -> int:
 
 @dataclass
 class Trajectory:
-    """A sampled observable path; hidden states retained only when asked.
+    """A sampled observable path and the record of its hidden words.
 
-    `initial_state` is always recorded (the cyclic kinds never leave their
-    level, so it determines the revealed-level truth of every window)."""
+    The record costs one entry per word: `initial_state`, the hidden state
+    at time 0, and `word_levels`, the level of each later word.  Only the
+    ergodic kind starts later words; the cyclic kinds never leave their
+    level, so their record is the initial state alone.  A path that was not
+    sampled from a model (data handed to the estimator) has no record."""
 
     symbols: bytes
     seed: int
@@ -175,20 +185,46 @@ class Trajectory:
     kind: str
     alpha: float
     initial_state: StateId | None = None
-    hidden: list[StateId] | None = None
+    word_levels: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.symbols)
 
+    def _word_runs(self) -> Iterator[tuple[int, int, StateId]]:
+        """(start, stop, state at start) for each run of steps on one level.
 
-def sample_trajectory(
-    model: ProcessModel, length: int, seed: int, stream: int = 0, keep_hidden: bool = False
-) -> Trajectory:
+        A run ends where a word ends and a later word is recorded; the last
+        run lasts to the end of the path.  Within a run the phase steps by
+        one and wraps after r(level), which is how the cyclic kinds repeat
+        their word."""
+        if self.initial_state is None:
+            raise ValueError("trajectory has no hidden record: it was not sampled from a model")
+        kind, state, start = Kind(self.kind), self.initial_state, 0
+        for level in self.word_levels:
+            stop = start + phase_count(kind, state.level) - state.phase + 1
+            yield start, stop, state
+            state, start = StateId(level, 1), stop
+        yield start, len(self.symbols), state
+
+    def hidden_states(self) -> list[StateId]:
+        """The hidden state at every step, expanded from the word record."""
+        states = []
+        for start, stop, first in self._word_runs():
+            r = phase_count(Kind(self.kind), first.level)
+            states.extend(
+                StateId(first.level, (first.phase - 1 + t) % r + 1) for t in range(stop - start)
+            )
+        return states
+
+
+def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectory:
     """Sample `length` observable symbols starting from the stationary law.
 
     The initial hidden state draws its level from the stationary level law
     and its phase uniformly; the cyclic kinds then stay on their cycle while
-    the ergodic kind re-draws a level at every word boundary.
+    the ergodic kind re-draws a level at every word boundary.  Symbols are
+    slices of `ProcessModel.emission_word`, except for hpm1, whose word has
+    `level` symbols and is never built.
     """
     if length < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
@@ -196,28 +232,28 @@ def sample_trajectory(
     level = sample_level(model, rng)
     r = model.phase_count(level)
     phase = _uniform_phase(rng, r)
-    kind = model.kind
-
-    hidden: list[StateId] | None = [] if keep_hidden else None
-    if kind is Kind.HPM1:
+    word_levels: list[int] = []
+    if model.kind is Kind.HPM1:
         symbols = _hpm1_symbols(level, phase, length)
-        if hidden is not None:
-            hidden = [StateId(level, (phase - 1 + t) % level + 1) for t in range(length)]
-    elif kind is Kind.HPM2:
-        symbols = _hpm2_symbols(model, level, phase, length)
-        s = binary_length(level)
-        if hidden is not None:
-            hidden = [StateId(level, (phase - 1 + t) % s + 1) for t in range(length)]
+    elif model.kind is Kind.HPM2:
+        word = model.emission_word(level)
+        symbols = (word * ((phase - 1 + length) // r + 1))[phase - 1 : phase - 1 + length]
     else:
-        symbols, hidden = _hmc_symbols(model, rng, level, phase, length, keep_hidden)
+        pieces = [model.emission_word(level)[phase - 1 : phase - 1 + length]]
+        filled = len(pieces[0])
+        while filled < length:
+            word_levels.append(sample_branch_level(model, rng))
+            pieces.append(model.emission_word(word_levels[-1])[: length - filled])
+            filled += len(pieces[-1])
+        symbols = b"".join(pieces)
     return Trajectory(
         symbols=symbols,
         seed=seed,
         stream=stream,
-        kind=kind.value,
+        kind=model.kind.value,
         alpha=model.alpha,
         initial_state=StateId(level, phase),
-        hidden=hidden,
+        word_levels=tuple(word_levels),
     )
 
 
@@ -230,77 +266,9 @@ def _hpm1_symbols(level: int, phase: int, length: int) -> bytes:
     return bytes(buf)
 
 
-def _hpm2_symbols(model: ProcessModel, level: int, phase: int, length: int) -> bytes:
-    s = binary_length(level)
-    if level.bit_length() <= 24:
-        word = np.frombuffer(model.emission_word(level), dtype=np.uint8)
-        idx = (phase - 1 + np.arange(length, dtype=np.int64)) % s
-        return word[idx].tobytes()
-    # one linear base-2 conversion instead of per-symbol big-int shifts
-    bits = bin(level)[2:]
-    buf = bytearray(length)
-    for t in range(length):
-        pos = (phase - 1 + t) % s
-        buf[t] = 2 if pos == 0 else ord(bits[pos]) - 48
-    return bytes(buf)
-
-
-def _hmc_word_slice(model: ProcessModel, level: int, k: int, count: int) -> bytes:
-    """Emissions for phases k..k+count-1 of one word, without materialising
-    the whole word when the level is huge."""
-    s = binary_length(level)
-    r = 3 * s
-    take = min(count, r - k + 1)
-    if level.bit_length() <= 20:
-        word = model.emission_word(level)
-        return word[k - 1 : k - 1 + take]
-    bits = bin(level)[2:]
-    out = bytearray(take)
-    for i in range(take):
-        kk = k + i
-        if kk == 1:
-            out[i] = 2
-        elif kk <= s:
-            out[i] = ord(bits[kk - 1]) - 48
-        elif kk <= 2 * s + 1:
-            out[i] = 3
-        else:
-            out[i] = ord(bits[kk - 2 * s - 1]) - 48
-    return bytes(out)
-
-
-def _hmc_symbols(
-    model: ProcessModel,
-    rng: np.random.Generator,
-    level: int,
-    phase: int,
-    length: int,
-    keep_hidden: bool,
-):
-    out = bytearray()
-    hidden: list[StateId] | None = [] if keep_hidden else None
-    m, k = level, phase
-    while len(out) < length:
-        need = length - len(out)
-        piece = _hmc_word_slice(model, m, k, need)
-        out.extend(piece)
-        if hidden is not None:
-            hidden.extend(StateId(m, kk) for kk in range(k, k + len(piece)))
-        if len(out) >= length:
-            break
-        m = sample_branch_level(model, rng)
-        k = 1
-    return bytes(out[:length]), hidden
-
-
-def sample_trajectories(
-    model: ProcessModel, count: int, length: int, seed: int, keep_hidden: bool = False
-) -> list[Trajectory]:
+def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> list[Trajectory]:
     """`count` independent trajectories on streams 0..count-1 of one seed."""
-    return [
-        sample_trajectory(model, length, seed, stream=i, keep_hidden=keep_hidden)
-        for i in range(count)
-    ]
+    return [sample_trajectory(model, length, seed, stream=i) for i in range(count)]
 
 
 # ----- estimation --------------------------------------------------------------

@@ -127,14 +127,12 @@ class LevelSums:
     s1:         factor log2(m)
     s2:         factor log2(log2(m))   (0 at m = 2)
     s_digit:    factor log2(s(m)), s(m) the binary digit count
-    s_inv_digit: factor 1/s(m)
     """
 
     s0: Interval
     s1: Interval
     s2: Interval
     s_digit: Interval
-    s_inv_digit: Interval
 
 
 def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
@@ -150,7 +148,7 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
         raise ValueError(f"level sums start at m=2, got m_max={m_max}")
 
     direct_top = min(m_max, (1 << _DIRECT_DIGITS) - 1)
-    s0, s1, s2, sd, sid = (Interval.point(v) for v in _direct_level_sums(alpha, direct_top))
+    s0, s1, s2, sd = (Interval.point(v) for v in _direct_level_sums(alpha, direct_top))
 
     if m_max > direct_top:
         top_digits = digit_length(m_max)
@@ -163,18 +161,17 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
             s1 = s1 + g1
             s2 = s2 + g0 * Interval(math.log2(j - 1), math.log2(j))
             sd = sd + g0 * Interval.point(math.log2(j))
-            sid = sid + g0 * Interval.point(1.0 / j)
 
-    return LevelSums(s0, s1, s2, sd, sid)
+    return LevelSums(s0, s1, s2, sd)
 
 
 @lru_cache(maxsize=None)
-def _direct_level_sums(alpha: float, direct_top: int) -> tuple[float, float, float, float, float]:
-    """sum_{m=2}^{direct_top} w(m) * factor(m) for the five LevelSums factors,
+def _direct_level_sums(alpha: float, direct_top: int) -> tuple[float, float, float, float]:
+    """sum_{m=2}^{direct_top} w(m) * factor(m) for the four LevelSums factors,
     in chunks, each chunk summed by numpy and the chunks by math.fsum.  Each
     weighted term array is built and summed on its own, so a chunk holds one
     at a time."""
-    s0, s1, s2, sd, sid = [], [], [], [], []
+    s0, s1, s2, sd = [], [], [], []
     for lo in range(2, direct_top + 1, _CHUNK):
         m = np.arange(lo, min(lo + _CHUNK, direct_top + 1), dtype=np.int64)
         mf = m.astype(np.float64)
@@ -187,8 +184,7 @@ def _direct_level_sums(alpha: float, direct_top: int) -> tuple[float, float, flo
             ll = np.where(m == 2, 0.0, np.log2(logm))
         s2.append(float(np.sum(w * ll)))
         sd.append(float(np.sum(w * np.log2(s))))
-        sid.append(float(np.sum(w / s)))
-    return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd), math.fsum(sid)
+    return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd)
 
 
 @lru_cache(maxsize=None)

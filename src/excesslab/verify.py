@@ -27,17 +27,17 @@ from typing import Callable
 import numpy as np
 
 from .decoders import (
+    _revealed_phases,
     decoded_level_entropy,
     future_decoder,
-    hidden_truth,
     mi_decomposition_residual,
     past_decoder,
 )
 from .exact import JointBlockTable, MIResult, _triple_informations, block_mi, enumerate_joint
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import binary_entropy
-from .models import Kind, ProcessModel
-from .sampling import sample_trajectory
+from .models import Kind, ProcessModel, phase_count
+from .sampling import Trajectory, sample_trajectory
 from .series import level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
 
 
@@ -123,15 +123,15 @@ def check_decoder_agreement(
 ) -> CheckResult:
     """Compare past-decoded vs future-decoded levels on sampled windows and
     against the hidden truth at the block boundary, on streams 0, 1, ... of
-    `seed` with n alternating 6 and 12, 500 windows each.  The cyclic kinds
-    never change level, so their truth comes from the initial state.
+    `seed` with n alternating 6 and 12, 500 windows each.
 
     Each distinct block is decoded once per call, by each decoder, and the
-    windows are counted from those results one trajectory at a time."""
+    windows are counted from those results one trajectory at a time.  The
+    truth comes from each trajectory's word record, one run of one level at
+    a time, by the revealed-phase rule behind `hidden_truth`."""
     kind = model.kind
     past = past_override or past_decoder(kind)
     future = future_decoder(kind)
-    cyclic = kind is not Kind.HMC
     per_traj = 500
     decoded: dict = {}
     disagreements = 0
@@ -142,14 +142,10 @@ def check_decoder_agreement(
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
         count = min(per_traj, windows - seen)
-        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream, keep_hidden=not cyclic)
+        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
         stream += 1
         dp, df = _window_levels(traj.symbols, n, count, past, future, decoded)
-        if cyclic:
-            truth = np.full(count, hidden_truth(kind, traj.initial_state, n), np.int64)
-        else:
-            states = traj.hidden[n - 1 : n - 1 + count]
-            truth = np.fromiter((hidden_truth(kind, h, n) for h in states), np.int64, count)
+        truth = _window_truth(traj, n, count)
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
@@ -161,6 +157,28 @@ def check_decoder_agreement(
         f"{truth_errors}/{truth_hits} hidden-truth mismatches"
     )
     return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail)
+
+
+def _window_truth(traj: Trajectory, n: int, count: int) -> np.ndarray:
+    """`hidden_truth` of the `count` windows of length 2n starting at 0, 1,
+    ... of `traj`: window t has its origin, the last past position, at step
+    t + n - 1.  Filled one run of the word record at a time.  A run revealed
+    at every phase is filled whole; one revealed at only some phases is a
+    single hmc word, whose phases step from `first.phase` without wrapping."""
+    kind = Kind(traj.kind)
+    truth = np.zeros(count, np.int64)
+    lo = n - 1
+    for start, stop, first in traj._word_runs():
+        revealed = _revealed_phases(kind, first.level, n)
+        if len(revealed) < phase_count(kind, first.level):
+            start, stop = (
+                max(start, start + revealed.start - first.phase),
+                min(stop, start + revealed.stop - first.phase),
+            )
+        a, b = max(start, lo) - lo, min(stop, lo + count) - lo
+        if a < b:
+            truth[a:b] = first.level
+    return truth
 
 
 def _window_levels(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from excesslab.decoders import future_decoder, hidden_truth, past_decoder
-from excesslab.models import Kind, ProcessModel
+from excesslab.models import ProcessModel
 from excesslab.sampling import Trajectory, _generator, sample_trajectory
 from excesslab.series import LN2, level_weight
 
@@ -170,7 +170,6 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
     kind = model.kind
     past = past_override or past_decoder(kind)
     future = future_decoder(kind)
-    cyclic = kind is not Kind.HMC
     per_traj = 500
     disagreements = 0
     truth_errors = 0
@@ -179,15 +178,15 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
     stream = 0
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
-        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream, keep_hidden=not cyclic)
+        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
         stream += 1
         sym = traj.symbols
-        fixed_truth = hidden_truth(kind, traj.initial_state, n) if cyclic else 0
+        states = traj.hidden_states()
         for t in range(min(per_traj, windows - seen)):
             dp = past(sym[t : t + n])
             if dp != future(sym[t + n : t + 2 * n]):
                 disagreements += 1
-            truth = fixed_truth if cyclic else hidden_truth(kind, traj.hidden[t + n - 1], n)
+            truth = hidden_truth(kind, states[t + n - 1], n)
             if truth:
                 truth_hits += 1
                 if dp != truth:

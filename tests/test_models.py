@@ -121,6 +121,19 @@ def test_emission_words(kind, level, expected):
     assert list(m.emission_word(level)) == expected
 
 
+@pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
+def test_emission_word_matches_emission_at_every_phase(kind):
+    # hpm1's word has `level` phases, so its levels stop at 2**9 plus the top
+    # two (every phase up to 2**12 would be 8.4M reference calls).
+    m = make_model(kind, 1.5)
+    levels = range(2, 2**12 + 1) if kind != "hpm1" else [*range(2, 2**9 + 1), 2**12 - 1, 2**12]
+    for level in levels:
+        word = m.emission_word(level)
+        assert len(word) == m.phase_count(level)
+        for k in range(1, len(word) + 1):
+            assert word[k - 1] == m.emission(StateId(level, k)), (level, k)
+
+
 def test_hpm1_emission_cases():
     m = make_model("hpm1", 1.5)
     assert m.emission(StateId(3, 1)) == 0

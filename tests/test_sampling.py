@@ -78,8 +78,8 @@ def test_trajectory_determinism_and_streams():
 def test_hpm1_window_marker_structure():
     model = make_model("hpm1", 1.5)
     for stream in range(60):
-        traj = sample_trajectory(model, 400, seed=21, stream=stream, keep_hidden=True)
-        level = traj.hidden[0].level
+        traj = sample_trajectory(model, 400, seed=21, stream=stream)
+        level = traj.initial_state.level
         if level > 150:
             continue
         window = traj.symbols[: 2 * level]
@@ -91,14 +91,15 @@ def test_hpm1_window_marker_structure():
 def test_cyclic_kinds_never_change_level():
     for kind in ("hpm1", "hpm2"):
         model = make_model(kind, 1.5)
-        traj = sample_trajectory(model, 300, seed=31, keep_hidden=True)
-        levels = {s.level for s in traj.hidden}
+        traj = sample_trajectory(model, 300, seed=31)
+        levels = {s.level for s in traj.hidden_states()}
         assert len(levels) == 1
 
 
 def test_hmc_separator_runs_have_length_digit_count_plus_one():
     model = make_model("hmc", 1.5)
-    traj = sample_trajectory(model, 3000, seed=41, keep_hidden=True)
+    traj = sample_trajectory(model, 3000, seed=41)
+    states = traj.hidden_states()
     sym = traj.symbols
     runs = []
     i = 0
@@ -114,7 +115,7 @@ def test_hmc_separator_runs_have_length_digit_count_plus_one():
             i += 1
     assert runs
     for start, length in runs:
-        level = traj.hidden[start].level
+        level = states[start].level
         assert length == binary_length(level) + 1
 
 
@@ -122,8 +123,9 @@ def test_hmc_word_start_level_frequencies():
     model = make_model("hmc", 1.5)
     counts = {2: 0, 3: 0}
     starts = 0
-    traj = sample_trajectory(model, 60_000, seed=51, keep_hidden=True)
-    for prev, cur in zip(traj.hidden, traj.hidden[1:]):
+    traj = sample_trajectory(model, 60_000, seed=51)
+    states = traj.hidden_states()
+    for prev, cur in zip(states, states[1:]):
         if cur.phase == 1:  # word boundary
             starts += 1
             if cur.level in counts:
@@ -212,19 +214,33 @@ def test_pooled_estimate_lands_in_certified_interval():
 def test_symbols_match_emissions_of_hidden_states():
     for kind in ("hpm1", "hpm2", "hmc"):
         model = make_model(kind, 1.5)
-        traj = sample_trajectory(model, 400, seed=131, keep_hidden=True)
-        for t, state in enumerate(traj.hidden):
+        traj = sample_trajectory(model, 400, seed=131)
+        for t, state in enumerate(traj.hidden_states()):
             if state.level.bit_length() > 24:
                 continue  # emission() recomputes digits; skip the huge-level case
             assert traj.symbols[t] == model.emission(state), (kind, t, state)
 
 
+@pytest.mark.parametrize("kind", ["hpm2", "hmc"])
+def test_big_level_symbols_match_emissions_of_hidden_states(kind):
+    # A level far past 2**24 takes the same word slicing as small levels.
+    level = 2**40 + 12345
+    model = make_model(kind, 1.5, fixed_level=level)
+    for stream in range(4):
+        traj = sample_trajectory(model, 400, seed=133, stream=stream)
+        states = traj.hidden_states()
+        assert len(states) == len(traj.symbols)
+        assert {s.level for s in states} == {level}
+        assert list(traj.symbols) == [model.emission(state) for state in states]
+
+
 def test_hmc_per_step_level_occupation_matches_stationary_law():
     model = make_model("hmc", 1.5)
-    traj = sample_trajectory(model, 120_000, seed=141, keep_hidden=True)
-    steps = len(traj.hidden)
+    traj = sample_trajectory(model, 120_000, seed=141)
+    states = traj.hidden_states()
+    steps = len(states)
     for level in (2, 3):
-        occ = sum(1 for s in traj.hidden if s.level == level) / steps
+        occ = sum(1 for s in states if s.level == level) / steps
         p = model.level_mass(level).mid
         # dependent samples: use a generous band of 10 iid-equivalent sigmas
         se = math.sqrt(p * (1 - p) / steps)
@@ -238,7 +254,7 @@ def test_single_trajectory_underestimates_ensemble_mi():
     stream = next(
         s
         for s in range(200)
-        if sample_trajectory(model, 4, seed=151, stream=s, keep_hidden=True).hidden[0].level == 2
+        if sample_trajectory(model, 4, seed=151, stream=s).initial_state.level == 2
     )
     single = sample_trajectory(model, 2000, seed=151, stream=stream)
     sliding = estimate_block_mi(single, 4, bootstrap_resamples=4)
