@@ -41,7 +41,7 @@ import numpy as np
 
 from .intervals import Interval, binary_entropy
 from .models import Kind, ProcessModel
-from .series import squared_level_tail, tail_sum_bracket
+from .series import _CHUNK, squared_level_tail, tail_sum_bracket
 
 MIN_ENTRY_MASS = 1e-30
 
@@ -257,10 +257,12 @@ def _enumerate_hpm1_aggregated(
     # Aggregated region: every level m >= 2n contributes the same 2n+1 keys.
     m0 = max(length, 2)
     num_top = max(level_cutoff, 1 << 18, m0)
-    ms = np.arange(m0, num_top + 1, dtype=np.float64)
-    w = 1.0 / (ms * np.log2(ms) ** alpha)
-    sum_w = float(np.sum(w))
-    sum_w_over_m = float(np.sum(w / ms))
+    parts = []
+    for lo in range(m0, num_top + 1, _CHUNK):
+        ms = np.arange(lo, min(lo + _CHUNK, num_top + 1), dtype=np.float64)
+        w = 1.0 / (ms * np.log2(ms) ** alpha)
+        parts.append((float(np.sum(w)), float(np.sum(w / ms))))
+    sum_w, sum_w_over_m = (math.fsum(p) for p in zip(*parts))
     tail_w = tail_sum_bracket(alpha, num_top + 1).interval
     tail_w_over_m = squared_level_tail(alpha, num_top + 1)
 

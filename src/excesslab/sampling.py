@@ -62,18 +62,28 @@ def _stationary_tables(alpha: float, series_cutoff: int):
     c_mid = normalization_sum(alpha, series_cutoff).reciprocal().mid
     # levels of at most 20 binary digits; digit groups take over at j = 21
     m = np.arange(2, _PREFIX_TOP, dtype=np.float64)
-    probs = c_mid / (m * np.log2(m) ** alpha)
-    cdf = np.cumsum(probs)
-    return c_mid, cdf
+    # cumsum(c_mid / (m * log2(m)**alpha)) in place, in that expression's order
+    cdf = np.log2(m)
+    cdf **= alpha
+    cdf *= m
+    np.divide(c_mid, cdf, out=cdf)
+    return c_mid, np.cumsum(cdf, out=cdf)
 
 
 @lru_cache(maxsize=32)
 def _branch_tables(alpha: float, series_cutoff: int):
     d_mid = branch_normalization_sum(alpha, series_cutoff).reciprocal().mid
     m = np.arange(2, _PREFIX_TOP, dtype=np.float64)
+    # cumsum(d_mid / (3.0 * s * m * log2(m)**alpha)) in place, in that
+    # expression's order; s is the binary digit count
     s = np.frexp(m)[1].astype(np.float64)
-    probs = d_mid / (3.0 * s * m * np.log2(m) ** alpha)
-    cdf = np.cumsum(probs)
+    s *= 3.0
+    s *= m
+    cdf = np.log2(m)
+    cdf **= alpha
+    cdf *= s
+    np.divide(d_mid, cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
     # Digit groups beyond the prefix, integral midpoints; the residual past
     # the last group (~1e-9) is folded into it.
     j0 = 21

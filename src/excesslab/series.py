@@ -10,10 +10,10 @@ log2 log2 m, digit-count terms).  For a positive decreasing f,
 and the integrals have closed forms after substituting p = log2 m.  That
 turns every needed sum into a certified two-sided enclosure: direct
 summation up to a configurable cutoff, per-digit-group brackets beyond it,
-so cutoffs as large as 2**n for block length n cost little.  The direct
-prefix of the level sums is summed once per (alpha, direct limit) per
-process, so every call whose top reaches 2**22 - 1 shares one 4.2M-term
-prefix per alpha.
+so cutoffs as large as 2**n for block length n cost little.  Direct sums
+are summed once per (alpha, binary-digit group) per process and shared by
+the normalisers C and D and the level sums: a group's weight is summed
+once whichever of them reaches it first.
 
 All logarithms are base 2; entropies derived from these sums are in bits.
 """
@@ -34,8 +34,10 @@ LN2 = math.log(2.0)
 # up to this many binary digits are summed term by term.
 _DIRECT_DIGITS = 22
 
-# Chunk size for vectorised series summation.
-_CHUNK = 1 << 20
+# Chunk size for vectorised series summation: a chunk's 128 KiB temporaries
+# stay in cache and are reused by malloc; at 2**15 terms and more each one
+# was a fresh mapping that page-faulted on first touch.
+_CHUNK = 1 << 14
 
 
 def digit_length(m: int) -> int:
@@ -139,16 +141,16 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     """Certified enclosures of the weighted level sums up to m_max (inclusive).
 
     m_max may be astronomically large (it is an int, e.g. 2**n); only
-    min(m_max, 2**22 - 1) terms are summed directly, and that prefix is
-    summed once per (alpha, direct limit) per process.  The rest is
-    bracketed one binary-digit group at a time on every call.
+    min(m_max, 2**22 - 1) terms are summed directly, from the cached
+    digit-group sums.  The rest is bracketed one binary-digit group at a
+    time on every call.
     """
     _check_alpha(alpha)
     if m_max < 2:
         raise ValueError(f"level sums start at m=2, got m_max={m_max}")
 
     direct_top = min(m_max, (1 << _DIRECT_DIGITS) - 1)
-    s0, s1, s2, sd = (Interval.point(v) for v in _direct_level_sums(alpha, direct_top))
+    s0, s1, s2, sd = (Interval.point(v) for v in _direct_sums(alpha, direct_top)[:4])
 
     if m_max > direct_top:
         top_digits = digit_length(m_max)
@@ -165,26 +167,29 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     return LevelSums(s0, s1, s2, sd)
 
 
+def _direct_sums(alpha: float, top: int) -> tuple[float, float, float, float, float]:
+    """sum_{m=2}^{top} w(m) * factor(m) for the factors 1, log2(m), log2(log2(m)),
+    log2(s(m)) and 1/(3*s(m)), added by math.fsum from the cached digit-group
+    sums; s(m) = j is constant on digit group j."""
+    js = range(2, top.bit_length() + 1)
+    s0, s1, s2 = zip(*(_group_sums(alpha, min((1 << j) - 1, top)) for j in js))
+    sd = [math.log2(j) * g for j, g in zip(js, s0)]
+    branch = [g / (3.0 * j) for j, g in zip(js, s0)]
+    return tuple(math.fsum(parts) for parts in (s0, s1, s2, sd, branch))
+
+
 @lru_cache(maxsize=None)
-def _direct_level_sums(alpha: float, direct_top: int) -> tuple[float, float, float, float]:
-    """sum_{m=2}^{direct_top} w(m) * factor(m) for the four LevelSums factors,
-    in chunks, each chunk summed by numpy and the chunks by math.fsum.  Each
-    weighted term array is built and summed on its own, so a chunk holds one
-    at a time."""
-    s0, s1, s2, sd = [], [], [], []
-    for lo in range(2, direct_top + 1, _CHUNK):
-        m = np.arange(lo, min(lo + _CHUNK, direct_top + 1), dtype=np.int64)
-        mf = m.astype(np.float64)
-        logm = np.log2(mf)
-        w = 1.0 / (mf * logm**alpha)
-        s = np.frexp(mf)[1].astype(np.float64)  # binary digit count, exact
-        s0.append(float(np.sum(w)))
-        s1.append(float(np.sum(w * logm)))
-        with np.errstate(divide="ignore"):
-            ll = np.where(m == 2, 0.0, np.log2(logm))
-        s2.append(float(np.sum(w * ll)))
-        sd.append(float(np.sum(w * np.log2(s))))
-    return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd)
+def _group_sums(alpha: float, top: int) -> tuple[float, float, float]:
+    """sum w(m), w(m)*log2(m) and w(m)*log2(log2(m)) over m from
+    max(2, 2**(j-1)) to top, j = top.bit_length(): one digit group, keyed by
+    its last level (2**j - 1 when whole).  Chunk sums are added by math.fsum."""
+    parts = []
+    for lo in range(max(2, 1 << (top.bit_length() - 1)), top + 1, _CHUNK):
+        m = np.arange(lo, min(lo + _CHUNK, top + 1), dtype=np.float64)
+        logm = np.log2(m)
+        w = 1.0 / (m * logm**alpha)
+        parts.append((float(np.sum(w)), float(np.sum(w * logm)), float(np.sum(w * np.log2(logm)))))
+    return tuple(math.fsum(p) for p in zip(*parts))
 
 
 @lru_cache(maxsize=None)
@@ -193,11 +198,7 @@ def normalization_sum(alpha: float, cutoff: int) -> Interval:
     _check_alpha(alpha)
     if cutoff < 2:
         raise ValueError(f"series cutoff must be >= 2, got {cutoff}")
-    parts = []
-    for lo in range(2, cutoff + 1, _CHUNK):
-        m = np.arange(lo, min(lo + _CHUNK, cutoff + 1), dtype=np.float64)
-        parts.append(float(np.sum(1.0 / (m * np.log2(m) ** alpha))))
-    direct = math.fsum(parts)
+    direct = _direct_sums(alpha, cutoff)[0]
     tail = tail_sum_bracket(alpha, cutoff + 1)
     return Interval(direct + tail.lower, direct + tail.upper)
 
@@ -213,13 +214,7 @@ def branch_normalization_sum(alpha: float, cutoff: int) -> Interval:
     _check_alpha(alpha)
     if cutoff < 2:
         raise ValueError(f"series cutoff must be >= 2, got {cutoff}")
-    parts = []
-    for lo in range(2, cutoff + 1, _CHUNK):
-        m = np.arange(lo, min(lo + _CHUNK, cutoff + 1), dtype=np.int64)
-        mf = m.astype(np.float64)
-        s = np.frexp(mf)[1].astype(np.float64)
-        parts.append(float(np.sum(1.0 / (3.0 * s * mf * np.log2(mf) ** alpha))))
-    total = Interval.point(math.fsum(parts))
+    total = Interval.point(_direct_sums(alpha, cutoff)[4])
 
     # Partial digit group containing cutoff+1, then ~2e4 whole groups.
     j0 = digit_length(cutoff + 1)
@@ -240,7 +235,8 @@ def _group_sum(alpha_pow: float, a: int, b: int) -> Interval:
     """Enclosure of sum_{m=a}^{b} 1/(m * log2(m)**alpha_pow) for 2 <= a <= b."""
     la, lb, lb1 = _log2_int(a), _log2_int(b), _log2_int(b + 1)
     lower = _integral_pow(alpha_pow, la, lb1)
-    upper = _integral_pow(alpha_pow, la, lb) + 1.0 / (a * la**alpha_pow)
+    # f(a) from la alone: the int a may be too large for a float.
+    upper = _integral_pow(alpha_pow, la, lb) + math.exp2(-la) / la**alpha_pow
     return Interval(min(lower, upper), max(lower, upper))
 
 

@@ -260,3 +260,46 @@ def naive_estimate(data, n: int, method: str, resamples: int, seed: int):
                 values.append(mi(joint, sum(joint.values())))
     std = float(np.std(values, ddof=1)) if values else 0.0
     return point, std, total
+
+
+# Per-term reference loops for the direct parts of the series sums: the
+# terms in 1M-term chunks from m = 2, each chunk summed by numpy and the
+# chunks by math.fsum, with the digit count s(m) taken per term.
+_NAIVE_CHUNK = 1 << 20
+
+
+def naive_normalization_sum(alpha: float, cutoff: int) -> float:
+    """sum_{m=2}^{cutoff} 1/(m * log2(m)**alpha)."""
+    parts = []
+    for lo in range(2, cutoff + 1, _NAIVE_CHUNK):
+        m = np.arange(lo, min(lo + _NAIVE_CHUNK, cutoff + 1), dtype=np.float64)
+        parts.append(float(np.sum(1.0 / (m * np.log2(m) ** alpha))))
+    return math.fsum(parts)
+
+
+def naive_branch_normalization_sum(alpha: float, cutoff: int) -> float:
+    """sum_{m=2}^{cutoff} 1/(3 * s(m) * m * log2(m)**alpha)."""
+    parts = []
+    for lo in range(2, cutoff + 1, _NAIVE_CHUNK):
+        m = np.arange(lo, min(lo + _NAIVE_CHUNK, cutoff + 1), dtype=np.float64)
+        s = np.frexp(m)[1].astype(np.float64)
+        parts.append(float(np.sum(1.0 / (3.0 * s * m * np.log2(m) ** alpha))))
+    return math.fsum(parts)
+
+
+def naive_level_sums(alpha: float, top: int) -> tuple[float, float, float, float]:
+    """sum_{m=2}^{top} w(m) * factor(m) for the LevelSums factors 1, log2(m),
+    log2(log2(m)) and log2(s(m))."""
+    s0, s1, s2, sd = [], [], [], []
+    for lo in range(2, top + 1, _NAIVE_CHUNK):
+        m = np.arange(lo, min(lo + _NAIVE_CHUNK, top + 1), dtype=np.float64)
+        logm = np.log2(m)
+        w = 1.0 / (m * logm**alpha)
+        s = np.frexp(m)[1].astype(np.float64)
+        s0.append(float(np.sum(w)))
+        s1.append(float(np.sum(w * logm)))
+        with np.errstate(divide="ignore"):
+            ll = np.where(m == 2, 0.0, np.log2(logm))
+        s2.append(float(np.sum(w * ll)))
+        sd.append(float(np.sum(w * np.log2(s))))
+    return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd)

@@ -1,5 +1,7 @@
 """Analysis contracts: the upper-bound curve, rate fitting, and CSV output."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,46 @@ from excesslab.analysis import (
     predicted_rate_class,
     write_series_csv,
 )
+from excesslab.decoders import decoded_level_entropy
 from excesslab.exact import block_mi, enumerate_joint
 
 from conftest import FAST_SERIES_CUTOFF, make_model
 
 
 # ----- upper-bound curve --------------------------------------------------------
+
+
+# (block_mi_upper_bound, decoded_level_entropy) as (lo, hi) at alpha 1.5 and
+# the fast series cutoff, pinned at n < 1024, where every level of the
+# support still fits in a float.
+CLOSED_FORM_VALUES = {
+    ("hpm1", 64): ((22.013575781498986, 22.018139725835447), (2.852048388117619, 2.85204840321703)),
+    ("hpm1", 512): ((58.75415832740087, 58.75982368385985), (3.6789100970678916, 3.678910119284973)),
+    ("hpm1", 1023): ((81.88182339437586, 81.88752179236876), (3.9008960739002965, 3.9008960980685554)),
+    ("hpm2", 64): ((21.799504508996584, 21.804068428166584), (6.828280266864039, 6.8307377100146445)),
+    ("hpm2", 512): ((54.05472755152639, 54.06039285308552), (16.047135212492456, 16.05270717552745)),
+    ("hpm2", 1023): ((74.10684860465376, 74.11254692735909), (21.6035867999112, 21.609251750891232)),
+    ("hmc", 64): ((25.93759794667077, 25.94216189543228), (2.9397800657798627, 2.9405992137248242)),
+    ("hmc", 512): ((63.26199134858754, 63.267656713341644), (6.152324771998619, 6.154182089213767)),
+    ("hmc", 1023): ((86.50655160168685, 86.51225000874977), (8.032135119916045, 8.034023431740147)),
+}
+
+
+@pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))
+def test_closed_forms_at_paper_scale(kind):
+    # Levels of 1024 and more binary digits do not fit in a float.
+    for n in (1024, 4096, 8192):
+        bound = block_mi_upper_bound(kind, 1.5, n, FAST_SERIES_CUTOFF)
+        h_d = decoded_level_entropy(kind, 1.5, n, FAST_SERIES_CUTOFF)
+        for value in (bound.lo, bound.hi, h_d.value - h_d.err_low, h_d.value + h_d.err_high):
+            assert math.isfinite(value), (n, value)
+        assert 0.0 <= h_d.value <= bound.hi, n
+    for n in (64, 512, 1023):
+        bound = block_mi_upper_bound(kind, 1.5, n, FAST_SERIES_CUTOFF)
+        h_d = decoded_level_entropy(kind, 1.5, n, FAST_SERIES_CUTOFF)
+        got = ((bound.lo, bound.hi), (h_d.value - h_d.err_low, h_d.value + h_d.err_high))
+        for pair, pinned in zip(got, CLOSED_FORM_VALUES[kind, n]):
+            assert pair == pytest.approx(pinned, rel=1e-12, abs=0.0), n
 
 
 @pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))

@@ -10,6 +10,8 @@ from excesslab.exact import block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
     Trajectory,
+    _branch_tables,
+    _stationary_tables,
     estimate_block_mi,
     sample_level,
     sample_trajectories,
@@ -17,10 +19,27 @@ from excesslab.sampling import (
     _generator,
 )
 
-from conftest import make_model, naive_estimate
+from excesslab.series import LN2
+
+from conftest import FAST_SERIES_CUTOFF, make_model, naive_estimate
 
 
 # ----- level sampler ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 2.0))
+def test_prefix_tables_match_plain_expressions_bit_for_bit(alpha):
+    # The tables are built in place; every draw depends on their exact bits.
+    c_mid, cdf = _stationary_tables(alpha, FAST_SERIES_CUTOFF)
+    d_mid, branch_cdf, group_cdf = _branch_tables(alpha, FAST_SERIES_CUTOFF)
+    m = np.arange(2, 1 << 20, dtype=np.float64)
+    s = np.frexp(m)[1].astype(np.float64)
+    assert cdf.tobytes() == np.cumsum(c_mid / (m * np.log2(m) ** alpha)).tobytes()
+    assert branch_cdf.tobytes() == np.cumsum(d_mid / (3.0 * s * m * np.log2(m) ** alpha)).tobytes()
+    js = np.arange(21, 21 + 20000, dtype=np.float64)
+    ints = LN2 / (alpha - 1.0) * ((js - 1.0) ** (1.0 - alpha) - js ** (1.0 - alpha))
+    expected_groups = float(branch_cdf[-1]) + np.cumsum(d_mid * ints / (3.0 * js))
+    assert group_cdf.tobytes() == expected_groups.tobytes()
 
 
 def test_level_law_frequency_of_level_two():

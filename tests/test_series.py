@@ -16,6 +16,8 @@ from excesslab.series import (
     tail_sum_bracket,
 )
 
+from conftest import naive_branch_normalization_sum, naive_level_sums, naive_normalization_sum
+
 ALPHAS = (1.2, 1.5, 1.8, 2.0)
 POINTS = (2, 2**4, 2**10, 2**16, 2**20)
 
@@ -138,42 +140,62 @@ def test_branch_normalization_contains_direct_refinement():
 def test_level_weight_sums_match_direct_summation(alpha):
     top = (1 << 24) - 1
     sums = level_weight_sums(alpha, top)  # groups beyond 2^22 bracketed
-    m = np.arange(2, top + 1, dtype=np.float64)
-    logm = np.log2(m)
-    w = 1.0 / (m * logm**alpha)
-    s = np.frexp(m)[1].astype(np.float64)
-    direct = {
-        "s0": float(np.sum(w)),
-        "s1": float(np.sum(w * logm)),
-        "s2": float(np.sum(w * np.where(m == 2, 0.0, np.log2(np.maximum(logm, 1e-300))))),
-        "s_digit": float(np.sum(w * np.log2(s))),
-    }
-    for name, value in direct.items():
+    for name, value in zip(("s0", "s1", "s2", "s_digit"), naive_level_sums(alpha, top)):
         iv = getattr(sums, name)
         assert iv.lo - 1e-10 <= value <= iv.hi + 1e-10, f"{name}: {value} not in {iv}"
 
 
 def test_level_weight_sums_sum_each_direct_prefix_once():
-    cached = series._direct_level_sums
+    cached = series._group_sums
     # An alpha no other test uses, so the entries counted here are new.
     alpha = 1.37
     before = cached.cache_info().currsize
+    normalization_sum(alpha, 10**7)
+    filled = cached.cache_info().currsize
+    assert filled == before + 23  # groups 2..23 whole, group 24 up to 10**7
+    branch_normalization_sum(alpha, 10**7)
     sums = [series.level_weight_sums(alpha, top) for top in ((1 << 22) - 1, 1 << 32, 1 << 64)]
-    assert cached.cache_info().currsize == before + 1
+    assert cached.cache_info().currsize == filled  # C, D and the level sums share every group
     assert sums[0].s0.lo == sums[0].s0.hi  # a top of 2**22 - 1 is summed directly
     assert sums[1].s0.lo > sums[0].s0.hi  # larger tops add bracketed groups on top
-    prefix = cached(alpha, (1 << 22) - 1)
-    fresh = cached.__wrapped__(alpha, (1 << 22) - 1)
-    assert [v.hex() for v in prefix] == [v.hex() for v in fresh]
-    assert [getattr(sums[0], f).lo for f in ("s0", "s1", "s2", "s_digit")] == list(fresh)
+    for top in (3, (1 << 22) - 1, (1 << 23) - 1, 10**7):
+        entry = cached(alpha, top)
+        fresh = cached.__wrapped__(alpha, top)
+        assert [v.hex() for v in entry] == [v.hex() for v in fresh]
+    direct = series._direct_sums(alpha, (1 << 22) - 1)
+    assert [getattr(sums[0], f).lo for f in ("s0", "s1", "s2", "s_digit")] == list(direct[:4])
 
     series.level_weight_sums(1.63, 1 << 40)
-    assert cached.cache_info().currsize == before + 2  # one entry per alpha
+    assert cached.cache_info().currsize == filled + 21  # groups 2..22, one entry each
 
-    for bad_alpha, m_max in ((2.5, 1 << 32), (1.37, 1)):
+    bad_calls = (
+        (series.level_weight_sums, 2.5, 1 << 32),
+        (series.level_weight_sums, 1.37, 1),
+        (normalization_sum, 2.5, 10**7),
+        (normalization_sum, 1.41, 1),
+        (branch_normalization_sum, 1.0, 10**7),
+        (branch_normalization_sum, 1.41, 0),
+    )
+    for call, bad_alpha, top in bad_calls:
         with pytest.raises(ValueError):
-            series.level_weight_sums(bad_alpha, m_max)
-    assert cached.cache_info().currsize == before + 2
+            call(bad_alpha, top)
+    assert cached.cache_info().currsize == filled + 21
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 2.0))
+def test_digit_group_sums_match_per_term_loops(alpha):
+    def close(value, reference):
+        return abs(value - reference) <= 1e-15 * abs(reference)
+
+    for cutoff in (10**4, 10**6, 10**7):
+        direct = series._direct_sums(alpha, cutoff)
+        assert close(direct[0], naive_normalization_sum(alpha, cutoff)), cutoff
+        assert close(direct[4], naive_branch_normalization_sum(alpha, cutoff)), cutoff
+    for top in (3, 12345, 2**16 - 1, 2**16 + 5, 2**22 - 1):
+        sums = level_weight_sums(alpha, top)
+        for name, reference in zip(("s0", "s1", "s2", "s_digit"), naive_level_sums(alpha, top)):
+            iv = getattr(sums, name)
+            assert iv.lo == iv.hi and close(iv.lo, reference), (top, name)
 
 
 @pytest.mark.parametrize("alpha", (1.5, 2.0))
