@@ -6,9 +6,15 @@ length n each as a finite table:
   * the two cyclic kinds are mixtures of deterministic cycles, so each
     (level, phase) pair contributes its stationary mass to exactly one
     (past, future) key;
-  * the ergodic kind is enumerated depth-first over hidden paths of length 2n
-    that branch at word boundaries; a path whose probability falls below the
-    optional pruning threshold goes to the pruned mass.
+  * the ergodic kind's hidden paths branch at word boundaries.  Each path
+    starts at a seed (level, phase); what follows a boundary depends only on
+    how many of the 2n symbols are still needed, so that subtree is expanded
+    once per remaining length into a completion cache (suffix -> product of
+    branch probabilities) and combined with every path that reaches such a
+    boundary.  A branch whose sequential path product falls below the
+    optional pruning threshold goes to the pruned mass: a boundary takes its
+    subtree from the cache only when even its least likely leaf clears the
+    threshold, and otherwise expands one level and tries again below.
 
 Every table tracks the probability mass that was *not* assigned to a key
 (`pruned_mass`, an interval upper-bounding level tails plus pruned paths) and
@@ -33,6 +39,7 @@ group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -147,6 +154,14 @@ def enumerate_joint(
     only) replaces the level tail with its exact aggregate: beyond level 2n a
     window holds at most one non-zero symbol, so the whole tail collapses to
     2n+1 keys with bracketed masses and the table covers the full support.
+
+    `path_budget` (ergodic kind) bounds the nodes of the path tree: one per
+    seed (level, phase) and one per branch kept after a word boundary,
+    counted alike whether the subtree is expanded or taken from the
+    completion cache.  `entry_budget` bounds the table's keys and, for the
+    ergodic kind, each cached suffix table.  Exceeding either raises
+    `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` and, for
+    the ergodic kind, `prune_eps`.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
@@ -177,6 +192,14 @@ def enumerate_joint(
         }
     )
     return table._finalize()
+
+
+def _input_label(
+    model: ProcessModel, n: int, level_cutoff: int, prune_eps: float | None = None
+) -> str:
+    """The enumeration input a budget error names."""
+    label = f"kind={model.kind.value}, alpha={model.alpha}, n={n}, level_cutoff={level_cutoff}"
+    return label if prune_eps is None else f"{label}, prune_eps={prune_eps}"
 
 
 def _levels(model: ProcessModel, level_cutoff: int) -> Iterable[int]:
@@ -218,7 +241,8 @@ def _enumerate_cyclic(
                 entries[key] = entries.get(key, 0.0) + per_phase
         if len(entries) > entry_budget:
             raise BudgetExceededError(
-                f"table exceeded entry budget {entry_budget} at level {m} (n={n})"
+                f"table exceeded entry budget {entry_budget} at level {m} "
+                f"({_input_label(model, n, level_cutoff)})"
             )
     return JointBlockTable(
         n=n,
@@ -284,7 +308,9 @@ def _enumerate_hpm1_aggregated(
     slack += 0.5 * (length * marker_mass.width + zero_mass.width)
 
     if len(entries) > entry_budget:
-        raise BudgetExceededError(f"table exceeded entry budget {entry_budget} (n={n})")
+        raise BudgetExceededError(
+            f"table exceeded entry budget {entry_budget} ({_input_label(model, n, level_cutoff)})"
+        )
     return JointBlockTable(
         n=n,
         alphabet_size=len(model.alphabet),
@@ -292,6 +318,22 @@ def _enumerate_hpm1_aggregated(
         pruned_mass=Interval.point(0.0),
         entry_slack=slack,
     )
+
+
+@dataclass
+class _Completion:
+    """The subtree below an hmc word boundary with `need` symbols still to
+    emit: every branch probability is relative to the boundary (q = 1 there).
+
+    `pushes` is how many nodes the subtree holds below its root, `internal_q`
+    the summed q of its word boundaries (the root included), `q_min` the
+    smallest q of a leaf, and `suffixes` maps each truncated suffix to its
+    summed q; the dict is built on first use."""
+
+    pushes: int
+    internal_q: float
+    q_min: float
+    suffixes: dict[bytes, float] | None = None
 
 
 def _enumerate_hmc(
@@ -303,6 +345,7 @@ def _enumerate_hmc(
     entry_budget: int,
 ) -> JointBlockTable:
     length = 2 * n
+    label = _input_label(model, n, level_cutoff, prune_eps)
     if model.fixed_level is not None:
         branch_levels = [model.fixed_level]
         branch_p = {model.fixed_level: 1.0}
@@ -320,68 +363,141 @@ def _enumerate_hmc(
             model.norm_d.width / model.norm_d.mid
         )
     words = {m: model.emission_word(m) for m in branch_levels}
+    # Branches by falling probability, each with the summed probability of
+    # itself and every later branch.  prob * b is then falling along the list
+    # too (rounding is monotone), so the first pruned branch prunes the rest.
+    ordered = sorted(branch_levels, key=branch_p.__getitem__, reverse=True)
+    rests = list(itertools.accumulate(branch_p[m] for m in reversed(ordered)))[::-1]
+    branches = [(words[m], branch_p[m], rest) for m, rest in zip(ordered, rests)]
+
+    # After a word boundary the rest of a window depends only on how many
+    # symbols it still needs, so each such subtree is summarised once per
+    # `need`, from the summaries of the shorter needs below it.
+    completions: list[_Completion] = [_Completion(0, 0.0, 1.0)]  # index 0 is unused
+    for need in range(1, length):
+        pushes, internal_q, q_min = len(branches), 1.0, math.inf
+        for word, b, _ in branches:
+            if len(word) >= need:
+                q_min = min(q_min, b)
+            else:
+                sub = completions[need - len(word)]
+                pushes += sub.pushes
+                internal_q += b * sub.internal_q
+                q_min = min(q_min, b * sub.q_min)
+        completions.append(_Completion(pushes, internal_q, q_min))
+
+    def suffixes(need: int) -> dict[bytes, float]:
+        done = completions[need].suffixes
+        if done is not None:
+            return done
+        out: dict[bytes, float] = {}
+        for word, b, _ in branches:
+            if len(word) >= need:
+                s = word[:need]
+                out[s] = out.get(s, 0.0) + b
+            else:
+                for s, q in suffixes(need - len(word)).items():
+                    s = word + s
+                    out[s] = out.get(s, 0.0) + b * q
+            if len(out) > entry_budget:
+                raise BudgetExceededError(
+                    f"completion table for {need} symbols exceeded entry budget "
+                    f"{entry_budget} ({label})"
+                )
+        completions[need].suffixes = out
+        return out
 
     entries: dict[tuple[bytes, bytes], float] = {}
     pruned_lo = 0.0
     pruned_hi = 0.0
     extensions = 0
-    assigned = 0.0
+    # Word boundaries whose whole subtree comes from the cache, by the path
+    # that reaches them: prefix -> summed path probability.
+    cached: dict[bytes, float] = {}
+    gate = prune_eps * (1.0 + 1e-12)
 
-    # A LIFO frontier expands depth-first: it holds the seeds plus at most
-    # (cutoff - 1) siblings per word boundary on the current path.
-    frontier: list = []
-
-    def push(prefix: bytes, prob: float, m: int, k: int) -> None:
+    def count(pushes: int) -> None:
         nonlocal extensions
-        extensions += 1
+        extensions += pushes
         if extensions > path_budget:
-            raise BudgetExceededError(
-                f"path budget {path_budget} exceeded (n={n}, cutoff={level_cutoff}, "
-                f"prune_eps={prune_eps})"
-            )
-        frontier.append((prob, prefix, m, k))
+            raise BudgetExceededError(f"path budget {path_budget} exceeded ({label})")
 
+    def check_entries() -> None:
+        if len(entries) > entry_budget:
+            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+
+    def add(win: bytes, prob: float) -> None:
+        key = (win[:n], win[n:])
+        entries[key] = entries.get(key, 0.0) + prob
+        check_entries()
+
+    def boundary(prefix: bytes, prob: float) -> None:
+        """A word boundary reached with sequential path probability `prob`.
+
+        Every node below it keeps its branch only if its sequential product
+        is >= prune_eps.  If even the least likely leaf clears that with room
+        for the rounding of a product taken in another order, nothing below
+        is pruned and the subtree comes from the cache.  Otherwise the
+        boundary expands one level with the sequential products and
+        recurses."""
+        nonlocal pruned_lo, pruned_hi
+        need = length - len(prefix)
+        completion = completions[need]
+        if prob * completion.q_min >= gate:
+            count(completion.pushes)
+            cached[prefix] = cached.get(prefix, 0.0) + prob
+            return
+        pruned_lo += prob * branch_tail.lo
+        pruned_hi += prob * branch_tail.hi
+        for word, b, rest in branches:
+            p2 = prob * b
+            if p2 < prune_eps:
+                pruned_lo += prob * rest
+                pruned_hi += prob * rest
+                break
+            count(1)
+            if len(word) >= need:
+                add(prefix + word[:need], p2)
+            else:
+                boundary(prefix + word, p2)
+
+    # Seeds, one per (level, phase), are never pruned.
     for m in branch_levels:
         word = words[m]
-        for k in range(1, len(word) + 1):
-            push(b"", seed_masses[m], m, k)
+        seed = seed_masses[m]
+        for k in range(len(word)):
+            count(1)
+            take = word[k:]
+            if len(take) >= length:
+                add(take[:length], seed)
+            else:
+                boundary(take, seed)
     if model.fixed_level is None:
         seed_tail = model.level_tail_mass(level_cutoff)
         pruned_lo += seed_tail.lo
         pruned_hi += seed_tail.hi
 
-    while frontier:
-        prob, prefix, m, k = frontier.pop()
-        word = words[m]
-        take = word[k - 1 :]
+    # Fill the cache first, so that an over-budget suffix table stops the run
+    # before any cached entry is combined into the table.
+    for need in sorted({length - len(prefix) for prefix in cached}, reverse=True):
+        suffixes(need)
+    for prefix, prob in cached.items():
         need = length - len(prefix)
-        if len(take) >= need:
-            win = prefix + take[:need]
+        internal = prob * completions[need].internal_q
+        pruned_lo += internal * branch_tail.lo
+        pruned_hi += internal * branch_tail.hi
+        for s, q in suffixes(need).items():
+            win = prefix + s
             key = (win[:n], win[n:])
-            entries[key] = entries.get(key, 0.0) + prob
-            assigned += prob
-            if len(entries) > entry_budget:
-                raise BudgetExceededError(
-                    f"table exceeded entry budget {entry_budget} (n={n})"
-                )
-            continue
-        prefix2 = prefix + take
-        pruned_lo += prob * branch_tail.lo
-        pruned_hi += prob * branch_tail.hi
-        for nxt in branch_levels:
-            p2 = prob * branch_p[nxt]
-            if p2 < prune_eps:
-                pruned_lo += p2
-                pruned_hi += p2
-            else:
-                push(prefix2, p2, nxt, 1)
+            entries[key] = entries.get(key, 0.0) + prob * q
+        check_entries()
 
     return JointBlockTable(
         n=n,
         alphabet_size=len(model.alphabet),
         entries=entries,
         pruned_mass=Interval(pruned_lo, pruned_hi).clamp(0.0, 1.0),
-        entry_slack=0.5 * relw * assigned,
+        entry_slack=0.5 * relw * math.fsum(entries.values()),
     )
 
 

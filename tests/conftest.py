@@ -62,14 +62,23 @@ def naive_hmc_table(
 ) -> dict:
     """Reference for the ergodic kind: full recursive path expansion with no
     ordering tricks and no merging shortcuts.  A branch whose path
-    probability falls below `prune_eps` is skipped, as the engine does."""
+    probability falls below `prune_eps` is skipped, as the engine does.  A
+    `fixed_level` model repeats its one word: every branch returns to it."""
     length = 2 * n
-    words = {m: model.emission_word(m) for m in range(2, level_cutoff + 1)}
-    c_mid = model.norm_c.mid
-    d_mid = model.norm_d.mid
-    branch = {
-        m: d_mid * level_weight(m, model.alpha) / model.phase_count(m) for m in words
-    }
+    if model.fixed_level is not None:
+        words = {model.fixed_level: model.emission_word(model.fixed_level)}
+        branch = {model.fixed_level: 1.0}
+        seeds = {model.fixed_level: 1.0 / model.phase_count(model.fixed_level)}
+    else:
+        words = {m: model.emission_word(m) for m in range(2, level_cutoff + 1)}
+        c_mid = model.norm_c.mid
+        d_mid = model.norm_d.mid
+        branch = {
+            m: d_mid * level_weight(m, model.alpha) / model.phase_count(m) for m in words
+        }
+        seeds = {
+            m: c_mid * level_weight(m, model.alpha) / model.phase_count(m) for m in words
+        }
     entries: dict = {}
 
     def walk(prefix: bytes, prob: float, m: int, k: int) -> None:
@@ -85,9 +94,8 @@ def naive_hmc_table(
                 walk(prefix, prob * branch[nxt], nxt, 1)
 
     for m in words:
-        seed = c_mid * level_weight(m, model.alpha) / model.phase_count(m)
         for k in range(1, len(words[m]) + 1):
-            walk(b"", seed, m, k)
+            walk(b"", seeds[m], m, k)
     return entries
 
 

@@ -3,6 +3,7 @@ entropies and mutual informations, conditioning, and table plumbing."""
 
 import math
 
+import numpy as np
 import pytest
 
 from excesslab.exact import (
@@ -134,14 +135,62 @@ def test_hmc_pruning_moves_mass_to_pruned():
 
 def test_path_budget_guard():
     h = make_model("hmc", 1.5)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as raised:
         enumerate_joint(h, 6, 1 << 5, path_budget=1000)
+    for field in ("kind=hmc", "alpha=1.5", "n=6", "level_cutoff=32", "prune_eps=0.0"):
+        assert field in str(raised.value)
 
 
 def test_entry_budget_guard():
     m = make_model("hpm2", 1.5)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as raised:
         enumerate_joint(m, 6, 1 << 10, entry_budget=100)
+    for field in ("kind=hpm2", "alpha=1.5", "n=6", "level_cutoff=1024"):
+        assert field in str(raised.value)
+
+
+def test_aggregated_entry_budget_names_its_input():
+    m = make_model("hpm1", 1.5)
+    with pytest.raises(BudgetExceededError) as raised:
+        enumerate_joint(m, 4, 64, tail_aggregation=True, entry_budget=5)
+    for field in ("kind=hpm1", "alpha=1.5", "n=4", "level_cutoff=64"):
+        assert field in str(raised.value)
+
+
+def test_path_budget_counts_every_push():
+    # Every seed and every kept branch counts once, whether its subtree is
+    # expanded or taken from the completion cache: 36,576 at this point.
+    h = make_model("hmc", 1.5)
+    with pytest.raises(BudgetExceededError):
+        enumerate_joint(h, 4, 64, path_budget=36_575)
+    assert len(enumerate_joint(h, 4, 64, path_budget=36_576).entries) == 2109
+
+
+def test_hmc_completion_cache_is_held_to_entry_budget():
+    # The cached suffix tables are checked as they grow, so the run stops
+    # before the joint table is built.
+    h = make_model("hmc", 1.5)
+    with pytest.raises(BudgetExceededError, match="completion table") as raised:
+        enumerate_joint(h, 8, 64, entry_budget=200)
+    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64", "prune_eps=0.0"):
+        assert field in str(raised.value)
+
+
+@pytest.mark.parametrize("prune_eps", [float(e) for e in np.logspace(-9, -4, 8)])
+def test_hmc_matches_oracle_across_the_cache_gate(prune_eps):
+    # From 1e-9 every subtree comes from the cache; towards 1e-4 most word
+    # boundaries expand explicitly because some leaf below them is pruned.
+    h = make_model("hmc", 1.5)
+    reference = naive_hmc_table(h, 5, 16, prune_eps)
+    table = enumerate_joint(h, 5, 16, prune_eps)
+    assert_tables_match(reference, table.entries, tol=1e-12)
+
+
+def test_fixed_level_hmc_matches_oracle():
+    deg = make_model("hmc", 1.5, fixed_level=5)
+    table = enumerate_joint(deg, 6, 16)
+    assert_tables_match(naive_hmc_table(deg, 6, 16), table.entries, tol=1e-12)
+    assert table.conservation_interval().contains(1.0)
 
 
 # ----- tail aggregation --------------------------------------------------------
