@@ -83,6 +83,12 @@ class RunConfig:
             raise ValueError("block lengths must be >= 1")
         if self.prune_eps is not None and not 0.0 <= self.prune_eps < 1.0:
             raise ValueError(f"prune threshold must lie in [0, 1), got {self.prune_eps}")
+        # A count below its floor would make a run check or sample nothing.
+        counts = ("windows", "trajectories", "trajectory_length", "path_budget", "entry_budget")
+        for name, floor in {**dict.fromkeys(counts, 1), "bootstrap": 0}.items():
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         if self.estimator not in ("plugin", "miller_madow"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.regressor not in ("auto",) + REGRESSORS:

@@ -5,7 +5,11 @@ length n each as a finite table:
 
   * the two cyclic kinds are mixtures of deterministic cycles, so each
     (level, phase) pair contributes its stationary mass to exactly one
-    (past, future) key;
+    (past, future) key.  One loop slides each level's word over the window.
+    A window of an hpm1 level m >= 2n shows at most one marker, so those
+    levels only add to 2n single-marker keys and the all-zero key, written
+    once; with tail aggregation these masses cover every m >= 2n in closed
+    form;
   * the ergodic kind's hidden paths branch at word boundaries.  Each path
     starts at a seed (level, phase); what follows a boundary depends only on
     how many of the 2n symbols are still needed, so that subtree is expanded
@@ -48,7 +52,7 @@ import numpy as np
 
 from .intervals import Interval, binary_entropy
 from .models import Kind, ProcessModel
-from .series import _CHUNK, squared_level_tail, tail_sum_bracket
+from .series import level_weight, squared_level_tail
 
 MIN_ENTRY_MASS = 1e-30
 
@@ -150,10 +154,12 @@ def enumerate_joint(
     `level_cutoff` truncates the level support (cyclic kinds) or the branch
     fan-out (ergodic kind); the discarded mass is accounted in
     `pruned_mass`, never silently renormalized.  `prune_eps` drops ergodic
-    paths whose probability falls below it.  `tail_aggregation` (first kind
-    only) replaces the level tail with its exact aggregate: beyond level 2n a
-    window holds at most one non-zero symbol, so the whole tail collapses to
-    2n+1 keys with bracketed masses and the table covers the full support.
+    paths whose probability falls below it.  For the first kind a window of
+    a level m >= 2n holds at most one non-zero symbol, so those levels
+    collapse into 2n+1 keys: the 2n single-marker windows and the all-zero
+    one.  `tail_aggregation` (first kind only) gives those keys the bracketed
+    masses of every level m >= 2n in closed form: the table covers the full
+    support and ignores `level_cutoff`.
 
     `path_budget` (ergodic kind) bounds the nodes of the path tree: one per
     seed (level, phase) and one per branch kept after a word boundary,
@@ -174,11 +180,10 @@ def enumerate_joint(
             raise ValueError("tail aggregation applies to the single-marker cyclic kind only")
         if model.fixed_level is not None:
             raise ValueError("tail aggregation needs the full heavy-tailed level law")
-        table = _enumerate_hpm1_aggregated(model, n, level_cutoff, entry_budget)
-    elif model.kind is Kind.HMC:
+    if model.kind is Kind.HMC:
         table = _enumerate_hmc(model, n, level_cutoff, prune_eps, path_budget, entry_budget)
     else:
-        table = _enumerate_cyclic(model, n, level_cutoff, entry_budget)
+        table = _enumerate_cyclic(model, n, level_cutoff, entry_budget, tail_aggregation)
     table.meta.update(
         {
             "kind": model.kind.value,
@@ -209,113 +214,63 @@ def _levels(model: ProcessModel, level_cutoff: int) -> Iterable[int]:
 
 
 def _enumerate_cyclic(
-    model: ProcessModel, n: int, level_cutoff: int, entry_budget: int
-) -> JointBlockTable:
-    length = 2 * n
-    c_relw = 0.0 if model.fixed_level is not None else model.norm_c.width / model.norm_c.mid
-    entries: dict[tuple[bytes, bytes], float] = {}
-    assigned = 0.0
-    for m in _levels(model, level_cutoff):
-        level_mass = model.level_mass(m).mid
-        assigned += level_mass
-        if model.kind is Kind.HPM1 and m >= length:
-            # A window sees at most one marker symbol: 2n single-marker
-            # windows with mass P/m each, the rest of the cycle is all zero.
-            per_phase = level_mass / m
-            buf = bytearray(length)
-            for j in range(length):
-                buf[j] = 1
-                key = (bytes(buf[:n]), bytes(buf[n:]))
-                entries[key] = entries.get(key, 0.0) + per_phase
-                buf[j] = 0
-            key = (bytes(n), bytes(n))
-            entries[key] = entries.get(key, 0.0) + level_mass * (m - length) / m
-        else:
-            word = model.emission_word(m)
-            r = len(word)
-            ext = word * ((length + r - 1) // r + 1)
-            per_phase = level_mass / r
-            for k in range(r):
-                win = ext[k : k + length]
-                key = (win[:n], win[n:])
-                entries[key] = entries.get(key, 0.0) + per_phase
-        if len(entries) > entry_budget:
-            raise BudgetExceededError(
-                f"table exceeded entry budget {entry_budget} at level {m} "
-                f"({_input_label(model, n, level_cutoff)})"
-            )
-    return JointBlockTable(
-        n=n,
-        alphabet_size=len(model.alphabet),
-        entries=entries,
-        pruned_mass=model.level_tail_mass(level_cutoff),
-        entry_slack=0.5 * c_relw * assigned,
-    )
-
-
-def _enumerate_hpm1_aggregated(
-    model: ProcessModel, n: int, level_cutoff: int, entry_budget: int
+    model: ProcessModel, n: int, level_cutoff: int, entry_budget: int, aggregate: bool
 ) -> JointBlockTable:
     length = 2 * n
     c_iv = model.norm_c
-    alpha = model.alpha
+    c_relw = 0.0 if model.fixed_level is not None else c_iv.width / c_iv.mid
     entries: dict[tuple[bytes, bytes], float] = {}
-    slack = 0.0
+    label = _input_label(model, n, level_cutoff)
 
-    # Exact region: levels short enough that a window shows the full period.
-    # Always covers [2, 2n) regardless of level_cutoff, which only moves the
-    # boundary between numeric summation and the bracketed tail.
+    def check_entries() -> None:
+        if len(entries) > entry_budget:
+            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+
     assigned = 0.0
-    for m in range(2, length):
+    # hpm1 levels m >= 2n: a window sees at most one marker, so each such
+    # level adds P/m to every one of the 2n single-marker keys and the rest of
+    # its cycle to the all-zero key.
+    marker = zero = 0.0
+    for m in range(2, length) if aggregate else _levels(model, level_cutoff):
         level_mass = model.level_mass(m).mid
         assigned += level_mass
+        if model.kind is Kind.HPM1 and m >= length:
+            marker += level_mass / m
+            zero += level_mass * (m - length) / m
+            continue
         word = model.emission_word(m)
-        ext = word * ((length + m - 1) // m + 1)
-        per_phase = level_mass / m
-        for k in range(m):
+        r = len(word)
+        ext = word * ((length + r - 1) // r + 1)
+        per_phase = level_mass / r
+        for k in range(r):
             win = ext[k : k + length]
             key = (win[:n], win[n:])
             entries[key] = entries.get(key, 0.0) + per_phase
-    slack += 0.5 * (c_iv.width / c_iv.mid) * assigned
-
-    # Aggregated region: every level m >= 2n contributes the same 2n+1 keys.
-    m0 = max(length, 2)
-    num_top = max(level_cutoff, 1 << 18, m0)
-    parts = []
-    for lo in range(m0, num_top + 1, _CHUNK):
-        ms = np.arange(lo, min(lo + _CHUNK, num_top + 1), dtype=np.float64)
-        w = 1.0 / (ms * np.log2(ms) ** alpha)
-        parts.append((float(np.sum(w)), float(np.sum(w / ms))))
-    sum_w, sum_w_over_m = (math.fsum(p) for p in zip(*parts))
-    tail_w = tail_sum_bracket(alpha, num_top + 1).interval
-    tail_w_over_m = squared_level_tail(alpha, num_top + 1)
-
-    marker_mass = c_iv * (Interval.point(sum_w_over_m) + tail_w_over_m)
-    zero_mass = c_iv * (
-        (Interval.point(sum_w) + tail_w)
-        - float(length) * (Interval.point(sum_w_over_m) + tail_w_over_m)
-    )
-    zero_mass = zero_mass.clamp(0.0, 1.0)
-
-    buf = bytearray(length)
-    for j in range(length):
-        buf[j] = 1
-        key = (bytes(buf[:n]), bytes(buf[n:]))
-        entries[key] = entries.get(key, 0.0) + marker_mass.mid
-        buf[j] = 0
-    key = (bytes(n), bytes(n))
-    entries[key] = entries.get(key, 0.0) + zero_mass.mid
-    slack += 0.5 * (length * marker_mass.width + zero_mass.width)
-
-    if len(entries) > entry_budget:
-        raise BudgetExceededError(
-            f"table exceeded entry budget {entry_budget} ({_input_label(model, n, level_cutoff)})"
-        )
+        check_entries()
+    slack = 0.5 * c_relw * assigned
+    if aggregate:
+        # Every level m >= 2n at once: the marker mass is C times the squared
+        # level tail, and the zero mass is what those levels leave over.
+        marker_iv = c_iv * squared_level_tail(model.alpha, length)
+        short = math.fsum(level_weight(m, model.alpha) for m in range(2, length))
+        zero_iv = ((1.0 - c_iv * short) - float(length) * marker_iv).clamp(0.0, 1.0)
+        marker, zero = marker_iv.mid, zero_iv.mid
+        slack += 0.5 * (length * marker_iv.width + zero_iv.width)
+    if marker:  # some level m >= 2n contributed
+        buf = bytearray(length)
+        for j in range(length):
+            buf[j] = 1
+            key = (bytes(buf[:n]), bytes(buf[n:]))
+            entries[key] = entries.get(key, 0.0) + marker
+            buf[j] = 0
+        key = (bytes(n), bytes(n))
+        entries[key] = entries.get(key, 0.0) + zero
+        check_entries()
     return JointBlockTable(
         n=n,
         alphabet_size=len(model.alphabet),
         entries=entries,
-        pruned_mass=Interval.point(0.0),
+        pruned_mass=Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff),
         entry_slack=slack,
     )
 

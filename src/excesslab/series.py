@@ -79,7 +79,7 @@ def partial_sum_bracket(alpha: float, n: int) -> SeriesBracket:
     _check_alpha(alpha)
     if n < 2:
         raise ValueError(f"partial sum starts at m=2, got n={n}")
-    integral = _integral_pow(alpha - 1.0, 1.0, _log2_int(n))
+    integral = _integral_pow(alpha - 1.0, 1.0, math.log2(n))
     return SeriesBracket(integral, integral + 0.5, 0.5)
 
 
@@ -92,21 +92,22 @@ def tail_sum_bracket(alpha: float, n: int) -> SeriesBracket:
     _check_alpha(alpha)
     if n < 2:
         raise ValueError(f"tail sum starts at m >= 2, got n={n}")
-    integral = _integral_pow(alpha, _log2_int(n), None)
-    first = 1.0 / (n * _log2_int(n) ** alpha) if n.bit_length() <= 1020 else 0.0
+    integral = _integral_pow(alpha, math.log2(n), None)
+    first = 1.0 / (n * math.log2(n) ** alpha) if n.bit_length() <= 1020 else 0.0
     return SeriesBracket(integral, integral + first, first)
 
 
-def squared_level_tail(alpha: float, a: int, direct_limit: int = 1 << 18) -> Interval:
+def squared_level_tail(alpha: float, a: int) -> Interval:
     """Enclosure of sum_{m=a}^{infinity} 1/(m**2 * log2(m)**alpha).
 
-    Converges fast (1/m**2); summed directly to `direct_limit`, then bracketed
-    using log2(m) >= log2(b) below and log2(m) <= 2*log2(b) on [b, b**2] above.
+    Converges fast (1/m**2); summed directly below b = max(a, 2**18), then
+    bracketed using log2(m) >= log2(b) below and log2(m) <= 2*log2(b) on
+    [b, b**2] above.
     """
     _check_alpha(alpha)
     if a < 2:
         raise ValueError(f"squared tail starts at m >= 2, got a={a}")
-    b = max(a, direct_limit)
+    b = max(a, 1 << 18)
     direct = 0.0
     if a < b:
         parts = []
@@ -114,7 +115,7 @@ def squared_level_tail(alpha: float, a: int, direct_limit: int = 1 << 18) -> Int
             m = np.arange(lo, min(lo + _CHUNK, b), dtype=np.float64)
             parts.append(float(np.sum(1.0 / (m * m * np.log2(m) ** alpha))))
         direct = math.fsum(parts)
-    lb = _log2_int(b)
+    lb = math.log2(b)
     f_b = 1.0 / (b * b * lb**alpha)
     int_hi = 1.0 / (b * lb**alpha)
     int_lo = (1.0 / b - 1.0 / (b * b)) / (2.0 * lb) ** alpha
@@ -233,7 +234,7 @@ def branch_normalization_sum(alpha: float, cutoff: int) -> Interval:
 
 def _group_sum(alpha_pow: float, a: int, b: int) -> Interval:
     """Enclosure of sum_{m=a}^{b} 1/(m * log2(m)**alpha_pow) for 2 <= a <= b."""
-    la, lb, lb1 = _log2_int(a), _log2_int(b), _log2_int(b + 1)
+    la, lb, lb1 = math.log2(a), math.log2(b), math.log2(b + 1)
     lower = _integral_pow(alpha_pow, la, lb1)
     # f(a) from la alone: the int a may be too large for a float.
     upper = _integral_pow(alpha_pow, la, lb) + math.exp2(-la) / la**alpha_pow
@@ -256,11 +257,6 @@ def _integral_pow(beta: float, p_lo: float, p_hi: float | None) -> float:
     if abs(beta - 1.0) < 1e-12:
         return LN2 * (math.log(p_hi) - math.log(p_lo))
     return LN2 / (1.0 - beta) * (p_hi ** (1.0 - beta) - p_lo ** (1.0 - beta))
-
-
-def _log2_int(m: int) -> float:
-    # math.log2 handles arbitrarily large ints exactly enough for brackets.
-    return math.log2(m)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -40,11 +40,15 @@ def naive_cyclic_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
     """Brute-force mixture enumeration over every (level, phase) pair.
 
     Deliberately plain: per level, walk each phase and slice the repeated
-    emission word; no structural shortcuts.
+    emission word; no structural shortcuts.  A `fixed_level` model walks its
+    one level, if the cutoff reaches it.
     """
     length = 2 * n
     entries: dict = {}
-    for m in range(2, level_cutoff + 1):
+    levels = range(2, level_cutoff + 1)
+    if model.fixed_level is not None:
+        levels = [m for m in levels if m == model.fixed_level]
+    for m in levels:
         level_mass = model.level_mass(m).mid
         word = model.emission_word(m)
         r = len(word)

@@ -77,6 +77,26 @@ def test_alpha_out_of_range_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["verify", "--windows", "0"], {}, "windows must be >= 1, got 0"),
+        (["estimate", "--trajectories", "0"], {}, "trajectories must be >= 1, got 0"),
+        (["estimate", "--bootstrap", "-3"], {}, "bootstrap must be >= 0, got -3"),
+        (["estimate", "--length", "0"], {}, "trajectory_length must be >= 1, got 0"),
+        (["exact"], {"path_budget": 0}, "path_budget must be >= 1, got 0"),
+        (["exact"], {"entry_budget": -1}, "entry_budget must be >= 1, got -1"),
+    ],
+)
+def test_count_that_checks_nothing_is_usage_error(tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        run_cli(args + ["--config", str(cfg), "--n", "2", "--out", str(tmp_path)] + FAST)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

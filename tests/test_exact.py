@@ -80,6 +80,37 @@ def test_hpm1_matches_bruteforce_oracle_n3():
     assert_tables_match(reference, table.entries)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_hpm1_matches_oracle_across_the_collapse_boundary(n):
+    # Levels m >= 2n collapse into the single-marker and all-zero keys.
+    m = make_model("hpm1", 1.5)
+    for cutoff in sorted({2 * n - 1, 2 * n, 2 * n + 1, 3 * n} - {1}):
+        table = enumerate_joint(m, n, cutoff)
+        assert_tables_match(naive_cyclic_table(m, n, cutoff), table.entries)
+        assert table.pruned_mass == m.level_tail_mass(cutoff)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_fixed_level_hpm1_matches_oracle_at_the_collapse_boundary(n):
+    for level in (2 * n, 2 * n + 3):
+        deg = make_model("hpm1", 1.5, fixed_level=level)
+        table = enumerate_joint(deg, n, 64)
+        assert_tables_match(naive_cyclic_table(deg, n, 64), table.entries)
+        assert table.conservation_interval().contains(1.0)
+
+
+@pytest.mark.parametrize("alpha, n", [(1.5, 1), (1.5, 4), (2.0, 16)])
+def test_aggregated_table_ignores_level_cutoff(alpha, n):
+    m = make_model("hpm1", alpha)
+    small, mid, big = (
+        enumerate_joint(m, n, cutoff, tail_aggregation=True) for cutoff in (4, 1 << 12, 1 << 19)
+    )
+    for t in (mid, big):
+        assert t.entries == small.entries
+        assert t.entry_slack == small.entry_slack
+        assert t.pruned_mass == small.pruned_mass == Interval.point(0.0)
+
+
 def test_hpm2_matches_bruteforce_oracle():
     m = make_model("hpm2", 1.5)
     reference = naive_cyclic_table(m, 4, 1 << 8)
