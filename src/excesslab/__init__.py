@@ -38,11 +38,8 @@ from .exact import (
     LabelDisagreementError,
     MIResult,
     block_mi,
-    conditional_mi_given,
     entropy,
     enumerate_joint,
-    label_entropy,
-    triple_information,
 )
 from .intervals import Interval, binary_entropy
 from .models import (
@@ -65,8 +62,6 @@ from .sampling import (
     sample_trajectory,
 )
 from .series import (
-    SeriesBracket,
-    digit_length,
     level_weight,
     level_weight_sums,
     normalization_sum,
@@ -89,7 +84,6 @@ __all__ = [
     "MIResult",
     "ProcessModel",
     "RateFitReport",
-    "SeriesBracket",
     "StateId",
     "Trajectory",
     "VerificationLedger",
@@ -98,7 +92,6 @@ __all__ = [
     "binary_length",
     "block_mi",
     "block_mi_upper_bound",
-    "conditional_mi_given",
     "decode_future_hmc",
     "decode_future_hpm1",
     "decode_future_hpm2",
@@ -107,14 +100,12 @@ __all__ = [
     "decode_past_hpm2",
     "decoded_level_entropy",
     "default_regressor",
-    "digit_length",
     "entropy",
     "enumerate_joint",
     "estimate_block_mi",
     "fit_rate",
     "future_decoder",
     "hidden_truth",
-    "label_entropy",
     "level_weight",
     "level_weight_sums",
     "mi_decomposition_residual",
@@ -130,7 +121,6 @@ __all__ = [
     "sample_trajectory",
     "squared_level_tail",
     "tail_sum_bracket",
-    "triple_information",
     "write_series_csv",
     "__version__",
 ]

@@ -53,7 +53,7 @@ def block_mi_upper_bound(
     top = 1 << n
     sums = level_weight_sums(alpha, top)
     p_b = (c * sums.s0).clamp(0.0, 1.0)
-    p_bc = (c * tail_sum_bracket(alpha, top + 1).interval).clamp(0.0, 1.0)
+    p_bc = (c * tail_sum_bracket(alpha, top + 1)).clamp(0.0, 1.0)
     low_part = _restricted_state_entropy(kind, alpha, c, sums) - entropy_term(p_b)
     high_part = float(n) * p_bc * math.log2(len(ALPHABETS[kind]))
     return low_part + high_part + 1.0

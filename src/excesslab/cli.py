@@ -43,7 +43,6 @@ from .sampling import estimate_block_mi, sample_trajectories, sample_trajectory
 from .verify import run_verification
 
 DEFAULT_HMC_CUTOFF = 64
-DEFAULT_HMC_PRUNE = 1e-9
 
 # What `_exact_row` resolves per block length; the manifest records it.
 _RESOLVED_KEYS = ("n", "level_cutoff", "prune_eps", "tail_aggregation")
@@ -55,7 +54,7 @@ class RunConfig:
     alpha: float = 1.5
     block_lengths: list[int] = dataclasses.field(default_factory=lambda: [2, 4, 8])
     level_cutoff: int | None = None
-    prune_eps: float | None = None
+    prune_eps: float = 0.0
     seeds: list[int] = dataclasses.field(default_factory=lambda: [0])
     estimator: str = "plugin"
     output_dir: str = "runs"
@@ -81,7 +80,7 @@ class RunConfig:
             raise ValueError("block lengths must be strictly increasing")
         if self.block_lengths[0] < 1:
             raise ValueError("block lengths must be >= 1")
-        if self.prune_eps is not None and not 0.0 <= self.prune_eps < 1.0:
+        if not 0.0 <= self.prune_eps < 1.0:
             raise ValueError(f"prune threshold must lie in [0, 1), got {self.prune_eps}")
         # A count below its floor would make a run check or sample nothing.
         counts = ("windows", "trajectories", "trajectory_length", "path_budget", "entry_budget")
@@ -112,7 +111,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**{k: v for k, v in data.items() if k in known})
+    # A null means the default: older manifests stored a null prune_eps.
+    cfg = RunConfig(**{k: v for k, v in data.items() if k in known and v is not None})
     cfg.validate()
     return cfg
 
@@ -151,16 +151,13 @@ def _exact_row(config: RunConfig, n: int) -> dict:
     aggregate = config.tail_aggregation
     if aggregate is None:
         aggregate = kind is Kind.HPM1
-    prune = config.prune_eps
-    if prune is None:
-        prune = DEFAULT_HMC_PRUNE if kind is Kind.HMC and n > 8 else 0.0
     row = {
         "kind": config.process,
         "alpha": config.alpha,
         "n": n,
         "source": "exact",
         "level_cutoff": cutoff,
-        "prune_eps": prune,
+        "prune_eps": config.prune_eps,
         "tail_aggregation": aggregate,
         "status": "ok",
     }
@@ -169,7 +166,7 @@ def _exact_row(config: RunConfig, n: int) -> dict:
             model,
             n,
             cutoff,
-            prune,
+            config.prune_eps,
             tail_aggregation=aggregate,
             path_budget=config.path_budget,
             entry_budget=config.entry_budget,
@@ -355,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="tail exponent in (1, 2] (default 1.5)")
         p.add_argument("--n", dest="block_lengths", type=_int_list, help="block lengths, e.g. 2,4,8")
         p.add_argument("--level-cutoff", dest="level_cutoff", type=int, help="level support cutoff (default: auto per kind)")
-        p.add_argument("--prune-eps", dest="prune_eps", type=float, help="path pruning threshold for the ergodic kind")
+        p.add_argument("--prune-eps", dest="prune_eps", type=float, help="path pruning threshold for the ergodic kind (default 0)")
         p.add_argument("--seed", dest="seeds", type=_int_list, help="seeds, e.g. 0,1,2")
         p.add_argument("--out", dest="output_dir", help="output directory (default runs)")
         p.add_argument("--series-cutoff", dest="series_cutoff", type=int, help="normalization series cutoff (default 1e7)")

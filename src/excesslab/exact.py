@@ -498,16 +498,10 @@ def _profile(table: JointBlockTable) -> _Profile:
     )
 
 
-def _plug_in_entropy(masses: list[float] | np.ndarray) -> float:
-    """Entropy of the masses renormalized to a distribution."""
-    arr = np.asarray(masses, dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    total = float(np.sum(arr))
-    if total <= 0.0:
-        return 0.0
-    q = arr / total
-    return float(-np.sum(q * np.log2(q)))
+def _entropy(weights: np.ndarray, total: float) -> float:
+    """Plug-in entropy of the positive weights, each divided by `total`."""
+    p = weights[weights > 0.0] / total
+    return float(-np.sum(p * np.log2(p)))
 
 
 def _runs(group: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -519,26 +513,25 @@ def _grouped_entropy(group: np.ndarray, masses: np.ndarray, count: int) -> np.nd
     """Plug-in entropy of each group's masses, renormalized within the group.
 
     Every group must be non-empty.  Each group's run is summed pairwise
-    (np.add.reduceat), as `_plug_in_entropy` sums a whole table."""
+    (np.add.reduceat), as `_entropy` sums a whole table."""
     m, lengths = _runs(group, masses, count)
     starts = np.cumsum(lengths) - lengths
     q = m / np.repeat(np.add.reduceat(m, starts), lengths)
     return -np.add.reduceat(q * np.log2(q), starts)
 
 
-def _plug_in_mi(masses: np.ndarray, past: np.ndarray, future: np.ndarray) -> float:
-    """Plug-in I(past; future) of the entries with these masses and past and
-    future block ids, renormalized by their exact total."""
-    total = math.fsum(masses.tolist())
+def _plug_in_mi(weights: np.ndarray, past: np.ndarray, future: np.ndarray) -> float:
+    """Plug-in I(past; future) of the atoms with these weights (masses or
+    counts) and past and future block ids, renormalized by their total.
+    With count weights, zero-weight atoms (the windows a bootstrap resample
+    did not draw) leave the value unchanged."""
+    total = float(np.sum(weights))
     if total <= 0.0:
         return 0.0
-    q = masses / total
-    past_q = np.bincount(past, q)
-    future_q = np.bincount(future, q)
     return (
-        _plug_in_entropy(past_q[past_q > 0.0])
-        + _plug_in_entropy(future_q[future_q > 0.0])
-        - _plug_in_entropy(q)
+        _entropy(np.bincount(past, weights), total)
+        + _entropy(np.bincount(future, weights), total)
+        - _entropy(weights, total)
     )
 
 
@@ -554,7 +547,7 @@ def _entropy_result(
     worst slope of -q*log2(q) above the smallest retained atom.
     """
     arr = np.asarray(masses, dtype=np.float64)
-    value = _plug_in_entropy(arr)
+    value = _entropy(arr, float(np.sum(arr)))
     delta = min(max(delta, 0.0), 1.0)
     err = delta * support_log2 + binary_entropy(delta)
     if entry_slack > 0.0 and arr.size:
@@ -595,13 +588,6 @@ def _block_mi(table: JointBlockTable, prof: _Profile) -> MIResult:
     value = h_past.value + h_future.value - h_joint.value
     err = h_past.err_high + h_future.err_high + h_joint.err_high
     return MIResult(value, err, err)
-
-
-def label_entropy(
-    table: JointBlockTable, past_label: Callable, future_label: Callable | None = None
-) -> MIResult:
-    """Certified entropy of a label that both blocks determine."""
-    return _label_profile(table, _profile(table), past_label, future_label)[2]
 
 
 def _label_profile(
@@ -666,30 +652,6 @@ def _label_decomposition(
     value = math.fsum(((np.asarray(masses) / total) * mis).tolist())
     err = e.err_high + h_label.err_high
     return e, h_label, MIResult(value, err, err)
-
-
-def conditional_mi_given(
-    table: JointBlockTable, past_label: Callable, future_label: Callable | None = None
-) -> MIResult:
-    """Certified I(past; future | label) for a label both blocks determine.
-
-    The label is evaluated on the past component and on the future component
-    of every entry; any disagreement raises LabelDisagreementError.  The
-    value is the label-mass-weighted average of the renormalized per-group
-    mutual informations, which for a two-sided label equals
-    block_mi(table) - H(label) identically.
-    """
-    return _label_decomposition(table, past_label, future_label)[2]
-
-
-def triple_information(table: JointBlockTable, event: Callable) -> float:
-    """Interaction information I(past; future; 1_B) for a block-pair event B.
-
-    Computed on the renormalized table as I(past;future) minus the
-    event-mass-weighted conditional informations; the information diagram
-    bounds it by H(1_B) <= 1 bit in absolute value.
-    """
-    return _triple_informations(table, [event])[0][0]
 
 
 def _triple_informations(

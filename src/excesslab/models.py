@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .intervals import Interval
 from .series import (
     branch_normalization_sum,
-    digit_length,
     level_weight,
     normalization_sum,
     tail_sum_bracket,
@@ -55,7 +54,7 @@ def binary_length(n: int) -> int:
     """s(n): the number of binary digits of n >= 1."""
     if n < 1:
         raise ValueError(f"binary_length requires n >= 1, got {n}")
-    return digit_length(n)
+    return n.bit_length()
 
 
 def binary_digit(n: int, k: int) -> int:
@@ -151,7 +150,7 @@ class ProcessModel:
         top = level_cutoff + 4096
         direct = math.fsum(level_weight(m, self.alpha) for m in range(level_cutoff + 1, top + 1))
         tail = tail_sum_bracket(self.alpha, top + 1)
-        return (self.norm_c * (direct + tail.interval)).clamp(0.0, 1.0)
+        return (self.norm_c * (direct + tail)).clamp(0.0, 1.0)
 
     # ----- kernel -----------------------------------------------------------
 

@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exact import _plug_in_mi
 from .models import Kind, ProcessModel, StateId, phase_count
 from .series import LN2, branch_normalization_sum, normalization_sum
 
@@ -315,23 +316,15 @@ def _encode_windows(windows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return joint_id, past_of, future_of
 
 
-def _entropy_counts(counts: np.ndarray, total: float) -> float:
-    p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
-
-
 def _mi_from_counts(
     joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str
 ) -> float:
     """Plug-in (or Miller-Madow) MI from the count of every distinct window."""
-    total = joint.sum()
-    past = np.bincount(past_of, weights=joint)
-    future = np.bincount(future_of, weights=joint)
-    value = _entropy_counts(past, total) + _entropy_counts(future, total)
-    value -= _entropy_counts(joint, total)
+    value = _plug_in_mi(joint, past_of, future_of)
     if method == "miller_madow":
+        past, future = np.bincount(past_of, joint), np.bincount(future_of, joint)
         k_past, k_future, k_joint = (np.count_nonzero(c) for c in (past, future, joint))
-        value += (k_past + k_future - k_joint - 1) / (2.0 * total * LN2)
+        value += (k_past + k_future - k_joint - 1) / (2.0 * joint.sum() * LN2)
     return value
 
 

@@ -40,36 +40,12 @@ _DIRECT_DIGITS = 22
 _CHUNK = 1 << 14
 
 
-def digit_length(m: int) -> int:
-    """Number of binary digits of m >= 1 (floor(log2 m) + 1)."""
-    if m < 1:
-        raise ValueError(f"digit_length requires m >= 1, got {m}")
-    return m.bit_length()
-
-
 def level_weight(m: int, alpha: float) -> float:
     """w(m) = 1 / (m * log2(m)**alpha) for a single level m >= 2."""
     return 1.0 / (m * math.log2(m) ** alpha)
 
 
-@dataclass(frozen=True)
-class SeriesBracket:
-    """A certified enclosure [lower, upper] with the slack term that widened it."""
-
-    lower: float
-    upper: float
-    slack: float
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lower, self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-
-def partial_sum_bracket(alpha: float, n: int) -> SeriesBracket:
+def partial_sum_bracket(alpha: float, n: int) -> Interval:
     """Enclosure of sum_{m=2}^{n} 1/(m * log2(m)**(alpha-1)).
 
     The closed-form integral is (ln2/(2-alpha)) * (log2(n)**(2-alpha) - 1)
@@ -80,10 +56,10 @@ def partial_sum_bracket(alpha: float, n: int) -> SeriesBracket:
     if n < 2:
         raise ValueError(f"partial sum starts at m=2, got n={n}")
     integral = _integral_pow(alpha - 1.0, 1.0, math.log2(n))
-    return SeriesBracket(integral, integral + 0.5, 0.5)
+    return Interval(integral, integral + 0.5)
 
 
-def tail_sum_bracket(alpha: float, n: int) -> SeriesBracket:
+def tail_sum_bracket(alpha: float, n: int) -> Interval:
     """Enclosure of sum_{m=n}^{infinity} 1/(m * log2(m)**alpha).
 
     Closed form ln2/(alpha-1) * log2(n)**(1-alpha) plus a slack of at most
@@ -94,7 +70,7 @@ def tail_sum_bracket(alpha: float, n: int) -> SeriesBracket:
         raise ValueError(f"tail sum starts at m >= 2, got n={n}")
     integral = _integral_pow(alpha, math.log2(n), None)
     first = 1.0 / (n * math.log2(n) ** alpha) if n.bit_length() <= 1020 else 0.0
-    return SeriesBracket(integral, integral + first, first)
+    return Interval(integral, integral + first)
 
 
 def squared_level_tail(alpha: float, a: int) -> Interval:
@@ -154,8 +130,7 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     s0, s1, s2, sd = (Interval.point(v) for v in _direct_sums(alpha, direct_top)[:4])
 
     if m_max > direct_top:
-        top_digits = digit_length(m_max)
-        for j in range(_DIRECT_DIGITS + 1, top_digits + 1):
+        for j in range(_DIRECT_DIGITS + 1, m_max.bit_length() + 1):
             a = 1 << (j - 1)
             b = min((1 << j) - 1, m_max)
             g0 = _group_sum(alpha, a, b)
@@ -200,8 +175,7 @@ def normalization_sum(alpha: float, cutoff: int) -> Interval:
     if cutoff < 2:
         raise ValueError(f"series cutoff must be >= 2, got {cutoff}")
     direct = _direct_sums(alpha, cutoff)[0]
-    tail = tail_sum_bracket(alpha, cutoff + 1)
-    return Interval(direct + tail.lower, direct + tail.upper)
+    return direct + tail_sum_bracket(alpha, cutoff + 1)
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +192,7 @@ def branch_normalization_sum(alpha: float, cutoff: int) -> Interval:
     total = Interval.point(_direct_sums(alpha, cutoff)[4])
 
     # Partial digit group containing cutoff+1, then ~2e4 whole groups.
-    j0 = digit_length(cutoff + 1)
+    j0 = (cutoff + 1).bit_length()
     first = _group_sum(alpha, cutoff + 1, (1 << j0) - 1) if cutoff + 1 <= (1 << j0) - 1 else Interval.point(0.0)
     total = total + first * Interval.point(1.0 / (3.0 * j0))
     j_top = j0 + 20000
@@ -228,7 +202,7 @@ def branch_normalization_sum(alpha: float, cutoff: int) -> Interval:
     highs = (ints + np.exp2(-(js - 1.0)) / (js - 1.0) ** alpha) / (3.0 * js)
     total = total + Interval(float(np.sum(lows)), float(np.sum(highs)))
     # Remainder beyond the last group.
-    rem_hi = tail_sum_bracket(alpha, 1 << j_top).upper / (3.0 * (j_top + 1))
+    rem_hi = tail_sum_bracket(alpha, 1 << j_top).hi / (3.0 * (j_top + 1))
     return total + Interval(0.0, rem_hi)
 
 

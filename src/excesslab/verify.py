@@ -59,9 +59,6 @@ class VerificationLedger:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, detail: str) -> None:
-        self.checks.append(CheckResult(name, bool(passed), detail))
-
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed,
@@ -80,10 +77,10 @@ def check_series_brackets(
     for i, alpha in enumerate(alphas):
         for n in points:
             br = partial_sum_bracket(alpha, n)
-            if not br.lower - 1e-12 <= partials[n][i] <= br.upper + 1e-12:
+            if not br.lo - 1e-12 <= partials[n][i] <= br.hi + 1e-12:
                 failures.append(f"partial alpha={alpha} n={n}")
             near, far = tail_sum_bracket(alpha, n), tail_sum_bracket(alpha, 2 * n)
-            if not near.lower - far.upper - 1e-12 <= segments[n][i] <= near.upper - far.lower + 1e-12:
+            if not near.lo - far.hi - 1e-12 <= segments[n][i] <= near.hi - far.lo + 1e-12:
                 failures.append(f"tail alpha={alpha} n={n}")
     detail = "all direct sums inside brackets" if not failures else "; ".join(failures)
     return CheckResult("series_brackets", not failures, detail)
@@ -310,7 +307,7 @@ def run_verification(
 ) -> VerificationLedger:
     """Run the whole suite at a configurable desk scale."""
     ledger = VerificationLedger()
-    ledger.add(*_astuple(check_series_brackets()))
+    ledger.checks.append(check_series_brackets())
 
     tables: dict = {}
     mi_results: dict = {}
@@ -328,7 +325,7 @@ def run_verification(
                 tables[(kind, alpha, n)] = table
                 mi_results[(kind, alpha, n)] = block_mi(table)
 
-    ledger.add(*_astuple(check_decomposition(tables)))
+    ledger.checks.append(check_decomposition(tables))
     for kind in kinds:
         kind = Kind(kind)
         model = ProcessModel(kind, alphas[0], series_cutoff=series_cutoff)
@@ -340,17 +337,11 @@ def run_verification(
                 v = _f(block)
                 return v + 1 if v else 0
 
-        ledger.add(
-            *_astuple(
-                check_decoder_agreement(model, windows=windows, past_override=override)
-            )
+        ledger.checks.append(
+            check_decoder_agreement(model, windows=windows, past_override=override)
         )
-    ledger.add(*_astuple(check_sandwich(tables, series_cutoff)))
+    ledger.checks.append(check_sandwich(tables, series_cutoff))
     small = {k: t for k, t in tables.items() if k[2] <= 8 and len(t.entries) < 50_000}
-    ledger.add(*_astuple(check_triple_bound(small)))
-    ledger.add(*_astuple(check_monotonicity(mi_results)))
+    ledger.checks.append(check_triple_bound(small))
+    ledger.checks.append(check_monotonicity(mi_results))
     return ledger
-
-
-def _astuple(check: CheckResult):
-    return check.name, check.passed, check.detail

@@ -129,11 +129,11 @@ def test_criterion_4_series_brackets():
             m = np.arange(2, n + 1, dtype=np.float64)
             direct = float(np.sum(1.0 / (m * np.log2(m) ** (alpha - 1.0))))
             br = partial_sum_bracket(alpha, n)
-            assert br.lower - 1e-12 <= direct <= br.upper + 1e-12, (alpha, n)
+            assert br.lo - 1e-12 <= direct <= br.hi + 1e-12, (alpha, n)
             seg = np.arange(n, 4 * n, dtype=np.float64)
             direct_seg = float(np.sum(1.0 / (seg * np.log2(seg) ** alpha)))
-            lo = tail_sum_bracket(alpha, n).lower - tail_sum_bracket(alpha, 4 * n).upper
-            hi = tail_sum_bracket(alpha, n).upper - tail_sum_bracket(alpha, 4 * n).lower
+            lo = tail_sum_bracket(alpha, n).lo - tail_sum_bracket(alpha, 4 * n).hi
+            hi = tail_sum_bracket(alpha, n).hi - tail_sum_bracket(alpha, 4 * n).lo
             assert lo - 1e-12 <= direct_seg <= hi + 1e-12, (alpha, n)
             checks += 2
     elapsed = time.time() - start

@@ -205,7 +205,7 @@ def test_bound_matches_bruteforce_stationary_sum(kind, alpha):
     pb = arr.sum()
     h_cond = float(-np.sum(arr / pb * np.log2(arr / pb)))
     tail = tail_sum_bracket(alpha, (1 << n) + 1)
-    pbc = model.norm_c.mid * 0.5 * (tail.lower + tail.upper)
+    pbc = model.norm_c.mid * 0.5 * (tail.lo + tail.hi)
     direct = pb * h_cond + n * pbc * math.log2(len(model.alphabet)) + 1.0
     iv = block_mi_upper_bound(kind, alpha, n, FAST_SERIES_CUTOFF)
     assert iv.lo - 1e-6 <= direct <= iv.hi + 1e-6

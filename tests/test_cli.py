@@ -65,6 +65,19 @@ def test_manifest_records_resolved_configuration(tmp_path):
     ]
 
 
+def test_exact_hmc_runs_unpruned_by_default(tmp_path):
+    # At cutoff 64 pruning hmc is slower than prune_eps 0 and never leaves
+    # less mass out, so no n is pruned unless asked.
+    cfg = tmp_path / "old-manifest-config.json"
+    cfg.write_text(json.dumps({"prune_eps": None}))  # what older manifests stored
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / f"run{len(extra)}"
+        args = ["exact", "--process", "hmc", "--n", "9", "--out", str(out)] + extra
+        assert run_cli(args + FAST) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved"][0]["prune_eps"] == 0.0
+
+
 def test_exact_empty_block_lengths_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli(["exact", "--process", "hpm1", "--n", "", "--out", str(tmp_path)] + FAST)

@@ -69,13 +69,13 @@ def test_level_probabilities_sum_to_one_within_enclosure():
 def test_level_tail_mass_is_tight_and_inside_the_bracket(kind, alpha, cutoff):
     m = make_model(kind, alpha)
     tail = m.level_tail_mass(cutoff)
-    bracket = m.norm_c * tail_sum_bracket(alpha, cutoff + 1).interval
+    bracket = m.norm_c * tail_sum_bracket(alpha, cutoff + 1)
     assert bracket.lo <= tail.lo and tail.hi <= bracket.hi
     assert tail.width < 4e-6  # the bare bracket is up to 1.6e-3 wide here
     top = 1 << 22
     levels = np.arange(cutoff + 1, top + 1, dtype=np.float64)
     direct = math.fsum(1.0 / (levels * np.log2(levels) ** alpha))
-    reference = m.norm_c * (direct + tail_sum_bracket(alpha, top + 1).interval)
+    reference = m.norm_c * (direct + tail_sum_bracket(alpha, top + 1))
     assert tail.lo <= reference.lo and reference.hi <= tail.hi
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from excesslab.exact import block_mi, enumerate_joint
+from excesslab.exact import _plug_in_mi, _profile, block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
     Trajectory,
@@ -303,3 +303,30 @@ def test_estimator_matches_counter_oracle(kind):
                     # to ~4e-15 bits, which is more than 1e-12 of an SE near 1e-5.
                     assert report.point_estimate == pytest.approx(point, rel=1e-12, abs=1e-13), case
                     assert report.std_error == pytest.approx(std, rel=1e-12, abs=1e-13), case
+
+
+@pytest.mark.parametrize("kind,level", [("hpm1", 5), ("hpm2", 6)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pooled_plug_in_equals_exact_block_mi_on_one_cycle(kind, level, n):
+    # One window of length 2n per phase of a fixed level has exactly the law
+    # of the exact table, so the estimator and the exact engine must meet in
+    # the plug-in MI they share.  Fewer than 4 phases are repeated, because
+    # the estimator needs 4 windows.
+    model = make_model(kind, 1.5, fixed_level=level)
+    r = model.phase_count(level)
+    ext = model.emission_word(level) * (2 * n // r + 2)
+    trajs = [
+        Trajectory(ext[k : k + 2 * n], seed=0, stream=k, kind=kind, alpha=1.5) for k in range(r)
+    ] * (2 if r < 4 else 1)
+    report = estimate_block_mi(trajs, n, bootstrap_resamples=0)
+    table = enumerate_joint(model, n, level)
+    assert report.point_estimate == pytest.approx(block_mi(table).value, abs=1e-12)
+
+    # A bootstrap resample leaves windows with count 0, some with block ids
+    # that no drawn window has; they must not move the value.
+    prof = _profile(table)
+    counts = np.rint(prof.masses * r).astype(np.int64)  # windows per entry
+    padded = np.append(np.stack([counts, np.zeros_like(counts)], axis=1).ravel(), 0)
+    past = np.append(np.repeat(prof.past, 2), prof.past.max() + 1)
+    future = np.append(np.repeat(prof.future, 2), prof.future.max() + 1)
+    assert _plug_in_mi(padded, past, future) == _plug_in_mi(counts, prof.past, prof.future)

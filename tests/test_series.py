@@ -32,7 +32,7 @@ def direct_partial(alpha: float, n: int) -> float:
 def test_partial_bracket_contains_direct_sum(alpha, n):
     br = partial_sum_bracket(alpha, n)
     value = direct_partial(alpha, n)
-    assert br.lower - 1e-12 <= value <= br.upper + 1e-12
+    assert br.lo - 1e-12 <= value <= br.hi + 1e-12
 
 
 def test_partial_bracket_width_is_always_half():
@@ -40,21 +40,20 @@ def test_partial_bracket_width_is_always_half():
         for n in POINTS:
             br = partial_sum_bracket(alpha, n)
             assert br.width == pytest.approx(0.5)
-            assert br.slack == 0.5
 
 
 def test_partial_bracket_alpha2_n2_endpoints():
     br = partial_sum_bracket(2.0, 2)
-    assert br.lower == pytest.approx(0.0, abs=1e-15)
-    assert br.upper == pytest.approx(0.5)
+    assert br.lo == pytest.approx(0.0, abs=1e-15)
+    assert br.hi == pytest.approx(0.5)
     # the actual single-term sum is 1/2, on the bracket boundary
-    assert br.lower <= 0.5 <= br.upper
+    assert br.lo <= 0.5 <= br.hi
 
 
 def test_tail_bracket_alpha2_n2_closed_form():
     br = tail_sum_bracket(2.0, 2)
-    assert br.lower == pytest.approx(math.log(2.0))
-    assert br.slack == pytest.approx(0.5)
+    assert br.lo == pytest.approx(math.log(2.0))
+    assert br.width == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -67,11 +66,11 @@ def test_tail_bracket_against_high_cutoff_summation(alpha):
     m = np.arange(n, top, dtype=np.float64)
     direct = float(np.sum(1.0 / (m * np.log2(m) ** alpha)))
     rec = tail_sum_bracket(alpha, top)
-    oracle_lo = direct + rec.lower
-    oracle_hi = direct + rec.upper
+    oracle_lo = direct + rec.lo
+    oracle_hi = direct + rec.hi
     br = tail_sum_bracket(alpha, n)
-    assert br.lower <= oracle_hi and oracle_lo <= br.upper
-    assert br.lower - 1e-12 <= 0.5 * (oracle_lo + oracle_hi) <= br.upper + 1e-12
+    assert br.lo <= oracle_hi and oracle_lo <= br.hi
+    assert br.lo - 1e-12 <= 0.5 * (oracle_lo + oracle_hi) <= br.hi + 1e-12
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -79,8 +78,8 @@ def test_tail_bracket_against_high_cutoff_summation(alpha):
 def test_tail_bracket_telescoping(alpha, n):
     seg = np.arange(n, 2 * n, dtype=np.float64)
     direct = float(np.sum(1.0 / (seg * np.log2(seg) ** alpha)))
-    lo = tail_sum_bracket(alpha, n).lower - tail_sum_bracket(alpha, 2 * n).upper
-    hi = tail_sum_bracket(alpha, n).upper - tail_sum_bracket(alpha, 2 * n).lower
+    lo = tail_sum_bracket(alpha, n).lo - tail_sum_bracket(alpha, 2 * n).hi
+    hi = tail_sum_bracket(alpha, n).hi - tail_sum_bracket(alpha, 2 * n).lo
     assert lo - 1e-12 <= direct <= hi + 1e-12
 
 
@@ -114,7 +113,7 @@ def test_normalization_width_alpha2_against_high_cutoff_oracle():
         chunks.append(float(np.sum(1.0 / (m * np.log2(m) ** 2.0))))
     direct = math.fsum(chunks)
     tail = tail_sum_bracket(2.0, top + 1)
-    oracle = (direct + tail.lower, direct + tail.upper)
+    oracle = (direct + tail.lo, direct + tail.hi)
 
     c = normalization_sum(2.0, 10**7).reciprocal()
     assert c.width <= 1e-6
