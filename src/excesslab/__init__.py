@@ -20,12 +20,6 @@ from .analysis import (
 )
 from .decoders import (
     DecompositionCheck,
-    decode_future_hmc,
-    decode_future_hpm1,
-    decode_future_hpm2,
-    decode_past_hmc,
-    decode_past_hpm1,
-    decode_past_hpm2,
     decoded_level_entropy,
     future_decoder,
     hidden_truth,
@@ -92,12 +86,6 @@ __all__ = [
     "binary_length",
     "block_mi",
     "block_mi_upper_bound",
-    "decode_future_hmc",
-    "decode_future_hpm1",
-    "decode_future_hpm2",
-    "decode_past_hmc",
-    "decode_past_hpm1",
-    "decode_past_hpm2",
     "decoded_level_entropy",
     "default_regressor",
     "entropy",

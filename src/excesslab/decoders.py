@@ -7,6 +7,13 @@ the future block alone.  The decoders here are total functions of the block:
 they return the decoded level, or 0 when the block does not determine one.
 Unreachable blocks carry no mass, so returning 0 on them is harmless.
 
+Each decoder works on a matrix of blocks, one uint8 row per distinct block,
+and returns one level per row, all in numpy.  Rows are decoded in chunks of
+2**16 symbols, so temporaries stay bounded.  A future block is decoded as its
+reversal with the past rule, with its digits read the other way.  Levels
+are int64 unless a digit word has 62 or more digits, which needs n >= 126;
+the levels are then exact Python integers in an object array.
+
 The decomposition E(n) = H(D) + I(past; future | D) then gives certified
 lower bounds on block mutual information through the closed-form H(D).
 """
@@ -15,159 +22,105 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
+
+import numpy as np
 
 from .exact import JointBlockTable, MIResult, _label_decomposition
 from .intervals import Interval, entropy_term
-from .models import DEFAULT_SERIES_CUTOFF, Kind, binary_length
+from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind, binary_length
 from .series import level_weight_sums, normalization_sum
 
-Block = Sequence[int]
-
-_RUN_BYTE = b"\x03"
-_SYMBOLS = {top: bytes(range(top + 1)) for top in (1, 2, 3)}
-_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_CHUNK_SYMBOLS = 1 << 16  # symbols decoded at once
+_LIMB = 62  # digits per int64 limb of a level
 
 
-def _as_bytes(block: Block, top: int) -> bytes:
-    """Validate the symbol range and get a bytes view for C-speed scanning."""
-    b = block if isinstance(block, bytes) else bytes(block)
-    # Stripping the alphabet off both ends leaves nothing unless some
-    # symbol lies outside it; the largest symbol is then a bad one.
-    if b.strip(_SYMBOLS[top]):
-        raise ValueError(f"symbol {max(b)} outside alphabet 0..{top}")
-    return b
+def _decode(kind: Kind, future: bool, blocks: np.ndarray) -> np.ndarray:
+    """The decoded level of each row of the (k, n) block matrix, 0 where the
+    row does not determine one.  Raises ValueError on a symbol outside the
+    kind's alphabet."""
+    blocks = np.asarray(blocks)
+    top = ALPHABETS[kind][-1]
+    if blocks.size and blocks.max() > top:
+        raise ValueError(f"symbol {blocks.max()} outside alphabet 0..{top}")
+    # One block per column, so that every reduction over a block's symbols
+    # runs along contiguous rows; a future block is read from its end.
+    columns = blocks.T[::-1] if future else blocks.T
+    chunk = max(1, _CHUNK_SYMBOLS // blocks.shape[1])
+    parts = [
+        _decode_columns(kind, future, np.ascontiguousarray(columns[:, i : i + chunk]))
+        for i in range(0, len(blocks), chunk)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0, np.int64)
 
 
-def _level_from_digits(digits: bytes) -> int:
-    """The level whose binary digits after the leading 1 are `digits`."""
-    return int(b"1" + digits.translate(_DIGIT_CHARS), 2)
+def _decode_columns(kind: Kind, mirror: bool, c: np.ndarray) -> np.ndarray:
+    """The past rules, on one chunk of blocks held as the columns of `c`.
+
+    hpm1 and hpm2 read the last two markers (1) or delimiters (2): their
+    distance p must satisfy 2p <= n, and for hpm2 p >= 2, with the digit
+    word in between.  hmc reads (delimiter, digits, run of 3s) at the end of
+    the block: with s = digits + 1, the run must have length 1..s and
+    2s <= n.  Positions are int16 (int64 past 2**14 symbols)."""
+    n = len(c)
+    pos = np.arange(n, dtype=np.int16 if n < 1 << 14 else np.int64)[:, None]
+    if kind is Kind.HMC:
+        head = np.where(c != 3, pos, -1).max(0)  # the run of 3s follows it
+        start = np.where((c == 2) & (pos <= head), pos, -1).max(0)
+        stop = head + 1
+        run = n - stop
+        ok = (start >= 0) & (run >= 1) & (stop - start >= 2) & (run <= stop - start)
+        ok &= np.where((c == 3) & (pos <= head), pos, -1).max(0) < start  # digits only
+    else:
+        marks = np.where(c == ALPHABETS[kind][-1], pos, -1)  # marker 1 or delimiter 2
+        stop = marks.max(0)
+        start = np.where(marks < stop, marks, -1).max(0)
+        ok = start >= 0
+        if kind is Kind.HPM1:
+            return np.where(ok & (stop - start <= n // 2), stop - start, 0).astype(np.int64)
+        ok &= stop - start >= 2
+    ok &= stop - start <= n // 2
+    start = np.where(ok, start, stop - 1)  # an empty word where nothing decodes
+    return np.where(ok, _word_levels(c, pos, start, stop, mirror), 0)
 
 
-# ----- single-marker cyclic kind ---------------------------------------------
+def _word_levels(
+    c: np.ndarray, pos: np.ndarray, start: np.ndarray, stop: np.ndarray, mirror: bool
+) -> np.ndarray:
+    """int("1" + word, 2) for the binary word c[start+1:stop] of each
+    column, most significant digit first, or last when `mirror`.
+
+    Each int64 limb holds 62 place values; a word of 62 or more digits joins
+    its limbs as exact Python integers."""
+    place = pos - start - 1 if mirror else stop - 1 - pos
+    digits = stop - start - 1
+    ones = c == 1
+    limbs = []
+    for low in range(0, int(digits.max()) + 1, _LIMB):
+        part = place - low
+        bits = ones & (part >= 0) & (part < np.minimum(digits - low, _LIMB))
+        lead = (digits >= low) & (digits < low + _LIMB)
+        # Shifts are masked to 0..63, where only the bits kept are nonzero.
+        limbs.append(
+            (bits.astype(np.int64) << (part & 63)).sum(0)
+            | (lead.astype(np.int64) << ((digits - low) & 63))
+        )
+    levels = limbs[-1]
+    for limb in reversed(limbs[:-1]):
+        levels = (levels.astype(object) << _LIMB) | limb.astype(object)
+    return levels
 
 
-def decode_past_hpm1(past: Block) -> int:
-    """Period revealed by the past block: distance between the last two
-    marker symbols, if twice that distance fits in the block; else 0."""
-    b = _as_bytes(past, 1)
-    last = b.rfind(1)
-    if last < 0:
-        return 0
-    second = b.rfind(1, 0, last)
-    if second < 0:
-        return 0
-    period = last - second
-    return period if 2 * period <= len(b) else 0
+def past_decoder(kind: Kind | str) -> Callable[[np.ndarray], np.ndarray]:
+    """The past rule of `kind` on a (k, n) uint8 matrix of blocks."""
+    return partial(_decode, Kind(kind), False)
 
 
-def decode_future_hpm1(future: Block) -> int:
-    """Mirror rule: distance between the first two marker symbols."""
-    b = _as_bytes(future, 1)
-    first = b.find(1)
-    if first < 0:
-        return 0
-    nxt = b.find(1, first + 1)
-    if nxt < 0:
-        return 0
-    period = nxt - first
-    return period if 2 * period <= len(b) else 0
-
-
-# ----- digit cyclic kind ------------------------------------------------------
-
-
-def decode_past_hpm2(past: Block) -> int:
-    """Level whose digit word sits between the last two delimiters, if the
-    full period (twice the digit count) fits in the block; else 0."""
-    b = _as_bytes(past, 2)
-    last = b.rfind(2)
-    if last < 0:
-        return 0
-    second = b.rfind(2, 0, last)
-    if second < 0:
-        return 0
-    period = last - second
-    if period < 2 or 2 * period > len(b):
-        return 0
-    return _level_from_digits(b[second + 1 : last])
-
-
-def decode_future_hpm2(future: Block) -> int:
-    """Mirror rule on the first two delimiters."""
-    b = _as_bytes(future, 2)
-    first = b.find(2)
-    if first < 0:
-        return 0
-    nxt = b.find(2, first + 1)
-    if nxt < 0:
-        return 0
-    period = nxt - first
-    if period < 2 or 2 * period > len(b):
-        return 0
-    return _level_from_digits(b[first + 1 : nxt])
-
-
-# ----- ergodic copy kind ------------------------------------------------------
-
-
-def decode_past_hmc(past: Block) -> int:
-    """Level read off a past block ending in (delimiter, digits, run of 3s).
-
-    The trailing run of separator symbols must have length l in 1..s(m) and
-    the digit word (with its leading delimiter) must be fully visible with
-    2*s(m) <= n; any violation decodes to 0.
-    """
-    b = _as_bytes(past, 3)
-    head = b.rstrip(_RUN_BYTE)
-    run = len(b) - len(head)
-    if run == 0:
-        return 0
-    start = head.rfind(2)
-    if start < 0:
-        return 0
-    digits = head[start + 1 :]
-    if not digits or digits.find(3) >= 0:
-        return 0
-    s = len(digits) + 1
-    if run > s or 2 * s > len(b):
-        return 0
-    return _level_from_digits(digits)
-
-
-def decode_future_hmc(future: Block) -> int:
-    """Mirror rule: (run of 3s, digits, delimiter) at the start of the block."""
-    b = _as_bytes(future, 3)
-    tail = b.lstrip(_RUN_BYTE)
-    run = len(b) - len(tail)
-    if run == 0:
-        return 0
-    end = tail.find(2)
-    if end < 0:
-        return 0
-    digits = tail[:end]
-    if not digits or digits.find(3) >= 0:
-        return 0
-    s = len(digits) + 1
-    if run > s or 2 * s > len(b):
-        return 0
-    return _level_from_digits(digits)
-
-
-_PAST = {Kind.HPM1: decode_past_hpm1, Kind.HPM2: decode_past_hpm2, Kind.HMC: decode_past_hmc}
-_FUTURE = {
-    Kind.HPM1: decode_future_hpm1,
-    Kind.HPM2: decode_future_hpm2,
-    Kind.HMC: decode_future_hmc,
-}
-
-
-def past_decoder(kind: Kind | str) -> Callable[[Block], int]:
-    return _PAST[Kind(kind)]
-
-
-def future_decoder(kind: Kind | str) -> Callable[[Block], int]:
-    return _FUTURE[Kind(kind)]
+def future_decoder(kind: Kind | str) -> Callable[[np.ndarray], np.ndarray]:
+    """The future rule of `kind`: the past rule on each reversed block, with
+    the digit word read back to front."""
+    return partial(_decode, Kind(kind), True)
 
 
 def hidden_truth(kind: Kind | str, state_at_origin, n: int) -> int:

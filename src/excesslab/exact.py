@@ -36,9 +36,11 @@ summation, whose rounding is far below every certified width.
 
 The reductions are array-native.  One pass over the entries gives each its
 past and future block ids and the two marginals; a label reduction then
-labels each distinct block once, and takes every label group's mass, past,
-future and joint entropy from sorted per-group runs, with no sub-table per
-group.
+stacks the distinct past (and future) blocks into one uint8 matrix, labels
+it with one array call (a level decoder, for the decomposition), numbers the
+label groups in first-appearance order with np.unique, and takes every
+group's mass, past, future and joint entropy from sorted per-group runs,
+with no sub-table per group.
 """
 
 from __future__ import annotations
@@ -525,13 +527,18 @@ def _plug_in_mi(weights: np.ndarray, past: np.ndarray, future: np.ndarray) -> fl
     counts) and past and future block ids, renormalized by their total.
     With count weights, zero-weight atoms (the windows a bootstrap resample
     did not draw) leave the value unchanged."""
+    return _marginals_mi(weights, np.bincount(past, weights), np.bincount(future, weights))
+
+
+def _marginals_mi(
+    weights: np.ndarray, past_weights: np.ndarray, future_weights: np.ndarray
+) -> float:
+    """`_plug_in_mi` from the summed weights of each past and future block."""
     total = float(np.sum(weights))
     if total <= 0.0:
         return 0.0
     return (
-        _entropy(np.bincount(past, weights), total)
-        + _entropy(np.bincount(future, weights), total)
-        - _entropy(weights, total)
+        _entropy(past_weights, total) + _entropy(future_weights, total) - _entropy(weights, total)
     )
 
 
@@ -565,10 +572,12 @@ def entropy(table: JointBlockTable) -> MIResult:
     process conditioned on the retained support; the pruned mass enters the
     certified error bar, never the value.
     """
+    return _joint_entropy(table, list(table.entries.values()))
+
+
+def _joint_entropy(table: JointBlockTable, masses: list[float] | np.ndarray) -> MIResult:
     support = 2 * table.n * math.log2(table.alphabet_size)
-    return _entropy_result(
-        list(table.entries.values()), table.pruned_mass.hi, support, table.entry_slack
-    )
+    return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
 
 
 def _marginal_entropy(table: JointBlockTable, masses: np.ndarray) -> MIResult:
@@ -584,7 +593,7 @@ def block_mi(table: JointBlockTable) -> MIResult:
 def _block_mi(table: JointBlockTable, prof: _Profile) -> MIResult:
     h_past = _marginal_entropy(table, prof.past_mass)
     h_future = _marginal_entropy(table, prof.future_mass)
-    h_joint = entropy(table)
+    h_joint = _joint_entropy(table, prof.masses)
     value = h_past.value + h_future.value - h_joint.value
     err = h_past.err_high + h_future.err_high + h_joint.err_high
     return MIResult(value, err, err)
@@ -596,35 +605,45 @@ def _label_profile(
     """One labelling pass: the group id of every entry, past block and future
     block, the group masses and the certified label entropy.
 
-    Each distinct block is labelled once; labels may be any hashable.  Groups
-    are numbered in order of first appearance among the entries, and each
-    group mass is an exact (math.fsum) sum of its entries."""
+    A labeller takes the (k, n) uint8 matrix of the distinct past (or
+    future) blocks and returns one label per row, of any dtype np.unique
+    sorts.  Groups are numbered in order of first appearance among the past
+    then the future blocks, and each group mass is an exact (math.fsum) sum
+    of its entries."""
     if future_label is None:
         future_label = past_label
-    past_z = [past_label(block) for block in prof.past_blocks]
-    future_z = [future_label(block) for block in prof.future_blocks]
-    ids: dict = {}
-    past_group = np.fromiter((ids.setdefault(z, len(ids)) for z in past_z), np.intp, len(past_z))
-    future_group = np.fromiter(
-        (ids.setdefault(z, len(ids)) for z in future_z), np.intp, len(future_z)
+    # Both matrices exist before either is labelled; labelling the first
+    # before building the second measured 2 MB more peak RSS at hpm2 n=24.
+    past_blocks = _block_matrix(prof.past_blocks, table.n)
+    future_blocks = _block_matrix(prof.future_blocks, table.n)
+    past_z, future_z = past_label(past_blocks), future_label(future_blocks)
+    _, first, inverse = np.unique(
+        np.concatenate([past_z, future_z]), return_index=True, return_inverse=True
     )
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    past_group, future_group = np.split(rank[inverse], [len(past_z)])
     entry_group = past_group[prof.past]
     bad = np.flatnonzero(entry_group != future_group[prof.future])
     if bad.size:
-        i = int(bad[0])
-        past, future = prof.past_blocks[prof.past[i]], prof.future_blocks[prof.future[i]]
+        p, f = prof.past[bad[0]], prof.future[bad[0]]
         raise LabelDisagreementError(
-            f"label mismatch on entry past={list(past)} future={list(future)}: "
-            f"past-computed {past_z[prof.past[i]]!r} vs "
-            f"future-computed {future_z[prof.future[i]]!r}"
+            f"label mismatch on entry past={list(prof.past_blocks[p])} "
+            f"future={list(prof.future_blocks[f])}: "
+            f"past-computed {past_z[p]} vs future-computed {future_z[f]}"
         )
-    ordered, lengths = _runs(entry_group, prof.masses, len(ids))
+    ordered, lengths = _runs(entry_group, prof.masses, len(first))
     bounds = [0] + np.cumsum(lengths).tolist()
     ordered = ordered.tolist()
     masses = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
     support = table.n * math.log2(table.alphabet_size)
     h_label = _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
     return (entry_group, past_group, future_group), masses, h_label
+
+
+def _block_matrix(blocks: list[bytes], n: int) -> np.ndarray:
+    """The blocks, each of length n, as the rows of one uint8 matrix."""
+    return np.frombuffer(b"".join(blocks), np.uint8).reshape(len(blocks), n)
 
 
 def _label_decomposition(
@@ -664,7 +683,7 @@ def _triple_informations(
     total = math.fsum(prof.masses.tolist())
     if total <= 0.0:
         return [(0.0, 0.0)] * len(events)
-    full_mi = _plug_in_mi(prof.masses, prof.past, prof.future)
+    full_mi = _marginals_mi(prof.masses, prof.past_mass, prof.future_mass)
 
     def side_mi(side: np.ndarray) -> float:
         return _plug_in_mi(prof.masses[side], prof.past[side], prof.future[side])

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _plug_in_mi
+from .exact import _marginals_mi
 from .models import Kind, ProcessModel, StateId, phase_count
 from .series import LN2, branch_normalization_sum, normalization_sum
 
@@ -320,9 +320,9 @@ def _mi_from_counts(
     joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str
 ) -> float:
     """Plug-in (or Miller-Madow) MI from the count of every distinct window."""
-    value = _plug_in_mi(joint, past_of, future_of)
+    past, future = np.bincount(past_of, joint), np.bincount(future_of, joint)
+    value = _marginals_mi(joint, past, future)
     if method == "miller_madow":
-        past, future = np.bincount(past_of, joint), np.bincount(future_of, joint)
         k_past, k_future, k_joint = (np.count_nonzero(c) for c in (past, future, joint))
         value += (k_past + k_future - k_joint - 1) / (2.0 * joint.sum() * LN2)
     return value

@@ -9,7 +9,8 @@ checks mirror the library's contracts:
   decomposition       |E(n) - H(D) - I(past;future|D)| within certified width;
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
-                      (each distinct sampled block is decoded once);
+                      (the distinct sampled blocks of each block length
+                      are decoded in one array call per decoder);
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       restricted hidden-state entropy;
@@ -122,18 +123,13 @@ def check_decoder_agreement(
     against the hidden truth at the block boundary, on streams 0, 1, ... of
     `seed` with n alternating 6 and 12, 500 windows each.
 
-    Each distinct block is decoded once per call, by each decoder, and the
-    windows are counted from those results one trajectory at a time.  The
-    truth comes from each trajectory's word record, one run of one level at
-    a time, by the revealed-phase rule behind `hidden_truth`."""
+    The distinct blocks of every trajectory with the same n are decoded in
+    one call per decoder, and the windows are counted from those results.
+    The truth comes from each trajectory's word record, one run of one level
+    at a time, by the revealed-phase rule behind `hidden_truth`."""
     kind = model.kind
-    past = past_override or past_decoder(kind)
-    future = future_decoder(kind)
     per_traj = 500
-    decoded: dict = {}
-    disagreements = 0
-    truth_errors = 0
-    truth_hits = 0
+    runs: dict[int, list] = {6: [], 12: []}  # (past codes, future codes, truth) per trajectory
     seen = 0
     stream = 0
     while seen < windows:
@@ -141,13 +137,23 @@ def check_decoder_agreement(
         count = min(per_traj, windows - seen)
         traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
         stream += 1
-        dp, df = _window_levels(traj.symbols, n, count, past, future, decoded)
-        truth = _window_truth(traj, n, count)
+        codes = _block_codes(traj.symbols, n, count)
+        runs[n].append((codes[:count], codes[n : n + count], _window_truth(traj, n, count)))
+        seen += count
+    disagreements = 0
+    truth_errors = 0
+    truth_hits = 0
+    for n, parts in runs.items():
+        if not parts:
+            continue
+        past_codes, future_codes, truth = (np.concatenate(x) for x in zip(*parts))
+        dp, df = _window_levels(
+            past_codes, future_codes, n, past_override or past_decoder(kind), future_decoder(kind)
+        )
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
         truth_errors += int(np.count_nonzero(defined & (dp != truth)))
-        seen += count
     ok = disagreements == 0 and truth_errors == 0
     detail = (
         f"{seen} windows, {disagreements} past/future disagreements, "
@@ -178,31 +184,27 @@ def _window_truth(traj: Trajectory, n: int, count: int) -> np.ndarray:
     return truth
 
 
-def _window_levels(
-    symbols: bytes, n: int, count: int, past: Callable, future: Callable, decoded: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Past- and future-decoded levels of the `count` windows of length 2n
-    starting at 0, 1, ... of `symbols`.
-
-    Every block is keyed by its base-4 digits behind a leading 1, so blocks
-    of different lengths get different keys (no alphabet has more than four
-    symbols); `decoded` maps a key to the (past, future) levels of its block
-    and is filled only for keys it does not hold yet.
-    """
+def _block_codes(symbols: bytes, n: int, count: int) -> np.ndarray:
+    """The base-4 code of each block of length n starting at 0, 1, ...,
+    count + n - 1 of `symbols`: the past blocks of `count` windows of length
+    2n and, from index n on, their future blocks.  No alphabet has more than
+    four symbols."""
     blocks = np.lib.stride_tricks.sliding_window_view(
         np.frombuffer(symbols, np.uint8, count + 2 * n - 1), n
     )
-    codes = blocks @ (4 ** np.arange(n - 1, -1, -1, dtype=np.int64)) + 4**n
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    levels = []
-    for code, t in zip(distinct.tolist(), first.tolist()):
-        pair = decoded.get(code)
-        if pair is None:
-            block = symbols[t : t + n]
-            pair = decoded[code] = (past(block), future(block))
-        levels.append(pair)
-    table = np.array(levels, np.int64)
-    return table[inverse[:count], 0], table[inverse[n : n + count], 1]
+    return blocks @ (4 ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _window_levels(
+    past_codes: np.ndarray, future_codes: np.ndarray, n: int, past: Callable, future: Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Past-decoded levels of the blocks with `past_codes` and future-decoded
+    levels of those with `future_codes`.  The distinct blocks are decoded in
+    one call per decoder."""
+    distinct, inverse = np.unique(np.concatenate([past_codes, future_codes]), return_inverse=True)
+    blocks = ((distinct[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3).astype(np.uint8)
+    past_of, future_of = np.split(inverse, [len(past_codes)])
+    return past(blocks)[past_of], future(blocks)[future_of]
 
 
 def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:
@@ -333,9 +335,9 @@ def run_verification(
         if decoder_fault:
             true_past = past_decoder(kind)
 
-            def override(block, _f=true_past):  # deliberately corrupted hook
-                v = _f(block)
-                return v + 1 if v else 0
+            def override(blocks, _f=true_past):  # deliberately corrupted hook
+                v = _f(blocks)
+                return np.where(v != 0, v + 1, 0)
 
         ledger.checks.append(
             check_decoder_agreement(model, windows=windows, past_override=override)

@@ -1,5 +1,6 @@
-"""Shared fixtures: fast-cutoff models and independently coded reference
-enumerators used as oracles against the production engine."""
+"""Shared fixtures: fast-cutoff models, and independently coded reference
+enumerators and scalar level decoders used as oracles against the
+production engine."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from excesslab.decoders import future_decoder, hidden_truth, past_decoder
-from excesslab.models import ProcessModel
+from excesslab.decoders import hidden_truth
+from excesslab.models import Kind, ProcessModel
 from excesslab.sampling import Trajectory, _generator, sample_trajectory
 from excesslab.series import LN2, level_weight
 
@@ -34,6 +35,137 @@ def make_model(kind: str, alpha: float, fixed_level: int | None = None) -> Proce
 @pytest.fixture(scope="session")
 def model_factory():
     return make_model
+
+
+# ----- scalar level decoders: the reference for the array decoders ----------
+
+_RUN_BYTE = b"\x03"
+_SYMBOLS = {top: bytes(range(top + 1)) for top in (1, 2, 3)}
+_DIGIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _as_bytes(block, top: int) -> bytes:
+    """Validate the symbol range and get a bytes view for C-speed scanning."""
+    b = block if isinstance(block, bytes) else bytes(block)
+    # Stripping the alphabet off both ends leaves nothing unless some
+    # symbol lies outside it; the largest symbol is then a bad one.
+    if b.strip(_SYMBOLS[top]):
+        raise ValueError(f"symbol {max(b)} outside alphabet 0..{top}")
+    return b
+
+
+def level_from_digits(digits: bytes) -> int:
+    """The level whose binary digits after the leading 1 are `digits`."""
+    return int(b"1" + digits.translate(_DIGIT_CHARS), 2)
+
+
+def decode_past_hpm1(past) -> int:
+    """Period revealed by the past block: distance between the last two
+    marker symbols, if twice that distance fits in the block; else 0."""
+    b = _as_bytes(past, 1)
+    last = b.rfind(1)
+    if last < 0:
+        return 0
+    second = b.rfind(1, 0, last)
+    if second < 0:
+        return 0
+    period = last - second
+    return period if 2 * period <= len(b) else 0
+
+
+def decode_future_hpm1(future) -> int:
+    """Mirror rule: distance between the first two marker symbols."""
+    b = _as_bytes(future, 1)
+    first = b.find(1)
+    if first < 0:
+        return 0
+    nxt = b.find(1, first + 1)
+    if nxt < 0:
+        return 0
+    period = nxt - first
+    return period if 2 * period <= len(b) else 0
+
+
+def decode_past_hpm2(past) -> int:
+    """Level whose digit word sits between the last two delimiters, if the
+    full period (twice the digit count) fits in the block; else 0."""
+    b = _as_bytes(past, 2)
+    last = b.rfind(2)
+    if last < 0:
+        return 0
+    second = b.rfind(2, 0, last)
+    if second < 0:
+        return 0
+    period = last - second
+    if period < 2 or 2 * period > len(b):
+        return 0
+    return level_from_digits(b[second + 1 : last])
+
+
+def decode_future_hpm2(future) -> int:
+    """Mirror rule on the first two delimiters."""
+    b = _as_bytes(future, 2)
+    first = b.find(2)
+    if first < 0:
+        return 0
+    nxt = b.find(2, first + 1)
+    if nxt < 0:
+        return 0
+    period = nxt - first
+    if period < 2 or 2 * period > len(b):
+        return 0
+    return level_from_digits(b[first + 1 : nxt])
+
+
+def decode_past_hmc(past) -> int:
+    """Level read off a past block ending in (delimiter, digits, run of 3s).
+
+    The trailing run of separator symbols must have length l in 1..s(m) and
+    the digit word (with its leading delimiter) must be fully visible with
+    2*s(m) <= n; any violation decodes to 0.
+    """
+    b = _as_bytes(past, 3)
+    head = b.rstrip(_RUN_BYTE)
+    run = len(b) - len(head)
+    if run == 0:
+        return 0
+    start = head.rfind(2)
+    if start < 0:
+        return 0
+    digits = head[start + 1 :]
+    if not digits or digits.find(3) >= 0:
+        return 0
+    s = len(digits) + 1
+    if run > s or 2 * s > len(b):
+        return 0
+    return level_from_digits(digits)
+
+
+def decode_future_hmc(future) -> int:
+    """Mirror rule: (run of 3s, digits, delimiter) at the start of the block."""
+    b = _as_bytes(future, 3)
+    tail = b.lstrip(_RUN_BYTE)
+    run = len(b) - len(tail)
+    if run == 0:
+        return 0
+    end = tail.find(2)
+    if end < 0:
+        return 0
+    digits = tail[:end]
+    if not digits or digits.find(3) >= 0:
+        return 0
+    s = len(digits) + 1
+    if run > s or 2 * s > len(b):
+        return 0
+    return level_from_digits(digits)
+
+
+PAST_ORACLE = {Kind.HPM1: decode_past_hpm1, Kind.HPM2: decode_past_hpm2, Kind.HMC: decode_past_hmc}
+FUTURE_ORACLE = {
+    Kind.HPM1: decode_future_hpm1,
+    Kind.HPM2: decode_future_hpm2,
+    Kind.HMC: decode_future_hmc,
+}
 
 
 def naive_cyclic_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
@@ -178,10 +310,11 @@ def truth_hits(detail: str) -> int:
 
 def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) -> str:
     """Reference for `verify.check_decoder_agreement`: every window decoded
-    on its own, side by side, on the same streams.  Returns the detail."""
+    on its own by the scalar decoders, side by side, on the same streams.
+    Returns the detail."""
     kind = model.kind
-    past = past_override or past_decoder(kind)
-    future = future_decoder(kind)
+    past = past_override or PAST_ORACLE[kind]
+    future = FUTURE_ORACLE[kind]
     per_traj = 500
     disagreements = 0
     truth_errors = 0

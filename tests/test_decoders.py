@@ -4,27 +4,47 @@ the closed-form revealed-level entropy, and the decomposition identity."""
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from excesslab.decoders import (
-    _level_from_digits,
-    decode_future_hmc,
-    decode_future_hpm1,
-    decode_future_hpm2,
-    decode_past_hmc,
-    decode_past_hpm1,
-    decode_past_hpm2,
     decoded_level_entropy,
     future_decoder,
     mi_decomposition_residual,
     past_decoder,
 )
-from excesslab.exact import _label_decomposition, block_mi, enumerate_joint
+from excesslab.exact import (
+    _label_decomposition,
+    _label_profile,
+    _profile,
+    block_mi,
+    enumerate_joint,
+)
 from excesslab.analysis import fit_rate
-from excesslab.models import Kind
+from excesslab.models import ALPHABETS, Kind
 from excesslab.verify import check_decoder_agreement
 
-from conftest import FAST_SERIES_CUTOFF, make_model, naive_decoder_agreement, truth_hits
+from conftest import (
+    FAST_SERIES_CUTOFF,
+    FUTURE_ORACLE,
+    PAST_ORACLE,
+    level_from_digits,
+    make_model,
+    naive_decoder_agreement,
+    truth_hits,
+)
+
+
+def rows(blocks) -> np.ndarray:
+    """Blocks of one length as the rows of a uint8 matrix."""
+    return np.array([list(b) for b in blocks], np.uint8).reshape(len(blocks), -1)
+
+
+def decode(decoder, block) -> int:
+    """The level an array decoder gives one block."""
+    return decoder(rows([block]))[0]
 
 
 # ----- block rules --------------------------------------------------------------
@@ -40,7 +60,7 @@ from conftest import FAST_SERIES_CUTOFF, make_model, naive_decoder_agreement, tr
     ],
 )
 def test_decode_past_hpm1(block, expected):
-    assert decode_past_hpm1(block) == expected
+    assert decode(past_decoder("hpm1"), block) == expected
 
 
 @pytest.mark.parametrize(
@@ -52,7 +72,7 @@ def test_decode_past_hpm1(block, expected):
     ],
 )
 def test_decode_future_hpm1_mirrors(block, expected):
-    assert decode_future_hpm1(block) == expected
+    assert decode(future_decoder("hpm1"), block) == expected
 
 
 @pytest.mark.parametrize(
@@ -67,9 +87,9 @@ def test_decode_future_hpm1_mirrors(block, expected):
 def test_decode_past_hpm2(block, expected):
     if block == [1, 2, 1, 0, 2, 1]:
         # distance 3 fits, digits 1,0 give level 6; the rule is total
-        assert decode_past_hpm2(block) == 6
+        assert decode(past_decoder("hpm2"), block) == 6
     else:
-        assert decode_past_hpm2(block) == expected
+        assert decode(past_decoder("hpm2"), block) == expected
 
 
 @pytest.mark.parametrize(
@@ -82,7 +102,7 @@ def test_decode_past_hpm2(block, expected):
     ],
 )
 def test_decode_future_hpm2_mirrors(block, expected):
-    assert decode_future_hpm2(block) == expected
+    assert decode(future_decoder("hpm2"), block) == expected
 
 
 @pytest.mark.parametrize(
@@ -97,7 +117,7 @@ def test_decode_future_hpm2_mirrors(block, expected):
     ],
 )
 def test_decode_past_hmc(block, expected):
-    assert decode_past_hmc(block) == expected
+    assert decode(past_decoder("hmc"), block) == expected
 
 
 @pytest.mark.parametrize(
@@ -111,18 +131,18 @@ def test_decode_past_hmc(block, expected):
     ],
 )
 def test_decode_future_hmc(block, expected):
-    assert decode_future_hmc(block) == expected
+    assert decode(future_decoder("hmc"), block) == expected
 
 
 def test_decoders_reject_foreign_symbols():
     with pytest.raises(ValueError, match=r"^symbol 2 outside alphabet 0\.\.1$"):
-        decode_past_hpm1([0, 2, 0])
+        decode(past_decoder("hpm1"), [0, 2, 0])
     with pytest.raises(ValueError, match=r"^symbol 3 outside alphabet 0\.\.2$"):
-        decode_past_hpm2([0, 3, 0])
+        decode(past_decoder("hpm2"), [0, 3, 0])
     with pytest.raises(ValueError, match=r"^symbol 4 outside alphabet 0\.\.3$"):
-        decode_past_hmc([0, 4, 0])
+        decode(past_decoder("hmc"), [0, 4, 0])
     with pytest.raises(ValueError, match=r"^symbol 7 outside alphabet 0\.\.3$"):
-        decode_future_hmc(bytes([3, 2, 7, 4, 0]))
+        decode(future_decoder("hmc"), bytes([3, 2, 7, 4, 0]))
 
 
 def test_level_from_digits_matches_bit_loop():
@@ -131,14 +151,76 @@ def test_level_from_digits_matches_bit_loop():
             m = 1
             for d in digits:
                 m = (m << 1) | d
-            assert _level_from_digits(bytes(digits)) == m, digits
+            assert level_from_digits(bytes(digits)) == m, digits
 
 
 def test_decoders_are_total_on_unreachable_blocks():
     # Unreachable observable content decodes to 0 rather than raising.
-    assert decode_past_hpm2([2, 2, 2, 2]) == 0
-    assert decode_past_hmc([2, 3, 2, 3]) == 0
-    assert decode_future_hmc([3, 3, 2, 2]) == 0
+    assert decode(past_decoder("hpm2"), [2, 2, 2, 2]) == 0
+    assert decode(past_decoder("hmc"), [2, 3, 2, 3]) == 0
+    assert decode(future_decoder("hmc"), [3, 3, 2, 2]) == 0
+
+
+# ----- array decoders against the scalar oracle -----------------------------------
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_array_decoders_match_oracle_on_every_short_block(kind):
+    for length in range(1, 9):
+        blocks = np.array(list(product(ALPHABETS[kind], repeat=length)), np.uint8)
+        for decoder, oracle in ((past_decoder, PAST_ORACLE), (future_decoder, FUTURE_ORACLE)):
+            expected = [oracle[kind](bytes(b)) for b in blocks]
+            assert decoder(kind)(blocks).tolist() == expected, (kind, length)
+
+
+@st.composite
+def emission_blocks(draw):
+    """A kind and every length-n block of a stretch of its emissions: one
+    level's repeated word for a cyclic kind, a run of words for hmc."""
+    kind = draw(st.sampled_from(list(Kind)))
+    n = draw(st.one_of(st.integers(1, 140), st.integers(126, 140)))
+    top = max(2, n // 2)  # the longest period a block of length n reveals
+    if kind is Kind.HPM1:
+        level = st.integers(2, top + 2)
+    else:  # at n >= 126 the longest periods hold words of 62+ digits, past int64
+        period = st.one_of(st.integers(2, top + 2), st.just(top))
+        level = period.flatmap(lambda s: st.integers(1 << (s - 1), (1 << s) - 1))
+    levels = draw(st.lists(level, min_size=1, max_size=8 if kind is Kind.HMC else 1))
+    model = make_model(kind.value, 1.5)
+    words = b"".join(model.emission_word(m) for m in levels)
+    text = words * (3 * n // len(words) + 2)
+    start = draw(st.integers(0, len(words) - 1))
+    return kind, rows([text[t : t + n] for t in range(start, start + 2 * n)])
+
+
+@seed(20240611)
+@settings(max_examples=150, deadline=None, database=None)
+@given(emission_blocks())
+def test_array_decoders_match_oracle_on_emission_windows(case):
+    kind, blocks = case
+    for decoder, oracle in ((past_decoder, PAST_ORACLE), (future_decoder, FUTURE_ORACLE)):
+        assert decoder(kind)(blocks).tolist() == [oracle[kind](bytes(b)) for b in blocks]
+
+
+@pytest.mark.parametrize("kind", ("hpm2", "hmc"))
+def test_digit_words_beyond_int64_decode_exactly(kind):
+    # A 64-digit word: int64 would wrap the level to 3.  The hmc table also
+    # holds blocks that reveal no level, so it has two label groups.
+    level = 2**64 + 3
+    table = enumerate_joint(make_model(kind, 2.0, fixed_level=level), 130, level)
+    assert mi_decomposition_residual(table, kind).passed
+    prof = _profile(table)
+    groups = _label_profile(table, prof, past_decoder(kind), future_decoder(kind))[0]
+    past_levels = [PAST_ORACLE[Kind(kind)](b) for b in prof.past_blocks]
+    future_levels = [FUTURE_ORACLE[Kind(kind)](b) for b in prof.future_blocks]
+    ids: dict = {}
+    past = [ids.setdefault(z, len(ids)) for z in past_levels]
+    future = [ids.setdefault(z, len(ids)) for z in future_levels]
+    assert level in ids
+    assert groups[1].tolist() == past and groups[2].tolist() == future
+    assert groups[0].tolist() == [past[i] for i in prof.past]
+    assert past_decoder(kind)(rows(prof.past_blocks)).tolist() == past_levels
+    assert future_decoder(kind)(rows(prof.future_blocks)).tolist() == future_levels
 
 
 # ----- agreement on sampled windows ----------------------------------------------
@@ -159,13 +241,17 @@ def test_decoder_agreement_matches_per_window_oracle(kind):
     assert check.detail == naive_decoder_agreement(model, 2_345, 91)
     assert truth_hits(check.detail) > 0
 
-    true_past = past_decoder(kind)
+    true_past, oracle_past = past_decoder(kind), PAST_ORACLE[Kind(kind)]
 
-    def faulty(block):
-        return 3 if true_past(block) == 2 else true_past(block)
+    def faulty(blocks):
+        v = true_past(blocks)
+        return np.where(v == 2, 3, v)
+
+    def faulty_oracle(block):
+        return 3 if oracle_past(block) == 2 else oracle_past(block)
 
     check = check_decoder_agreement(model, windows=2_345, seed=91, past_override=faulty)
-    assert check.detail == naive_decoder_agreement(model, 2_345, 91, faulty)
+    assert check.detail == naive_decoder_agreement(model, 2_345, 91, faulty_oracle)
 
 
 # ----- closed-form H(D) ------------------------------------------------------------
@@ -247,15 +333,18 @@ def test_decomposition_decodes_each_distinct_block_once(monkeypatch):
 
     calls = []
 
-    def counting(decoder):
-        def wrapped(block):
-            calls.append(block)
-            return decoder(block)
+    def counting(side):
+        def decoder(kind):
+            def wrapped(blocks):
+                calls.extend(blocks)
+                return side(kind)(blocks)
 
-        return wrapped
+            return wrapped
 
-    monkeypatch.setitem(decoders._PAST, Kind.HMC, counting(decode_past_hmc))
-    monkeypatch.setitem(decoders._FUTURE, Kind.HMC, counting(decode_future_hmc))
+        return decoder
+
+    monkeypatch.setattr(decoders, "past_decoder", counting(past_decoder))
+    monkeypatch.setattr(decoders, "future_decoder", counting(future_decoder))
     table = enumerate_joint(make_model("hmc", 1.5), 6, 32)
     chk = mi_decomposition_residual(table, "hmc")
     assert chk.passed

@@ -18,9 +18,12 @@ from excesslab.exact import (
 )
 from excesslab.decoders import future_decoder, past_decoder
 from excesslab.intervals import Interval
+from excesslab.models import Kind
 from excesslab.verify import predicate_grid
 
 from conftest import (
+    FUTURE_ORACLE,
+    PAST_ORACLE,
     assert_tables_match,
     make_model,
     naive_conditional_mi,
@@ -304,7 +307,7 @@ def test_mi_error_combines_three_entropies():
 def test_conditional_mi_constant_label_equals_block_mi():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
-    cond = _label_decomposition(t, lambda b: 0, None)[2]
+    cond = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)[2]
     assert cond.value == pytest.approx(block_mi(t).value, abs=1e-12)
 
 
@@ -313,7 +316,7 @@ def test_conditional_mi_full_label_is_zero():
     t = enumerate_joint(deg, 2, 4)
     # past determines the whole pair here, so labelling by the block itself
     # conditions on everything
-    cond = _label_decomposition(t, lambda b: bytes(b), None)[2]
+    cond = _label_decomposition(t, lambda B: B.view(np.dtype((np.void, B.shape[1])))[:, 0], None)[2]
     assert cond.value == pytest.approx(0.0, abs=1e-14)
 
 
@@ -321,13 +324,14 @@ def test_conditional_mi_label_disagreement_raises():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
     with pytest.raises(LabelDisagreementError):
-        _label_decomposition(t, lambda b: b[0], lambda b: -1)
+        _label_decomposition(t, lambda B: B[:, 0], lambda B: np.full(len(B), -1))
 
 
 def test_label_entropy_of_constant_label_is_zero():
     m = make_model("hpm1", 1.5)
     t = enumerate_joint(m, 3, 64)
-    assert _label_decomposition(t, lambda b: "x", None)[1].value == pytest.approx(0.0)
+    h_label = _label_decomposition(t, lambda B: np.full(len(B), "x"), None)[1]
+    assert h_label.value == pytest.approx(0.0)
 
 
 # ----- triple information --------------------------------------------------------
@@ -409,7 +413,8 @@ def test_conditional_mi_matches_per_group_loop(oracle_table):
     kind, table = oracle_table
     past, future = past_decoder(kind), future_decoder(kind)
     value = _label_decomposition(table, past, future)[2].value
-    assert value == pytest.approx(naive_conditional_mi(table, past, future), rel=1e-12)
+    reference = naive_conditional_mi(table, PAST_ORACLE[Kind(kind)], FUTURE_ORACLE[Kind(kind)])
+    assert value == pytest.approx(reference, rel=1e-12)
 
 
 def test_triple_information_matches_two_sub_table_loop(oracle_table):
