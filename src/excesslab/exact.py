@@ -30,17 +30,21 @@ these into certified error bars via
 
 with h the binary entropy function and slope the worst Lipschitz constant of
 -p*log2(p) above the smallest retained mass.  Masses below 1e-30 are folded
-into the pruned mass before any entropy is taken.  Mass reductions use exact
-compensated summation (math.fsum); entropy reductions use numpy's pairwise
-summation, whose rounding is far below every certified width.
+into the pruned mass before the table is built, and a table never changes
+after.  Mass reductions use exact compensated summation (math.fsum); entropy
+reductions use numpy's pairwise summation, whose rounding is far below every
+certified width.
 
-The reductions are array-native.  One pass over the entries gives each its
-past and future block ids and the two marginals; a label reduction then
-stacks the distinct past (and future) blocks into one uint8 matrix, labels
-it with one array call (a level decoder, for the decomposition), numbers the
-label groups in first-appearance order with np.unique, and takes every
-group's mass, past, future and joint entropy from sorted per-group runs,
-with no sub-table per group.
+The reductions are array-native and share one profile per table
+(`JointBlockTable.profile`, built on first use and cached): the keys joined
+into one symbol matrix, each half's rows packed into integer codes and
+numbered in order of first appearance by one sort, the distinct past and
+future block matrices, and the two marginals.  A label reduction labels each
+block matrix with one array call (a level decoder, for the decomposition),
+numbers the label groups the same way, and takes every group's mass, past,
+future and joint entropy from sorted per-group runs, with no sub-table per
+group.  A triple-information event is one array predicate over the past and
+future block matrices of every entry.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -93,13 +98,34 @@ class MIResult:
         return self.err_low + self.err_high
 
 
-@dataclass
+@dataclass(frozen=True)
+class TableProfile:
+    """A table's entries as arrays.  Block ids number the distinct past (and
+    future) blocks in order of first appearance among the entries; row i of
+    `past_blocks` is the block with id i, and `past_mass[i]` its marginal
+    mass, summed in table order."""
+
+    masses: np.ndarray
+    past: np.ndarray
+    future: np.ndarray
+    past_blocks: np.ndarray
+    future_blocks: np.ndarray
+    past_mass: np.ndarray
+    future_mass: np.ndarray
+
+
+@dataclass(frozen=True)
 class JointBlockTable:
     """Finite joint law of (past, future) blocks plus unassigned-mass tracking.
 
     Keys are (past, future) byte strings of length n each, one byte per
-    symbol.  `pruned_mass` encloses the true probability that the table does
-    not represent; `entry_slack` bounds sum_k |true_k - stored_k| over keys.
+    symbol below `alphabet_size`.  `pruned_mass` encloses the true
+    probability that the table does not represent; `entry_slack` bounds
+    sum_k |true_k - stored_k| over keys.
+
+    A table is never mutated after it is built: `profile` is computed on
+    first use and cached, so every reduction reads the entries as they were
+    then.
     """
 
     n: int
@@ -122,23 +148,92 @@ class JointBlockTable:
         )
 
     def past_marginal(self) -> dict[bytes, float]:
-        out: dict[bytes, float] = {}
-        for (past, _), p in self.entries.items():
-            out[past] = out.get(past, 0.0) + p
-        return out
+        prof = self.profile
+        return dict(zip(map(bytes, prof.past_blocks), prof.past_mass.tolist()))
 
     def future_marginal(self) -> dict[bytes, float]:
-        out: dict[bytes, float] = {}
-        for (_, future), p in self.entries.items():
-            out[future] = out.get(future, 0.0) + p
-        return out
+        prof = self.profile
+        return dict(zip(map(bytes, prof.future_blocks), prof.future_mass.tolist()))
 
-    def _finalize(self) -> "JointBlockTable":
-        tiny = [k for k, p in self.entries.items() if p < MIN_ENTRY_MASS]
-        if tiny:
-            dropped = math.fsum(self.entries.pop(k) for k in tiny)
-            self.pruned_mass = self.pruned_mass + Interval.point(dropped)
-        return self
+    @cached_property
+    def profile(self) -> TableProfile:
+        """The entries as arrays, with no Python loop over them: the keys are
+        read into one (count, 2n) symbol matrix and each half's rows are
+        numbered by `_first_appearance`.  Each marginal is an np.bincount,
+        which adds in table order.  The arrays are read-only, since every
+        caller shares them."""
+        count, n = len(self.entries), self.n
+        # np.fromiter fills the matrix in place; b"".join would also hold an
+        # 80-byte buffer record per block (7 MB at hmc n=8).
+        blocks = itertools.chain.from_iterable(self.entries)
+        keys = np.fromiter(blocks, np.dtype((np.void, n)), 2 * count).view(np.uint8)
+        keys = keys.reshape(count, 2 * n)
+        if count and keys.max() >= self.alphabet_size:
+            raise ValueError(f"symbol {keys.max()} outside alphabet 0..{self.alphabet_size - 1}")
+        masses = np.fromiter(self.entries.values(), np.float64, count)
+        past, past_first = _first_appearance(_row_codes(keys[:, :n], self.alphabet_size))
+        future, future_first = _first_appearance(_row_codes(keys[:, n:], self.alphabet_size))
+        arrays = (
+            masses,
+            past,
+            future,
+            keys[past_first, :n],
+            keys[future_first, n:],
+            np.bincount(past, masses, len(past_first)),
+            np.bincount(future, masses, len(future_first)),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return TableProfile(*arrays)
+
+
+def _row_codes(blocks: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """Codes of the rows of the (k, n) symbol matrix, equal only for equal
+    rows.  Each run of 8 symbols, one per byte of a uint64 word, is packed
+    into 8 bits (binary alphabets) or 16 bits (up to four symbols); the
+    packed bytes are read as uint64.  One code per row (a vector) when they
+    fit in 8 bytes, as for n <= 64 binary or n <= 32 four-symbol rows, else
+    one row of codes per row."""
+    count, n = blocks.shape
+    padded = np.zeros((count, -(-n // 8) * 8), np.uint8)
+    padded[:, :n] = blocks
+    x = padded.view(np.uint64)
+    if alphabet_size <= 2:
+        # Bit 8j times 2**(56 - 7j) lands on bit 56 + j, and no other
+        # product reaches bits 56..63.
+        packed = ((x * np.uint64(0x0102040810204080)) >> np.uint64(56)).astype(np.uint8)
+    elif alphabet_size <= 4:
+        x = (x | x >> np.uint64(6)) & np.uint64(0x000F000F000F000F)
+        x = (x | x >> np.uint64(12)) & np.uint64(0x000000FF000000FF)
+        packed = ((x | x >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16).view(np.uint8)
+    else:
+        packed = padded
+    width = packed.shape[1]
+    codes = np.zeros((count, -(-width // 8) * 8), np.uint8)
+    codes[:, :width] = packed
+    codes = codes.view(np.uint64)
+    return codes[:, 0] if codes.shape[1] == 1 else codes
+
+
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values in order of first appearance.  Returns the
+    id of every value and, by id, the index where each first appears.  The
+    values are a vector of any dtype np.argsort sorts, or a matrix whose
+    rows are the values."""
+    order = np.argsort(values) if values.ndim == 1 else np.lexsort(values.T)
+    ranked = values[order]
+    differ = ranked[1:] != ranked[:-1]
+    new = np.ones(len(values), bool)
+    new[1:] = differ if differ.ndim == 1 else differ.any(1)
+    # Each run of equal values starts at `new`; its smallest index is where
+    # the value first appears.
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(values) else order
+    seen = np.zeros(len(values), bool)
+    seen[first] = True
+    rank = np.cumsum(seen) - 1  # the id of each first appearance, by index
+    ids = np.empty(len(values), np.intp)
+    ids[order] = rank[first][np.cumsum(new) - 1]
+    return ids, np.flatnonzero(seen)
 
 
 def enumerate_joint(
@@ -183,22 +278,41 @@ def enumerate_joint(
         if model.fixed_level is not None:
             raise ValueError("tail aggregation needs the full heavy-tailed level law")
     if model.kind is Kind.HMC:
-        table = _enumerate_hmc(model, n, level_cutoff, prune_eps, path_budget, entry_budget)
+        entries, pruned, slack = _enumerate_hmc(
+            model, n, level_cutoff, prune_eps, path_budget, entry_budget
+        )
     else:
-        table = _enumerate_cyclic(model, n, level_cutoff, entry_budget, tail_aggregation)
-    table.meta.update(
-        {
-            "kind": model.kind.value,
-            "alpha": model.alpha,
-            "series_cutoff": model.series_cutoff,
-            "n": n,
-            "level_cutoff": level_cutoff,
-            "prune_eps": prune_eps,
-            "tail_aggregation": tail_aggregation,
-            "fixed_level": model.fixed_level,
-        }
-    )
-    return table._finalize()
+        entries, pruned, slack = _enumerate_cyclic(
+            model, n, level_cutoff, entry_budget, tail_aggregation
+        )
+    meta = {
+        "kind": model.kind.value,
+        "alpha": model.alpha,
+        "series_cutoff": model.series_cutoff,
+        "n": n,
+        "level_cutoff": level_cutoff,
+        "prune_eps": prune_eps,
+        "tail_aggregation": tail_aggregation,
+        "fixed_level": model.fixed_level,
+    }
+    return _retained_table(n, len(model.alphabet), entries, pruned, slack, meta)
+
+
+def _retained_table(
+    n: int,
+    alphabet_size: int,
+    entries: dict[tuple[bytes, bytes], float],
+    pruned_mass: Interval,
+    entry_slack: float,
+    meta: dict,
+) -> JointBlockTable:
+    """The table of `entries`, less those below MIN_ENTRY_MASS: they are
+    removed from the dict, and their mass joins the pruned mass, before the
+    table exists."""
+    tiny = [k for k, p in entries.items() if p < MIN_ENTRY_MASS]
+    if tiny:
+        pruned_mass = pruned_mass + Interval.point(math.fsum(entries.pop(k) for k in tiny))
+    return JointBlockTable(n, alphabet_size, entries, pruned_mass, entry_slack, meta)
 
 
 def _input_label(
@@ -217,7 +331,7 @@ def _levels(model: ProcessModel, level_cutoff: int) -> Iterable[int]:
 
 def _enumerate_cyclic(
     model: ProcessModel, n: int, level_cutoff: int, entry_budget: int, aggregate: bool
-) -> JointBlockTable:
+) -> tuple[dict[tuple[bytes, bytes], float], Interval, float]:
     length = 2 * n
     c_iv = model.norm_c
     c_relw = 0.0 if model.fixed_level is not None else c_iv.width / c_iv.mid
@@ -268,13 +382,8 @@ def _enumerate_cyclic(
         key = (bytes(n), bytes(n))
         entries[key] = entries.get(key, 0.0) + zero
         check_entries()
-    return JointBlockTable(
-        n=n,
-        alphabet_size=len(model.alphabet),
-        entries=entries,
-        pruned_mass=Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff),
-        entry_slack=slack,
-    )
+    pruned = Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff)
+    return entries, pruned, slack
 
 
 @dataclass
@@ -300,7 +409,7 @@ def _enumerate_hmc(
     prune_eps: float,
     path_budget: int,
     entry_budget: int,
-) -> JointBlockTable:
+) -> tuple[dict[tuple[bytes, bytes], float], Interval, float]:
     length = 2 * n
     label = _input_label(model, n, level_cutoff, prune_eps)
     if model.fixed_level is not None:
@@ -449,55 +558,11 @@ def _enumerate_hmc(
             entries[key] = entries.get(key, 0.0) + prob * q
         check_entries()
 
-    return JointBlockTable(
-        n=n,
-        alphabet_size=len(model.alphabet),
-        entries=entries,
-        pruned_mass=Interval(pruned_lo, pruned_hi).clamp(0.0, 1.0),
-        entry_slack=0.5 * relw * math.fsum(entries.values()),
-    )
+    pruned = Interval(pruned_lo, pruned_hi).clamp(0.0, 1.0)
+    return entries, pruned, 0.5 * relw * math.fsum(entries.values())
 
 
 # ----- information quantities ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Profile:
-    """A table's entries as arrays: masses, past and future block ids (in
-    first-appearance order) and the two marginals, built in one pass."""
-
-    masses: np.ndarray
-    past: np.ndarray
-    future: np.ndarray
-    past_blocks: list[bytes]
-    future_blocks: list[bytes]
-    past_mass: np.ndarray
-    future_mass: np.ndarray
-
-
-def _profile(table: JointBlockTable) -> _Profile:
-    """The table's profile, from one pass over its entries.  Each marginal
-    accumulates its entries in table order, as `past_marginal` does, so the
-    marginal masses are the same floats."""
-    count = len(table.entries)
-    past_ids: dict[bytes, int] = {}
-    future_ids: dict[bytes, int] = {}
-    past = np.fromiter(
-        (past_ids.setdefault(p, len(past_ids)) for p, _ in table.entries), np.intp, count
-    )
-    future = np.fromiter(
-        (future_ids.setdefault(f, len(future_ids)) for _, f in table.entries), np.intp, count
-    )
-    masses = np.fromiter(table.entries.values(), np.float64, count)
-    return _Profile(
-        masses,
-        past,
-        future,
-        list(past_ids),
-        list(future_ids),
-        np.bincount(past, masses, len(past_ids)),
-        np.bincount(future, masses, len(future_ids)),
-    )
 
 
 def _entropy(weights: np.ndarray, total: float) -> float:
@@ -572,7 +637,7 @@ def entropy(table: JointBlockTable) -> MIResult:
     process conditioned on the retained support; the pruned mass enters the
     certified error bar, never the value.
     """
-    return _joint_entropy(table, list(table.entries.values()))
+    return _joint_entropy(table, table.profile.masses)
 
 
 def _joint_entropy(table: JointBlockTable, masses: list[float] | np.ndarray) -> MIResult:
@@ -587,10 +652,7 @@ def _marginal_entropy(table: JointBlockTable, masses: np.ndarray) -> MIResult:
 
 def block_mi(table: JointBlockTable) -> MIResult:
     """Certified block mutual information H(past) + H(future) - H(joint)."""
-    return _block_mi(table, _profile(table))
-
-
-def _block_mi(table: JointBlockTable, prof: _Profile) -> MIResult:
+    prof = table.profile
     h_past = _marginal_entropy(table, prof.past_mass)
     h_future = _marginal_entropy(table, prof.future_mass)
     h_joint = _joint_entropy(table, prof.masses)
@@ -600,36 +662,29 @@ def _block_mi(table: JointBlockTable, prof: _Profile) -> MIResult:
 
 
 def _label_profile(
-    table: JointBlockTable, prof: _Profile, past_label: Callable, future_label: Callable | None
+    table: JointBlockTable, past_label: Callable, future_label: Callable | None
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[float], MIResult]:
     """One labelling pass: the group id of every entry, past block and future
     block, the group masses and the certified label entropy.
 
     A labeller takes the (k, n) uint8 matrix of the distinct past (or
-    future) blocks and returns one label per row, of any dtype np.unique
-    sorts.  Groups are numbered in order of first appearance among the past
-    then the future blocks, and each group mass is an exact (math.fsum) sum
-    of its entries."""
+    future) blocks, as the profile holds it, and returns one label per row,
+    of any dtype np.argsort sorts.  Groups are numbered in order of first
+    appearance among the past then the future blocks, and each group mass
+    is an exact (math.fsum) sum of its entries."""
     if future_label is None:
         future_label = past_label
-    # Both matrices exist before either is labelled; labelling the first
-    # before building the second measured 2 MB more peak RSS at hpm2 n=24.
-    past_blocks = _block_matrix(prof.past_blocks, table.n)
-    future_blocks = _block_matrix(prof.future_blocks, table.n)
-    past_z, future_z = past_label(past_blocks), future_label(future_blocks)
-    _, first, inverse = np.unique(
-        np.concatenate([past_z, future_z]), return_index=True, return_inverse=True
-    )
-    rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    past_group, future_group = np.split(rank[inverse], [len(past_z)])
+    prof = table.profile
+    past_z, future_z = past_label(prof.past_blocks), future_label(prof.future_blocks)
+    group, first = _first_appearance(np.concatenate([past_z, future_z]))
+    past_group, future_group = np.split(group, [len(past_z)])
     entry_group = past_group[prof.past]
     bad = np.flatnonzero(entry_group != future_group[prof.future])
     if bad.size:
         p, f = prof.past[bad[0]], prof.future[bad[0]]
         raise LabelDisagreementError(
-            f"label mismatch on entry past={list(prof.past_blocks[p])} "
-            f"future={list(prof.future_blocks[f])}: "
+            f"label mismatch on entry past={prof.past_blocks[p].tolist()} "
+            f"future={prof.future_blocks[f].tolist()}: "
             f"past-computed {past_z[p]} vs future-computed {future_z[f]}"
         )
     ordered, lengths = _runs(entry_group, prof.masses, len(first))
@@ -641,11 +696,6 @@ def _label_profile(
     return (entry_group, past_group, future_group), masses, h_label
 
 
-def _block_matrix(blocks: list[bytes], n: int) -> np.ndarray:
-    """The blocks, each of length n, as the rows of one uint8 matrix."""
-    return np.frombuffer(b"".join(blocks), np.uint8).reshape(len(blocks), n)
-
-
 def _label_decomposition(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
 ) -> tuple[MIResult, MIResult, MIResult]:
@@ -654,14 +704,14 @@ def _label_decomposition(
     A past block has exactly one label, and so has a future block, so each
     group's past and future laws are the global marginals restricted to the
     blocks of that label."""
-    prof = _profile(table)
     (entry_group, past_group, future_group), masses, h_label = _label_profile(
-        table, prof, past_label, future_label
+        table, past_label, future_label
     )
-    e = _block_mi(table, prof)
+    e = block_mi(table)
     total = table.assigned_mass()
     if total <= 0.0:
         return e, h_label, MIResult(0.0, 0.0, 0.0)
+    prof = table.profile
     count = len(masses)
     mis = (
         _grouped_entropy(past_group, prof.past_mass, count)
@@ -677,20 +727,22 @@ def _triple_informations(
     table: JointBlockTable, events: list[Callable]
 ) -> list[tuple[float, float]]:
     """I(past; future; 1_B) and P(B) on the renormalized table for each event
-    B.  The table is profiled and its plug-in MI taken once; each event is
-    evaluated once per entry."""
-    prof = _profile(table)
+    B.  An event takes the per-entry past and future block matrices (row i
+    is entry i's key) and returns one bool per entry; each is called once.
+    The plug-in MI of the whole table is taken once."""
+    prof = table.profile
     total = math.fsum(prof.masses.tolist())
     if total <= 0.0:
         return [(0.0, 0.0)] * len(events)
     full_mi = _marginals_mi(prof.masses, prof.past_mass, prof.future_mass)
+    past_rows, future_rows = prof.past_blocks[prof.past], prof.future_blocks[prof.future]
 
     def side_mi(side: np.ndarray) -> float:
         return _plug_in_mi(prof.masses[side], prof.past[side], prof.future[side])
 
     out = []
     for event in events:
-        inside = np.fromiter((bool(event(key)) for key in table.entries), bool, len(prof.masses))
+        inside = np.asarray(event(past_rows, future_rows), bool)
         mass_in, mass_out = (math.fsum(prof.masses[s].tolist()) / total for s in (inside, ~inside))
         cond = mass_in * side_mi(inside) + mass_out * side_mi(~inside)
         out.append((full_mi - cond, mass_in))

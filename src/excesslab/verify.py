@@ -14,8 +14,9 @@ checks mirror the library's contracts:
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       restricted hidden-state entropy;
-  triple_bound        |I(past; future; 1_B)| <= H(1_B) <= 1 over a predicate
-                      grid;
+  triple_bound        |I(past; future; 1_B)| <= H(1_B) <= 1 over a grid of
+                      array predicates, each called once per table on the
+                      past and future block matrices of its entries;
   monotonicity        certified E(n) intervals consistent with E nondecreasing.
 """
 
@@ -244,28 +245,39 @@ def _data_processing_gap(table: JointBlockTable, e: MIResult) -> float | None:
 
 
 def predicate_grid(alphabet: tuple[int, ...]) -> list:
-    """20 block-pair predicates: the 12 structural ones, then per-symbol ones."""
+    """20 block-pair predicates: the 12 structural ones, then per-symbol ones.
+
+    Each takes the (count, n) uint8 matrices P and F of the past and future
+    blocks of every entry and returns one bool per entry.  "P < F" compares
+    the blocks as byte strings: at the first position where they differ."""
     preds = []
-    preds.append(lambda key: key[0] < key[1])
-    preds.append(lambda key: key[0] == key[1])
-    preds.append(lambda key: sum(key[0]) % 2 == 0)
-    preds.append(lambda key: sum(key[1]) % 2 == 1)
-    preds.append(lambda key: (sum(key[0]) + sum(key[1])) % 3 == 0)
-    preds.append(lambda key: key[0][0] == key[1][-1])
-    preds.append(lambda key: key[0][-1] == key[1][0])
-    preds.append(lambda key: len(set(key[0])) > 1)
-    preds.append(lambda key: len(set(key[1])) == 1)
-    preds.append(lambda key: key[0][: len(key[0]) // 2] == key[1][: len(key[1]) // 2])
-    preds.append(lambda key: max(key[0]) >= max(key[1]))
-    preds.append(lambda key: True)
+    preds.append(_lexicographically_less)
+    preds.append(lambda P, F: (P == F).all(1))
+    preds.append(lambda P, F: P.sum(1) % 2 == 0)
+    preds.append(lambda P, F: F.sum(1) % 2 == 1)
+    preds.append(lambda P, F: (P.sum(1) + F.sum(1)) % 3 == 0)
+    preds.append(lambda P, F: P[:, 0] == F[:, -1])
+    preds.append(lambda P, F: P[:, -1] == F[:, 0])
+    preds.append(lambda P, F: (P != P[:, :1]).any(1))
+    preds.append(lambda P, F: (F == F[:, :1]).all(1))
+    preds.append(lambda P, F: (P[:, : P.shape[1] // 2] == F[:, : F.shape[1] // 2]).all(1))
+    preds.append(lambda P, F: P.max(1) >= F.max(1))
+    preds.append(lambda P, F: np.ones(len(P), bool))
     for sym in alphabet:
-        preds.append(lambda key, s=sym: s in key[0])
-        preds.append(lambda key, s=sym: s in key[1])
-        preds.append(lambda key, s=sym: key[0][0] == s)
-        preds.append(lambda key, s=sym: key[1][-1] == s)
-        preds.append(lambda key, s=sym: key[0].count(s) > key[1].count(s))
+        preds.append(lambda P, F, s=sym: (P == s).any(1))
+        preds.append(lambda P, F, s=sym: (F == s).any(1))
+        preds.append(lambda P, F, s=sym: P[:, 0] == s)
+        preds.append(lambda P, F, s=sym: F[:, -1] == s)
+        preds.append(lambda P, F, s=sym: (P == s).sum(1) > (F == s).sum(1))
     # Every alphabet has at least two symbols, so the list holds >= 22.
     return preds[:20]
+
+
+def _lexicographically_less(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    # Where two rows are equal, `at` is 0 and the symbols there are equal.
+    at = (P != F).argmax(1)
+    rows = np.arange(len(P))
+    return P[rows, at] < F[rows, at]
 
 
 def check_triple_bound(tables: dict) -> CheckResult:

@@ -1,12 +1,13 @@
 """Shared fixtures: fast-cutoff models, and independently coded reference
-enumerators and scalar level decoders used as oracles against the
-production engine."""
+enumerators, table profiles, scalar level decoders and scalar triple-bound
+predicates used as oracles against the production engine."""
 
 from __future__ import annotations
 
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,6 +245,56 @@ def assert_tables_match(reference: dict, entries: dict, tol: float = 1e-12) -> f
     worst = max(abs(reference[k] - entries[k]) for k in reference)
     assert worst <= tol, f"worst per-entry gap {worst:.3e} exceeds {tol:.0e}"
     return worst
+
+
+def naive_profile(table) -> SimpleNamespace:
+    """Reference for `JointBlockTable.profile`, one entry at a time: each
+    side's blocks numbered by a dict in order of first appearance, and each
+    marginal summed entry by entry in table order.  Blocks are bytes, ids
+    and marginal masses are lists."""
+    past_ids: dict = {}
+    future_ids: dict = {}
+    past_mass: dict = {}
+    future_mass: dict = {}
+    past, future = [], []
+    for (p_key, f_key), p in table.entries.items():
+        past.append(past_ids.setdefault(p_key, len(past_ids)))
+        future.append(future_ids.setdefault(f_key, len(future_ids)))
+        past_mass[p_key] = past_mass.get(p_key, 0.0) + p
+        future_mass[f_key] = future_mass.get(f_key, 0.0) + p
+    return SimpleNamespace(
+        past=past,
+        future=future,
+        past_blocks=list(past_ids),
+        future_blocks=list(future_ids),
+        past_mass=list(past_mass.values()),
+        future_mass=list(future_mass.values()),
+    )
+
+
+def scalar_predicate_grid(alphabet: tuple[int, ...]) -> list:
+    """Reference for `verify.predicate_grid`: the same 20 predicates, each on
+    one (past, future) byte-string key."""
+    preds = []
+    preds.append(lambda key: key[0] < key[1])
+    preds.append(lambda key: key[0] == key[1])
+    preds.append(lambda key: sum(key[0]) % 2 == 0)
+    preds.append(lambda key: sum(key[1]) % 2 == 1)
+    preds.append(lambda key: (sum(key[0]) + sum(key[1])) % 3 == 0)
+    preds.append(lambda key: key[0][0] == key[1][-1])
+    preds.append(lambda key: key[0][-1] == key[1][0])
+    preds.append(lambda key: len(set(key[0])) > 1)
+    preds.append(lambda key: len(set(key[1])) == 1)
+    preds.append(lambda key: key[0][: len(key[0]) // 2] == key[1][: len(key[1]) // 2])
+    preds.append(lambda key: max(key[0]) >= max(key[1]))
+    preds.append(lambda key: True)
+    for sym in alphabet:
+        preds.append(lambda key, s=sym: s in key[0])
+        preds.append(lambda key, s=sym: s in key[1])
+        preds.append(lambda key, s=sym: key[0][0] == s)
+        preds.append(lambda key, s=sym: key[1][-1] == s)
+        preds.append(lambda key, s=sym: key[0].count(s) > key[1].count(s))
+    return preds[:20]
 
 
 def _naive_sub_table_mi(sub: dict) -> float:

@@ -40,7 +40,7 @@ ALPHAS = (1.5, 2.0)
 KINDS = ("hpm1", "hpm2", "hmc")
 
 # Pinned enumeration scales for the identity/sandwich/monotonicity sweeps.
-HMC_PRUNE = {4: 0.0, 8: 0.0, 12: 1e-8, 16: 1e-7}
+HMC_PRUNE = {4: 0.0, 8: 0.0, 12: 0.0, 16: 1e-7}
 
 
 def _table(kind: str, alpha: float, n: int):

@@ -18,7 +18,6 @@ from excesslab.decoders import (
 from excesslab.exact import (
     _label_decomposition,
     _label_profile,
-    _profile,
     block_mi,
     enumerate_joint,
 )
@@ -209,18 +208,18 @@ def test_digit_words_beyond_int64_decode_exactly(kind):
     level = 2**64 + 3
     table = enumerate_joint(make_model(kind, 2.0, fixed_level=level), 130, level)
     assert mi_decomposition_residual(table, kind).passed
-    prof = _profile(table)
-    groups = _label_profile(table, prof, past_decoder(kind), future_decoder(kind))[0]
-    past_levels = [PAST_ORACLE[Kind(kind)](b) for b in prof.past_blocks]
-    future_levels = [FUTURE_ORACLE[Kind(kind)](b) for b in prof.future_blocks]
+    prof = table.profile
+    groups = _label_profile(table, past_decoder(kind), future_decoder(kind))[0]
+    past_levels = [PAST_ORACLE[Kind(kind)](bytes(b)) for b in prof.past_blocks]
+    future_levels = [FUTURE_ORACLE[Kind(kind)](bytes(b)) for b in prof.future_blocks]
     ids: dict = {}
     past = [ids.setdefault(z, len(ids)) for z in past_levels]
     future = [ids.setdefault(z, len(ids)) for z in future_levels]
     assert level in ids
     assert groups[1].tolist() == past and groups[2].tolist() == future
     assert groups[0].tolist() == [past[i] for i in prof.past]
-    assert past_decoder(kind)(rows(prof.past_blocks)).tolist() == past_levels
-    assert future_decoder(kind)(rows(prof.future_blocks)).tolist() == future_levels
+    assert past_decoder(kind)(prof.past_blocks).tolist() == past_levels
+    assert future_decoder(kind)(prof.future_blocks).tolist() == future_levels
 
 
 # ----- agreement on sampled windows ----------------------------------------------

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from excesslab.exact import (
     BudgetExceededError,
     JointBlockTable,
     LabelDisagreementError,
+    _first_appearance,
     _label_decomposition,
+    _retained_table,
     _triple_informations,
     block_mi,
     entropy,
@@ -29,7 +33,9 @@ from conftest import (
     naive_conditional_mi,
     naive_cyclic_table,
     naive_hmc_table,
+    naive_profile,
     naive_triple_information,
+    scalar_predicate_grid,
 )
 
 
@@ -340,7 +346,8 @@ def test_label_entropy_of_constant_label_is_zero():
 def test_triple_information_trivial_event_is_zero():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
-    assert _triple_informations(t, [lambda key: True])[0][0] == pytest.approx(0.0, abs=1e-12)
+    always = lambda P, F: np.ones(len(P), bool)
+    assert _triple_informations(t, [always])[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triple_information_independent_components():
@@ -350,7 +357,7 @@ def test_triple_information_independent_components():
             entries[(bytes([a]), bytes([b]))] = pa * pb
     t = manual_table(1, 2, entries)
     # an event that depends only on an independent coordinate of the pair
-    assert _triple_informations(t, [lambda key: key[0][0] == 0])[0][0] == pytest.approx(0.0, abs=1e-12)
+    assert _triple_informations(t, [lambda P, F: P[:, 0] == 0])[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triple_information_bounded_by_indicator_entropy():
@@ -358,7 +365,7 @@ def test_triple_information_bounded_by_indicator_entropy():
     t = enumerate_joint(m, 6, 1 << 10)
     total = sum(t.entries.values())
     event = lambda key: 1 in key[0]
-    value = _triple_informations(t, [event])[0][0]
+    value = _triple_informations(t, [lambda P, F: (P == 1).any(1)])[0][0]
     mass = sum(p for k, p in t.entries.items() if event(k)) / total
     h_ind = -mass * math.log2(mass) - (1 - mass) * math.log2(1 - mass)
     assert abs(value) <= h_ind + 1e-12
@@ -419,9 +426,104 @@ def test_conditional_mi_matches_per_group_loop(oracle_table):
 
 def test_triple_information_matches_two_sub_table_loop(oracle_table):
     _, table = oracle_table
-    preds = predicate_grid(tuple(range(table.alphabet_size)))
-    for i, (pred, (value, _)) in enumerate(zip(preds, _triple_informations(table, preds))):
+    alphabet = tuple(range(table.alphabet_size))
+    values = _triple_informations(table, predicate_grid(alphabet))
+    for i, (pred, (value, _)) in enumerate(zip(scalar_predicate_grid(alphabet), values)):
         reference = naive_triple_information(table, pred)
         assert abs(value - reference) <= 1e-12 * abs(reference) or value == reference, (
             f"predicate {i}: {value!r} vs loop {reference!r}"
         )
+
+
+def test_array_predicates_match_scalar_oracle(oracle_table):
+    _, table = oracle_table
+    assert_predicates_match(table)
+
+
+# ----- the table profile against the per-entry dict oracle ---------------------
+
+
+def assert_profile_matches(table):
+    prof, ref = table.profile, naive_profile(table)
+    assert prof.past.tolist() == ref.past and prof.future.tolist() == ref.future
+    assert [bytes(b) for b in prof.past_blocks] == ref.past_blocks
+    assert [bytes(b) for b in prof.future_blocks] == ref.future_blocks
+    assert prof.past_mass.tolist() == ref.past_mass
+    assert prof.future_mass.tolist() == ref.future_mass
+    assert table.past_marginal() == dict(zip(ref.past_blocks, ref.past_mass))
+    assert table.future_marginal() == dict(zip(ref.future_blocks, ref.future_mass))
+    assert prof.masses.tolist() == list(table.entries.values())
+
+
+def assert_predicates_match(table):
+    alphabet = tuple(range(table.alphabet_size))
+    prof = table.profile
+    P, F = prof.past_blocks[prof.past], prof.future_blocks[prof.future]
+    for i, (pred, oracle) in enumerate(zip(predicate_grid(alphabet), scalar_predicate_grid(alphabet))):
+        expected = [bool(oracle(key)) for key in table.entries]
+        assert pred(P, F).tolist() == expected, f"predicate {i}"
+
+
+def test_profile_matches_dict_oracle(oracle_table):
+    assert_profile_matches(oracle_table[1])
+
+
+@pytest.mark.parametrize(
+    "kind,n,cutoff,aggregate",
+    [("hpm1", 64, 1 << 12, True), ("hpm1", 128, 1 << 12, True), ("hmc", 8, 64, False)],
+)
+def test_profile_matches_dict_oracle_on_large_tables(kind, n, cutoff, aggregate):
+    # hpm1 rows of 64 symbols fill eight packed bytes; rows of 128 take sixteen.
+    table = enumerate_joint(make_model(kind, 2.0), n, cutoff, tail_aggregation=aggregate)
+    assert_profile_matches(table)
+
+
+@st.composite
+def manual_tables(draw):
+    n = draw(st.integers(1, 40))
+    size = draw(st.integers(2, 4))
+    block = st.binary(min_size=n, max_size=n).map(lambda b: bytes(x % size for x in b))
+    pasts = draw(st.lists(block, min_size=1, max_size=6))
+    futures = draw(st.lists(block, min_size=1, max_size=6))
+    cells = st.tuples(
+        st.sampled_from(pasts), st.sampled_from(futures), st.floats(1e-9, 1.0)
+    )
+    entries = {(p, f): mass for p, f, mass in draw(st.lists(cells, min_size=1, max_size=40))}
+    return manual_table(n, size, entries)
+
+
+@seed(20240612)
+@settings(max_examples=150, deadline=None, database=None)
+@given(manual_tables())
+def test_profile_and_predicates_match_oracles_on_manual_tables(table):
+    assert_profile_matches(table)
+    assert_predicates_match(table)
+
+
+def test_first_appearance_numbers_whole_rows():
+    # Sorted, rows 1 and 2 are neighbours that differ only in their last code.
+    values = np.array([[1, 5], [2, 5], [2, 6], [1, 5]], np.uint64)
+    ids, first = _first_appearance(values)
+    assert ids.tolist() == [0, 1, 2, 0] and first.tolist() == [0, 1, 2]
+
+
+def test_profile_rejects_symbols_outside_the_alphabet():
+    t = manual_table(2, 2, {(bytes([0, 2]), bytes([1, 1])): 1.0})
+    with pytest.raises(ValueError, match="outside alphabet 0..1"):
+        t.profile
+
+
+def test_dropped_entry_leaves_no_block_in_the_profile():
+    # Past block 2 occurs only in the entry below MIN_ENTRY_MASS.
+    entries = {
+        (bytes([0]), bytes([0])): 0.5,
+        (bytes([2]), bytes([1])): 1e-40,
+        (bytes([1]), bytes([1])): 0.5,
+    }
+    t = _retained_table(1, 3, entries, Interval.point(0.0), 0.0, {})
+    assert list(t.entries) == [(bytes([0]), bytes([0])), (bytes([1]), bytes([1]))]
+    assert t.pruned_mass == Interval.point(1e-40)
+    prof = t.profile
+    assert prof.past.tolist() == [0, 1] and prof.past_blocks.tolist() == [[0], [1]]
+    assert prof.future_blocks.tolist() == [[0], [1]]
+    assert t.past_marginal() == {bytes([0]): 0.5, bytes([1]): 0.5}

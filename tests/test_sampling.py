@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from excesslab.exact import _plug_in_mi, _profile, block_mi, enumerate_joint
+from excesslab.exact import _plug_in_mi, block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
     Trajectory,
@@ -324,7 +324,7 @@ def test_pooled_plug_in_equals_exact_block_mi_on_one_cycle(kind, level, n):
 
     # A bootstrap resample leaves windows with count 0, some with block ids
     # that no drawn window has; they must not move the value.
-    prof = _profile(table)
+    prof = table.profile
     counts = np.rint(prof.masses * r).astype(np.int64)  # windows per entry
     padded = np.append(np.stack([counts, np.zeros_like(counts)], axis=1).ravel(), 0)
     past = np.append(np.repeat(prof.past, 2), prof.past.max() + 1)
