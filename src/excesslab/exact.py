@@ -53,7 +53,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -123,17 +124,22 @@ class JointBlockTable:
     probability that the table does not represent; `entry_slack` bounds
     sum_k |true_k - stored_k| over keys.
 
-    A table is never mutated after it is built: `profile` is computed on
-    first use and cached, so every reduction reads the entries as they were
-    then.
+    A table is never mutated after it is built: `entries` is read-only (a
+    read-only copy of a dict it is given; a `MappingProxyType` is kept as
+    is, so its owner must not change it), and `profile` is computed on first
+    use and cached, so every reduction reads the same entries.
     """
 
     n: int
     alphabet_size: int
-    entries: dict[tuple[bytes, bytes], float]
+    entries: Mapping[tuple[bytes, bytes], float]
     pruned_mass: Interval
     entry_slack: float = 0.0
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, MappingProxyType):
+            object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def assigned_mass(self) -> float:
         return math.fsum(self.entries.values())
@@ -161,8 +167,15 @@ class JointBlockTable:
         read into one (count, 2n) symbol matrix and each half's rows are
         numbered by `_first_appearance`.  Each marginal is an np.bincount,
         which adds in table order.  The arrays are read-only, since every
-        caller shares them."""
+        caller shares them.  Raises ValueError on an alphabet of more than
+        four symbols, a block that is not n symbols long or a symbol outside
+        the alphabet."""
         count, n = len(self.entries), self.n
+        if self.alphabet_size > 4:
+            raise ValueError(f"alphabet of {self.alphabet_size} symbols; at most 4 are packed")
+        lengths = set(map(len, itertools.chain.from_iterable(self.entries)))
+        if lengths - {n}:
+            raise ValueError(f"block of length {min(lengths - {n})} in a table of n = {n}")
         # np.fromiter fills the matrix in place; b"".join would also hold an
         # 80-byte buffer record per block (7 MB at hmc n=8).
         blocks = itertools.chain.from_iterable(self.entries)
@@ -171,8 +184,8 @@ class JointBlockTable:
         if count and keys.max() >= self.alphabet_size:
             raise ValueError(f"symbol {keys.max()} outside alphabet 0..{self.alphabet_size - 1}")
         masses = np.fromiter(self.entries.values(), np.float64, count)
-        past, past_first = _first_appearance(_row_codes(keys[:, :n], self.alphabet_size))
-        future, future_first = _first_appearance(_row_codes(keys[:, n:], self.alphabet_size))
+        past, past_first = _first_appearance(_row_codes(keys[:, :n]))
+        future, future_first = _first_appearance(_row_codes(keys[:, n:]))
         arrays = (
             masses,
             past,
@@ -187,27 +200,19 @@ class JointBlockTable:
         return TableProfile(*arrays)
 
 
-def _row_codes(blocks: np.ndarray, alphabet_size: int) -> np.ndarray:
-    """Codes of the rows of the (k, n) symbol matrix, equal only for equal
-    rows.  Each run of 8 symbols, one per byte of a uint64 word, is packed
-    into 8 bits (binary alphabets) or 16 bits (up to four symbols); the
-    packed bytes are read as uint64.  One code per row (a vector) when they
-    fit in 8 bytes, as for n <= 64 binary or n <= 32 four-symbol rows, else
-    one row of codes per row."""
+def _row_codes(blocks: np.ndarray) -> np.ndarray:
+    """Codes of the rows of the (k, n) matrix of symbols 0..3, equal only
+    for equal rows.  Each run of 8 symbols, one per byte of a uint64 word,
+    is packed into 16 bits, 2 bits per symbol, and the packed bytes are read
+    as uint64: one code per row (a vector) for n <= 32, else one row of
+    codes per row."""
     count, n = blocks.shape
     padded = np.zeros((count, -(-n // 8) * 8), np.uint8)
     padded[:, :n] = blocks
     x = padded.view(np.uint64)
-    if alphabet_size <= 2:
-        # Bit 8j times 2**(56 - 7j) lands on bit 56 + j, and no other
-        # product reaches bits 56..63.
-        packed = ((x * np.uint64(0x0102040810204080)) >> np.uint64(56)).astype(np.uint8)
-    elif alphabet_size <= 4:
-        x = (x | x >> np.uint64(6)) & np.uint64(0x000F000F000F000F)
-        x = (x | x >> np.uint64(12)) & np.uint64(0x000000FF000000FF)
-        packed = ((x | x >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16).view(np.uint8)
-    else:
-        packed = padded
+    x = (x | x >> np.uint64(6)) & np.uint64(0x000F000F000F000F)
+    x = (x | x >> np.uint64(12)) & np.uint64(0x000000FF000000FF)
+    packed = ((x | x >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16).view(np.uint8)
     width = packed.shape[1]
     codes = np.zeros((count, -(-width // 8) * 8), np.uint8)
     codes[:, :width] = packed
@@ -308,11 +313,14 @@ def _retained_table(
 ) -> JointBlockTable:
     """The table of `entries`, less those below MIN_ENTRY_MASS: they are
     removed from the dict, and their mass joins the pruned mass, before the
-    table exists."""
+    table exists.  The table takes the dict behind a read-only view, not a
+    copy (2.6 MB at hmc n=8); nothing else holds it."""
     tiny = [k for k, p in entries.items() if p < MIN_ENTRY_MASS]
     if tiny:
         pruned_mass = pruned_mass + Interval.point(math.fsum(entries.pop(k) for k in tiny))
-    return JointBlockTable(n, alphabet_size, entries, pruned_mass, entry_slack, meta)
+    return JointBlockTable(
+        n, alphabet_size, MappingProxyType(entries), pruned_mass, entry_slack, meta
+    )
 
 
 def _input_label(

@@ -473,7 +473,8 @@ def test_profile_matches_dict_oracle(oracle_table):
     [("hpm1", 64, 1 << 12, True), ("hpm1", 128, 1 << 12, True), ("hmc", 8, 64, False)],
 )
 def test_profile_matches_dict_oracle_on_large_tables(kind, n, cutoff, aggregate):
-    # hpm1 rows of 64 symbols fill eight packed bytes; rows of 128 take sixteen.
+    # Packed 2 bits a symbol, hpm1 rows of 64 symbols take two uint64 codes
+    # and rows of 128 take four.
     table = enumerate_joint(make_model(kind, 2.0), n, cutoff, tail_aggregation=aggregate)
     assert_profile_matches(table)
 
@@ -511,6 +512,31 @@ def test_profile_rejects_symbols_outside_the_alphabet():
     t = manual_table(2, 2, {(bytes([0, 2]), bytes([1, 1])): 1.0})
     with pytest.raises(ValueError, match="outside alphabet 0..1"):
         t.profile
+
+
+def test_profile_rejects_blocks_of_the_wrong_length():
+    # A short block would be padded with symbol 0 and a long one cut.
+    for past in (bytes([1]), bytes([1, 0, 1])):
+        t = manual_table(2, 2, {(past, bytes([1, 1])): 0.5, (bytes([1, 0]), bytes([1, 1])): 0.5})
+        with pytest.raises(ValueError, match=f"block of length {len(past)} in a table of n = 2"):
+            t.profile
+
+
+def test_profile_rejects_alphabets_beyond_four_symbols():
+    t = manual_table(1, 5, {(bytes([4]), bytes([0])): 1.0})
+    with pytest.raises(ValueError, match="alphabet of 5 symbols"):
+        t.profile
+
+
+def test_table_keeps_a_read_only_copy_of_its_entries():
+    entries = {(bytes([0]), bytes([0])): 0.5, (bytes([1]), bytes([1])): 0.5}
+    t = manual_table(1, 2, entries)
+    assert t.past_marginal() == {bytes([0]): 0.5, bytes([1]): 0.5}
+    entries[(bytes([0]), bytes([1]))] = 0.25
+    assert len(t.entries) == 2 and t.assigned_mass() == 1.0
+    for table in (t, enumerate_joint(make_model("hpm1", 2.0), 2, 8)):
+        with pytest.raises(TypeError):
+            table.entries[(bytes([0, 0]), bytes([0, 1]))] = 0.25
 
 
 def test_dropped_entry_leaves_no_block_in_the_profile():
