@@ -44,9 +44,6 @@ from .verify import run_verification
 
 DEFAULT_HMC_CUTOFF = 64
 
-# What `_exact_row` resolves per block length; the manifest records it.
-_RESOLVED_KEYS = ("n", "level_cutoff", "prune_eps", "tail_aggregation")
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -118,19 +115,25 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _write_manifest(
-    out: Path, command: str, config: RunConfig, outputs: list[str], rows: list[dict] | None = None
+    out: Path, command: str, config: RunConfig, outputs: list[str], resolved: object = None
 ) -> None:
-    """`rows`, from `_exact_row`, add the configuration each n actually ran
-    with, where `config` may leave it to the per-kind defaults (null)."""
+    """`resolved` records the configuration the command actually ran with,
+    where `config` leaves it to the per-kind defaults (null) or the command
+    adjusts it."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config.to_dict(),
         "outputs": outputs,
     }
-    if rows is not None:
-        manifest["resolved"] = [{k: r[k] for k in _RESOLVED_KEYS} for r in rows]
+    if resolved is not None:
+        manifest["resolved"] = resolved
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def _resolved_rows(rows: list[dict]) -> list[dict]:
+    """What `_exact_row` resolved per block length; the manifest records it."""
+    return [{k: r[k] for k in ("n", "level_cutoff", "prune_eps", "tail_aggregation")} for r in rows]
 
 
 def _auto_cutoff(config: RunConfig, n: int) -> int:
@@ -193,7 +196,7 @@ def cmd_exact(config: RunConfig, out: Path) -> int:
     write_series_csv(
         rows, path, extra_columns=("entries", "pruned_mass_hi", "level_cutoff", "prune_eps", "status")
     )
-    _write_manifest(out, "exact", config, [path.name], rows)
+    _write_manifest(out, "exact", config, [path.name], _resolved_rows(rows))
     skipped = [r for r in rows if r["status"] != "ok"]
     for r in skipped:
         print(f"n={r['n']}: {r['status']}", file=sys.stderr)
@@ -248,11 +251,17 @@ def cmd_estimate(config: RunConfig, out: Path) -> int:
 
 def cmd_verify(config: RunConfig, out: Path, decoder_fault: bool = False) -> int:
     # The suite always exercises all three kinds; alpha comes from the config.
+    # Its tables are desk-scale: n <= 12, series cutoff <= 1e6.
+    block_lengths = [b for b in config.block_lengths if b <= 12] or [2, 4, 6, 8]
+    series_cutoff = min(config.series_cutoff, 1_000_000)
+    dropped = [b for b in config.block_lengths if b > 12]
+    if dropped:
+        print(f"verify: dropped n = {dropped} (above 12); ran n = {block_lengths}", file=sys.stderr)
     ledger = run_verification(
         kinds=tuple(Kind),
         alphas=(config.alpha,),
-        block_lengths=tuple(b for b in config.block_lengths if b <= 12) or (2, 4, 6, 8),
-        series_cutoff=min(config.series_cutoff, 1_000_000),
+        block_lengths=tuple(block_lengths),
+        series_cutoff=series_cutoff,
         windows=config.windows,
         decoder_fault=decoder_fault,
     )
@@ -261,7 +270,8 @@ def cmd_verify(config: RunConfig, out: Path, decoder_fault: bool = False) -> int
     payload["version"] = __version__
     payload["config"] = config.to_dict()
     path.write_text(json.dumps(payload, indent=2))
-    _write_manifest(out, "verify", config, [path.name])
+    resolved = {"block_lengths": block_lengths, "series_cutoff": series_cutoff}
+    _write_manifest(out, "verify", config, [path.name], resolved)
     for check in ledger.checks:
         print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}: {check.detail}")
     print(f"wrote {path}")
@@ -306,7 +316,7 @@ def cmd_fit(config: RunConfig, out: Path) -> int:
     payload["version"] = __version__
     payload["config"] = config.to_dict()
     path.write_text(json.dumps(payload, indent=2))
-    _write_manifest(out, "fit", config, [path.name], rows)
+    _write_manifest(out, "fit", config, [path.name], rows and _resolved_rows(rows))
     print(report.to_json())
     print(f"wrote {path}")
     return 0

@@ -126,8 +126,8 @@ class JointBlockTable:
 
     A table is never mutated after it is built: `entries` is read-only (a
     read-only copy of a dict it is given; a `MappingProxyType` is kept as
-    is, so its owner must not change it), and `profile` is computed on first
-    use and cached, so every reduction reads the same entries.
+    is, so its owner must not change it); `profile` and `block_mi` are
+    computed on first use and cached, so every reduction reads the same ones.
     """
 
     n: int
@@ -165,7 +165,7 @@ class JointBlockTable:
     def profile(self) -> TableProfile:
         """The entries as arrays, with no Python loop over them: the keys are
         read into one (count, 2n) symbol matrix and each half's rows are
-        numbered by `_first_appearance`.  Each marginal is an np.bincount,
+        numbered by `_number_blocks`.  Each marginal is an np.bincount,
         which adds in table order.  The arrays are read-only, since every
         caller shares them.  Raises ValueError on an alphabet of more than
         four symbols, a block that is not n symbols long or a symbol outside
@@ -184,8 +184,8 @@ class JointBlockTable:
         if count and keys.max() >= self.alphabet_size:
             raise ValueError(f"symbol {keys.max()} outside alphabet 0..{self.alphabet_size - 1}")
         masses = np.fromiter(self.entries.values(), np.float64, count)
-        past, past_first = _first_appearance(_row_codes(keys[:, :n]))
-        future, future_first = _first_appearance(_row_codes(keys[:, n:]))
+        past, past_first = _number_blocks(keys[:, :n])
+        future, future_first = _number_blocks(keys[:, n:])
         arrays = (
             masses,
             past,
@@ -199,13 +199,26 @@ class JointBlockTable:
             a.flags.writeable = False
         return TableProfile(*arrays)
 
+    @cached_property
+    def _block_mi(self) -> MIResult:
+        """`block_mi`, cached: verify and the decomposition ask for it again."""
+        prof = self.profile
+        h_past = _marginal_entropy(self, prof.past_mass)
+        h_future = _marginal_entropy(self, prof.future_mass)
+        h_joint = _joint_entropy(self, prof.masses)
+        value = h_past.value + h_future.value - h_joint.value
+        err = h_past.err_high + h_future.err_high + h_joint.err_high
+        return MIResult(value, err, err)
 
-def _row_codes(blocks: np.ndarray) -> np.ndarray:
-    """Codes of the rows of the (k, n) matrix of symbols 0..3, equal only
-    for equal rows.  Each run of 8 symbols, one per byte of a uint64 word,
-    is packed into 16 bits, 2 bits per symbol, and the packed bytes are read
-    as uint64: one code per row (a vector) for n <= 32, else one row of
-    codes per row."""
+
+def _number_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of the (k, n) matrix of symbols 0..3 by
+    `_first_appearance`: the id of every row, and the index of each distinct
+    row by id.  The one block numbering of the table profile, the estimator
+    and the decoder check.  Each run of 8 symbols, one per byte of a uint64
+    word, is packed into 16 bits, 2 bits per symbol, and the packed bytes are
+    read as uint64: one code per row for n <= 32, else a row of codes.  A
+    symbol above 3 would collide, so callers reject them."""
     count, n = blocks.shape
     padded = np.zeros((count, -(-n // 8) * 8), np.uint8)
     padded[:, :n] = blocks
@@ -217,7 +230,7 @@ def _row_codes(blocks: np.ndarray) -> np.ndarray:
     codes = np.zeros((count, -(-width // 8) * 8), np.uint8)
     codes[:, :width] = packed
     codes = codes.view(np.uint64)
-    return codes[:, 0] if codes.shape[1] == 1 else codes
+    return _first_appearance(codes[:, 0] if codes.shape[1] == 1 else codes)
 
 
 def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -659,14 +672,9 @@ def _marginal_entropy(table: JointBlockTable, masses: np.ndarray) -> MIResult:
 
 
 def block_mi(table: JointBlockTable) -> MIResult:
-    """Certified block mutual information H(past) + H(future) - H(joint)."""
-    prof = table.profile
-    h_past = _marginal_entropy(table, prof.past_mass)
-    h_future = _marginal_entropy(table, prof.future_mass)
-    h_joint = _joint_entropy(table, prof.masses)
-    value = h_past.value + h_future.value - h_joint.value
-    err = h_past.err_high + h_future.err_high + h_joint.err_high
-    return MIResult(value, err, err)
+    """Certified block mutual information H(past) + H(future) - H(joint),
+    computed on first use and cached on the table, as its profile is."""
+    return table._block_mi
 
 
 def _label_profile(

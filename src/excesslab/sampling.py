@@ -26,8 +26,10 @@ forever, so time averages estimate per-component information, not the
 ensemble block MI.  Ensemble estimation therefore pools disjoint windows
 across many independently seeded trajectories; the ergodic kind uses
 sliding windows over one trajectory.  The report records which regime ran.
-Either way each window is encoded once, and the bootstraps reweight window
-counts with the same random draws as a window-by-window resample.
+Either way each window is numbered once, in order of first appearance, by
+the block numbering of the exact engine's tables (`exact._number_blocks`),
+and the bootstraps reweight window counts with the same random draws as a
+window-by-window resample.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _marginals_mi
+from .exact import _marginals_mi, _number_blocks
 from .models import Kind, ProcessModel, StateId, phase_count
 from .series import LN2, branch_normalization_sum, normalization_sum
 
@@ -298,24 +300,6 @@ class EstimatorReport:
     meta: dict = field(default_factory=dict)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D uint8 array, sorted, and the id of each row."""
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1]
-    keys = rows.view(np.dtype((np.void, width))).ravel()
-    distinct, ids = np.unique(keys, return_inverse=True)
-    return distinct.view(np.uint8).reshape(-1, width), ids
-
-
-def _encode_windows(windows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode (count, 2n) windows once: the distinct-window id of every
-    window, and the past id and future id of every distinct window."""
-    distinct, joint_id = _distinct_rows(windows)
-    _, past_of = _distinct_rows(distinct[:, :n])
-    _, future_of = _distinct_rows(distinct[:, n:])
-    return joint_id, past_of, future_of
-
-
 def _mi_from_counts(
     joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str
 ) -> float:
@@ -345,9 +329,10 @@ def estimate_block_mi(
     Standard errors come from a block bootstrap: over trajectories in the
     pooled regime, over circular window blocks in the sliding regime.
 
-    Each window is encoded once, as the id of its distinct block, and each
+    Each window is numbered once, as the id of its distinct window, and each
     MI comes from count vectors; a bootstrap resample reweights those counts,
-    with the same random draws as a window-by-window resample.
+    with the same random draws as a window-by-window resample.  Symbols are
+    packed 2 bits each, so a symbol above 3 raises ValueError.
     """
     if method not in ("plugin", "miller_madow"):
         raise ValueError(f"unknown estimator method {method!r}")
@@ -382,6 +367,8 @@ def estimate_block_mi(
     rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
     starts = (np.cumsum(lengths) - lengths)[owner] + rank * step
     joined = np.frombuffer(b"".join(t.symbols for t in trajectories), np.uint8)
+    if joined.max() > 3:
+        raise ValueError(f"symbol {joined.max()} outside 0..3: blocks are packed 2 bits per symbol")
     windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
     if len(windows) < MIN_WINDOWS:  # only reachable by the pooled regime
         raise ValueError(
@@ -389,7 +376,9 @@ def estimate_block_mi(
             f"got {len(windows)}"
         )
 
-    joint_id, past_of, future_of = _encode_windows(windows, n)
+    joint_id, first = _number_blocks(windows)
+    past_of, _ = _number_blocks(windows[first, :n])
+    future_of, _ = _number_blocks(windows[first, n:])
     value = _mi_from_counts(np.bincount(joint_id), past_of, future_of, method)
     if regime == "sliding":
         resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, bootstrap_seed)

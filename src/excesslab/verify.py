@@ -9,8 +9,9 @@ checks mirror the library's contracts:
   decomposition       |E(n) - H(D) - I(past;future|D)| within certified width;
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
-                      (the distinct sampled blocks of each block length
-                      are decoded in one array call per decoder);
+                      (the sampled blocks of each block length are
+                      numbered once, as a table's are, and decoded in one
+                      array call per decoder);
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       restricted hidden-state entropy;
@@ -35,7 +36,9 @@ from .decoders import (
     mi_decomposition_residual,
     past_decoder,
 )
-from .exact import JointBlockTable, MIResult, _triple_informations, block_mi, enumerate_joint
+from .exact import (
+    JointBlockTable, MIResult, _number_blocks, _triple_informations, block_mi, enumerate_joint
+)
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import binary_entropy
 from .models import Kind, ProcessModel, phase_count
@@ -124,22 +127,22 @@ def check_decoder_agreement(
     against the hidden truth at the block boundary, on streams 0, 1, ... of
     `seed` with n alternating 6 and 12, 500 windows each.
 
-    The distinct blocks of every trajectory with the same n are decoded in
-    one call per decoder, and the windows are counted from those results.
+    Window t's past block is row t of its trajectory's length-n blocks and
+    its future block row t + n, so the rows of every trajectory with the same
+    n are numbered once (`exact._number_blocks`), each distinct row is decoded
+    in one call per decoder, and the windows are counted from those results.
     The truth comes from each trajectory's word record, one run of one level
     at a time, by the revealed-phase rule behind `hidden_truth`."""
     kind = model.kind
     per_traj = 500
-    runs: dict[int, list] = {6: [], 12: []}  # (past codes, future codes, truth) per trajectory
+    runs: dict[int, list] = {6: [], 12: []}  # (trajectory, window count) per trajectory
     seen = 0
     stream = 0
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
         count = min(per_traj, windows - seen)
-        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
+        runs[n].append((sample_trajectory(model, 2 * n + per_traj, seed, stream=stream), count))
         stream += 1
-        codes = _block_codes(traj.symbols, n, count)
-        runs[n].append((codes[:count], codes[n : n + count], _window_truth(traj, n, count)))
         seen += count
     disagreements = 0
     truth_errors = 0
@@ -147,10 +150,17 @@ def check_decoder_agreement(
     for n, parts in runs.items():
         if not parts:
             continue
-        past_codes, future_codes, truth = (np.concatenate(x) for x in zip(*parts))
-        dp, df = _window_levels(
-            past_codes, future_codes, n, past_override or past_decoder(kind), future_decoder(kind)
-        )
+        symbols = np.frombuffer(b"".join(t.symbols for t, _ in parts), np.uint8)
+        rows = np.lib.stride_tricks.sliding_window_view(symbols.reshape(len(parts), -1), n, axis=1)
+        rows = rows[:, : per_traj + n].reshape(-1, n)
+        ids, first = _number_blocks(rows)
+        ids, distinct = ids.reshape(len(parts), per_traj + n), rows[first]
+        # Only the last trajectory sampled may have fewer than per_traj windows.
+        count = sum(c for _, c in parts)
+        past_of, future_of = ids[:, :per_traj].ravel()[:count], ids[:, n:].ravel()[:count]
+        dp = (past_override or past_decoder(kind))(distinct)[past_of]
+        df = future_decoder(kind)(distinct)[future_of]
+        truth = np.concatenate([_window_truth(t, n, c) for t, c in parts])
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
@@ -183,29 +193,6 @@ def _window_truth(traj: Trajectory, n: int, count: int) -> np.ndarray:
         if a < b:
             truth[a:b] = first.level
     return truth
-
-
-def _block_codes(symbols: bytes, n: int, count: int) -> np.ndarray:
-    """The base-4 code of each block of length n starting at 0, 1, ...,
-    count + n - 1 of `symbols`: the past blocks of `count` windows of length
-    2n and, from index n on, their future blocks.  No alphabet has more than
-    four symbols."""
-    blocks = np.lib.stride_tricks.sliding_window_view(
-        np.frombuffer(symbols, np.uint8, count + 2 * n - 1), n
-    )
-    return blocks @ (4 ** np.arange(n - 1, -1, -1, dtype=np.int64))
-
-
-def _window_levels(
-    past_codes: np.ndarray, future_codes: np.ndarray, n: int, past: Callable, future: Callable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Past-decoded levels of the blocks with `past_codes` and future-decoded
-    levels of those with `future_codes`.  The distinct blocks are decoded in
-    one call per decoder."""
-    distinct, inverse = np.unique(np.concatenate([past_codes, future_codes]), return_inverse=True)
-    blocks = ((distinct[:, None] >> (2 * np.arange(n - 1, -1, -1))) & 3).astype(np.uint8)
-    past_of, future_of = np.split(inverse, [len(past_codes)])
-    return past(blocks)[past_of], future(blocks)[future_of]
 
 
 def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:

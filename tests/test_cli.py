@@ -233,6 +233,16 @@ def test_verify_passes_and_writes_ledger(tmp_path):
     assert ledger["config"]["alpha"] == 1.5
 
 
+def test_verify_records_the_block_lengths_and_cutoff_it_ran(tmp_path, capsys):
+    # verify caps n at 12 and the series cutoff at 1e6 (the default is 1e7).
+    out = tmp_path / "run"
+    assert run_cli(["verify", "--n", "2,16", "--windows", "2000", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["block_lengths"] == [2, 16]
+    assert manifest["resolved"] == {"block_lengths": [2], "series_cutoff": 1_000_000}
+    assert "dropped n = [16]" in capsys.readouterr().err
+
+
 def test_verify_detects_injected_decoder_fault(tmp_path):
     out = tmp_path / "run"
     code = run_cli(

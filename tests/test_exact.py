@@ -313,8 +313,9 @@ def test_mi_error_combines_three_entropies():
 def test_conditional_mi_constant_label_equals_block_mi():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
-    cond = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)[2]
+    e, _, cond = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)
     assert cond.value == pytest.approx(block_mi(t).value, abs=1e-12)
+    assert e is block_mi(t)  # computed once per table
 
 
 def test_conditional_mi_full_label_is_zero():

@@ -217,6 +217,16 @@ def test_insufficient_data_errors_name_the_minimum():
         estimate_block_mi([one_window], 4)
 
 
+def test_estimator_rejects_symbols_it_cannot_pack():
+    # Blocks are packed 2 bits per symbol, so a 4 would collide with another
+    # block instead of counting as a new one.
+    symbols = bytes([0, 1, 2, 3] * 5 + [4])
+    traj = Trajectory(symbols=symbols, seed=0, stream=0, kind="hpm2", alpha=1.5)
+    for data in (traj, [traj]):
+        with pytest.raises(ValueError, match="symbol 4 outside 0..3"):
+            estimate_block_mi(data, 2)
+
+
 def test_pooled_estimate_lands_in_certified_interval():
     # The exact certified interval at this truncation is wide; the estimator
     # must land inside it by a comfortable margin.
@@ -299,8 +309,10 @@ def test_estimator_matches_counter_oracle(kind):
                     point, std, count = naive_estimate(data, n, method, resamples, seed=n)
                     case = (n, report.regime, method, resamples)
                     assert report.sample_count == count, case
-                    # Entropies are summed in sorted, not first-seen, order: MIs agree
-                    # to ~4e-15 bits, which is more than 1e-12 of an SE near 1e-5.
+                    # Windows are numbered in first-seen order, as the oracle's Counters
+                    # hold them, but a resample's Counter is filled in draw order: its
+                    # MI sums in another order and agrees to ~2e-15 bits, which is more
+                    # than 1e-12 of an SE near 1e-5.
                     assert report.point_estimate == pytest.approx(point, rel=1e-12, abs=1e-13), case
                     assert report.std_error == pytest.approx(std, rel=1e-12, abs=1e-13), case
 
