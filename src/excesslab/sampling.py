@@ -2,7 +2,12 @@
 
 Randomness comes from numpy's Philox counter-based 64-bit generator, keyed
 by (seed, stream) through SeedSequence, so identical inputs give identical
-outputs on every platform.
+outputs on every platform.  A single stream and the bootstraps build their
+generator through numpy's SeedSequence.  Pooled streams share one generator:
+`_stream_keys` computes every stream's key in one numpy pass (a port of
+SeedSequence's pool mixing), and the generator is re-keyed and rewound to
+counter 0 before each stream.  Philox is counter-based, so each stream gets
+exactly the variates a fresh generator of that stream would give.
 
 Level draws follow the heavy-tailed law exactly over a one-million-entry
 prefix table; beyond it the law is inverted one binary-digit group at a
@@ -14,12 +19,14 @@ about 1.6e-3 of the stationary mass at alpha = 1.5 and smaller otherwise.
 These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
-A trajectory's symbols are slices of the emission words of its levels
-(`ProcessModel.emission_word`); hpm1 alone places its markers directly,
-since its word has `level` symbols.  Hidden states are not stored per
-symbol: each trajectory keeps one entry per word (its initial state and
-the level of every later word), and `Trajectory.hidden_states` expands
-that record on demand.
+A trajectory's symbols are slices of the emission words of its levels,
+read with `ProcessModel.emission_slice`: only the digits a trajectory
+shows are formatted, so a level with a million digits costs a shift of its
+machine words, not a million symbols.  hpm1 alone places its markers
+directly, since its word has `level` symbols.  Hidden states are not
+stored per symbol: each trajectory keeps one entry per word (its initial
+state and the level of every later word), and `Trajectory.hidden_states`
+expands that record on demand.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
@@ -35,6 +42,7 @@ window-by-window resample.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,6 +63,75 @@ MIN_WINDOWS = 4
 
 def _generator(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
+    """The Philox keys of the given stream numbers of `seed`, one row each.
+
+    Row i equals `SeedSequence(entropy=seed, spawn_key=(streams[i],))
+    .generate_state(2, np.uint64)`: numpy's pool mixing, run for every
+    stream at once with each 32-bit word held in a uint64 array.  The hash
+    constants do not depend on the data, so each mixing step is one array
+    operation.  A stream of 2**32 or more is a two-word spawn key, which this
+    port does not cover.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    streams = np.asarray(streams)
+    outside = streams[(streams < 0) | (streams > _MASK32)]
+    if len(outside):
+        raise ValueError(
+            f"stream {outside[0]} outside 0..2**32-1: only one-word spawn keys are ported"
+        )
+    mask = np.uint64(_MASK32)
+    shift = np.uint64(16)
+    # The seed as little-endian 32-bit words, zero-padded to the pool size
+    # because a spawn key follows, then the stream number.
+    words = [(seed >> bit) & _MASK32 for bit in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(len(streams), w, np.uint64) for w in words]
+    entropy.append(streams.astype(np.uint64))
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint64(hash_const) & mask
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # MIX_MULT_L*x - MIX_MULT_R*y mod 2**32; uint64 wraps mod 2**64.
+        result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & mask
+        return result ^ (result >> shift)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:  # generate_state(2, np.uint64) reads the pool once
+        word = word ^ np.uint64(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * np.uint64(hash_const) & mask
+        state.append(word ^ (word >> shift))
+    high = np.uint64(32)
+    return np.stack([state[0] | state[1] << high, state[2] | state[3] << high], axis=1)
 
 
 # ----- level samplers ---------------------------------------------------------
@@ -133,9 +210,8 @@ def sample_level(model: ProcessModel, rng: np.random.Generator) -> int:
     alpha = model.alpha
     c_mid, cdf = _stationary_tables(alpha, model.series_cutoff)
     u = rng.random()
-    total = float(cdf[-1])
-    if u < total:
-        return 2 + int(np.searchsorted(cdf, u, side="right"))
+    if u < float(cdf[-1]):
+        return 2 + int(cdf.searchsorted(u, "right"))
     # Analytic tail: P(digit group >= j) ~ K*(j-1)**(1-alpha) with the
     # bracket-midpoint constant; invert, then settle on the exact group.
     v = 1.0 - u
@@ -161,8 +237,8 @@ def sample_branch_level(model: ProcessModel, rng: np.random.Generator) -> int:
     _, cdf, group_cdf = _branch_tables(alpha, model.series_cutoff)
     u = rng.random()
     if u < float(cdf[-1]):
-        return 2 + int(np.searchsorted(cdf, u, side="right"))
-    idx = int(np.searchsorted(group_cdf, min(u, float(group_cdf[-1]))))
+        return 2 + int(cdf.searchsorted(u, "right"))
+    idx = int(group_cdf.searchsorted(min(u, float(group_cdf[-1]))))
     j = min(21 + idx, 21 + _BRANCH_GROUPS - 1)
     return _within_group(rng, j, alpha)
 
@@ -236,27 +312,74 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     The initial hidden state draws its level from the stationary level law
     and its phase uniformly; the cyclic kinds then stay on their cycle while
     the ergodic kind re-draws a level at every word boundary.  Symbols are
-    slices of `ProcessModel.emission_word`, except for hpm1, whose word has
-    `level` symbols and is never built.
+    slices of `ProcessModel.emission_word`, read with
+    `ProcessModel.emission_slice`, except for hpm1, whose word has `level`
+    symbols and is never built.
     """
+    _check_length(length)
+    return _sample(model, length, seed, stream, _generator(seed, (stream,)))
+
+
+def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> list[Trajectory]:
+    """`count` independent trajectories on streams 0..count-1 of one seed.
+
+    Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`.
+    One Philox generator serves every stream: it is re-keyed with the
+    stream's key from `_stream_keys` and rewound to counter 0 with an empty
+    buffer, which is the state a fresh generator of that stream starts from.
+    """
+    if count < 0:
+        raise ValueError(f"trajectory count must be >= 0, got {count}")
+    _check_length(length)
+    keys = _stream_keys(seed, np.arange(operator.index(count))).tolist()
+    bit_generator = np.random.Philox(seed)
+    rng = np.random.Generator(bit_generator)
+    # What Philox(SeedSequence(seed, spawn_key=(stream,))) starts from: the
+    # stream's key, counter 0 and an empty 4-word buffer.  Lists of ints set
+    # it in a third of the time arrays take.
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": None},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    trajectories = []
+    for stream, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        trajectories.append(_sample(model, length, seed, stream, rng))
+    return trajectories
+
+
+def _check_length(length: int) -> None:
     if length < 1:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
-    rng = _generator(seed, (stream,))
+
+
+def _sample(
+    model: ProcessModel, length: int, seed: int, stream: int, rng: np.random.Generator
+) -> Trajectory:
+    """One trajectory drawn from `rng`, which is stream `stream` of `seed`."""
     level = sample_level(model, rng)
     r = model.phase_count(level)
     phase = _uniform_phase(rng, r)
     word_levels: list[int] = []
     if model.kind is Kind.HPM1:
         symbols = _hpm1_symbols(level, phase, length)
-    elif model.kind is Kind.HPM2:
+    elif model.kind is Kind.HPM2 and r <= length:
         word = model.emission_word(level)
         symbols = (word * ((phase - 1 + length) // r + 1))[phase - 1 : phase - 1 + length]
+    elif model.kind is Kind.HPM2:  # the window wraps at most once
+        head = model.emission_slice(level, phase - 1, phase - 1 + length)
+        symbols = head + model.emission_slice(level, 0, length - len(head))
     else:
-        pieces = [model.emission_word(level)[phase - 1 : phase - 1 + length]]
+        pieces = [model.emission_slice(level, phase - 1, phase - 1 + length)]
         filled = len(pieces[0])
         while filled < length:
             word_levels.append(sample_branch_level(model, rng))
-            pieces.append(model.emission_word(word_levels[-1])[: length - filled])
+            pieces.append(model.emission_slice(word_levels[-1], 0, length - filled))
             filled += len(pieces[-1])
         symbols = b"".join(pieces)
     return Trajectory(
@@ -277,11 +400,6 @@ def _hpm1_symbols(level: int, phase: int, length: int) -> bytes:
         buf[t] = 1
         t += level
     return bytes(buf)
-
-
-def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> list[Trajectory]:
-    """`count` independent trajectories on streams 0..count-1 of one seed."""
-    return [sample_trajectory(model, length, seed, stream=i) for i in range(count)]
 
 
 # ----- estimation --------------------------------------------------------------

@@ -2,10 +2,15 @@
 emission maps, and the stationarity audits."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from excesslab import models
 from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_digit, binary_length
@@ -132,6 +137,60 @@ def test_emission_word_matches_emission_at_every_phase(kind):
         assert len(word) == m.phase_count(level)
         for k in range(1, len(word) + 1):
             assert word[k - 1] == m.emission(StateId(level, k)), (level, k)
+
+
+def _slice_bounds(s: int, r: int) -> list[int]:
+    """Every region boundary of a level with s digits and r phases, one
+    either side of it, and points past the end."""
+    edges = (0, 1, s, 2 * s + 1, r)
+    return sorted({max(0, e + d) for e in edges for d in (-1, 0, 1)} | {r + 7})
+
+
+def _check_slices(m, level, pairs):
+    # Each slice twice: as emission_slice picks its path, and cut from the
+    # digits however much of the word it keeps.
+    word = m.emission_word(level)
+    for start, stop in pairs:
+        assert m.emission_slice(level, start, stop) == word[start:stop], (start, stop)
+        with mock.patch.object(models, "_CUT_MIN_SKIPPED", -1):
+            assert m.emission_slice(level, start, stop) == word[start:stop], (start, stop, "cut")
+
+
+@pytest.mark.parametrize("kind", ["hpm2", "hmc"])
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(digits=st.integers(2, 2400), data=st.data())
+def test_emission_slice_matches_word(kind, digits, data):
+    m = make_model(kind, 1.5)
+    level = data.draw(st.integers(1 << (digits - 1), (1 << digits) - 1), label="level")
+    r = m.phase_count(level)
+    # Every pair of boundaries: empty slices, region edges, ends past the word.
+    bounds = _slice_bounds(digits, r)
+    pairs = [(start, stop) for start in bounds for stop in bounds]
+    start = data.draw(st.integers(0, r + 3), label="start")
+    pairs += [(start, data.draw(st.integers(0, r + 3), label="stop")), (start, start + 16)]
+    _check_slices(m, level, pairs)
+
+
+@pytest.mark.parametrize("kind", ["hpm2", "hmc"])
+def test_emission_slice_of_a_level_with_2_to_the_20_digits(kind):
+    m = make_model(kind, 1.5)
+    level = (1 << (2**20 - 1)) | random.Random(20).getrandbits(2**20 - 1)
+    bounds = _slice_bounds(level.bit_length(), m.phase_count(level))
+    _check_slices(m, level, [(a, b) for a in bounds for b in (*bounds, a + 16, a + 64)])
+
+
+def test_emission_slice_hpm1_and_bad_bounds():
+    m = make_model("hpm1", 1.5)
+    for level in range(2, 12):
+        word = m.emission_word(level)
+        for start in range(level + 3):
+            for stop in range(level + 3):
+                assert m.emission_slice(level, start, stop) == word[start:stop]
+    with pytest.raises(ValueError, match=r"\[-1:4\]"):
+        make_model("hmc", 1.5).emission_slice(9, -1, 4)
+    with pytest.raises(ValueError, match="levels start at 2"):
+        m.emission_slice(1, 0, 1)
 
 
 def test_hpm1_emission_cases():

@@ -1,10 +1,13 @@
 """Sampling contracts: reproducibility, level-law frequencies, trajectory
 structure, and estimator behaviour on known targets."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from excesslab.exact import _plug_in_mi, block_mi, enumerate_joint
 from excesslab.models import binary_length
@@ -12,6 +15,7 @@ from excesslab.sampling import (
     Trajectory,
     _branch_tables,
     _stationary_tables,
+    _stream_keys,
     estimate_block_mi,
     sample_level,
     sample_trajectories,
@@ -82,6 +86,35 @@ def test_fixed_seed_reproduces_draws():
     assert seq1 == seq2
 
 
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    entropy=st.integers(0, 2**160),
+    streams=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+@example(entropy=0, streams=[])
+@example(entropy=2**32 - 1, streams=[])
+@example(entropy=2**32, streams=[])
+@example(entropy=2**64, streams=[])
+@example(entropy=2**128 + 5, streams=[])
+def test_stream_keys_match_seed_sequence(entropy, streams):
+    streams = np.array([0, 1, 2**32 - 1, *streams], dtype=np.int64)
+    keys = _stream_keys(entropy, streams)
+    assert keys.shape == (len(streams), 2) and keys.dtype == np.uint64
+    for stream, key in zip(streams, keys):
+        expected = np.random.SeedSequence(entropy=entropy, spawn_key=(int(stream),))
+        assert (key == expected.generate_state(2, np.uint64)).all(), (entropy, stream)
+
+
+def test_stream_keys_reject_streams_past_one_word():
+    with pytest.raises(ValueError, match="stream 4294967296"):
+        _stream_keys(5, np.array([3, 2**32]))
+    with pytest.raises(ValueError, match="stream -1"):
+        _stream_keys(5, np.array([-1]))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        _stream_keys(-3, np.arange(2))
+
+
 # ----- trajectories -------------------------------------------------------------
 
 
@@ -92,6 +125,60 @@ def test_trajectory_determinism_and_streams():
     c = sample_trajectory(model, 200, seed=5, stream=1)
     assert a.symbols == b.symbols
     assert a.symbols != c.symbols
+
+
+def _symbols_from_words(model, traj):
+    """The symbols of `traj`, cut from whole emission words of its record."""
+    out = []
+    for start, stop, state in traj._word_runs():
+        word, k = model.emission_word(state.level), state.phase - 1
+        out.append((word * ((k + stop - start) // len(word) + 1))[k : k + stop - start])
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
+def test_sample_trajectories_equal_per_stream_sampler(kind):
+    # The pooled sampler re-keys one generator per stream; every trajectory
+    # must be the one a fresh per-stream generator gives, field by field.
+    # Symbols read with emission_slice must be those of the whole words
+    # (hpm1 never builds a word: its words reach 2**(2**20) symbols).
+    cases = [
+        (make_model(kind, alpha), length, seed, 400)
+        for alpha in (1.5, 2.0)
+        for length, seed in ((1, 171), (16, 172), (64, 173))
+    ]
+    cases.append((make_model(kind, 1.5, fixed_level=2**70 + 3), 64, 174, 20))
+    levels, wraps = [], 0
+    for model, length, seed, count in cases:
+        pooled = sample_trajectories(model, count, length, seed)
+        assert len(pooled) == count
+        for stream, traj in enumerate(pooled):
+            single = sample_trajectory(model, length, seed, stream=stream)
+            for f in dataclasses.fields(Trajectory):
+                case = (f.name, length, seed, stream)
+                assert getattr(traj, f.name) == getattr(single, f.name), case
+            if kind != "hpm1":
+                assert traj.symbols == _symbols_from_words(model, traj), (length, seed, stream)
+            state = traj.initial_state
+            levels += [state.level, *traj.word_levels]
+            r = model.phase_count(state.level)
+            wraps += r > length and state.phase - 1 + length > r
+    # The draws reach the tail beyond the prefix table, the log-uniform
+    # within-group draw past 512 digits (its low bits come from rng.bytes),
+    # and windows that run off the end of their word.
+    assert any(level > 1 << 20 for level in levels)
+    assert any(level.bit_length() > 512 for level in levels)
+    assert wraps > 0
+
+
+def test_sample_trajectories_check_their_arguments_first():
+    model = make_model("hpm2", 1.5)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            sample_trajectories(model, count, 0, seed=1)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        sample_trajectories(model, -1, 8, seed=1)
+    assert sample_trajectories(model, 0, 8, seed=1) == []
 
 
 def test_hpm1_window_marker_structure():
