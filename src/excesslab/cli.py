@@ -85,6 +85,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
+        if not self.seeds:
+            raise ValueError("seed list must not be empty")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ValueError(f"seeds must be >= 0, got {negative[0]}")
         if self.estimator not in ("plugin", "miller_madow"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.regressor not in ("auto",) + REGRESSORS:
@@ -233,6 +238,7 @@ def _estimate_row(config: RunConfig, n: int, seed: int) -> dict:
         "method": report.method,
         "regime": report.regime,
         "trajectories": report.trajectory_count,
+        "trajectory_length": length,
     }
 
 
@@ -244,7 +250,9 @@ def cmd_estimate(config: RunConfig, out: Path) -> int:
         path,
         extra_columns=("seed", "std_error", "sample_count", "method", "regime", "trajectories"),
     )
-    _write_manifest(out, "estimate", config, [path.name])
+    # The trajectory length and regime depend on n alone, not on the seed.
+    resolved = {r["n"]: {k: r[k] for k in ("n", "trajectory_length", "regime")} for r in rows}
+    _write_manifest(out, "estimate", config, [path.name], list(resolved.values()))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 

@@ -24,6 +24,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intervals import Interval
 from .series import (
     branch_normalization_sum,
@@ -193,6 +195,23 @@ class ProcessModel:
         if k <= 2 * s + 1:
             return 3
         return binary_digit(m, k - 2 * s)
+
+    def emission_array(self, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """`emission(StateId(level, offset + 1))` elementwise, as uint8.
+
+        `levels` (below 2**31) and the 0-based phase `offsets` are integer
+        arrays that broadcast against each other; every offset must lie in
+        0..r(level)-1.  `emission` is the per-state reference it agrees with.
+        """
+        levels, k = np.asarray(levels, np.int64), np.asarray(offsets, np.int64)
+        if self.kind is Kind.HPM1:
+            return (k == levels - 1).astype(np.uint8)
+        s = np.frexp(levels)[1]  # binary digit counts, exact below 2**53
+        # digits 2..s sit at offsets 1..s-1 and, for hmc, again at 2s+1..3s-1
+        symbols = np.where(k == 0, 2, (levels >> np.where(k < s, s - 1 - k, 3 * s - 1 - k)) & 1)
+        if self.kind is Kind.HMC:
+            symbols = np.where((k >= s) & (k <= 2 * s), 3, symbols)
+        return symbols.astype(np.uint8)
 
     def emission_word(self, level: int) -> bytes:
         """One full cycle of emissions, phases 1..r(level), as bytes.

@@ -3,11 +3,30 @@
 Randomness comes from numpy's Philox counter-based 64-bit generator, keyed
 by (seed, stream) through SeedSequence, so identical inputs give identical
 outputs on every platform.  A single stream and the bootstraps build their
-generator through numpy's SeedSequence.  Pooled streams share one generator:
-`_stream_keys` computes every stream's key in one numpy pass (a port of
-SeedSequence's pool mixing), and the generator is re-keyed and rewound to
-counter 0 before each stream.  Philox is counter-based, so each stream gets
-exactly the variates a fresh generator of that stream would give.
+generator through numpy's SeedSequence.  Pooled streams are keyed by
+`_stream_keys` in one numpy pass (a port of SeedSequence's pool mixing).
+Philox is counter-based, so each stream gets exactly the variates a fresh
+generator of that stream would give, however they are computed:
+
+* A pooled cyclic stream (hpm1, hpm2) draws one double for its level and
+  one bounded integer for its phase.  `_philox`, a numpy port of
+  Philox4x64-10, computes every stream's first four-word block at once;
+  word 0 gives the double, the low half of word 1 gives the phase through
+  `_lemire32`, numpy's bounded-integer draw, and every trajectory's symbols
+  come from one `(count, length)` matrix.  A stream whose level falls past
+  the prefix table, whose phase draw rejects, or whose model has a fixed
+  level is drawn by the scalar sampler on one generator, re-keyed and
+  rewound to counter 0 before each stream.
+* The hmc branch levels of one trajectory are drawn as blocks of doubles,
+  which numpy gives from the same outputs as one call per double.  Prefix
+  hits become levels and symbols in numpy; at a draw past the prefix table
+  the generator is stepped back to just after it and the scalar tail
+  draws on from there.
+
+The prefix map (`_prefix_levels`) serves the scalar and the array draws
+alike, so the level law is written once; the tails (`_level_tail`,
+`_branch_tail`) stay scalar.  The one-variate-at-a-time sampler these
+reproduce bit for bit is kept in the tests as their reference.
 
 Level draws follow the heavy-tailed law exactly over a one-million-entry
 prefix table; beyond it the law is inverted one binary-digit group at a
@@ -23,7 +42,9 @@ A trajectory's symbols are slices of the emission words of its levels,
 read with `ProcessModel.emission_slice`: only the digits a trajectory
 shows are formatted, so a level with a million digits costs a shift of its
 machine words, not a million symbols.  hpm1 alone places its markers
-directly, since its word has `level` symbols.  Hidden states are not
+directly, since its word has `level` symbols.  The block draws compute the
+symbols of prefix-table levels in numpy (`ProcessModel.emission_array`).
+Hidden states are not
 stored per symbol: each trajectory keeps one entry per word (its initial
 state and the level of every later word), and `Trajectory.hidden_states`
 expands that record on demand.
@@ -57,12 +78,25 @@ _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
 _EXACT_REJECT_DIGITS = 512  # exact within-group rejection up to this digit count
 _GROUP_CAP = 1 << 20  # largest digit group representable by the sampler
 _BRANCH_GROUPS = 20000  # digit groups tabulated for the branch law
+_BRANCH_BLOCK = 256  # most branch levels drawn as one block
+_MIN_HMC_WORD = 6  # r(2) = r(3) = 3 * 2 symbols, the shortest hmc word
 
 MIN_WINDOWS = 4
 
 
 def _generator(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+
+
+def _check_entropy(name: str, value) -> int:
+    """A seed or stream number as an int; anything else raises naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
@@ -83,9 +117,7 @@ def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     operation.  A stream of 2**32 or more is a two-word spawn key, which this
     port does not cover.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _check_entropy("seed", seed)
     streams = np.asarray(streams)
     outside = streams[(streams < 0) | (streams > _MASK32)]
     if len(outside):
@@ -132,6 +164,47 @@ def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
         state.append(word ^ (word >> shift))
     high = np.uint64(32)
     return np.stack([state[0] | state[1] << high, state[2] | state[3] << high], axis=1)
+
+
+# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of a * b, from products of 32-bit halves."""
+    mask, half = np.uint64(_MASK32), np.uint64(32)
+    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
+    b_lo, b_hi = b & mask, b >> half
+    low_low, low_high, high_low = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    middle = (low_low >> half) + (low_high & mask) + (high_low & mask)
+    high = a_hi * b_hi + (low_high >> half) + (high_low >> half) + (middle >> half)
+    return high, np.uint64(a) * b
+
+
+def _philox(counter: tuple[np.ndarray, ...], key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 of every row at once: the four words numpy's Philox
+    buffers when its counter reaches `counter` (four uint64 arrays, low word
+    first) under `key` (a `(k, 2)` uint64 array)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key[:, 0], key[:, 1]
+    for i in range(10):
+        if i:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        high0, low0 = _mulhilo(_PHILOX_M[0], c0)
+        high1, low1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = high1 ^ c1 ^ k0, low1, high0 ^ c3 ^ k1, low0
+    return c0, c1, c2, c3
+
+
+def _lemire32(words: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw of 0..r-1 from 32-bit words, for 1 < r < 2**32
+    (Lemire, ACM TOMACS 2019): the high word of words * r, rejected where
+    its low word is below 2**32 mod r.  Returns (draws, rejected)."""
+    r = r.astype(np.uint64)
+    product = words * r
+    rejected = (product & np.uint64(_MASK32)) < np.uint64(1 << 32) % r
+    return product >> np.uint64(32), rejected
 
 
 # ----- level samplers ---------------------------------------------------------
@@ -203,15 +276,27 @@ def _log_uniform_big(rng: np.random.Generator, j: int, frac: float) -> int:
     return min(max(m, 1 << (j - 1)), (1 << j) - 1)
 
 
+def _prefix_levels(cdf: np.ndarray, u):
+    """The levels of draws `u` below `cdf[-1]`, for a scalar or an array:
+    2 plus the count of prefix-table entries at or below each draw."""
+    return 2 + cdf.searchsorted(u, "right")
+
+
 def sample_level(model: ProcessModel, rng: np.random.Generator) -> int:
     """Draw one level from the stationary level law P(N=n) = C/(n*log2(n)**alpha)."""
     if model.fixed_level is not None:
         return model.fixed_level
-    alpha = model.alpha
-    c_mid, cdf = _stationary_tables(alpha, model.series_cutoff)
+    _, cdf = _stationary_tables(model.alpha, model.series_cutoff)
     u = rng.random()
     if u < float(cdf[-1]):
-        return 2 + int(cdf.searchsorted(u, "right"))
+        return int(_prefix_levels(cdf, u))
+    return _level_tail(model, rng, u)
+
+
+def _level_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
+    """The stationary level of a draw `u` past the prefix table."""
+    alpha = model.alpha
+    c_mid, _ = _stationary_tables(alpha, model.series_cutoff)
     # Analytic tail: P(digit group >= j) ~ K*(j-1)**(1-alpha) with the
     # bracket-midpoint constant; invert, then settle on the exact group.
     v = 1.0 - u
@@ -233,14 +318,19 @@ def sample_branch_level(model: ProcessModel, rng: np.random.Generator) -> int:
     """Draw the next level at a word boundary of the ergodic kind."""
     if model.fixed_level is not None:
         return model.fixed_level
-    alpha = model.alpha
-    _, cdf, group_cdf = _branch_tables(alpha, model.series_cutoff)
+    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
     u = rng.random()
     if u < float(cdf[-1]):
-        return 2 + int(cdf.searchsorted(u, "right"))
+        return int(_prefix_levels(cdf, u))
+    return _branch_tail(model, rng, u)
+
+
+def _branch_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
+    """The branch level of a draw `u` past the prefix table."""
+    _, _, group_cdf = _branch_tables(model.alpha, model.series_cutoff)
     idx = int(group_cdf.searchsorted(min(u, float(group_cdf[-1]))))
     j = min(21 + idx, 21 + _BRANCH_GROUPS - 1)
-    return _within_group(rng, j, alpha)
+    return _within_group(rng, j, model.alpha)
 
 
 def _uniform_phase(rng: np.random.Generator, r: int) -> int:
@@ -314,9 +404,12 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     the ergodic kind re-draws a level at every word boundary.  Symbols are
     slices of `ProcessModel.emission_word`, read with
     `ProcessModel.emission_slice`, except for hpm1, whose word has `level`
-    symbols and is never built.
+    symbols and is never built, and for hmc words of prefix-table levels,
+    which `ProcessModel.emission_array` computes in numpy.  A seed or stream
+    that is not a non-negative integer raises an error naming it.
     """
     _check_length(length)
+    seed, stream = _check_entropy("seed", seed), _check_entropy("stream", stream)
     return _sample(model, length, seed, stream, _generator(seed, (stream,)))
 
 
@@ -324,14 +417,20 @@ def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int)
     """`count` independent trajectories on streams 0..count-1 of one seed.
 
     Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`.
-    One Philox generator serves every stream: it is re-keyed with the
+    The cyclic kinds take most streams from `_first_blocks`, in numpy.  One
+    Philox generator serves every other stream: it is re-keyed with the
     stream's key from `_stream_keys` and rewound to counter 0 with an empty
     buffer, which is the state a fresh generator of that stream starts from.
     """
     if count < 0:
         raise ValueError(f"trajectory count must be >= 0, got {count}")
     _check_length(length)
-    keys = _stream_keys(seed, np.arange(operator.index(count))).tolist()
+    seed = _check_entropy("seed", seed)
+    keys = _stream_keys(seed, np.arange(operator.index(count)))
+    if model.kind is Kind.HMC or model.fixed_level is not None:
+        trajectories: list = [None] * count
+    else:
+        trajectories = _first_blocks(model, keys, length, seed)
     bit_generator = np.random.Philox(seed)
     rng = np.random.Generator(bit_generator)
     # What Philox(SeedSequence(seed, spawn_key=(stream,))) starts from: the
@@ -345,11 +444,11 @@ def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int)
         "has_uint32": 0,
         "uinteger": 0,
     }
-    trajectories = []
-    for stream, key in enumerate(keys):
-        fresh["state"]["key"] = key
-        bit_generator.state = fresh
-        trajectories.append(_sample(model, length, seed, stream, rng))
+    for stream, key in enumerate(keys.tolist()):
+        if trajectories[stream] is None:
+            fresh["state"]["key"] = key
+            bit_generator.state = fresh
+            trajectories[stream] = _sample(model, length, seed, stream, rng)
     return trajectories
 
 
@@ -358,10 +457,43 @@ def _check_length(length: int) -> None:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
 
 
+def _first_blocks(model: ProcessModel, keys: np.ndarray, length: int, seed: int) -> list:
+    """The cyclic trajectories that the first Philox block of their stream
+    decides, in one numpy pass; None for every other stream.
+
+    A cyclic stream draws `random()` for its level, `integers(0, r)` for its
+    phase and nothing more.  From a fresh generator the level is word 0 of
+    the block at counter 1, `(word >> 11) * 2**-53`, and the phase is the
+    bounded draw from the low half of word 1.  A stream whose level falls
+    past the prefix table, or whose bounded draw rejects, is left to
+    `_sample`.
+    """
+    zero = np.zeros(len(keys), np.uint64)
+    word0, word1, _, _ = _philox((zero + np.uint64(1), zero, zero, zero), keys)
+    _, cdf = _stationary_tables(model.alpha, model.series_cutoff)
+    u = (word0 >> np.uint64(11)) * 2.0**-53
+    levels = _prefix_levels(cdf, u)
+    r = levels if model.kind is Kind.HPM1 else np.frexp(levels)[1]
+    offsets, rejected = _lemire32(word1 & np.uint64(_MASK32), r)
+    streams = np.flatnonzero((u < cdf[-1]) & ~rejected)
+    levels, offsets = levels[streams], offsets[streams].astype(np.int64)
+    phases = (offsets[:, None] + np.arange(length)) % r[streams, None]
+    data = model.emission_array(levels[:, None], phases).tobytes()
+    trajectories: list = [None] * len(keys)
+    kind, alpha = model.kind.value, model.alpha
+    rows = zip(streams.tolist(), levels.tolist(), offsets.tolist())
+    for i, (stream, level, offset) in enumerate(rows):
+        symbols = data[i * length : (i + 1) * length]
+        state = StateId(level, offset + 1)
+        trajectories[stream] = Trajectory(symbols, seed, stream, kind, alpha, state)
+    return trajectories
+
+
 def _sample(
     model: ProcessModel, length: int, seed: int, stream: int, rng: np.random.Generator
 ) -> Trajectory:
-    """One trajectory drawn from `rng`, which is stream `stream` of `seed`."""
+    """One trajectory drawn from `rng`, a Philox generator on stream
+    `stream` of `seed`."""
     level = sample_level(model, rng)
     r = model.phase_count(level)
     phase = _uniform_phase(rng, r)
@@ -375,13 +507,9 @@ def _sample(
         head = model.emission_slice(level, phase - 1, phase - 1 + length)
         symbols = head + model.emission_slice(level, 0, length - len(head))
     else:
-        pieces = [model.emission_slice(level, phase - 1, phase - 1 + length)]
-        filled = len(pieces[0])
-        while filled < length:
-            word_levels.append(sample_branch_level(model, rng))
-            pieces.append(model.emission_slice(word_levels[-1], 0, length - filled))
-            filled += len(pieces[-1])
-        symbols = b"".join(pieces)
+        symbols = model.emission_slice(level, phase - 1, phase - 1 + length)
+        if len(symbols) < length:
+            symbols += _branch_words(model, length - len(symbols), rng, word_levels)
     return Trajectory(
         symbols=symbols,
         seed=seed,
@@ -391,6 +519,74 @@ def _sample(
         initial_state=StateId(level, phase),
         word_levels=tuple(word_levels),
     )
+
+
+def _branch_words(
+    model: ProcessModel, length: int, rng: np.random.Generator, word_levels: list[int]
+) -> bytes:
+    """The first `length` symbols of the hmc words that follow a word end,
+    appending the level of each word to `word_levels`.
+
+    Branch levels are drawn as blocks of doubles, `rng.random(k)`, which
+    gives the same values as k calls to `rng.random()`.  The draws that hit
+    the prefix table become levels and symbols in numpy.  At the first draw
+    past it the generator is stepped back to just after that draw, so that
+    the scalar tail (`_branch_tail`) draws what it would have drawn.  A
+    block holds at most enough words to fill the trajectory; draws past its
+    last word are never used, as nothing draws from the stream again.
+    """
+    pieces: list[bytes] = []
+    filled = 0
+
+    def add_word(level: int) -> None:
+        nonlocal filled
+        word_levels.append(level)
+        pieces.append(model.emission_slice(level, 0, length - filled))
+        filled += len(pieces[-1])
+
+    if model.fixed_level is not None:
+        while filled < length:
+            add_word(model.fixed_level)
+        return b"".join(pieces)
+    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
+    while filled < length:
+        u = rng.random(min(-(-(length - filled) // _MIN_HMC_WORD), _BRANCH_BLOCK))
+        past_prefix = u >= cdf[-1]
+        first_tail = int(past_prefix.argmax()) if past_prefix.any() else len(u)
+        levels = _prefix_levels(cdf, u[:first_tail])
+        r = 3 * np.frexp(levels)[1]
+        ends = np.cumsum(r)
+        words = min(int(ends.searchsorted(length - filled)) + 1, len(levels))
+        if words:
+            word = np.repeat(np.arange(words), r[:words])[: length - filled]
+            offsets = np.arange(len(word)) - (ends - r)[word]
+            pieces.append(model.emission_array(levels[word], offsets).tobytes())
+            word_levels.extend(levels[:words].tolist())
+            filled += len(word)
+        if filled < length and first_tail < len(u):
+            _rewind(rng.bit_generator, len(u) - first_tail - 1)
+            add_word(_branch_tail(model, rng, float(u[first_tail])))
+    return b"".join(pieces)
+
+
+def _rewind(bit_generator: np.random.Philox, words: int) -> None:
+    """Step a Philox bit generator back by `words` 64-bit outputs.
+
+    At counter c and buffer position p it has given 4*c + p - 4 outputs.
+    Setting counter q with an empty buffer and drawing p' more outputs, for
+    q, p' = divmod(outputs - words, 4), leaves it where it was `words`
+    outputs ago.  The 32-bit half-word numpy keeps for `integers` is not
+    touched by 64-bit outputs, so it is kept as it is."""
+    if not words:
+        return
+    state = bit_generator.state
+    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
+    q, p = divmod(4 * counter + state["buffer_pos"] - 4 - words, 4)
+    state["state"]["counter"] = [(q >> (64 * i)) & (2**64 - 1) for i in range(4)]
+    state["buffer_pos"] = 4
+    bit_generator.state = state
+    if p:
+        bit_generator.random_raw(p)
 
 
 def _hpm1_symbols(level: int, phase: int, length: int) -> bytes:

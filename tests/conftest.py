@@ -1,6 +1,7 @@
 """Shared fixtures: fast-cutoff models, and independently coded reference
-enumerators, table profiles, scalar level decoders and scalar triple-bound
-predicates used as oracles against the production engine."""
+enumerators, table profiles, scalar level decoders, scalar triple-bound
+predicates and a scalar trajectory sampler used as oracles against the
+production engine."""
 
 from __future__ import annotations
 
@@ -13,8 +14,15 @@ import numpy as np
 import pytest
 
 from excesslab.decoders import hidden_truth
-from excesslab.models import Kind, ProcessModel
-from excesslab.sampling import Trajectory, _generator, sample_trajectory
+from excesslab.models import Kind, ProcessModel, StateId
+from excesslab.sampling import (
+    Trajectory,
+    _generator,
+    _uniform_phase,
+    sample_branch_level,
+    sample_level,
+    sample_trajectory,
+)
 from excesslab.series import LN2, level_weight
 
 # Tests run the normalization series at a reduced cutoff; enclosures stay
@@ -351,6 +359,44 @@ def _plug_in_entropy(masses: list) -> float:
     arr = np.asarray(masses, dtype=np.float64)
     q = arr / np.sum(arr)
     return float(-np.sum(q * np.log2(q)))
+
+
+# ----- scalar trajectory sampler: the reference for the block draws ----------
+
+
+def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> Trajectory:
+    """Stream `stream` of `seed` drawn one variate at a time, as the sampler
+    drew it before its block draws: the level by one `random()` through the
+    prefix table or the scalar tail, the phase by one `integers(0, r)`, and
+    every later hmc word by one branch-level draw."""
+    rng = _generator(seed, (stream,))
+    level = sample_level(model, rng)
+    r = model.phase_count(level)
+    phase = _uniform_phase(rng, r)
+    word_levels: list[int] = []
+    if model.kind is Kind.HPM1:
+        symbols = bytes((t + phase) % level == 0 for t in range(length))
+    elif model.kind is Kind.HPM2:
+        symbols = model.emission_slice(level, phase - 1, phase - 1 + length)
+        while len(symbols) < length:  # the cycle repeats its word
+            symbols += model.emission_slice(level, 0, length - len(symbols))
+    else:
+        pieces = [model.emission_slice(level, phase - 1, phase - 1 + length)]
+        filled = len(pieces[0])
+        while filled < length:
+            word_levels.append(sample_branch_level(model, rng))
+            pieces.append(model.emission_slice(word_levels[-1], 0, length - filled))
+            filled += len(pieces[-1])
+        symbols = b"".join(pieces)
+    return Trajectory(
+        symbols=symbols,
+        seed=seed,
+        stream=stream,
+        kind=model.kind.value,
+        alpha=model.alpha,
+        initial_state=StateId(level, phase),
+        word_levels=tuple(word_levels),
+    )
 
 
 def truth_hits(detail: str) -> int:

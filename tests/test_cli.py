@@ -110,6 +110,21 @@ def test_count_that_checks_nothing_is_usage_error(tmp_path, capsys, args, config
     assert message in capsys.readouterr().err
 
 
+def test_negative_or_missing_seed_is_usage_error(tmp_path, capsys):
+    # An empty seed list used to write an estimate.csv with no rows, exit 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [2, -5]}))
+    for args, message in (
+        (["--seed", "3,-1"], "seeds must be >= 0, got -1"),
+        (["--config", str(cfg)], "seeds must be >= 0, got -5"),
+        (["--seed", ""], "seed list must not be empty"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["estimate", "--n", "2", "--out", str(tmp_path)] + args + FAST)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -213,6 +228,23 @@ def test_estimate_sliding_for_ergodic_kind(tmp_path):
     assert code == 0
     rows = read_csv(out / "estimate.csv")
     assert rows[0]["regime"] == "sliding"
+
+
+def test_estimate_records_the_length_and_regime_it_ran(tmp_path):
+    # The config leaves the trajectory length to the per-kind default (null);
+    # the manifest records what each n ran with, once per n, not per seed.
+    common = ["estimate", "--seed", "3,4", "--bootstrap", "2"] + FAST
+    pooled, sliding = tmp_path / "pooled", tmp_path / "sliding"
+    assert run_cli(common + ["--process", "hpm2", "--n", "2,4", "--trajectories", "50", "--out", str(pooled)]) == 0
+    assert run_cli(common + ["--process", "hmc", "--n", "3", "--out", str(sliding)]) == 0
+    manifest = json.loads((pooled / "manifest.json").read_text())
+    assert manifest["config"]["trajectory_length"] is None
+    assert manifest["resolved"] == [
+        {"n": 2, "trajectory_length": 4, "regime": "pooled"},
+        {"n": 4, "trajectory_length": 8, "regime": "pooled"},
+    ]
+    manifest = json.loads((sliding / "manifest.json").read_text())
+    assert manifest["resolved"] == [{"n": 3, "trajectory_length": 100_000, "regime": "sliding"}]
 
 
 def test_verify_passes_and_writes_ledger(tmp_path):

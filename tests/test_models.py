@@ -130,6 +130,7 @@ def test_emission_words(kind, level, expected):
 def test_emission_word_matches_emission_at_every_phase(kind):
     # hpm1's word has `level` phases, so its levels stop at 2**9 plus the top
     # two (every phase up to 2**12 would be 8.4M reference calls).
+    # emission_array must give each word too, up to its bound of 2**31.
     m = make_model(kind, 1.5)
     levels = range(2, 2**12 + 1) if kind != "hpm1" else [*range(2, 2**9 + 1), 2**12 - 1, 2**12]
     for level in levels:
@@ -137,6 +138,11 @@ def test_emission_word_matches_emission_at_every_phase(kind):
         assert len(word) == m.phase_count(level)
         for k in range(1, len(word) + 1):
             assert word[k - 1] == m.emission(StateId(level, k)), (level, k)
+    levels = [*levels, *((2**30 + 5, 2**31 - 1) if kind != "hpm1" else ())]
+    stacked = [(level, k) for level in levels for k in range(m.phase_count(level))]
+    array = m.emission_array(*np.array(stacked).T)
+    assert array.dtype == np.uint8
+    assert array.tobytes() == b"".join(m.emission_word(level) for level in levels)
 
 
 def _slice_bounds(s: int, r: int) -> list[int]:

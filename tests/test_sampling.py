@@ -2,6 +2,7 @@
 structure, and estimator behaviour on known targets."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,12 @@ from hypothesis import strategies as st
 from excesslab.exact import _plug_in_mi, block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
+    _MASK32,
     Trajectory,
     _branch_tables,
+    _lemire32,
+    _philox,
+    _prefix_levels,
     _stationary_tables,
     _stream_keys,
     estimate_block_mi,
@@ -25,7 +30,7 @@ from excesslab.sampling import (
 
 from excesslab.series import LN2
 
-from conftest import FAST_SERIES_CUTOFF, make_model, naive_estimate
+from conftest import FAST_SERIES_CUTOFF, make_model, naive_estimate, oracle_sample
 
 
 # ----- level sampler ---------------------------------------------------------
@@ -115,6 +120,66 @@ def test_stream_keys_reject_streams_past_one_word():
         _stream_keys(-3, np.arange(2))
 
 
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    keys=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), max_size=8),
+    counter=st.integers(0, 2**256 - 2),
+)
+@example(keys=[], counter=2**64 - 1)  # the increment carries into the second word
+def test_philox_port_matches_numpy(keys, counter):
+    keys = np.array([(0, 0), (2**64 - 1, 2**64 - 1), (0, 2**64 - 1), *keys], dtype=np.uint64)
+    # numpy increments the counter, then fills its buffer with the block.
+    after = counter + 1
+    words = tuple(np.full(len(keys), (after >> (64 * i)) & (2**64 - 1), np.uint64) for i in range(4))
+    blocks = np.stack(_philox(words, keys), axis=1)
+    for key, block in zip(keys, blocks):
+        bits = np.random.Philox(key=key)
+        state = bits.state
+        state["state"]["counter"] = [(counter >> (64 * i)) & (2**64 - 1) for i in range(4)]
+        bits.state = state
+        expected = bits.random_raw(4)
+        assert (block == expected).all(), f"numpy {np.__version__}: key {key}, counter {counter}"
+
+
+@pytest.mark.parametrize("r", [2, 3, 7, 19_715, 2**20 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+def test_bounded_draw_matches_numpy_integers(r):
+    # integers(0, r) takes 32-bit halves of the 64-bit outputs, low half
+    # first, until the bounded draw accepts one.  r = 2**31 + 1 rejects
+    # about half of them.
+    rng = np.random.default_rng(r)
+    keys = rng.integers(0, 2**64, size=(200, 2), dtype=np.uint64)
+    keys[:2] = [(0, 0), (2**64 - 1, 2**64 - 1)]
+    rejections = 0
+    for key in keys:
+        words = np.random.Philox(key=key).random_raw(32).tolist()
+        halves = [h for w in words for h in (w & _MASK32, w >> 32)]
+        for half in halves:
+            draw, rejected = _lemire32(np.array([half], np.uint64), np.array([r]))
+            rejections += bool(rejected[0])
+            if not rejected[0]:
+                break
+        expected = np.random.Generator(np.random.Philox(key=key)).integers(0, r)
+        assert int(draw[0]) == expected, f"numpy {np.__version__}: key {key}, r {r}"
+    if r == 2**31 + 1:
+        assert rejections > 50
+
+
+def test_first_block_of_a_stream_whose_phase_draw_rejects():
+    # Found by search: stream 28 of seed 5674 draws level 19,715 of hpm1 at
+    # alpha 1.5 from the prefix table, and the bounded draw of its phase
+    # rejects the low half of word 1, so the pooled sampler leaves the stream
+    # to the scalar sampler (test_samplers_equal_scalar_oracle runs it).
+    model = make_model("hpm1", 1.5)
+    _, cdf = _stationary_tables(1.5, FAST_SERIES_CUTOFF)
+    zero = np.zeros(1, np.uint64)
+    word0, word1, _, _ = _philox((zero + np.uint64(1), zero, zero, zero), _stream_keys(5674, np.array([28])))
+    u = (word0 >> np.uint64(11)) * 2.0**-53
+    assert u[0] < cdf[-1] and int(_prefix_levels(cdf, u)[0]) == 19_715
+    assert _lemire32(word1 & np.uint64(_MASK32), np.array([19_715]))[1][0]
+    assert sample_trajectory(model, 40, 5674, stream=28).initial_state.level == 19_715
+
+
 # ----- trajectories -------------------------------------------------------------
 
 
@@ -136,39 +201,115 @@ def _symbols_from_words(model, traj):
     return b"".join(out)
 
 
+def _assert_samplers_equal_oracle(model, count: int, length: int, seed: int) -> list:
+    """Both entry points against the scalar sampler, field by field."""
+    pooled = sample_trajectories(model, count, length, seed)
+    assert len(pooled) == count
+    for stream, traj in enumerate(pooled):
+        single = sample_trajectory(model, length, seed, stream=stream)
+        expected = oracle_sample(model, length, seed, stream)
+        for f in dataclasses.fields(Trajectory):
+            case = (f.name, model, length, seed, stream)
+            assert getattr(traj, f.name) == getattr(expected, f.name), case
+            assert getattr(single, f.name) == getattr(expected, f.name), case
+    return pooled
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["hpm1", "hpm2", "hmc"]),
+    alpha=st.sampled_from([1.2, 1.5, 2.0]),
+    fixed_level=st.sampled_from([None, None, None, 2, 2**70 + 3]),
+    length=st.integers(1, 600),
+    entropy=st.integers(0, 2**64),
+    count=st.integers(1, 12),
+)
+@example(kind="hpm1", alpha=1.5, fixed_level=None, length=40, entropy=5674, count=29)
+def test_samplers_equal_scalar_oracle(kind, alpha, fixed_level, length, entropy, count):
+    _assert_samplers_equal_oracle(make_model(kind, alpha, fixed_level), count, length, entropy)
+
+
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
 def test_sample_trajectories_equal_per_stream_sampler(kind):
-    # The pooled sampler re-keys one generator per stream; every trajectory
-    # must be the one a fresh per-stream generator gives, field by field.
+    # Every trajectory must be the one the scalar sampler draws, field by
+    # field, whichever way it is drawn: from the first Philox block, by the
+    # scalar tail, or by hmc branch draws in blocks with tail draws between.
     # Symbols read with emission_slice must be those of the whole words
     # (hpm1 never builds a word: its words reach 2**(2**20) symbols).
     cases = [
-        (make_model(kind, alpha), length, seed, 400)
-        for alpha in (1.5, 2.0)
+        (make_model(kind, alpha), length, seed, 300)
+        for alpha in (1.2, 1.5, 2.0)
         for length, seed in ((1, 171), (16, 172), (64, 173))
     ]
-    cases.append((make_model(kind, 1.5, fixed_level=2**70 + 3), 64, 174, 20))
-    levels, wraps = [], 0
+    cases += [(make_model(kind, 1.5, fixed_level=level), 64, 174, 20) for level in (2, 2**70 + 3)]
+    levels, branch_levels, wraps = [], [], 0
     for model, length, seed, count in cases:
-        pooled = sample_trajectories(model, count, length, seed)
-        assert len(pooled) == count
-        for stream, traj in enumerate(pooled):
-            single = sample_trajectory(model, length, seed, stream=stream)
-            for f in dataclasses.fields(Trajectory):
-                case = (f.name, length, seed, stream)
-                assert getattr(traj, f.name) == getattr(single, f.name), case
+        for traj in _assert_samplers_equal_oracle(model, count, length, seed):
             if kind != "hpm1":
-                assert traj.symbols == _symbols_from_words(model, traj), (length, seed, stream)
+                assert traj.symbols == _symbols_from_words(model, traj), (length, seed, traj.stream)
             state = traj.initial_state
             levels += [state.level, *traj.word_levels]
+            branch_levels += traj.word_levels
             r = model.phase_count(state.level)
             wraps += r > length and state.phase - 1 + length > r
     # The draws reach the tail beyond the prefix table, the log-uniform
     # within-group draw past 512 digits (its low bits come from rng.bytes),
-    # and windows that run off the end of their word.
+    # and windows that run off the end of their word; hmc words reach the
+    # branch tail.
     assert any(level > 1 << 20 for level in levels)
     assert any(level.bit_length() > 512 for level in levels)
     assert wraps > 0
+    if kind == "hmc":
+        assert any(level > 1 << 20 for level in branch_levels)
+
+
+def _digest(trajectories) -> str:
+    h = hashlib.sha256()
+    for t in trajectories:
+        state = t.initial_state
+        fields = (t.symbols.hex(), t.stream, hex(state.level), hex(state.phase), *map(hex, t.word_levels))
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+def test_trajectory_digests_are_pinned():
+    # Computed with the scalar sampler (one numpy call per variate), before
+    # levels, phases and branch levels were drawn in blocks.
+    pinned = {
+        "97955a9654f1070450f16a22384cc8feacca0fc187c4572a20f16095c9b960db": lambda: (
+            sample_trajectories(make_model("hpm1", 1.5), 3000, 16, 601)
+        ),
+        "92077eb83edb65ddd8a9abab19380aa3e98fcde9eb02ac62d828518498a9bcc1": lambda: (
+            sample_trajectories(make_model("hpm2", 1.2), 3000, 16, 602)
+        ),
+        "fad13788a891705ed2029f35d0680a5382af0e1e8ec00b33ff57702fefced761": lambda: (
+            sample_trajectories(make_model("hpm2", 2.0), 500, 64, 603)
+        ),
+        "8c955302b198e3f4edf100aaa253a13dd6f963ef108d1506498c5f182a63e65e": lambda: (
+            [sample_trajectory(make_model("hmc", 1.5), 30_000, 604)]
+        ),
+        "5f4fb2c8784485da170871c8c03bfdc9f4c3f6c32e33cbbb93afd53e46ddb158": lambda: (
+            sample_trajectories(make_model("hmc", 1.2), 100, 600, 605)
+        ),
+    }
+    for expected, sample in pinned.items():
+        assert _digest(sample()) == expected
+
+
+def test_seed_and_stream_errors_name_the_value():
+    model = make_model("hpm2", 1.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_trajectory(model, 8, -1)
+    with pytest.raises(ValueError, match="stream must be >= 0, got -2"):
+        sample_trajectory(model, 8, 3, stream=-2)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_trajectories(model, 4, 8, -1)
+    for sample in (lambda: sample_trajectory(model, 8, 1.5), lambda: sample_trajectories(model, 4, 8, 1.5)):
+        with pytest.raises(TypeError, match="seed must be an integer, got 1.5"):
+            sample()
+    with pytest.raises(TypeError, match="stream must be an integer, got '1'"):
+        sample_trajectory(model, 8, 3, stream="1")
 
 
 def test_sample_trajectories_check_their_arguments_first():
