@@ -30,12 +30,10 @@ from .exact import (
     BudgetExceededError,
     JointBlockTable,
     LabelDisagreementError,
-    MIResult,
     block_mi,
-    entropy,
     enumerate_joint,
 )
-from .intervals import Interval, binary_entropy
+from .intervals import Enclosure, Interval, binary_entropy
 from .models import (
     ALPHABETS,
     DEFAULT_SERIES_CUTOFF,
@@ -70,12 +68,12 @@ __all__ = [
     "BudgetExceededError",
     "DEFAULT_SERIES_CUTOFF",
     "DecompositionCheck",
+    "Enclosure",
     "EstimatorReport",
     "Interval",
     "JointBlockTable",
     "Kind",
     "LabelDisagreementError",
-    "MIResult",
     "ProcessModel",
     "RateFitReport",
     "StateId",
@@ -88,7 +86,6 @@ __all__ = [
     "block_mi_upper_bound",
     "decoded_level_entropy",
     "default_regressor",
-    "entropy",
     "enumerate_joint",
     "estimate_block_mi",
     "fit_rate",

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .intervals import Interval, entropy_term
+from .intervals import Enclosure, Interval, entropy_term
 from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind
 from .series import LevelSums, level_weight_sums, normalization_sum, tail_sum_bracket
 
@@ -38,12 +38,12 @@ def block_mi_upper_bound(
     alpha: float,
     n: int,
     series_cutoff: int = DEFAULT_SERIES_CUTOFF,
-) -> Interval:
-    """Certified enclosure of the level-split upper bound on E(n).
+) -> Enclosure:
+    """Certified level-split upper bound on E(n), valued at its midpoint.
 
     Evaluates P(B) * H(Y0 | B) + n * P(not B) * log2|X| + 1 with
     B = (level <= 2**n), using the construction's actual phase-count
-    function inside H(Y0 | B).  The upper endpoint certifies E(n) from
+    function inside H(Y0 | B).  The upper endpoint `hi` certifies E(n) from
     above; the enclosure widens only with the series brackets.
     """
     kind = Kind(kind)
@@ -56,7 +56,8 @@ def block_mi_upper_bound(
     p_bc = (c * tail_sum_bracket(alpha, top + 1)).clamp(0.0, 1.0)
     low_part = _restricted_state_entropy(kind, alpha, c, sums) - entropy_term(p_b)
     high_part = float(n) * p_bc * math.log2(len(ALPHABETS[kind]))
-    return low_part + high_part + 1.0
+    bound = low_part + high_part + 1.0
+    return Enclosure(bound.lo, bound.hi, bound.mid)
 
 
 def _restricted_state_entropy(kind: Kind, alpha: float, c: Interval, sums: LevelSums) -> Interval:

@@ -180,14 +180,14 @@ def _exact_row(config: RunConfig, n: int) -> dict:
             entry_budget=config.entry_budget,
         )
     except BudgetExceededError as exc:
-        row.update({"status": f"skipped: {exc}", "value": None, "err_low": None, "err_high": None})
+        row["status"] = f"skipped: {exc}"  # its value columns are written empty
         return row
     mi = block_mi(table)
     row.update(
         {
             "value": mi.value,
-            "err_low": mi.err_low,
-            "err_high": mi.err_high,
+            "err_low": mi.value - mi.lo,
+            "err_high": mi.hi - mi.value,
             "entries": len(table.entries),
             "pruned_mass_hi": table.pruned_mass.hi,
         }

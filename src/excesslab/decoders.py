@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import JointBlockTable, MIResult, _label_decomposition
-from .intervals import Interval, entropy_term
+from .exact import JointBlockTable, _label_decomposition
+from .intervals import Enclosure, Interval, entropy_term
 from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind, binary_length
 from .series import level_weight_sums, normalization_sum
 
@@ -152,8 +152,9 @@ def decoded_level_entropy(
     alpha: float,
     n: int,
     series_cutoff: int = DEFAULT_SERIES_CUTOFF,
-) -> MIResult:
-    """Certified H(D) in bits from the closed-form law of the revealed level.
+) -> Enclosure:
+    """Certified H(D) in bits from the closed-form law of the revealed level:
+    the enclosure of the closed form, valued at its midpoint.
 
     The supports are 2..floor(n/2) for the single-marker kind and
     2..2**floor(n/2)-1 for the digit kinds; the ergodic kind carries an
@@ -163,13 +164,13 @@ def decoded_level_entropy(
     """
     kind = Kind(kind)
     if n < 2:
-        return MIResult(0.0, 0.0, 0.0)
+        return Enclosure(0.0, 0.0, 0.0)
     if kind is Kind.HPM1:
         top = n // 2
     else:
         top = (1 << (n // 2)) - 1
     if top < 2:
-        return MIResult(0.0, 0.0, 0.0)
+        return Enclosure(0.0, 0.0, 0.0)
 
     c = normalization_sum(alpha, series_cutoff).reciprocal()
     if kind is Kind.HMC:
@@ -180,19 +181,19 @@ def decoded_level_entropy(
     positive = c * (sums.s1 + alpha * sums.s2) + entropy_term(c) * sums.s0
     p0 = (1.0 - c * sums.s0).clamp(0.0, 1.0)
     h = positive + entropy_term(p0)
-    mid = h.mid
-    return MIResult(mid, mid - h.lo, h.hi - mid)
+    return Enclosure(h.lo, h.hi, h.mid)
 
 
 @dataclass(frozen=True)
 class DecompositionCheck:
-    """Residual of E(n) = H(D) + I(past; future | D) on one table."""
+    """Residual of E(n) = H(D) + I(past; future | D) on one table, and the
+    three enclosures it was taken from."""
 
     residual: float
     allowance: float
-    block_mi: MIResult
-    label_entropy: MIResult
-    conditional_mi: MIResult
+    block_mi: Enclosure
+    label_entropy: Enclosure
+    conditional_mi: Enclosure
 
     @property
     def passed(self) -> bool:
@@ -207,8 +208,7 @@ def mi_decomposition_residual(table: JointBlockTable, kind: Kind | str) -> Decom
     fudge proportional to the table size.
     """
     kind = Kind(kind)
-    e, h_label, cond = _label_decomposition(table, past_decoder(kind), future_decoder(kind))
+    e, h_label, cond, widths = _label_decomposition(table, past_decoder(kind), future_decoder(kind))
     residual = e.value - h_label.value - cond.value
     fudge = 1e-11 * max(1.0, math.log2(1 + len(table.entries))) * (1 + table.n)
-    allowance = e.err_high + h_label.err_high + cond.err_high + fudge
-    return DecompositionCheck(residual, allowance, e, h_label, cond)
+    return DecompositionCheck(residual, widths + fudge, e, h_label, cond)

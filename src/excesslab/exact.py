@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .intervals import Interval, binary_entropy
+from .intervals import Enclosure, Interval, binary_entropy
 from .models import Kind, ProcessModel
 from .series import level_weight, squared_level_tail
 
@@ -76,27 +76,6 @@ class LabelDisagreementError(ValueError):
     """A conditioning label computed from the past block disagreed with the
     value computed from the future block on a positive-mass entry; this
     signals a broken decoder, never a valid table."""
-
-
-@dataclass(frozen=True)
-class MIResult:
-    """A value in bits with a certified error interval around it."""
-
-    value: float
-    err_low: float
-    err_high: float
-
-    @property
-    def lower(self) -> float:
-        return self.value - self.err_low
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.err_high
-
-    @property
-    def width(self) -> float:
-        return self.err_low + self.err_high
 
 
 @dataclass(frozen=True)
@@ -200,15 +179,15 @@ class JointBlockTable:
         return TableProfile(*arrays)
 
     @cached_property
-    def _block_mi(self) -> MIResult:
-        """`block_mi`, cached: verify and the decomposition ask for it again."""
+    def _block_mi(self) -> tuple[Enclosure, float]:
+        """`block_mi` and its half-width, cached: verify and the
+        decomposition ask for it again, and the decomposition adds to it."""
         prof = self.profile
-        h_past = _marginal_entropy(self, prof.past_mass)
-        h_future = _marginal_entropy(self, prof.future_mass)
-        h_joint = _joint_entropy(self, prof.masses)
-        value = h_past.value + h_future.value - h_joint.value
-        err = h_past.err_high + h_future.err_high + h_joint.err_high
-        return MIResult(value, err, err)
+        h_past, past_err = _table_entropy(self, prof.past_mass, 1)
+        h_future, future_err = _table_entropy(self, prof.future_mass, 1)
+        h_joint, joint_err = _table_entropy(self, prof.masses, 2)
+        err = past_err + future_err + joint_err
+        return Enclosure.around(h_past + h_future - h_joint, err), err
 
 
 def _number_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,60 +607,54 @@ def _marginals_mi(
     )
 
 
+def _mixture_bound(delta: float, support_log2: float) -> float:
+    """delta*log2(support) + h(delta): a law that is a (1-delta)/delta mixture
+    of a retained part and a remainder on at most `support` atoms has an
+    entropy within this of the retained part's, in both directions."""
+    delta = min(max(delta, 0.0), 1.0)
+    return delta * support_log2 + binary_entropy(delta)
+
+
 def _entropy_result(
     masses: list[float] | np.ndarray, delta: float, support_log2: float, entry_slack: float
-) -> MIResult:
-    """Certified entropy from a subnormalized mass list.
-
-    The value is the plug-in entropy of the renormalized masses; writing the
-    true law as a (1-delta)/delta mixture of the renormalized table and the
-    unassigned remainder bounds the deviation by delta*log2(support) + h(delta)
-    in both directions.  The slack of the stored masses enters through the
-    worst slope of -q*log2(q) above the smallest retained atom.
-    """
+) -> tuple[float, float]:
+    """Certified entropy from a subnormalized mass list, as (value,
+    half-width): the plug-in entropy of the renormalized masses, off by at
+    most `_mixture_bound` of the unassigned mass delta plus the slack of the
+    stored masses times the worst slope of -q*log2(q) above the smallest
+    retained atom."""
     arr = np.asarray(masses, dtype=np.float64)
     value = _entropy(arr, float(np.sum(arr)))
-    delta = min(max(delta, 0.0), 1.0)
-    err = delta * support_log2 + binary_entropy(delta)
+    err = _mixture_bound(delta, support_log2)
     if entry_slack > 0.0 and arr.size:
         total = math.fsum(arr.tolist())
         q_min = float(np.min(arr)) / total
         slope = (max(0.0, -math.log(q_min)) + 1.0) / math.log(2.0)
         err += slope * 2.0 * entry_slack / total
-    return MIResult(value, err, err)
+    return value, err
 
 
-def entropy(table: JointBlockTable) -> MIResult:
-    """Certified joint entropy of the renormalized table in bits (0*log 0 := 0).
-
-    Renormalizing by the assigned mass makes the value the entropy of the
-    process conditioned on the retained support; the pruned mass enters the
-    certified error bar, never the value.
-    """
-    return _joint_entropy(table, table.profile.masses)
-
-
-def _joint_entropy(table: JointBlockTable, masses: list[float] | np.ndarray) -> MIResult:
-    support = 2 * table.n * math.log2(table.alphabet_size)
+def _table_entropy(
+    table: JointBlockTable, masses: list[float] | np.ndarray, blocks: int
+) -> tuple[float, float]:
+    """`_entropy_result` of masses on keys of `blocks` blocks of n symbols."""
+    support = blocks * table.n * math.log2(table.alphabet_size)
     return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
 
 
-def _marginal_entropy(table: JointBlockTable, masses: np.ndarray) -> MIResult:
-    support = table.n * math.log2(table.alphabet_size)
-    return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
-
-
-def block_mi(table: JointBlockTable) -> MIResult:
-    """Certified block mutual information H(past) + H(future) - H(joint),
-    computed on first use and cached on the table, as its profile is."""
-    return table._block_mi
+def block_mi(table: JointBlockTable) -> Enclosure:
+    """Certified block mutual information H(past) + H(future) - H(joint) of
+    the renormalized table in bits, cached on the table as its profile is.
+    The pruned mass enters the enclosure, never the value."""
+    return table._block_mi[0]
 
 
 def _label_profile(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[float], MIResult]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[float], tuple[float, float]]:
     """One labelling pass: the group id of every entry, past block and future
-    block, the group masses and the certified label entropy.
+    block, the group masses and the certified label entropy as (value,
+    half-width).
 
     A labeller takes the (k, n) uint8 matrix of the distinct past (or
     future) blocks, as the profile holds it, and returns one label per row,
@@ -707,26 +680,26 @@ def _label_profile(
     bounds = [0] + np.cumsum(lengths).tolist()
     ordered = ordered.tolist()
     masses = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
-    support = table.n * math.log2(table.alphabet_size)
-    h_label = _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
-    return (entry_group, past_group, future_group), masses, h_label
+    return (entry_group, past_group, future_group), masses, _table_entropy(table, masses, 1)
 
 
 def _label_decomposition(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[MIResult, MIResult, MIResult]:
-    """block_mi, H(label) and I(past; future | label) from one labelling pass.
+) -> tuple[Enclosure, Enclosure, Enclosure, float]:
+    """block_mi, H(label) and I(past; future | label) from one labelling
+    pass, and the sum of their three half-widths.
 
     A past block has exactly one label, and so has a future block, so each
     group's past and future laws are the global marginals restricted to the
     blocks of that label."""
-    (entry_group, past_group, future_group), masses, h_label = _label_profile(
+    (entry_group, past_group, future_group), masses, (h, h_err) = _label_profile(
         table, past_label, future_label
     )
-    e = block_mi(table)
+    e, e_err = table._block_mi
+    h_label = Enclosure.around(h, h_err)
     total = table.assigned_mass()
     if total <= 0.0:
-        return e, h_label, MIResult(0.0, 0.0, 0.0)
+        return e, h_label, Enclosure(0.0, 0.0, 0.0), e_err + h_err
     prof = table.profile
     count = len(masses)
     mis = (
@@ -735,8 +708,8 @@ def _label_decomposition(
         - _grouped_entropy(entry_group, prof.masses, count)
     )
     value = math.fsum(((np.asarray(masses) / total) * mis).tolist())
-    err = e.err_high + h_label.err_high
-    return e, h_label, MIResult(value, err, err)
+    err = e_err + h_err
+    return e, h_label, Enclosure.around(value, err), e_err + h_err + err
 
 
 def _triple_informations(

@@ -1,10 +1,12 @@
-"""Closed-interval bookkeeping for certified enclosures.
+"""Closed intervals: `Interval` for arithmetic, `Enclosure` for results.
 
-Every probability and entropy produced by the exact machinery carries an
-interval that is guaranteed to contain the true value.  The intervals track
-series truncation and pruned probability mass; plain double rounding is
-treated as negligible against every tolerance used downstream (widths here
-are >= 1e-12 wherever they matter, rounding is ~1e-16 relative).
+Series brackets, normalization constants and probabilities are `Interval`s,
+and so is arithmetic on them.  Every public function that certifies a
+quantity returns an `Enclosure`: an interval guaranteed to contain the true
+value, plus the value it reports.  The intervals track series truncation and
+pruned probability mass; plain double rounding is treated as negligible
+against every tolerance used downstream (widths here are >= 1e-12 wherever
+they matter, rounding is ~1e-16 relative).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
+    @staticmethod
+    def point(x: float) -> "Interval":
+        return Interval(x, x)
 
     @property
     def mid(self) -> float:
@@ -69,6 +71,27 @@ class Interval:
 
     def clamp(self, lo: float = 0.0, hi: float = 1.0) -> "Interval":
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
+
+
+@dataclass(frozen=True)
+class Enclosure(Interval):
+    """A certified value in bits: the true quantity lies in [lo, hi].  The
+    reported `value` is stored, not derived: a table's plug-in value need not
+    be the midpoint of its rounded endpoints."""
+
+    value: float
+
+    def __post_init__(self) -> None:
+        if not self.lo <= self.value <= self.hi:
+            raise ValueError(f"value {self.value} outside [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def around(cls, value: float, err: float) -> "Enclosure":
+        return cls(value - err, value + err, value)
+
+    # Aliases of lo and hi, read by the benchmark harness (perfbench/workloads.py).
+    lower = property(lambda self: self.lo)
+    upper = property(lambda self: self.hi)
 
 
 def _coerce(x) -> Interval:

@@ -14,7 +14,8 @@ checks mirror the library's contracts:
                       array call per decoder);
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
-                      restricted hidden-state entropy;
+                      certified upper end of the restricted hidden-state
+                      entropy;
   triple_bound        |I(past; future; 1_B)| <= H(1_B) <= 1 over a grid of
                       array predicates, each called once per table on the
                       past and future block matrices of its entries;
@@ -37,10 +38,10 @@ from .decoders import (
     past_decoder,
 )
 from .exact import (
-    JointBlockTable, MIResult, _number_blocks, _triple_informations, block_mi, enumerate_joint
+    JointBlockTable, _mixture_bound, _number_blocks, _triple_informations, block_mi, enumerate_joint
 )
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
-from .intervals import binary_entropy
+from .intervals import Enclosure, binary_entropy
 from .models import Kind, ProcessModel, phase_count
 from .sampling import Trajectory, sample_trajectory
 from .series import level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
@@ -200,11 +201,11 @@ def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:
     for (kind, alpha, n), table in tables.items():
         e = block_mi(table)
         h_d = decoded_level_entropy(kind, alpha, n, series_cutoff)
-        if h_d.lower > e.upper + 1e-9:
-            failures.append(f"{kind} a={alpha} n={n}: H(D) {h_d.lower:.4f} > E upper {e.upper:.4f}")
+        if h_d.lo > e.hi + 1e-9:
+            failures.append(f"{kind} a={alpha} n={n}: H(D) {h_d.lo:.4f} > E upper {e.hi:.4f}")
         bound = block_mi_upper_bound(kind, alpha, n, series_cutoff)
-        if e.lower > bound.hi + 1e-9:
-            failures.append(f"{kind} a={alpha} n={n}: E lower {e.lower:.4f} > bound {bound.hi:.4f}")
+        if e.lo > bound.hi + 1e-9:
+            failures.append(f"{kind} a={alpha} n={n}: E lower {e.lo:.4f} > bound {bound.hi:.4f}")
         gap = _data_processing_gap(table, e)
         if gap is not None and gap > 1e-9:
             failures.append(f"{kind} a={alpha} n={n}: data-processing gap {gap:.3e}")
@@ -212,8 +213,9 @@ def check_sandwich(tables: dict, series_cutoff: int) -> CheckResult:
     return CheckResult("sandwich", not failures, detail)
 
 
-def _data_processing_gap(table: JointBlockTable, e: MIResult) -> float | None:
-    """lower(E) minus the restricted hidden-state entropy plus tail slack.
+def _data_processing_gap(table: JointBlockTable, e: Enclosure) -> float | None:
+    """lower(E) minus the certified upper end of the restricted hidden-state
+    entropy plus the mixture bound of the pruned mass over the joint support.
 
     Only meaningful for tables that truncate the level support (the
     aggregated tables cover all levels, where the hidden-state entropy is
@@ -225,10 +227,9 @@ def _data_processing_gap(table: JointBlockTable, e: MIResult) -> float | None:
     alpha = meta["alpha"]
     c = normalization_sum(alpha, meta["series_cutoff"]).reciprocal()
     sums = level_weight_sums(alpha, meta["level_cutoff"])
-    h_restricted = _restricted_state_entropy(Kind(meta["kind"]), alpha, c, sums).mid
-    delta = table.pruned_mass.hi
-    slack = delta * 2 * table.n * math.log2(table.alphabet_size) + binary_entropy(delta)
-    return e.lower - (h_restricted + slack)
+    h_restricted = _restricted_state_entropy(Kind(meta["kind"]), alpha, c, sums).hi
+    slack = _mixture_bound(table.pruned_mass.hi, 2 * table.n * math.log2(table.alphabet_size))
+    return e.lo - (h_restricted + slack)
 
 
 def predicate_grid(alphabet: tuple[int, ...]) -> list:
@@ -290,9 +291,9 @@ def check_monotonicity(results: dict) -> CheckResult:
     for (kind, alpha), seq in by_series.items():
         seq.sort()
         for (n1, a), (n2, b) in zip(seq, seq[1:]):
-            if b.upper < a.lower - 1e-9:
+            if b.hi < a.lo - 1e-9:
                 failures.append(
-                    f"{kind} a={alpha}: upper(E({n2}))={b.upper:.4f} < lower(E({n1}))={a.lower:.4f}"
+                    f"{kind} a={alpha}: upper(E({n2}))={b.hi:.4f} < lower(E({n1}))={a.lo:.4f}"
                 )
     detail = "intervals consistent with nondecreasing E(n)" if not failures else "; ".join(failures)
     return CheckResult("monotonicity", not failures, detail)

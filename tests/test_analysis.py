@@ -43,13 +43,15 @@ def test_closed_forms_at_paper_scale(kind):
     for n in (1024, 4096, 8192):
         bound = block_mi_upper_bound(kind, 1.5, n, FAST_SERIES_CUTOFF)
         h_d = decoded_level_entropy(kind, 1.5, n, FAST_SERIES_CUTOFF)
-        for value in (bound.lo, bound.hi, h_d.value - h_d.err_low, h_d.value + h_d.err_high):
+        for value in (bound.lo, bound.hi, h_d.lo, h_d.hi):
             assert math.isfinite(value), (n, value)
         assert 0.0 <= h_d.value <= bound.hi, n
     for n in (64, 512, 1023):
         bound = block_mi_upper_bound(kind, 1.5, n, FAST_SERIES_CUTOFF)
         h_d = decoded_level_entropy(kind, 1.5, n, FAST_SERIES_CUTOFF)
-        got = ((bound.lo, bound.hi), (h_d.value - h_d.err_low, h_d.value + h_d.err_high))
+        # A closed form is valued at its midpoint.
+        assert (bound.value, h_d.value) == (bound.mid, h_d.mid), n
+        got = ((bound.lo, bound.hi), (h_d.lo, h_d.hi))
         for pair, pinned in zip(got, CLOSED_FORM_VALUES[kind, n]):
             assert pair == pytest.approx(pinned, rel=1e-12, abs=0.0), n
 

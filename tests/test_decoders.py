@@ -355,10 +355,10 @@ def test_conditional_mi_equals_block_mi_minus_label_entropy():
     model = make_model("hpm1", 1.5)
     table = enumerate_joint(model, 8, 1 << 12)
     past, future = past_decoder("hpm1"), future_decoder("hpm1")
-    _, h, cond = _label_decomposition(table, past, future)
+    _, h, cond, _ = _label_decomposition(table, past, future)
     e = block_mi(table)
     assert cond.value == pytest.approx(e.value - h.value, abs=1e-10)
-    assert abs(e.value - h.value - cond.value) <= cond.err_high + 1e-12
+    assert abs(e.value - h.value - cond.value) <= (cond.hi - cond.value) + 1e-12
 
 
 @pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))

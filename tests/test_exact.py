@@ -15,17 +15,24 @@ from excesslab.exact import (
     _first_appearance,
     _label_decomposition,
     _retained_table,
+    _table_entropy,
     _triple_informations,
     block_mi,
-    entropy,
     enumerate_joint,
 )
-from excesslab.decoders import future_decoder, past_decoder
-from excesslab.intervals import Interval
+from excesslab.analysis import block_mi_upper_bound
+from excesslab.decoders import (
+    decoded_level_entropy,
+    future_decoder,
+    mi_decomposition_residual,
+    past_decoder,
+)
+from excesslab.intervals import Enclosure, Interval
 from excesslab.models import Kind
 from excesslab.verify import predicate_grid
 
 from conftest import (
+    FAST_SERIES_CUTOFF,
     FUTURE_ORACLE,
     PAST_ORACLE,
     assert_tables_match,
@@ -47,6 +54,11 @@ def manual_table(n, alphabet_size, entries, pruned=0.0, slack=0.0):
         pruned_mass=Interval.point(pruned),
         entry_slack=slack,
     )
+
+
+def joint_entropy(t):
+    """Certified joint entropy of the renormalized table as (value, half-width)."""
+    return _table_entropy(t, t.profile.masses, 2)
 
 
 # ----- enumeration ------------------------------------------------------------
@@ -255,8 +267,8 @@ def test_aggregated_mi_close_to_big_cutoff_generic():
     big = block_mi(enumerate_joint(m, 3, 1 << 17))
     # the generic value still misses tail mass; its certified interval is
     # wide, but the aggregated value must sit below the bound it implies
-    assert agg.err_high < 1e-4
-    assert abs(agg.value - big.value) <= big.err_high + agg.err_high
+    assert agg.hi - agg.value < 1e-4
+    assert abs(agg.value - big.value) <= (big.hi - big.value) + (agg.hi - agg.value)
 
 
 # ----- entropies and MI --------------------------------------------------------
@@ -264,18 +276,18 @@ def test_aggregated_mi_close_to_big_cutoff_generic():
 
 def test_entropy_point_mass_is_zero():
     t = manual_table(1, 2, {(bytes([0]), bytes([1])): 1.0})
-    assert entropy(t).value == pytest.approx(0.0, abs=1e-15)
+    assert joint_entropy(t)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_entropy_two_equal_masses_is_one_bit():
     t = manual_table(1, 2, {(bytes([0]), bytes([0])): 0.5, (bytes([1]), bytes([1])): 0.5})
-    assert entropy(t).value == pytest.approx(1.0)
+    assert joint_entropy(t)[0] == pytest.approx(1.0)
 
 
 def test_degenerate_joint_entropy_and_mi_are_one_bit():
     deg = make_model("hpm1", 2.0, fixed_level=2)
     t = enumerate_joint(deg, 2, 4)
-    assert entropy(t).value == pytest.approx(1.0)
+    assert joint_entropy(t)[0] == pytest.approx(1.0)
     for n in (1, 2, 3, 5):
         tn = enumerate_joint(deg, n, 4)
         assert block_mi(tn).value == pytest.approx(1.0)
@@ -293,18 +305,70 @@ def test_product_table_has_zero_mi():
 def test_entropy_error_accounts_for_pruned_mass():
     entries = {(bytes([0]), bytes([0])): 0.9}
     t = manual_table(1, 2, entries, pruned=0.1)
-    mi = entropy(t)
+    _, err = joint_entropy(t)
     # delta * 2n log|X| + h(delta)
     expected = 0.1 * 2 * math.log2(2) + (-0.1 * math.log2(0.1) - 0.9 * math.log2(0.9))
-    assert mi.err_high == pytest.approx(expected)
+    assert err == pytest.approx(expected)
 
 
 def test_mi_error_combines_three_entropies():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
     e = block_mi(t)
-    h_j = entropy(t)
-    assert e.err_high > h_j.err_high  # marginal terms add on top
+    _, joint_err = joint_entropy(t)
+    assert e.hi - e.value > joint_err  # marginal terms add on top
+
+
+# ----- certified results --------------------------------------------------------
+
+
+def _decomposition(field):
+    table = enumerate_joint(make_model("hmc", 1.5), 4, 32)
+    return getattr(mi_decomposition_residual(table, "hmc"), field)
+
+
+CERTIFIED = {
+    "block_mi": lambda: block_mi(enumerate_joint(make_model("hpm2", 1.5), 4, 64)),
+    "decoded_level_entropy": lambda: decoded_level_entropy("hpm2", 2.0, 16, FAST_SERIES_CUTOFF),
+    "decoded_level_entropy, no level revealed": lambda: decoded_level_entropy("hpm1", 1.5, 3),
+    "block_mi_upper_bound": lambda: block_mi_upper_bound("hmc", 1.5, 8, FAST_SERIES_CUTOFF),
+    "DecompositionCheck.block_mi": lambda: _decomposition("block_mi"),
+    "DecompositionCheck.label_entropy": lambda: _decomposition("label_entropy"),
+    "DecompositionCheck.conditional_mi": lambda: _decomposition("conditional_mi"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_functions_return_enclosures(name):
+    result = CERTIFIED[name]()
+    assert type(result) is Enclosure
+    assert result.lo <= result.value <= result.hi
+    assert (result.lower, result.upper) == (result.lo, result.hi)
+
+
+@pytest.mark.parametrize("lo, hi, value", [(1.25, 2.5, 0.75), (1.25, 2.5, 3.75), (2.5, 1.25, 1.75)])
+def test_enclosure_rejects_a_value_outside_its_interval(lo, hi, value):
+    with pytest.raises(ValueError) as info:
+        Enclosure(lo, hi, value)
+    for number in (lo, hi, value):
+        assert str(number) in str(info.value)
+
+
+# (value, lo, hi) of block_mi at alpha 1.5, one table per kind, pinned bit
+# for bit: lo and hi are value -+ the three entropies' half-widths summed as
+# floats, so any other way of forming them shows here.
+PINNED_BLOCK_MI = {
+    ("hpm1", 8, 1 << 12, True): (2.5052032808526503, 2.5051828404687737, 2.505223721236527),
+    ("hpm2", 6, 7, False): (3.018138548761718, -18.216928371703382, 24.25320546922682),
+    ("hmc", 4, 32, False): (2.9313426707019463, -13.234582363588933, 19.097267704992824),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BLOCK_MI))
+def test_block_mi_is_pinned_bit_for_bit(key):
+    kind, n, cutoff, aggregate = key
+    e = block_mi(enumerate_joint(make_model(kind, 1.5), n, cutoff, tail_aggregation=aggregate))
+    assert (e.value, e.lo, e.hi) == PINNED_BLOCK_MI[key]
 
 
 # ----- conditioning -------------------------------------------------------------
@@ -313,7 +377,7 @@ def test_mi_error_combines_three_entropies():
 def test_conditional_mi_constant_label_equals_block_mi():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
-    e, _, cond = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)
+    e, _, cond, _ = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)
     assert cond.value == pytest.approx(block_mi(t).value, abs=1e-12)
     assert e is block_mi(t)  # computed once per table
 
