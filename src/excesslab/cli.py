@@ -188,7 +188,7 @@ def _exact_row(config: RunConfig, n: int) -> dict:
             "value": mi.value,
             "err_low": mi.value - mi.lo,
             "err_high": mi.hi - mi.value,
-            "entries": len(table.entries),
+            "entries": len(table.masses),
             "pruned_mass_hi": table.pruned_mass.hi,
         }
     )

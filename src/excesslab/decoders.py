@@ -203,12 +203,13 @@ class DecompositionCheck:
 def mi_decomposition_residual(table: JointBlockTable, kind: Kind | str) -> DecompositionCheck:
     """Evaluate E(n) - H(D) - I(past; future | D) on a table.
 
-    Zero in exact arithmetic whenever the decoders agree on every entry; the
-    allowance combines the three certified widths with a float-roundoff
-    fudge proportional to the table size.
+    Zero in exact arithmetic whenever the decoders agree on every entry: the
+    residual is an identity among the plug-in values of one table, so the
+    pruned mass behind the certified widths does not enter it.  The
+    allowance is a float-roundoff fudge that grows with the table size.
     """
     kind = Kind(kind)
-    e, h_label, cond, widths = _label_decomposition(table, past_decoder(kind), future_decoder(kind))
+    e, h_label, cond = _label_decomposition(table, past_decoder(kind), future_decoder(kind))
     residual = e.value - h_label.value - cond.value
-    fudge = 1e-11 * max(1.0, math.log2(1 + len(table.entries))) * (1 + table.n)
-    return DecompositionCheck(residual, widths + fudge, e, h_label, cond)
+    fudge = 1e-11 * max(1.0, math.log2(1 + len(table.masses))) * (1 + table.n)
+    return DecompositionCheck(residual, fudge, e, h_label, cond)

@@ -18,7 +18,16 @@ length n each as a finite table:
     boundary.  A branch whose sequential path product falls below the
     optional pruning threshold goes to the pruned mass: a boundary takes its
     subtree from the cache only when even its least likely leaf clears the
-    threshold, and otherwise expands one level and tries again below.
+    threshold, and otherwise expands one level and tries again below.  The
+    walk's leaves and the cached (prefix, suffix) combinations become rows
+    of a key matrix and a mass vector, merged into distinct keys in numpy,
+    in bounded chunks: keys in order of first appearance, each mass summed
+    in row order, bit for bit what a dict of running sums would hold.
+
+A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
+matrix, past block then future block, and a float64 mass vector.  The cyclic
+kinds build a dict, which `JointBlockTable.from_entries` converts once;
+`entries` gives a read-only mapping view of the arrays.
 
 Every table tracks the probability mass that was *not* assigned to a key
 (`pruned_mass`, an interval upper-bounding level tails plus pruned paths) and
@@ -36,14 +45,13 @@ reductions use numpy's pairwise summation, whose rounding is far below every
 certified width.
 
 The reductions are array-native and share one profile per table
-(`JointBlockTable.profile`, built on first use and cached): the keys joined
-into one symbol matrix, each half's rows packed into integer codes and
-numbered in order of first appearance by one sort, the distinct past and
-future block matrices, and the two marginals.  A label reduction labels each
-block matrix with one array call (a level decoder, for the decomposition),
-numbers the label groups the same way, and takes every group's mass, past,
-future and joint entropy from sorted per-group runs, with no sub-table per
-group.  A triple-information event is one array predicate over the past and
+(`JointBlockTable.profile`, built on first use and cached): each half of the
+key matrix packed into integer codes and numbered in order of first
+appearance by one sort, the distinct past and future block matrices, and the
+two marginals.  A label reduction labels each block matrix with one array
+call (a level decoder, for the decomposition), numbers the label groups the
+same way, and takes every group's mass, past, future and joint entropy from
+sorted per-group runs, with no sub-table per group.  A triple-information event is one array predicate over the past and
 future block matrices of every entry.
 """
 
@@ -51,10 +59,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -94,39 +101,78 @@ class TableProfile:
     future_mass: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointBlockTable:
     """Finite joint law of (past, future) blocks plus unassigned-mass tracking.
 
-    Keys are (past, future) byte strings of length n each, one byte per
-    symbol below `alphabet_size`.  `pruned_mass` encloses the true
+    Entries are two arrays in table order: row i of `keys` is the past block
+    then the future block, n symbols each, all below `alphabet_size`, and
+    `masses[i]` its mass; no key repeats.  `pruned_mass` encloses the true
     probability that the table does not represent; `entry_slack` bounds
-    sum_k |true_k - stored_k| over keys.
+    sum_k |true_k - stored_k| over keys.  `from_entries` builds a table
+    from a (past, future) -> mass mapping of byte strings.
 
-    A table is never mutated after it is built: `entries` is read-only (a
-    read-only copy of a dict it is given; a `MappingProxyType` is kept as
-    is, so its owner must not change it); `profile` and `block_mi` are
-    computed on first use and cached, so every reduction reads the same ones.
+    A table is never mutated after it is built: the arrays are made
+    read-only, and `entries`, `profile` and `block_mi` are computed on first
+    use and cached, so every reduction reads the same ones.
     """
 
     n: int
     alphabet_size: int
-    entries: Mapping[tuple[bytes, bytes], float]
+    keys: np.ndarray
+    masses: np.ndarray
     pruned_mass: Interval
     entry_slack: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.entries, MappingProxyType):
-            object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        self.keys.flags.writeable = False
+        self.masses.flags.writeable = False
+
+    @classmethod
+    def from_entries(
+        cls,
+        n: int,
+        alphabet_size: int,
+        entries: Mapping[tuple[bytes, bytes], float],
+        pruned_mass: Interval,
+        entry_slack: float = 0.0,
+        meta: dict | None = None,
+    ) -> JointBlockTable:
+        """The table of `entries`, in their order, with no Python loop over
+        them: np.fromiter reads the keys into one (count, 2n) symbol matrix
+        and the masses into one vector.  Raises ValueError on an alphabet of
+        more than four symbols, a block that is not n symbols long or a
+        symbol outside the alphabet."""
+        count = len(entries)
+        if alphabet_size > 4:
+            raise ValueError(f"alphabet of {alphabet_size} symbols; at most 4 are packed")
+        lengths = set(map(len, itertools.chain.from_iterable(entries)))
+        if lengths - {n}:
+            raise ValueError(f"block of length {min(lengths - {n})} in a table of n = {n}")
+        # np.fromiter fills the matrix in place; b"".join would also hold an
+        # 80-byte buffer record per block.
+        blocks = itertools.chain.from_iterable(entries)
+        keys = np.fromiter(blocks, np.dtype((np.void, n)), 2 * count).view(np.uint8)
+        keys = keys.reshape(count, 2 * n)
+        if count and keys.max() >= alphabet_size:
+            raise ValueError(f"symbol {keys.max()} outside alphabet 0..{alphabet_size - 1}")
+        masses = np.fromiter(entries.values(), np.float64, count)
+        return cls(n, alphabet_size, keys, masses, pruned_mass, entry_slack, meta or {})
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[bytes, bytes], float]:
+        """The entries as a read-only (past, future) -> mass mapping, in
+        table order."""
+        return _Entries(self.keys, self.masses, self.n)
 
     def assigned_mass(self) -> float:
-        return math.fsum(self.entries.values())
+        return math.fsum(self.masses.tolist())
 
     def conservation_interval(self) -> Interval:
         """Interval that must contain 1 if the table conserved probability."""
         total = self.assigned_mass()
-        slack = self.entry_slack + 1e-12 * max(1, len(self.entries))
+        slack = self.entry_slack + 1e-12 * max(1, len(self.masses))
         return Interval(
             total + self.pruned_mass.lo - slack,
             total + self.pruned_mass.hi + slack,
@@ -142,27 +188,11 @@ class JointBlockTable:
 
     @cached_property
     def profile(self) -> TableProfile:
-        """The entries as arrays, with no Python loop over them: the keys are
-        read into one (count, 2n) symbol matrix and each half's rows are
-        numbered by `_number_blocks`.  Each marginal is an np.bincount,
-        which adds in table order.  The arrays are read-only, since every
-        caller shares them.  Raises ValueError on an alphabet of more than
-        four symbols, a block that is not n symbols long or a symbol outside
-        the alphabet."""
-        count, n = len(self.entries), self.n
-        if self.alphabet_size > 4:
-            raise ValueError(f"alphabet of {self.alphabet_size} symbols; at most 4 are packed")
-        lengths = set(map(len, itertools.chain.from_iterable(self.entries)))
-        if lengths - {n}:
-            raise ValueError(f"block of length {min(lengths - {n})} in a table of n = {n}")
-        # np.fromiter fills the matrix in place; b"".join would also hold an
-        # 80-byte buffer record per block (7 MB at hmc n=8).
-        blocks = itertools.chain.from_iterable(self.entries)
-        keys = np.fromiter(blocks, np.dtype((np.void, n)), 2 * count).view(np.uint8)
-        keys = keys.reshape(count, 2 * n)
-        if count and keys.max() >= self.alphabet_size:
-            raise ValueError(f"symbol {keys.max()} outside alphabet 0..{self.alphabet_size - 1}")
-        masses = np.fromiter(self.entries.values(), np.float64, count)
+        """The entries numbered, with no Python loop over them: each half of
+        the key matrix is numbered by `_number_blocks`, and each marginal is
+        an np.bincount, which adds in table order.  The arrays are
+        read-only, since every caller shares them."""
+        keys, masses, n = self.keys, self.masses, self.n
         past, past_first = _number_blocks(keys[:, :n])
         future, future_first = _number_blocks(keys[:, n:])
         arrays = (
@@ -188,6 +218,32 @@ class JointBlockTable:
         h_joint, joint_err = _table_entropy(self, prof.masses, 2)
         err = past_err + future_err + joint_err
         return Enclosure.around(h_past + h_future - h_joint, err), err
+
+
+class _Entries(Mapping):
+    """A table's key and mass arrays as a read-only (past, future) -> mass
+    mapping.  The dict behind it is built on the first lookup or iteration;
+    its length is the row count, with no dict."""
+
+    def __init__(self, keys: np.ndarray, masses: np.ndarray, n: int) -> None:
+        self._keys, self._masses, self._n = keys, masses, n
+        self._dict: dict[tuple[bytes, bytes], float] | None = None
+
+    def _items(self) -> dict[tuple[bytes, bytes], float]:
+        if self._dict is None:
+            n = self._n
+            pairs = zip(map(bytes, self._keys[:, :n]), map(bytes, self._keys[:, n:]))
+            self._dict = dict(zip(pairs, self._masses.tolist()))
+        return self._dict
+
+    def __getitem__(self, key: tuple[bytes, bytes]) -> float:
+        return self._items()[key]
+
+    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._masses)
 
 
 def _number_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +315,9 @@ def enumerate_joint(
     seed (level, phase) and one per branch kept after a word boundary,
     counted alike whether the subtree is expanded or taken from the
     completion cache.  `entry_budget` bounds the table's keys and, for the
-    ergodic kind, each cached suffix table.  Exceeding either raises
+    ergodic kind, each cached suffix table; the ergodic table's keys are
+    counted after each merge of its rows, so memory stays within the budget
+    plus one chunk of rows.  Exceeding either raises
     `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` and, for
     the ergodic kind, `prune_eps`.
     """
@@ -274,14 +332,6 @@ def enumerate_joint(
             raise ValueError("tail aggregation applies to the single-marker cyclic kind only")
         if model.fixed_level is not None:
             raise ValueError("tail aggregation needs the full heavy-tailed level law")
-    if model.kind is Kind.HMC:
-        entries, pruned, slack = _enumerate_hmc(
-            model, n, level_cutoff, prune_eps, path_budget, entry_budget
-        )
-    else:
-        entries, pruned, slack = _enumerate_cyclic(
-            model, n, level_cutoff, entry_budget, tail_aggregation
-        )
     meta = {
         "kind": model.kind.value,
         "alpha": model.alpha,
@@ -292,26 +342,33 @@ def enumerate_joint(
         "tail_aggregation": tail_aggregation,
         "fixed_level": model.fixed_level,
     }
-    return _retained_table(n, len(model.alphabet), entries, pruned, slack, meta)
+    alphabet_size = len(model.alphabet)
+    if model.kind is Kind.HMC:
+        keys, masses, pruned, slack = _enumerate_hmc(
+            model, n, level_cutoff, prune_eps, path_budget, entry_budget
+        )
+        table = JointBlockTable(n, alphabet_size, keys, masses, pruned, slack, meta)
+    else:
+        entries, pruned, slack = _enumerate_cyclic(
+            model, n, level_cutoff, entry_budget, tail_aggregation
+        )
+        table = JointBlockTable.from_entries(n, alphabet_size, entries, pruned, slack, meta)
+    return _retained_table(table)
 
 
-def _retained_table(
-    n: int,
-    alphabet_size: int,
-    entries: dict[tuple[bytes, bytes], float],
-    pruned_mass: Interval,
-    entry_slack: float,
-    meta: dict,
-) -> JointBlockTable:
-    """The table of `entries`, less those below MIN_ENTRY_MASS: they are
-    removed from the dict, and their mass joins the pruned mass, before the
-    table exists.  The table takes the dict behind a read-only view, not a
-    copy (2.6 MB at hmc n=8); nothing else holds it."""
-    tiny = [k for k, p in entries.items() if p < MIN_ENTRY_MASS]
-    if tiny:
-        pruned_mass = pruned_mass + Interval.point(math.fsum(entries.pop(k) for k in tiny))
-    return JointBlockTable(
-        n, alphabet_size, MappingProxyType(entries), pruned_mass, entry_slack, meta
+def _retained_table(table: JointBlockTable) -> JointBlockTable:
+    """`table` less its entries below MIN_ENTRY_MASS: a mask drops their
+    rows, and their mass joins the pruned mass, before any reduction reads
+    the table."""
+    tiny = table.masses < MIN_ENTRY_MASS
+    if not tiny.any():
+        return table
+    keep = ~tiny
+    return replace(
+        table,
+        keys=table.keys[keep],
+        masses=table.masses[keep],
+        pruned_mass=table.pruned_mass + Interval.point(math.fsum(table.masses[tiny].tolist())),
     )
 
 
@@ -409,7 +466,7 @@ def _enumerate_hmc(
     prune_eps: float,
     path_budget: int,
     entry_budget: int,
-) -> tuple[dict[tuple[bytes, bytes], float], Interval, float]:
+) -> tuple[np.ndarray, np.ndarray, Interval, float]:
     length = 2 * n
     label = _input_label(model, n, level_cutoff, prune_eps)
     if model.fixed_level is not None:
@@ -473,7 +530,13 @@ def _enumerate_hmc(
         completions[need].suffixes = out
         return out
 
-    entries: dict[tuple[bytes, bytes], float] = {}
+    merge = _RowMerge(length, entry_budget, label)
+    # Leaves reached by the walk, in walk order: their 2n symbols each, and
+    # their path probabilities.  They go to the merge as arrays every
+    # `leaf_chunk` leaves.
+    leaf_keys = bytearray()
+    leaf_probs: list[float] = []
+    leaf_chunk = min(merge.chunk, 1 << 16)
     pruned_lo = 0.0
     pruned_hi = 0.0
     extensions = 0
@@ -488,14 +551,14 @@ def _enumerate_hmc(
         if extensions > path_budget:
             raise BudgetExceededError(f"path budget {path_budget} exceeded ({label})")
 
-    def check_entries() -> None:
-        if len(entries) > entry_budget:
-            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+    def flush_leaves() -> None:
+        keys = np.frombuffer(leaf_keys, np.uint8).reshape(-1, length).copy()
+        probs = np.array(leaf_probs)
+        leaf_keys.clear()
+        leaf_probs.clear()
+        merge.add(keys, probs)
 
-    def add(win: bytes, prob: float) -> None:
-        key = (win[:n], win[n:])
-        entries[key] = entries.get(key, 0.0) + prob
-        check_entries()
+    add_key, add_prob = leaf_keys.extend, leaf_probs.append
 
     def boundary(prefix: bytes, prob: float) -> None:
         """A word boundary reached with sequential path probability `prob`.
@@ -523,9 +586,12 @@ def _enumerate_hmc(
                 break
             count(1)
             if len(word) >= need:
-                add(prefix + word[:need], p2)
+                add_key(prefix + word[:need])
+                add_prob(p2)
             else:
                 boundary(prefix + word, p2)
+        if len(leaf_probs) >= leaf_chunk:
+            flush_leaves()
 
     # Seeds, one per (level, phase), are never pruned.
     for m in branch_levels:
@@ -535,31 +601,123 @@ def _enumerate_hmc(
             count(1)
             take = word[k:]
             if len(take) >= length:
-                add(take[:length], seed)
+                add_key(take[:length])
+                add_prob(seed)
             else:
                 boundary(take, seed)
     if model.fixed_level is None:
         seed_tail = model.level_tail_mass(level_cutoff)
         pruned_lo += seed_tail.lo
         pruned_hi += seed_tail.hi
+    flush_leaves()
 
-    # Fill the cache first, so that an over-budget suffix table stops the run
-    # before any cached entry is combined into the table.
-    for need in sorted({length - len(prefix) for prefix in cached}, reverse=True):
-        suffixes(need)
     for prefix, prob in cached.items():
-        need = length - len(prefix)
-        internal = prob * completions[need].internal_q
+        internal = prob * completions[length - len(prefix)].internal_q
         pruned_lo += internal * branch_tail.lo
         pruned_hi += internal * branch_tail.hi
-        for s, q in suffixes(need).items():
-            win = prefix + s
-            key = (win[:n], win[n:])
-            entries[key] = entries.get(key, 0.0) + prob * q
-        check_entries()
-
+    for keys, masses in _cached_rows(cached, suffixes, length, merge.chunk):
+        merge.add(keys, masses)
+    keys, masses = merge.result()
     pruned = Interval(pruned_lo, pruned_hi).clamp(0.0, 1.0)
-    return entries, pruned, 0.5 * relw * math.fsum(entries.values())
+    return keys, masses, pruned, 0.5 * relw * math.fsum(masses.tolist())
+
+
+def _cached_rows(
+    cached: dict[bytes, float],
+    suffixes: Callable[[int], dict[bytes, float]],
+    length: int,
+    chunk: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of every cached boundary combined with its suffix table, as
+    (key matrix, mass vector) blocks of about `chunk` rows: prefixes in
+    `cached` order, each with its suffixes in table order, and each mass
+    the product prob * q.
+
+    Each suffix table becomes a row matrix and a q vector once, and the
+    prefixes of each remaining length one matrix, so a block is filled with
+    one scatter per remaining length, not one per prefix.  Every suffix
+    table is built before the first block, so an over-budget one stops the
+    run before any cached row is combined."""
+    prefixes = list(cached)
+    probs = np.fromiter(cached.values(), np.float64, len(cached))
+    need_of = np.array([length - len(p) for p in prefixes], np.intp)
+    # By remaining length: the suffix rows and q vector, and the indices and
+    # rows of the prefixes.
+    groups = {}
+    rows_of = np.zeros(length + 1, np.intp)
+    for need in np.unique(need_of).tolist():
+        table = suffixes(need)
+        where = np.flatnonzero(need_of == need)
+        joined = b"".join(prefixes[i] for i in where)
+        groups[need] = (
+            np.frombuffer(b"".join(table), np.uint8).reshape(len(table), need),
+            np.fromiter(table.values(), np.float64, len(table)),
+            where,
+            np.frombuffer(joined, np.uint8).reshape(len(where), length - need),
+        )
+        rows_of[need] = len(table)
+    counts = rows_of[need_of]
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(prefixes):
+        base = int(ends[start] - counts[start])
+        stop = max(start + 1, int(np.searchsorted(ends, base + chunk, "right")))
+        keys = np.empty((int(ends[stop - 1]) - base, length), np.uint8)
+        masses = np.empty(len(keys))
+        for need, (suffix_rows, q, where, prefix_rows) in groups.items():
+            lo, hi = np.searchsorted(where, (start, stop))
+            if lo == hi:
+                continue
+            idx = where[lo:hi]
+            at = (ends[idx] - counts[idx] - base)[:, None] + np.arange(len(q))
+            keys[at, : length - need] = prefix_rows[lo:hi, None, :]
+            keys[at, length - need :] = suffix_rows
+            masses[at] = probs[idx, None] * q
+        yield keys, masses
+        start = stop
+
+
+class _RowMerge:
+    """Sums (key row, mass) rows into distinct keys in order of first
+    appearance, each key's mass added from 0.0 in row order, as a dict of
+    running sums would: np.bincount adds in input order.
+
+    Rows wait until `chunk` (at most 2**20, and at most the entry budget)
+    have come; the distinct keys so far are then numbered together with
+    them, running keys first, which keeps both the order and the bits.  The
+    distinct count is held to the entry budget after every merge, so memory
+    stays within the budget plus one chunk."""
+
+    def __init__(self, width: int, entry_budget: int, label: str) -> None:
+        self.chunk = max(1, min(entry_budget, 1 << 20))
+        self._budget, self._label = entry_budget, label
+        self._keys = [np.zeros((0, width), np.uint8)]
+        self._masses = [np.zeros(0)]
+        self._waiting = 0
+
+    def add(self, keys: np.ndarray, masses: np.ndarray) -> None:
+        self._keys.append(keys)
+        self._masses.append(masses)
+        self._waiting += len(masses)
+        if self._waiting >= self.chunk:
+            self._merge()
+
+    def _merge(self) -> None:
+        keys, masses = np.concatenate(self._keys), np.concatenate(self._masses)
+        self._keys, self._masses, self._waiting = [], [], 0
+        ids, first = _number_blocks(keys)
+        if len(first) > self._budget:
+            raise BudgetExceededError(
+                f"table exceeded entry budget {self._budget} ({self._label})"
+            )
+        self._keys.append(keys[first])
+        self._masses.append(np.bincount(ids, masses, len(first)))
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys and their masses."""
+        if self._waiting:
+            self._merge()
+        return self._keys[0], self._masses[0]
 
 
 # ----- information quantities ------------------------------------------------
@@ -685,9 +843,9 @@ def _label_profile(
 
 def _label_decomposition(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[Enclosure, Enclosure, Enclosure, float]:
+) -> tuple[Enclosure, Enclosure, Enclosure]:
     """block_mi, H(label) and I(past; future | label) from one labelling
-    pass, and the sum of their three half-widths.
+    pass.
 
     A past block has exactly one label, and so has a future block, so each
     group's past and future laws are the global marginals restricted to the
@@ -699,7 +857,7 @@ def _label_decomposition(
     h_label = Enclosure.around(h, h_err)
     total = table.assigned_mass()
     if total <= 0.0:
-        return e, h_label, Enclosure(0.0, 0.0, 0.0), e_err + h_err
+        return e, h_label, Enclosure(0.0, 0.0, 0.0)
     prof = table.profile
     count = len(masses)
     mis = (
@@ -708,8 +866,7 @@ def _label_decomposition(
         - _grouped_entropy(entry_group, prof.masses, count)
     )
     value = math.fsum(((np.asarray(masses) / total) * mis).tolist())
-    err = e_err + h_err
-    return e, h_label, Enclosure.around(value, err), e_err + h_err + err
+    return e, h_label, Enclosure.around(value, e_err + h_err)
 
 
 def _triple_informations(

@@ -731,14 +731,15 @@ def _sliding_resamples(
 ) -> Iterator[np.ndarray]:
     """Circular block bootstrap: blocks of sqrt(total) consecutive windows
     from uniform starts, cut to the window count.  Yields the distinct-window
-    counts of each resample."""
+    counts of each resample.  The ids are extended circularly by one block
+    less one, so each block is one row of a sliding view of them."""
     total = len(joint_id)
     if resamples < 2:
         return
     rng = _generator(seed, (0xB0, 0x08))
     block = max(1, int(math.sqrt(total)))
-    offsets = np.arange(block)
+    ext = np.concatenate([joint_id, joint_id[: block - 1]])
+    blocks = np.lib.stride_tricks.sliding_window_view(ext, block)
     for _ in range(resamples):
         starts = rng.integers(0, total, size=(total + block - 1) // block)
-        picks = (starts[:, None] + offsets).ravel()[:total] % total
-        yield np.bincount(joint_id[picks], minlength=distinct)
+        yield np.bincount(blocks[starts].ravel()[:total], minlength=distinct)

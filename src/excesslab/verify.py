@@ -6,7 +6,7 @@ checks mirror the library's contracts:
 
   series_brackets     direct sums of the two bracketed series lie inside
                       their closed-form enclosures;
-  decomposition       |E(n) - H(D) - I(past;future|D)| within certified width;
+  decomposition       |E(n) - H(D) - I(past;future|D)| within float roundoff;
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
                       (the sampled blocks of each block length are
@@ -343,7 +343,7 @@ def run_verification(
             check_decoder_agreement(model, windows=windows, past_override=override)
         )
     ledger.checks.append(check_sandwich(tables, series_cutoff))
-    small = {k: t for k, t in tables.items() if k[2] <= 8 and len(t.entries) < 50_000}
+    small = {k: t for k, t in tables.items() if k[2] <= 8 and len(t.masses) < 50_000}
     ledger.checks.append(check_triple_bound(small))
     ledger.checks.append(check_monotonicity(mi_results))
     return ledger

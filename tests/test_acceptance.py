@@ -95,7 +95,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_decomposition_identity(sweep_tables):
-    """|E(n) - H(D) - I(past;future|D)| within the certified width everywhere."""
+    """|E(n) - H(D) - I(past;future|D)| within float roundoff everywhere."""
     start = time.time()
     check = check_decomposition(sweep_tables)
     assert check.passed, check.detail
@@ -103,7 +103,7 @@ def test_criterion_2_decomposition_identity(sweep_tables):
     assert elapsed <= 600.0
     print(
         f"\nACCEPTANCE 2 PASS decomposition identity: {len(sweep_tables)} tables, "
-        f"{check.detail} within certified widths, {elapsed:.0f}s <= 600s"
+        f"{check.detail} within the roundoff allowance, {elapsed:.0f}s <= 600s"
     )
 
 

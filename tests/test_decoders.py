@@ -23,7 +23,7 @@ from excesslab.exact import (
 )
 from excesslab.analysis import fit_rate
 from excesslab.models import ALPHABETS, Kind
-from excesslab.verify import check_decoder_agreement
+from excesslab.verify import check_decoder_agreement, check_decomposition
 
 from conftest import (
     FAST_SERIES_CUTOFF,
@@ -327,6 +327,32 @@ def test_decomposition_residual_within_allowance(kind, alpha, n, cutoff):
     assert chk.passed
 
 
+def test_decomposition_check_fails_on_a_wrong_conditional_mi(monkeypatch):
+    # A fault that moves every group's entropies by half a bit moves
+    # I(past; future | D) by half a bit.  The residual is an identity among
+    # plug-in values, so roundoff is all the allowance may forgive; the
+    # certified half-widths of hpm2 and hmc tables run to tens of bits.
+    import excesslab.exact as exact
+
+    tables = {
+        ("hpm2", 1.5, 8): enumerate_joint(make_model("hpm2", 1.5), 8, 15),
+        ("hmc", 1.5, 6): enumerate_joint(make_model("hmc", 1.5), 6, 32),
+    }
+    for (kind, _, _), table in tables.items():
+        assert mi_decomposition_residual(table, kind).passed
+    grouped = exact._grouped_entropy
+    monkeypatch.setattr(
+        exact, "_grouped_entropy", lambda group, masses, count: grouped(group, masses, count) + 0.5
+    )
+    for (kind, _, _), table in tables.items():
+        chk = mi_decomposition_residual(table, kind)
+        assert abs(chk.residual) > 0.4 and not chk.passed, (kind, chk.residual, chk.allowance)
+    check = check_decomposition(tables)
+    assert not check.passed
+    assert "hpm2 alpha=1.5 n=8: residual" in check.detail
+    assert "hmc alpha=1.5 n=6: residual" in check.detail
+
+
 def test_decomposition_decodes_each_distinct_block_once(monkeypatch):
     import excesslab.decoders as decoders
 
@@ -355,7 +381,7 @@ def test_conditional_mi_equals_block_mi_minus_label_entropy():
     model = make_model("hpm1", 1.5)
     table = enumerate_joint(model, 8, 1 << 12)
     past, future = past_decoder("hpm1"), future_decoder("hpm1")
-    _, h, cond, _ = _label_decomposition(table, past, future)
+    _, h, cond = _label_decomposition(table, past, future)
     e = block_mi(table)
     assert cond.value == pytest.approx(e.value - h.value, abs=1e-10)
     assert abs(e.value - h.value - cond.value) <= (cond.hi - cond.value) + 1e-12

@@ -1,7 +1,10 @@
 """Exact-engine contracts: oracle equivalence, conservation, certified
 entropies and mutual informations, conditioning, and table plumbing."""
 
+import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from excesslab.exact import (
     BudgetExceededError,
     JointBlockTable,
     LabelDisagreementError,
+    _cached_rows,
     _first_appearance,
     _label_decomposition,
     _retained_table,
@@ -47,7 +51,7 @@ from conftest import (
 
 
 def manual_table(n, alphabet_size, entries, pruned=0.0, slack=0.0):
-    return JointBlockTable(
+    return JointBlockTable.from_entries(
         n=n,
         alphabet_size=alphabet_size,
         entries=dict(entries),
@@ -150,7 +154,7 @@ def test_hpm1_block_mi_matches_oracle_n8_cutoff_4096():
     reference = naive_cyclic_table(m, 8, 1 << 12)
     table = enumerate_joint(m, 8, 1 << 12)
     assert_tables_match(reference, table.entries)
-    ref_table = JointBlockTable(
+    ref_table = JointBlockTable.from_entries(
         n=8,
         alphabet_size=2,
         entries=reference,
@@ -225,6 +229,84 @@ def test_hmc_completion_cache_is_held_to_entry_budget():
         enumerate_joint(h, 8, 64, entry_budget=200)
     for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64", "prune_eps=0.0"):
         assert field in str(raised.value)
+
+
+def test_hmc_entry_budget_stops_the_merge_before_memory_grows():
+    # Every suffix table fits in 4,000 entries, but the joint table has
+    # 44,571: the merge of the table's rows stops the run, holding at most
+    # the budget's distinct keys and one chunk of rows waiting.
+    h = make_model("hmc", 1.5)
+    budget = 4000
+    with pytest.raises(BudgetExceededError, match="^table exceeded entry budget 4000"):
+        enumerate_joint(h, 8, 64, entry_budget=budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as raised:
+            enumerate_joint(h, 8, 64, entry_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64", "prune_eps=0.0"):
+        assert field in str(raised.value)
+    # About 400 bytes per budgeted entry (suffix dicts, waiting rows and the
+    # merge's sort); the whole table takes over 7 MB.
+    assert peak < 600 * budget
+
+
+def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():
+    # Windows of 4 symbols: prefixes of 2 and 3 symbols, interleaved, take
+    # suffixes of 2 and 1 symbols.
+    suffix_tables = {
+        1: {b"\x00": 0.5, b"\x03": 0.25},
+        2: {b"\x01\x02": 0.125, b"\x02\x02": 0.5, b"\x03\x00": 1.0},
+    }
+    cached = {b"\x01\x02\x03": 0.5, b"\x00\x01": 0.25, b"\x02\x02\x02": 0.125, b"\x03\x03": 0.75}
+    expected = [
+        (prefix + s, prob * q)
+        for prefix, prob in cached.items()
+        for s, q in suffix_tables[4 - len(prefix)].items()
+    ]
+    for chunk in (1, 2, 3, 5, 100):
+        blocks = list(_cached_rows(cached, suffix_tables.__getitem__, 4, chunk))
+        rows = [(bytes(k), m) for keys, masses in blocks for k, m in zip(keys, masses.tolist())]
+        assert rows == expected, chunk
+        # A block holds whole prefixes: at most `chunk` rows, or one prefix's.
+        assert all(len(masses) <= max(chunk, 3) for _, masses in blocks), chunk
+
+
+def table_digest(table) -> str:
+    h = hashlib.sha256()
+    for (past, future), mass in table.entries.items():
+        h.update(past + future + struct.pack("<d", mass))
+    h.update(struct.pack("<3d", table.pruned_mass.lo, table.pruned_mass.hi, table.entry_slack))
+    return h.hexdigest()
+
+
+# (kind, fixed level, n, level cutoff, prune_eps, tail aggregation) at alpha
+# 1.5, each table's keys, key order, masses, pruned mass and slack pinned bit
+# for bit.  Computed while the tables were dicts built one entry at a time.
+PINNED_TABLE_DIGESTS = {
+    ("hmc", None, 4, 64, 0.0, False): "b4c1c97714abe8b824ab2efabb5ada94b66751194d2cd9175570bb342848dd9e",
+    ("hmc", None, 6, 64, 0.0, False): "71fef563525ccd4ce7ec10611807f5e6aa2680229112768a48a0721d0a4c6d45",
+    ("hmc", None, 8, 64, 0.0, False): "71192d0ab126f11e93e6b2300d11455b22c868e5ec8e26ae51b8cc9e0c8283fb",
+    ("hmc", None, 8, 64, 1e-7, False): "5743f7ad5700676f96321dc6516372c588f4b9b18075aca322e14a15124cfc52",
+    ("hmc", None, 5, 16, 1e-6, False): "bf95bf480db00b4aa3cd45b79688958eec0d75674ea850dbe80e30471bb96e12",
+    ("hmc", 5, 6, 16, 0.0, False): "977e627addf78fb35084498bf4aea902f6b209d140a5d5047cca66ee53926289",
+    ("hpm1", None, 8, 1 << 12, 0.0, True): "c62f61ed4c1c54f97787658a385fd797e4969a4f8580e6a5e02e0e0fc0f22133",
+    ("hpm1", None, 32, 1 << 12, 0.0, True): "1d190bd5da6ba0e78c2e85bdf19d6ca17055e5781c02b29da85486d4dcf8b435",
+    ("hpm2", None, 12, 63, 0.0, False): "3dcebc52a74dbec29bc4ac539b246776549ae50ee2be83a42e6f8f8bdb249d4b",
+}
+
+
+def test_table_digests_are_pinned():
+    for (kind, fixed, n, cutoff, eps, aggregate), expected in PINNED_TABLE_DIGESTS.items():
+        model = make_model(kind, 1.5, fixed_level=fixed)
+        table = enumerate_joint(model, n, cutoff, eps, tail_aggregation=aggregate)
+        assert table_digest(table) == expected, (kind, fixed, n, cutoff, eps)
+    # A budget just above the entry count merges the 72,428 rows in three
+    # chunks; the walk hands its 66,597 leaves over in three pieces.
+    table = enumerate_joint(make_model("hmc", 1.5), 8, 64, 1e-7, entry_budget=31_000)
+    assert table_digest(table) == PINNED_TABLE_DIGESTS[("hmc", None, 8, 64, 1e-7, False)]
 
 
 @pytest.mark.parametrize("prune_eps", [float(e) for e in np.logspace(-9, -4, 8)])
@@ -377,7 +459,7 @@ def test_block_mi_is_pinned_bit_for_bit(key):
 def test_conditional_mi_constant_label_equals_block_mi():
     m = make_model("hpm2", 1.5)
     t = enumerate_joint(m, 4, 64)
-    e, _, cond, _ = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)
+    e, _, cond = _label_decomposition(t, lambda B: np.zeros(len(B), np.int64), None)
     assert cond.value == pytest.approx(block_mi(t).value, abs=1e-12)
     assert e is block_mi(t)  # computed once per table
 
@@ -574,23 +656,20 @@ def test_first_appearance_numbers_whole_rows():
 
 
 def test_profile_rejects_symbols_outside_the_alphabet():
-    t = manual_table(2, 2, {(bytes([0, 2]), bytes([1, 1])): 1.0})
     with pytest.raises(ValueError, match="outside alphabet 0..1"):
-        t.profile
+        manual_table(2, 2, {(bytes([0, 2]), bytes([1, 1])): 1.0})
 
 
 def test_profile_rejects_blocks_of_the_wrong_length():
     # A short block would be padded with symbol 0 and a long one cut.
     for past in (bytes([1]), bytes([1, 0, 1])):
-        t = manual_table(2, 2, {(past, bytes([1, 1])): 0.5, (bytes([1, 0]), bytes([1, 1])): 0.5})
         with pytest.raises(ValueError, match=f"block of length {len(past)} in a table of n = 2"):
-            t.profile
+            manual_table(2, 2, {(past, bytes([1, 1])): 0.5, (bytes([1, 0]), bytes([1, 1])): 0.5})
 
 
 def test_profile_rejects_alphabets_beyond_four_symbols():
-    t = manual_table(1, 5, {(bytes([4]), bytes([0])): 1.0})
     with pytest.raises(ValueError, match="alphabet of 5 symbols"):
-        t.profile
+        manual_table(1, 5, {(bytes([4]), bytes([0])): 1.0})
 
 
 def test_table_keeps_a_read_only_copy_of_its_entries():
@@ -602,6 +681,9 @@ def test_table_keeps_a_read_only_copy_of_its_entries():
     for table in (t, enumerate_joint(make_model("hpm1", 2.0), 2, 8)):
         with pytest.raises(TypeError):
             table.entries[(bytes([0, 0]), bytes([0, 1]))] = 0.25
+        for array in (table.keys, table.masses):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_dropped_entry_leaves_no_block_in_the_profile():
@@ -611,7 +693,7 @@ def test_dropped_entry_leaves_no_block_in_the_profile():
         (bytes([2]), bytes([1])): 1e-40,
         (bytes([1]), bytes([1])): 0.5,
     }
-    t = _retained_table(1, 3, entries, Interval.point(0.0), 0.0, {})
+    t = _retained_table(JointBlockTable.from_entries(1, 3, entries, Interval.point(0.0)))
     assert list(t.entries) == [(bytes([0]), bytes([0])), (bytes([1]), bytes([1]))]
     assert t.pruned_mass == Interval.point(1e-40)
     prof = t.profile

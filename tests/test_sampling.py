@@ -19,6 +19,7 @@ from excesslab.sampling import (
     _lemire32,
     _philox,
     _prefix_levels,
+    _sliding_resamples,
     _stationary_tables,
     _stream_keys,
     estimate_block_mi,
@@ -543,6 +544,22 @@ def test_estimator_matches_counter_oracle(kind):
                     # than 1e-12 of an SE near 1e-5.
                     assert report.point_estimate == pytest.approx(point, rel=1e-12, abs=1e-13), case
                     assert report.std_error == pytest.approx(std, rel=1e-12, abs=1e-13), case
+
+
+@pytest.mark.parametrize("total", [5, 1000, 1021])
+def test_sliding_resamples_match_the_modulo_gather(total):
+    # The block length int(sqrt(total)) does not divide these totals, so the
+    # last block of each resample is cut; starts near the end wrap around.
+    joint_id = np.random.default_rng(171).integers(0, 50, total)
+    block = int(math.sqrt(total))
+    assert total % block
+    rng = _generator(172, (0xB0, 0x08))
+    resamples = list(_sliding_resamples(joint_id, 50, 6, 172))
+    assert len(resamples) == 6
+    for counts in resamples:
+        starts = rng.integers(0, total, size=(total + block - 1) // block)
+        picks = (starts[:, None] + np.arange(block)).ravel()[:total] % total
+        assert counts.tolist() == np.bincount(joint_id[picks], minlength=50).tolist()
 
 
 @pytest.mark.parametrize("kind,level", [("hpm1", 5), ("hpm2", 6)])
