@@ -5,11 +5,16 @@ length n each as a finite table:
 
   * the two cyclic kinds are mixtures of deterministic cycles, so each
     (level, phase) pair contributes its stationary mass to exactly one
-    (past, future) key.  One loop slides each level's word over the window.
-    A window of an hpm1 level m >= 2n shows at most one marker, so those
-    levels only add to 2n single-marker keys and the all-zero key, written
-    once; with tail aggregation these masses cover every m >= 2n in closed
-    form;
+    (past, future) key: one row per pair, level-major.  A window that shows
+    the hpm1 marker or the hpm2 delimiter twice is a key of its own (the
+    gap gives the level, the position the phase), so its row is kept whole;
+    only the rows that show it at most once are numbered, hpm1's by the
+    position of the marker, hpm2's by their symbols.  A window of an hpm1
+    level m >= 2n shows at most one marker, so those levels only add to 2n
+    single-marker keys and the all-zero key, after every row; with tail
+    aggregation these masses cover every m >= 2n in closed form.  Levels go
+    in chunks of bounded rows, each counted against the entry budget before
+    the next is built;
   * the ergodic kind's hidden paths branch at word boundaries.  Each path
     starts at a seed (level, phase); what follows a boundary depends only on
     how many of the 2n symbols are still needed, so that subtree is expanded
@@ -25,8 +30,10 @@ length n each as a finite table:
     in row order, bit for bit what a dict of running sums would hold.
 
 A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
-matrix, past block then future block, and a float64 mass vector.  The cyclic
-kinds build a dict, which `JointBlockTable.from_entries` converts once;
+matrix, past block then future block, and a float64 mass vector.  Every kind
+builds them directly: keys in order of their first row, and each key's mass
+summed from 0.0 in row order, bit for bit what a dict of running sums would
+hold.  `JointBlockTable.from_entries` converts a dict, for hand-made tables;
 `entries` gives a read-only mapping view of the arrays.
 
 Every table tracks the probability mass that was *not* assigned to a key
@@ -57,9 +64,10 @@ future block matrices of every entry.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -347,13 +355,11 @@ def enumerate_joint(
         keys, masses, pruned, slack = _enumerate_hmc(
             model, n, level_cutoff, prune_eps, path_budget, entry_budget
         )
-        table = JointBlockTable(n, alphabet_size, keys, masses, pruned, slack, meta)
     else:
-        entries, pruned, slack = _enumerate_cyclic(
+        keys, masses, pruned, slack = _enumerate_cyclic(
             model, n, level_cutoff, entry_budget, tail_aggregation
         )
-        table = JointBlockTable.from_entries(n, alphabet_size, entries, pruned, slack, meta)
-    return _retained_table(table)
+    return _retained_table(JointBlockTable(n, alphabet_size, keys, masses, pruned, slack, meta))
 
 
 def _retained_table(table: JointBlockTable) -> JointBlockTable:
@@ -380,7 +386,7 @@ def _input_label(
     return label if prune_eps is None else f"{label}, prune_eps={prune_eps}"
 
 
-def _levels(model: ProcessModel, level_cutoff: int) -> Iterable[int]:
+def _levels(model: ProcessModel, level_cutoff: int) -> Sequence[int]:
     if model.fixed_level is not None:
         return [model.fixed_level] if model.fixed_level <= level_cutoff else []
     return range(2, level_cutoff + 1)
@@ -388,38 +394,58 @@ def _levels(model: ProcessModel, level_cutoff: int) -> Iterable[int]:
 
 def _enumerate_cyclic(
     model: ProcessModel, n: int, level_cutoff: int, entry_budget: int, aggregate: bool
-) -> tuple[dict[tuple[bytes, bytes], float], Interval, float]:
+) -> tuple[np.ndarray, np.ndarray, Interval, float]:
     length = 2 * n
+    hpm1 = model.kind is Kind.HPM1
     c_iv = model.norm_c
     c_relw = 0.0 if model.fixed_level is not None else c_iv.width / c_iv.mid
-    entries: dict[tuple[bytes, bytes], float] = {}
     label = _input_label(model, n, level_cutoff)
-
-    def check_entries() -> None:
-        if len(entries) > entry_budget:
-            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
-
-    assigned = 0.0
+    levels = range(2, length) if aggregate else _levels(model, level_cutoff)
     # hpm1 levels m >= 2n: a window sees at most one marker, so each such
     # level adds P/m to every one of the 2n single-marker keys and the rest of
-    # its cycle to the all-zero key.
-    marker = zero = 0.0
-    for m in range(2, length) if aggregate else _levels(model, level_cutoff):
-        level_mass = model.level_mass(m).mid
-        assigned += level_mass
-        if model.kind is Kind.HPM1 and m >= length:
-            marker += level_mass / m
-            zero += level_mass * (m - length) / m
-            continue
-        word = model.emission_word(m)
-        r = len(word)
-        ext = word * ((length + r - 1) // r + 1)
-        per_phase = level_mass / r
-        for k in range(r):
-            win = ext[k : k + length]
-            key = (win[:n], win[n:])
-            entries[key] = entries.get(key, 0.0) + per_phase
+    # its cycle to the all-zero key.  Every other level adds rows.
+    split = bisect.bisect_left(levels, length) if hpm1 else len(levels)
+    row_levels, marker_levels = levels[:split], levels[split:]
+    if hpm1:
+        repeating = _Repeating(_first_appearance, np.zeros(0, np.intp))
+    else:
+        repeating = _Repeating(_number_blocks, np.zeros((0, length), np.uint8))
+    unique_keys = [np.zeros((0, length), np.uint8)]
+    unique_masses, unique_rows = [np.zeros(0)], [np.zeros(0, np.intp)]
+    unique = rows = 0
+    assigned = 0.0
+
+    def check_entries() -> None:
+        if unique + len(repeating.first) > entry_budget:
+            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+
+    # Levels in chunks of at most `chunk` rows, each merged before the next
+    # is built, so memory stays within the budget plus one chunk.
+    chunk = max(1, min(entry_budget, 1 << 20))
+    step = max(1, chunk // model.phase_count(row_levels[-1])) if row_levels else 1
+    for lo in range(0, len(row_levels), step):
+        chunk_levels = row_levels[lo : lo + step]
+        level_masses = _level_masses(model, chunk_levels)
+        assigned = _running_sum(assigned, level_masses)
+        for (keys, masses, at), (codes, repeat_masses, repeat_at), count in _cyclic_rows(
+            model, chunk_levels, level_masses, length
+        ):
+            unique_keys.append(keys)
+            unique_masses.append(masses)
+            unique_rows.append(rows + at)
+            unique += len(masses)
+            repeating.add(codes, repeat_masses, rows + repeat_at)
+            rows += count
         check_entries()
+    marker = zero = 0.0
+    for lo in range(0, len(marker_levels), 1 << 20):
+        chunk_levels = marker_levels[lo : lo + (1 << 20)]
+        level_masses = _level_masses(model, chunk_levels)
+        assigned = _running_sum(assigned, level_masses)
+        periods = np.array(chunk_levels, np.float64)
+        gaps = np.array([m - length for m in chunk_levels], np.float64)
+        marker = _running_sum(marker, level_masses / periods)
+        zero = _running_sum(zero, level_masses * gaps / periods)
     slack = 0.5 * c_relw * assigned
     if aggregate:
         # Every level m >= 2n at once: the marker mass is C times the squared
@@ -430,17 +456,113 @@ def _enumerate_cyclic(
         marker, zero = marker_iv.mid, zero_iv.mid
         slack += 0.5 * (length * marker_iv.width + zero_iv.width)
     if marker:  # some level m >= 2n contributed
-        buf = bytearray(length)
-        for j in range(length):
-            buf[j] = 1
-            key = (bytes(buf[:n]), bytes(buf[n:]))
-            entries[key] = entries.get(key, 0.0) + marker
-            buf[j] = 0
-        key = (bytes(n), bytes(n))
-        entries[key] = entries.get(key, 0.0) + zero
+        # Marker positions 0..2n-1, then the all-zero key as position 2n.
+        masses = np.full(length + 1, marker)
+        masses[length] = zero
+        repeating.add(np.arange(length + 1), masses, rows + np.arange(length + 1))
         check_entries()
     pruned = Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff)
-    return entries, pruned, slack
+    repeat_keys = repeating.codes
+    if hpm1:
+        repeat_keys = (repeat_keys[:, None] == np.arange(length)).view(np.uint8)
+    # Keys in order of their first row: each numbered key goes in before the
+    # first unique row that comes after its first row.
+    at = np.searchsorted(np.concatenate(unique_rows), repeating.first)
+    keys = np.insert(np.concatenate(unique_keys), at, repeat_keys, axis=0)
+    masses = np.insert(np.concatenate(unique_masses), at, repeating.masses)
+    return keys, masses, pruned, slack
+
+
+def _level_masses(model: ProcessModel, levels: Sequence[int]) -> np.ndarray:
+    """`model.level_mass(m).mid` for each level, bit for bit: the weights
+    come from `level_weight`, since np.log2 and np.power may differ from
+    math.log2 and ** by an ulp."""
+    if model.fixed_level is not None:
+        return np.ones(len(levels))
+    c = model.norm_c
+    w = np.fromiter((level_weight(m, model.alpha) for m in levels), np.float64, len(levels))
+    return 0.5 * (c.lo * w + c.hi * w)
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """`total` plus each value in turn, left to right, as a loop of += adds:
+    np.cumsum adds in order, where np.sum adds pairwise and the builtin sum
+    compensates from Python 3.12."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
+def _cyclic_rows(
+    model: ProcessModel, levels: Sequence[int], level_masses: np.ndarray, length: int
+) -> Iterator[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]]:
+    """The windows of every (level, phase) of `levels`, level-major, each of
+    mass level_mass / r, one group of levels at a time.
+
+    Yields (unique, repeating, count) per group, row indices counted from
+    the group's first row: the key matrix, masses and row indices of the
+    rows that show the marker (hpm1) or delimiter (hpm2) twice or more, each
+    a key of its own since the gap gives the level and the position the
+    phase; the codes, masses and row indices of the others, which can
+    repeat (an hpm1 code is the marker position, an hpm2 code the key row);
+    and the row count.
+
+    A group's cycles, extended by 2n - 1 symbols, are the rows of one
+    matrix, and only the kept windows are copied out of its sliding view:
+    all hpm1 levels (below 2n) form one group, and hpm2 levels one per digit
+    count, from `emission_word`, exact at any level.  The symbol sits at
+    phase r - 1 (hpm1) or 0 (hpm2), so phase k shows it first at
+    (that phase - k) mod r, and twice when r more symbols still fit."""
+    hpm1 = model.kind is Kind.HPM1
+    lo = 0
+    while lo < len(levels):
+        if hpm1:
+            hi = len(levels)
+            r = np.asarray(levels, np.int64)
+            ext = ((np.arange(r[-1] + length - 1) + 1) % r[:, None] == 0).view(np.uint8)
+            symbol_at = r - 1
+        else:
+            s = model.phase_count(levels[lo])
+            hi = bisect.bisect_left(levels, 1 << s, lo)
+            words = b"".join(map(model.emission_word, levels[lo:hi]))
+            words = np.frombuffer(words, np.uint8).reshape(hi - lo, s)
+            ext = words[:, np.arange(s + length - 1) % s]
+            r = np.full(hi - lo, s)
+            symbol_at = np.zeros(hi - lo, np.int64)
+        level_of = np.repeat(np.arange(hi - lo), r)
+        phase = np.arange(len(level_of)) - np.repeat(np.cumsum(r) - r, r)
+        period = r[level_of]
+        first = (symbol_at[level_of] - phase) % period
+        masses = np.repeat(level_masses[lo:hi] / r, r)
+        windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
+        multi = length - 1 - first >= period
+        kept, other = np.flatnonzero(multi), np.flatnonzero(~multi)
+        codes = first[other] if hpm1 else windows[level_of[other], phase[other]]
+        yield (
+            (windows[level_of[kept], phase[kept]], masses[kept], kept),
+            (codes, masses[other], other),
+            len(level_of),
+        )
+        lo = hi
+
+
+class _Repeating:
+    """Rows that can repeat, merged into distinct codes in order of first
+    appearance: each code's mass summed in row order from 0.0 (an in-order
+    np.bincount, as a dict of running sums would add), and the index of its
+    first row.  `number` is `_first_appearance` for a code vector or
+    `_number_blocks` for key rows."""
+
+    def __init__(self, number: Callable, codes: np.ndarray) -> None:
+        self._number = number
+        self.codes, self.masses, self.first = codes, np.zeros(0), np.zeros(0, np.intp)
+
+    def add(self, codes: np.ndarray, masses: np.ndarray, rows: np.ndarray) -> None:
+        if not len(masses):
+            return
+        codes = np.concatenate([self.codes, codes])
+        ids, first = self._number(codes)
+        self.codes = codes[first]
+        self.masses = np.bincount(ids, np.concatenate([self.masses, masses]), len(first))
+        self.first = np.concatenate([self.first, rows])[first]
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Shared fixtures: fast-cutoff models, and independently coded reference
-enumerators, table profiles, scalar level decoders, scalar triple-bound
-predicates and a scalar trajectory sampler used as oracles against the
-production engine."""
+enumerators, the dict build of the cyclic tables, table profiles, scalar
+level decoders, scalar triple-bound predicates and a scalar trajectory
+sampler used as oracles against the production engine."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from excesslab.decoders import hidden_truth
+from excesslab.exact import DEFAULT_ENTRY_BUDGET, BudgetExceededError
+from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId
 from excesslab.sampling import (
     Trajectory,
@@ -23,7 +25,7 @@ from excesslab.sampling import (
     sample_level,
     sample_trajectory,
 )
-from excesslab.series import LN2, level_weight
+from excesslab.series import LN2, level_weight, squared_level_tail
 
 # Tests run the normalization series at a reduced cutoff; enclosures stay
 # certified, just a few orders of magnitude wider than the default.
@@ -200,6 +202,73 @@ def naive_cyclic_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
             key = (win[:n], win[n:])
             entries[key] = entries.get(key, 0.0) + per_phase
     return entries
+
+
+def dict_cyclic_table(
+    model: ProcessModel,
+    n: int,
+    level_cutoff: int,
+    aggregate: bool = False,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
+) -> tuple[dict, Interval, float]:
+    """The cyclic enumerator as a dict of running sums, one (level, phase)
+    at a time: the bitwise reference for the array build's keys, key order,
+    masses, pruned mass and entry slack.  hpm1 levels m >= 2n add to the 2n
+    single-marker keys and the all-zero key after every row, in closed form
+    with `aggregate`.  Checks the entry budget after each level."""
+    length = 2 * n
+    c_iv = model.norm_c
+    c_relw = 0.0 if model.fixed_level is not None else c_iv.width / c_iv.mid
+    entries: dict = {}
+    label = f"kind={model.kind.value}, alpha={model.alpha}, n={n}, level_cutoff={level_cutoff}"
+
+    def check_entries() -> None:
+        if len(entries) > entry_budget:
+            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+
+    if aggregate:
+        levels = range(2, length)
+    elif model.fixed_level is not None:
+        levels = [model.fixed_level] if model.fixed_level <= level_cutoff else []
+    else:
+        levels = range(2, level_cutoff + 1)
+    assigned = 0.0
+    marker = zero = 0.0
+    for m in levels:
+        level_mass = model.level_mass(m).mid
+        assigned += level_mass
+        if model.kind is Kind.HPM1 and m >= length:
+            marker += level_mass / m
+            zero += level_mass * (m - length) / m
+            continue
+        word = model.emission_word(m)
+        r = len(word)
+        ext = word * ((length + r - 1) // r + 1)
+        per_phase = level_mass / r
+        for k in range(r):
+            win = ext[k : k + length]
+            key = (win[:n], win[n:])
+            entries[key] = entries.get(key, 0.0) + per_phase
+        check_entries()
+    slack = 0.5 * c_relw * assigned
+    if aggregate:
+        marker_iv = c_iv * squared_level_tail(model.alpha, length)
+        short = math.fsum(level_weight(m, model.alpha) for m in range(2, length))
+        zero_iv = ((1.0 - c_iv * short) - float(length) * marker_iv).clamp(0.0, 1.0)
+        marker, zero = marker_iv.mid, zero_iv.mid
+        slack += 0.5 * (length * marker_iv.width + zero_iv.width)
+    if marker:
+        buf = bytearray(length)
+        for j in range(length):
+            buf[j] = 1
+            key = (bytes(buf[:n]), bytes(buf[n:]))
+            entries[key] = entries.get(key, 0.0) + marker
+            buf[j] = 0
+        key = (bytes(n), bytes(n))
+        entries[key] = entries.get(key, 0.0) + zero
+        check_entries()
+    pruned = Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff)
+    return entries, pruned, slack
 
 
 def naive_hmc_table(

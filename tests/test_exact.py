@@ -12,10 +12,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from excesslab.exact import (
+    DEFAULT_ENTRY_BUDGET,
     BudgetExceededError,
     JointBlockTable,
     LabelDisagreementError,
     _cached_rows,
+    _enumerate_cyclic,
     _first_appearance,
     _label_decomposition,
     _retained_table,
@@ -40,6 +42,7 @@ from conftest import (
     FUTURE_ORACLE,
     PAST_ORACLE,
     assert_tables_match,
+    dict_cyclic_table,
     make_model,
     naive_conditional_mi,
     naive_cyclic_table,
@@ -251,6 +254,81 @@ def test_hmc_entry_budget_stops_the_merge_before_memory_grows():
     # About 400 bytes per budgeted entry (suffix dicts, waiting rows and the
     # merge's sort); the whole table takes over 7 MB.
     assert peak < 600 * budget
+
+
+# (kind, alpha, fixed level, n, level cutoff, tail aggregation): the cyclic
+# tables the benchmark builds, and those it never reaches: hpm2 windows that
+# hold at most one delimiter, hpm1 below and across the collapse at 2n
+# without aggregation, and fixed levels up to one beyond int64.
+CYCLIC_ORACLE_CASES = (
+    [("hpm2", 1.5, None, n, 4095, False) for n in (1, 2, 3, 5, 8)]
+    + [("hpm1", 2.0, None, n, 4096, False) for n in range(1, 17)]
+    + [("hpm1", 1.5, None, n, 4096, True) for n in (1, 2, 3, 5, 64)]
+    + [
+        (kind, 1.5, level, n, max(level, 4096), False)
+        for kind in ("hpm1", "hpm2")
+        for level in (5, 37, 50, 2**64 + 3)
+        for n in (3, 20, 40)
+    ]
+    + [("hpm1", 2.0, None, n, 4096, True) for n in (8, 16, 32, 64, 128)]
+    + [("hpm2", 2.0, None, n, (1 << (n // 2)) - 1, False) for n in (8, 12, 16, 20, 24)]
+)
+
+
+def assert_matches_dict_build(arrays, reference, n):
+    keys, masses, pruned, slack = arrays
+    entries, ref_pruned, ref_slack = reference
+    assert [(bytes(k[:n]), bytes(k[n:])) for k in keys] == list(entries)
+    assert masses.tolist() == list(entries.values())
+    assert (pruned, slack) == (ref_pruned, ref_slack)
+
+
+@pytest.mark.parametrize("kind, alpha, fixed, n, cutoff, aggregate", CYCLIC_ORACLE_CASES)
+def test_cyclic_arrays_equal_the_dict_build_bit_for_bit(kind, alpha, fixed, n, cutoff, aggregate):
+    model = make_model(kind, alpha, fixed_level=fixed)
+    assert_matches_dict_build(
+        _enumerate_cyclic(model, n, cutoff, DEFAULT_ENTRY_BUDGET, aggregate),
+        dict_cyclic_table(model, n, cutoff, aggregate),
+        n,
+    )
+
+
+def test_cyclic_entry_budget_stops_the_chunks_before_memory_grows():
+    # Each chunk of levels is merged and counted before the next is built:
+    # the run stops within a few hundred of the 4,194,303 levels (88 million
+    # rows), holding at most the budget's keys and one chunk of rows.
+    m = make_model("hpm2", 1.5)
+    budget = 4000
+    with pytest.raises(BudgetExceededError, match="^table exceeded entry budget 4000"):
+        enumerate_joint(m, 6, 1 << 22, entry_budget=budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as raised:
+            enumerate_joint(m, 6, 1 << 22, entry_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for field in ("kind=hpm2", "alpha=1.5", "n=6", f"level_cutoff={1 << 22}"):
+        assert field in str(raised.value)
+    # About 120 bytes per budgeted entry (the chunk's rows, windows and
+    # merge sort).
+    assert peak < 300 * budget
+
+
+@pytest.mark.parametrize(
+    "kind, n, cutoff, aggregate",
+    [("hpm2", 6, 1 << 14, False), ("hpm1", 8, 4096, True), ("hpm1", 12, 4096, False)],
+)
+def test_cyclic_entry_budget_is_exact(kind, n, cutoff, aggregate):
+    # A budget of exactly the distinct count passes, in chunks of that many
+    # rows (eight chunks for hpm2), and builds the same table; one less raises.
+    model = make_model(kind, 1.5)
+    reference = dict_cyclic_table(model, n, cutoff, aggregate)
+    distinct = len(reference[0])
+    arrays = _enumerate_cyclic(model, n, cutoff, distinct, aggregate)
+    assert_matches_dict_build(arrays, reference, n)
+    with pytest.raises(BudgetExceededError, match=f"^table exceeded entry budget {distinct - 1} "):
+        enumerate_joint(model, n, cutoff, tail_aggregation=aggregate, entry_budget=distinct - 1)
 
 
 def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():
