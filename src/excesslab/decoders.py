@@ -34,6 +34,7 @@ from .series import level_weight_sums, normalization_sum
 
 _CHUNK_SYMBOLS = 1 << 16  # symbols decoded at once
 _LIMB = 62  # digits per int64 limb of a level
+_POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)  # binary lengths by searchsorted
 
 
 def _decode(kind: Kind, future: bool, blocks: np.ndarray) -> np.ndarray:
@@ -142,6 +143,25 @@ def _revealed_phases(kind: Kind, level: int, n: int) -> range:
     if 2 * s > n:
         return range(0)
     return range(1, s + 1) if kind is Kind.HPM2 else range(s + 1, 2 * s + 1)
+
+
+def _revealed_phase_bounds(
+    kind: Kind, levels: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_revealed_phases` of each level of an int64 array of levels below
+    2**62, as the arrays of its first phase and of one past its last; (0, 0)
+    where no phase reveals.
+
+    A level reveals only when 2s <= n, where s is its binary length, so a
+    level clipped to any value of more than n // 2 binary digits gives what
+    the level itself gives."""
+    if kind is Kind.HPM1:
+        hit = 2 * levels <= n
+        return np.where(hit, 1, 0), np.where(hit, levels + 1, 0)
+    s = _POWERS_OF_TWO.searchsorted(levels, "right")
+    hit = 2 * s <= n
+    lo, hi = (1, s + 1) if kind is Kind.HPM2 else (s + 1, 2 * s + 1)
+    return np.where(hit, lo, 0), np.where(hit, hi, 0)
 
 
 # ----- closed-form entropy of the revealed level ------------------------------

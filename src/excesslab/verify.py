@@ -9,9 +9,11 @@ checks mirror the library's contracts:
   decomposition       |E(n) - H(D) - I(past;future|D)| within float roundoff;
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
-                      (the sampled blocks of each block length are
-                      numbered once, as a table's are, and decoded in one
-                      array call per decoder);
+                      (the trajectories come from one batched sample; the
+                      blocks of each block length are numbered once, as a
+                      table's are, and decoded in one array call per
+                      decoder; the truth is read from the word records in
+                      arrays);
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       certified upper end of the restricted hidden-state
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from .decoders import (
-    _revealed_phases,
+    _revealed_phase_bounds,
     decoded_level_entropy,
     future_decoder,
     mi_decomposition_residual,
@@ -42,9 +45,11 @@ from .exact import (
 )
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import Enclosure, binary_entropy
-from .models import Kind, ProcessModel, phase_count
-from .sampling import Trajectory, sample_trajectory
+from .models import Kind, ProcessModel
+from .sampling import Trajectory, sample_trajectories
 from .series import level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
+
+_CLIP = 1 << 32  # levels and phases above it are never revealed at n <= 64
 
 
 @dataclass
@@ -128,71 +133,89 @@ def check_decoder_agreement(
     against the hidden truth at the block boundary, on streams 0, 1, ... of
     `seed` with n alternating 6 and 12, 500 windows each.
 
-    Window t's past block is row t of its trajectory's length-n blocks and
-    its future block row t + n, so the rows of every trajectory with the same
-    n are numbered once (`exact._number_blocks`), each distinct row is decoded
-    in one call per decoder, and the windows are counted from those results.
-    The truth comes from each trajectory's word record, one run of one level
-    at a time, by the revealed-phase rule behind `hidden_truth`."""
+    The streams come from one `sample_trajectories` call of 2*12 + 500
+    symbols; an n = 6 stream reads only its first 2*6 + 500, which are the
+    trajectory `sample_trajectory` gives at that length.  Window t's past
+    block is row t of its trajectory's length-n blocks and its future block
+    row t + n, so the rows of every trajectory with the same n are numbered
+    once (`exact._number_blocks`), each distinct row is decoded in one call
+    per decoder, and the windows are counted from those results.  The truth
+    comes from the word records of those trajectories, in arrays
+    (`_hidden_truths`), by the revealed-phase rule behind `hidden_truth`."""
+    if windows < 1:
+        raise ValueError(f"windows must be >= 1, got {windows}")
     kind = model.kind
     per_traj = 500
-    runs: dict[int, list] = {6: [], 12: []}  # (trajectory, window count) per trajectory
-    seen = 0
-    stream = 0
-    while seen < windows:
-        n = 6 if stream % 2 == 0 else 12
-        count = min(per_traj, windows - seen)
-        runs[n].append((sample_trajectory(model, 2 * n + per_traj, seed, stream=stream), count))
-        stream += 1
-        seen += count
+    trajs = sample_trajectories(model, -(-windows // per_traj), 2 * 12 + per_traj, seed)
+    symbols = np.frombuffer(b"".join(t.symbols for t in trajs), np.uint8).reshape(len(trajs), -1)
     disagreements = 0
     truth_errors = 0
     truth_hits = 0
-    for n, parts in runs.items():
-        if not parts:
+    for n, first in ((6, 0), (12, 1)):  # n = 6 on even streams, 12 on odd ones
+        group = trajs[first::2]
+        if not group:
             continue
-        symbols = np.frombuffer(b"".join(t.symbols for t, _ in parts), np.uint8)
-        rows = np.lib.stride_tricks.sliding_window_view(symbols.reshape(len(parts), -1), n, axis=1)
+        rows = np.lib.stride_tricks.sliding_window_view(symbols[first::2], n, axis=1)
         rows = rows[:, : per_traj + n].reshape(-1, n)
-        ids, first = _number_blocks(rows)
-        ids, distinct = ids.reshape(len(parts), per_traj + n), rows[first]
+        ids, at = _number_blocks(rows)
+        ids, distinct = ids.reshape(len(group), per_traj + n), rows[at]
         # Only the last trajectory sampled may have fewer than per_traj windows.
-        count = sum(c for _, c in parts)
+        last = first + 2 * (len(group) - 1)
+        count = (len(group) - 1) * per_traj + min(per_traj, windows - last * per_traj)
         past_of, future_of = ids[:, :per_traj].ravel()[:count], ids[:, n:].ravel()[:count]
         dp = (past_override or past_decoder(kind))(distinct)[past_of]
         df = future_decoder(kind)(distinct)[future_of]
-        truth = np.concatenate([_window_truth(t, n, c) for t, c in parts])
+        truth = _hidden_truths(group, n, per_traj)[:count]
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
         truth_errors += int(np.count_nonzero(defined & (dp != truth)))
     ok = disagreements == 0 and truth_errors == 0
     detail = (
-        f"{seen} windows, {disagreements} past/future disagreements, "
+        f"{windows} windows, {disagreements} past/future disagreements, "
         f"{truth_errors}/{truth_hits} hidden-truth mismatches"
     )
     return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail)
 
 
-def _window_truth(traj: Trajectory, n: int, count: int) -> np.ndarray:
-    """`hidden_truth` of the `count` windows of length 2n starting at 0, 1,
-    ... of `traj`: window t has its origin, the last past position, at step
-    t + n - 1.  Filled one run of the word record at a time.  A run revealed
-    at every phase is filled whole; one revealed at only some phases is a
-    single hmc word, whose phases step from `first.phase` without wrapping."""
-    kind = Kind(traj.kind)
-    truth = np.zeros(count, np.int64)
-    lo = n - 1
-    for start, stop, first in traj._word_runs():
-        revealed = _revealed_phases(kind, first.level, n)
-        if len(revealed) < phase_count(kind, first.level):
-            start, stop = (
-                max(start, start + revealed.start - first.phase),
-                min(stop, start + revealed.stop - first.phase),
-            )
-        a, b = max(start, lo) - lo, min(stop, lo + count) - lo
-        if a < b:
-            truth[a:b] = first.level
+def _hidden_truths(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarray:
+    """`hidden_truth` of windows 0..per_traj-1 of each trajectory, one
+    trajectory after another: window t has its origin, the last past
+    position, at step t + n - 1.
+
+    Each quantity of the runs of the word records (`Trajectory._word_runs`)
+    is one array over every trajectory: a run stops at start + r - phase + 1,
+    where the next starts, and the last run of a trajectory lasts to its
+    end.  Levels and phases past `_CLIP` are clipped to it before they become
+    int64; only r needs the exact binary length of a clipped level.  A run
+    revealed at every phase is filled whole; one revealed at only some
+    phases is a single hmc word, whose phases step from its first without
+    wrapping."""
+    kind = Kind(trajs[0].kind)
+    records = [(t.initial_state.level, *t.word_levels) for t in trajs]
+    runs = np.fromiter(map(len, records), np.int64, len(records))
+    levels = list(chain.from_iterable(records))
+    owner = np.repeat(np.arange(len(trajs)), runs)
+    first = np.cumsum(runs) - runs
+    s = np.fromiter(map(int.bit_length, levels), np.int64, len(levels))
+    level = np.minimum(np.array(levels, dtype=object), _CLIP).astype(np.int64)
+    phase = np.ones(len(levels), np.int64)
+    phase[first] = [min(t.initial_state.phase, _CLIP) for t in trajs]
+    r = {Kind.HPM1: level, Kind.HPM2: s, Kind.HMC: 3 * s}[kind]
+    length = r - phase + 1
+    start = np.cumsum(length) - length
+    start -= start[first][owner]
+    stop = start + length
+    stop[first + runs - 1] = len(trajs[0])
+    lo, hi = _revealed_phase_bounds(kind, level, n)
+    whole = hi - lo == r
+    a = np.where(whole, start, np.maximum(start, start + lo - phase))
+    b = np.where(whole, stop, np.minimum(stop, start + hi - phase))
+    a, b = (np.clip(x - (n - 1), 0, per_traj) for x in (a, b))
+    width = np.maximum(b - a, 0)
+    at = np.repeat(owner * per_traj + a - (np.cumsum(width) - width), width)
+    truth = np.zeros(len(trajs) * per_traj, np.int64)
+    truth[at + np.arange(len(at))] = np.repeat(level, width)
     return truth
 
 
@@ -313,10 +336,12 @@ def run_verification(
 
     tables: dict = {}
     mi_results: dict = {}
+    models: dict = {}  # the alphas[0] model of each kind, for the decoder check
     for kind in kinds:
         kind = Kind(kind)
         for alpha in alphas:
             model = ProcessModel(kind, alpha, series_cutoff=series_cutoff)
+            models.setdefault(kind, model)
             for n in block_lengths:
                 if kind is Kind.HMC:
                     table = enumerate_joint(model, n, 32)
@@ -328,9 +353,7 @@ def run_verification(
                 mi_results[(kind, alpha, n)] = block_mi(table)
 
     ledger.checks.append(check_decomposition(tables))
-    for kind in kinds:
-        kind = Kind(kind)
-        model = ProcessModel(kind, alphas[0], series_cutoff=series_cutoff)
+    for kind, model in models.items():
         override = None
         if decoder_fault:
             true_past = past_decoder(kind)

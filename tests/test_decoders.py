@@ -23,7 +23,7 @@ from excesslab.exact import (
 )
 from excesslab.analysis import fit_rate
 from excesslab.models import ALPHABETS, Kind
-from excesslab.verify import check_decoder_agreement, check_decomposition
+from excesslab.verify import check_decoder_agreement, check_decomposition, run_verification
 
 from conftest import (
     FAST_SERIES_CUTOFF,
@@ -251,6 +251,63 @@ def test_decoder_agreement_matches_per_window_oracle(kind):
 
     check = check_decoder_agreement(model, windows=2_345, seed=91, past_override=faulty)
     assert check.detail == naive_decoder_agreement(model, 2_345, 91, faulty_oracle)
+
+
+@pytest.mark.parametrize(
+    "kind,alpha,fixed_level,windows",
+    [
+        (kind, alpha, None, (1, 499, 500, 501, 2_345))
+        for kind in ("hpm1", "hpm2", "hmc")
+        for alpha in (1.5, 2.0)
+    ]
+    # Level 5 reveals itself to hpm1 blocks at n = 12 only; level 2**70 + 3
+    # never reveals, and its hpm1 phases exceed int64.
+    + [("hpm1", 1.5, 5, (501, 2_345))]
+    + [(kind, 1.5, 2**70 + 3, (501, 2_345)) for kind in ("hpm1", "hpm2", "hmc")],
+)
+def test_decoder_agreement_matches_oracle_over_a_grid(kind, alpha, fixed_level, windows):
+    # 1 to 501 windows leave the last trajectory, and the n = 12 group,
+    # partial or empty.
+    model = make_model(kind, alpha, fixed_level)
+    true_past, oracle_past = past_decoder(kind), PAST_ORACLE[Kind(kind)]
+
+    def faulty(blocks):
+        v = true_past(blocks)
+        return np.where(v != 0, v + 1, 0)
+
+    def faulty_oracle(block):
+        v = oracle_past(block)
+        return v + 1 if v else 0
+
+    for count in windows:
+        for override, oracle in ((None, None), (faulty, faulty_oracle)):
+            check = check_decoder_agreement(model, windows=count, seed=91, past_override=override)
+            assert check.detail == naive_decoder_agreement(model, count, 91, oracle), (count, oracle)
+    if fixed_level == 5:
+        assert truth_hits(check.detail) == 1_000  # the two n = 12 streams
+    if fixed_level == 2**70 + 3:
+        assert truth_hits(check.detail) == 0
+
+
+@pytest.mark.parametrize("windows", (0, -5))
+def test_decoder_agreement_rejects_no_windows(windows):
+    with pytest.raises(ValueError, match=f"windows must be >= 1, got {windows}"):
+        check_decoder_agreement(make_model("hpm1", 1.5), windows=windows)
+
+
+def test_verify_pins_the_benchmark_decoder_details():
+    # run_verification at the verify benchmark's scale; a change to the
+    # sampled windows would change these counts.
+    ledger = run_verification(alphas=(1.5,), block_lengths=(2, 4, 8))
+    details = {c.name: c.detail for c in ledger.checks if c.name.startswith("decoder_agreement")}
+    assert details == {
+        f"decoder_agreement[{kind}]": f"100000 windows, 0 past/future disagreements, {truth}"
+        for kind, truth in (
+            ("hpm1", "0/39000 hidden-truth mismatches"),
+            ("hpm2", "0/56000 hidden-truth mismatches"),
+            ("hmc", "0/18586 hidden-truth mismatches"),
+        )
+    }
 
 
 # ----- closed-form H(D) ------------------------------------------------------------

@@ -265,6 +265,22 @@ def test_sample_trajectories_equal_per_stream_sampler(kind):
         assert any(level > 1 << 20 for level in branch_levels)
 
 
+@pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_longer_trajectory_starts_with_the_shorter_one(kind, alpha):
+    # `verify.check_decoder_agreement` samples its n = 6 streams at 524
+    # symbols and reads only the first 512.
+    model = make_model(kind, alpha)
+    longer_records = 0
+    for long in sample_trajectories(model, 40, 524, 2024):
+        short = sample_trajectory(model, 512, 2024, stream=long.stream)
+        assert long.symbols[:512] == short.symbols, long.stream
+        assert long.initial_state == short.initial_state, long.stream
+        assert long.word_levels[: len(short.word_levels)] == short.word_levels, long.stream
+        longer_records += len(long.word_levels) > len(short.word_levels)
+    assert (longer_records > 0) == (kind == "hmc")
+
+
 def _digest(trajectories) -> str:
     h = hashlib.sha256()
     for t in trajectories:
