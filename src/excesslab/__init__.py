@@ -48,7 +48,6 @@ from .sampling import (
     EstimatorReport,
     Trajectory,
     estimate_block_mi,
-    sample_branch_level,
     sample_level,
     sample_trajectories,
     sample_trajectory,
@@ -100,7 +99,6 @@ __all__ = [
     "phase_count",
     "predicted_rate_class",
     "run_verification",
-    "sample_branch_level",
     "sample_level",
     "sample_trajectories",
     "sample_trajectory",

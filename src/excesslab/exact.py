@@ -23,18 +23,20 @@ length n each as a finite table:
     boundary.  A branch whose sequential path product falls below the
     optional pruning threshold goes to the pruned mass: a boundary takes its
     subtree from the cache only when even its least likely leaf clears the
-    threshold, and otherwise expands one level and tries again below.  The
-    walk's leaves and the cached (prefix, suffix) combinations become rows
-    of a key matrix and a mass vector, merged into distinct keys in numpy,
-    in bounded chunks: keys in order of first appearance, each mass summed
-    in row order, bit for bit what a dict of running sums would hold.
+    threshold.  The others expand in a walk over the path tree, one depth
+    at a time in numpy: each takes all its kept branches at once, and the
+    walk's leaves, cached boundaries and pruned-mass additions are then put
+    in the order of their node paths, as a depth-first recursion meets them.
+    The leaves and the cached (prefix, suffix) combinations become rows of
+    a key matrix and a mass vector, merged into distinct keys in numpy, in
+    bounded chunks: keys in order of first appearance, each mass summed in
+    row order, bit for bit what a dict of running sums would hold.
 
 A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
 matrix, past block then future block, and a float64 mass vector.  Every kind
 builds them directly: keys in order of their first row, and each key's mass
 summed from 0.0 in row order, bit for bit what a dict of running sums would
-hold.  `JointBlockTable.from_entries` converts a dict, for hand-made tables;
-`entries` gives a read-only mapping view of the arrays.
+hold.  `entries` gives a read-only mapping view of the arrays.
 
 Every table tracks the probability mass that was *not* assigned to a key
 (`pruned_mass`, an interval upper-bounding level tails plus pruned paths) and
@@ -65,11 +67,10 @@ future block matrices of every entry.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -117,8 +118,7 @@ class JointBlockTable:
     then the future block, n symbols each, all below `alphabet_size`, and
     `masses[i]` its mass; no key repeats.  `pruned_mass` encloses the true
     probability that the table does not represent; `entry_slack` bounds
-    sum_k |true_k - stored_k| over keys.  `from_entries` builds a table
-    from a (past, future) -> mass mapping of byte strings.
+    sum_k |true_k - stored_k| over keys.
 
     A table is never mutated after it is built: the arrays are made
     read-only, and `entries`, `profile` and `block_mi` are computed on first
@@ -136,37 +136,6 @@ class JointBlockTable:
     def __post_init__(self) -> None:
         self.keys.flags.writeable = False
         self.masses.flags.writeable = False
-
-    @classmethod
-    def from_entries(
-        cls,
-        n: int,
-        alphabet_size: int,
-        entries: Mapping[tuple[bytes, bytes], float],
-        pruned_mass: Interval,
-        entry_slack: float = 0.0,
-        meta: dict | None = None,
-    ) -> JointBlockTable:
-        """The table of `entries`, in their order, with no Python loop over
-        them: np.fromiter reads the keys into one (count, 2n) symbol matrix
-        and the masses into one vector.  Raises ValueError on an alphabet of
-        more than four symbols, a block that is not n symbols long or a
-        symbol outside the alphabet."""
-        count = len(entries)
-        if alphabet_size > 4:
-            raise ValueError(f"alphabet of {alphabet_size} symbols; at most 4 are packed")
-        lengths = set(map(len, itertools.chain.from_iterable(entries)))
-        if lengths - {n}:
-            raise ValueError(f"block of length {min(lengths - {n})} in a table of n = {n}")
-        # np.fromiter fills the matrix in place; b"".join would also hold an
-        # 80-byte buffer record per block.
-        blocks = itertools.chain.from_iterable(entries)
-        keys = np.fromiter(blocks, np.dtype((np.void, n)), 2 * count).view(np.uint8)
-        keys = keys.reshape(count, 2 * n)
-        if count and keys.max() >= alphabet_size:
-            raise ValueError(f"symbol {keys.max()} outside alphabet 0..{alphabet_size - 1}")
-        masses = np.fromiter(entries.values(), np.float64, count)
-        return cls(n, alphabet_size, keys, masses, pruned_mass, entry_slack, meta or {})
 
     @cached_property
     def entries(self) -> Mapping[tuple[bytes, bytes], float]:
@@ -565,22 +534,6 @@ class _Repeating:
         self.first = np.concatenate([self.first, rows])[first]
 
 
-@dataclass
-class _Completion:
-    """The subtree below an hmc word boundary with `need` symbols still to
-    emit: every branch probability is relative to the boundary (q = 1 there).
-
-    `pushes` is how many nodes the subtree holds below its root, `internal_q`
-    the summed q of its word boundaries (the root included), `q_min` the
-    smallest q of a leaf, and `suffixes` maps each truncated suffix to its
-    summed q; the dict is built on first use."""
-
-    pushes: int
-    internal_q: float
-    q_min: float
-    suffixes: dict[bytes, float] | None = None
-
-
 def _enumerate_hmc(
     model: ProcessModel,
     n: int,
@@ -592,156 +545,215 @@ def _enumerate_hmc(
     length = 2 * n
     label = _input_label(model, n, level_cutoff, prune_eps)
     if model.fixed_level is not None:
-        branch_levels = [model.fixed_level]
-        branch_p = {model.fixed_level: 1.0}
-        branch_tail = Interval.point(0.0)
-        seed_masses = {model.fixed_level: 1.0 / model.phase_count(model.fixed_level)}
+        levels = [model.fixed_level]
+        branch_p = np.ones(1)
+        branch_tail = seed_tail = Interval.point(0.0)
+        seed_masses = np.array([1.0 / model.phase_count(model.fixed_level)])
         relw = 0.0
     else:
-        branch_levels = list(range(2, level_cutoff + 1))
-        branch_p = {m: model.branch_probability(m).mid for m in branch_levels}
+        levels = range(2, level_cutoff + 1)
+        branch_p = np.array([model.branch_probability(m).mid for m in levels])
         branch_tail = model.branch_tail_mass(level_cutoff)
-        seed_masses = {m: model.level_mass(m).mid / model.phase_count(m) for m in branch_levels}
+        seed_tail = model.level_tail_mass(level_cutoff)
+        seed_masses = np.array([model.level_mass(m).mid / model.phase_count(m) for m in levels])
         # Each path multiplies one stationary weight and at most 2n branch
         # weights, so the constant enclosures enter with these multipliers.
         relw = model.norm_c.width / model.norm_c.mid + length * (
             model.norm_d.width / model.norm_d.mid
         )
-    words = {m: model.emission_word(m) for m in branch_levels}
+    words = [model.emission_word(m) for m in levels]
+    lens = np.array([len(w) for w in words])
+    # Row i is level i's word, then zeros to read 2n symbols from any phase.
+    symbols = np.zeros((len(words), lens.max() + length), np.uint8)
+    for i, word in enumerate(words):
+        symbols[i, : len(word)] = np.frombuffer(word, np.uint8)
+    width = -(-length // 8) * 8  # a node's row, padded to whole uint64 words
     # Branches by falling probability, each with the summed probability of
-    # itself and every later branch.  prob * b is then falling along the list
-    # too (rounding is monotone), so the first pruned branch prunes the rest.
-    ordered = sorted(branch_levels, key=branch_p.__getitem__, reverse=True)
-    rests = list(itertools.accumulate(branch_p[m] for m in reversed(ordered)))[::-1]
-    branches = [(words[m], branch_p[m], rest) for m, rest in zip(ordered, rests)]
+    # itself and every later branch.  prob * b is then falling along them
+    # too (rounding is monotone), so a boundary keeps a leading run of them.
+    by_p = np.argsort(-branch_p, kind="stable")
+    b = branch_p[by_p]
+    rests = np.cumsum(b[::-1])[::-1]
+    branch_lens = lens[by_p]
+    # Row s * len(b) + r holds branch r's word from symbol s on, zeros
+    # elsewhere: OR'd onto the row of a node that has emitted s symbols, it
+    # gives the row of that node's child by branch r.
+    placed = np.zeros((length, len(b), width), np.uint8)
+    for s in range(length):
+        placed[s, :, s:length] = symbols[by_p, : length - s]
+    placed = placed.reshape(-1, width).view(np.uint64)
+    branches = [(words[i], q) for i, q in zip(by_p.tolist(), b.tolist())]
 
     # After a word boundary the rest of a window depends only on how many
     # symbols it still needs, so each such subtree is summarised once per
-    # `need`, from the summaries of the shorter needs below it.
-    completions: list[_Completion] = [_Completion(0, 0.0, 1.0)]  # index 0 is unused
+    # `need`, from the summaries of the shorter needs below it, with every
+    # branch probability q relative to the boundary: how many nodes it holds
+    # below its root, the summed q of its word boundaries (the root
+    # included) and the smallest q of a leaf.  Index 0 is unused.
+    pushes, internal_q, q_min = [0], [0.0], [1.0]
     for need in range(1, length):
-        pushes, internal_q, q_min = len(branches), 1.0, math.inf
-        for word, b, _ in branches:
-            if len(word) >= need:
-                q_min = min(q_min, b)
+        nodes, inner, least = len(branches), 1.0, math.inf
+        for word, q in branches:
+            sub = need - len(word)
+            if sub <= 0:
+                least = min(least, q)
             else:
-                sub = completions[need - len(word)]
-                pushes += sub.pushes
-                internal_q += b * sub.internal_q
-                q_min = min(q_min, b * sub.q_min)
-        completions.append(_Completion(pushes, internal_q, q_min))
+                nodes += pushes[sub]
+                inner += q * internal_q[sub]
+                least = min(least, q * q_min[sub])
+        pushes.append(nodes)
+        internal_q.append(inner)
+        q_min.append(least)
 
+    @cache
     def suffixes(need: int) -> dict[bytes, float]:
-        done = completions[need].suffixes
-        if done is not None:
-            return done
+        """Each suffix of the subtree, truncated to `need` symbols, with its
+        summed q."""
         out: dict[bytes, float] = {}
-        for word, b, _ in branches:
+        for word, q in branches:
             if len(word) >= need:
                 s = word[:need]
-                out[s] = out.get(s, 0.0) + b
+                out[s] = out.get(s, 0.0) + q
             else:
-                for s, q in suffixes(need - len(word)).items():
+                for s, q2 in suffixes(need - len(word)).items():
                     s = word + s
-                    out[s] = out.get(s, 0.0) + b * q
+                    out[s] = out.get(s, 0.0) + q * q2
             if len(out) > entry_budget:
                 raise BudgetExceededError(
                     f"completion table for {need} symbols exceeded entry budget "
                     f"{entry_budget} ({label})"
                 )
-        completions[need].suffixes = out
         return out
 
     merge = _RowMerge(length, entry_budget, label)
-    # Leaves reached by the walk, in walk order: their 2n symbols each, and
-    # their path probabilities.  They go to the merge as arrays every
-    # `leaf_chunk` leaves.
-    leaf_keys = bytearray()
-    leaf_probs: list[float] = []
-    leaf_chunk = min(merge.chunk, 1 << 16)
-    pruned_lo = 0.0
-    pruned_hi = 0.0
-    extensions = 0
-    # Word boundaries whose whole subtree comes from the cache, by the path
-    # that reaches them: prefix -> summed path probability.
-    cached: dict[bytes, float] = {}
     gate = prune_eps * (1.0 + 1e-12)
+    step = max(1, merge.chunk // len(b))
+    tail = np.array([branch_tail.lo, branch_tail.hi])
+    nodes = 0
 
-    def count(pushes: int) -> None:
-        nonlocal extensions
-        extensions += pushes
-        if extensions > path_budget:
+    def count(more: int) -> None:
+        nonlocal nodes
+        nodes += more
+        if nodes > path_budget:
             raise BudgetExceededError(f"path budget {path_budget} exceeded ({label})")
 
-    def flush_leaves() -> None:
-        keys = np.frombuffer(leaf_keys, np.uint8).reshape(-1, length).copy()
-        probs = np.array(leaf_probs)
-        leaf_keys.clear()
-        leaf_probs.clear()
-        merge.add(keys, probs)
+    def walk() -> list[np.ndarray]:
+        """The walk from the seeds, one depth at a time: the rows and
+        probabilities of its leaves, the rows, symbol counts and
+        probabilities of its cached boundaries, and its pruned-mass
+        additions as (lo, hi) pairs, each in the order of the node paths.
+        Its per-depth arrays go when it returns, before the merge's peak."""
+        # Depth 0 holds the seeds, one per (level, phase) in level order,
+        # which are never pruned.  A node is the row of its first 2n symbols
+        # (zeros past `filled`, read as uint64 words), how many of them its
+        # path has emitted and its sequential path probability.
+        level = np.repeat(np.arange(len(words)), lens)
+        phase = np.arange(len(level)) - np.repeat(np.cumsum(lens) - lens, lens)
+        rows = np.zeros((len(level), width), np.uint8)
+        rows[:, :length] = symbols[level[:, None], phase[:, None] + np.arange(length)]
+        rows, filled = rows.view(np.uint64), np.minimum(lens[level] - phase, length)
+        probs = seed_masses[level]
+        count(len(probs))
+        # Per depth: the indices of its leaves, cached and expanded
+        # boundaries, and how many branches each expanded one keeps; then
+        # what each of them contributes.
+        depths, leaves, hits, additions = [], [], [], []
+        while len(probs):
+            open_ = np.flatnonzero(filled < length)
+            need = length - filled[open_]
+            # The whole subtree comes from the cache when even its least
+            # likely leaf clears the threshold, with room for the rounding of
+            # a product taken in another order; otherwise the boundary
+            # expands.
+            gated = probs[open_] * np.array(q_min)[need] >= gate
+            count(sum(pushes[k] for k in need[gated].tolist()))
+            leaf, hit, expand = np.flatnonzero(filled == length), open_[gated], open_[~gated]
+            leaves.append((rows.take(leaf, 0), probs[leaf]))
+            hits.append((rows.take(hit, 0), filled[hit], probs[hit]))
+            # An expanded boundary keeps each branch whose sequential product
+            # clears the threshold; its children are the next depth.
+            # Boundaries go in chunks of at most `merge.chunk` candidates.
+            kids = [(rows[:0], filled[:0], probs[:0], expand[:0])]
+            for lo in range(0, len(expand), step):
+                at = expand[lo : lo + step]
+                k = np.count_nonzero(probs[at, None] * b >= prune_eps, axis=1)
+                count(int(k.sum()))
+                parent = np.repeat(at, k)
+                rank = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+                start = filled[parent]
+                child = rows.take(parent, 0) | placed.take(start * len(b) + rank, 0)
+                reach = np.minimum(start + branch_lens[rank], length)
+                kids.append((child, reach, probs[parent] * b[rank], k))
+            p = probs[expand]
+            rows, filled, probs, kept = (np.concatenate(a) for a in zip(*kids))
+            # prob * tail at each expanded boundary, and after its kept
+            # subtrees prob * the rest from its first pruned branch on.
+            cut = kept < len(b)
+            additions += [p[:, None] * tail, (p[cut] * rests[kept[cut]])[:, None].repeat(2, 1)]
+            depths.append((leaf, hit, expand, kept))
+        orders = [np.argsort(at, kind="stable") for at in _depth_first(depths, len(b))]
+        groups = (zip(*leaves), zip(*hits), [additions])
+        return [np.concatenate(a).take(order, 0) for order, g in zip(orders, groups) for a in g]
 
-    add_key, add_prob = leaf_keys.extend, leaf_probs.append
-
-    def boundary(prefix: bytes, prob: float) -> None:
-        """A word boundary reached with sequential path probability `prob`.
-
-        Every node below it keeps its branch only if its sequential product
-        is >= prune_eps.  If even the least likely leaf clears that with room
-        for the rounding of a product taken in another order, nothing below
-        is pruned and the subtree comes from the cache.  Otherwise the
-        boundary expands one level with the sequential products and
-        recurses."""
-        nonlocal pruned_lo, pruned_hi
-        need = length - len(prefix)
-        completion = completions[need]
-        if prob * completion.q_min >= gate:
-            count(completion.pushes)
-            cached[prefix] = cached.get(prefix, 0.0) + prob
-            return
-        pruned_lo += prob * branch_tail.lo
-        pruned_hi += prob * branch_tail.hi
-        for word, b, rest in branches:
-            p2 = prob * b
-            if p2 < prune_eps:
-                pruned_lo += prob * rest
-                pruned_hi += prob * rest
-                break
-            count(1)
-            if len(word) >= need:
-                add_key(prefix + word[:need])
-                add_prob(p2)
-            else:
-                boundary(prefix + word, p2)
-        if len(leaf_probs) >= leaf_chunk:
-            flush_leaves()
-
-    # Seeds, one per (level, phase), are never pruned.
-    for m in branch_levels:
-        word = words[m]
-        seed = seed_masses[m]
-        for k in range(len(word)):
-            count(1)
-            take = word[k:]
-            if len(take) >= length:
-                add_key(take[:length])
-                add_prob(seed)
-            else:
-                boundary(take, seed)
-    if model.fixed_level is None:
-        seed_tail = model.level_tail_mass(level_cutoff)
-        pruned_lo += seed_tail.lo
-        pruned_hi += seed_tail.hi
-    flush_leaves()
-
-    for prefix, prob in cached.items():
-        internal = prob * completions[length - len(prefix)].internal_q
-        pruned_lo += internal * branch_tail.lo
-        pruned_hi += internal * branch_tail.hi
+    leaf_rows, leaf_probs, prefix_rows, prefix_lens, prefix_probs, walked = walk()
+    # Word boundaries whose whole subtree comes from the cache, by the path
+    # that reaches them: prefix -> summed path probability, in visit order.
+    prefix_rows = prefix_rows.view(np.uint8)[:, :length]
+    ids, first = _first_appearance(_number_blocks(prefix_rows)[0] * (length + 1) + prefix_lens)
+    prefix_probs = np.bincount(ids, prefix_probs, len(first))
+    prefix_lens = prefix_lens[first]
+    cached = {
+        bytes(row[:k]): q
+        for row, k, q in zip(prefix_rows[first], prefix_lens.tolist(), prefix_probs.tolist())
+    }
+    # The pruned mass (lo, hi) added in the order of a recursion: the walk's
+    # additions, then the level tail, then, per cached boundary, the tail
+    # below each word boundary of its subtree.  np.cumsum adds in order.
+    internal = prefix_probs * np.array(internal_q)[length - prefix_lens]
+    added = (walked, [[seed_tail.lo, seed_tail.hi]], internal[:, None] * tail)
+    pruned = Interval(*np.cumsum(np.concatenate(added), axis=0)[-1].tolist())
+    # The leaves go to the merge in chunks of views, and only the views hold
+    # them, so the merge drops them as it sums them.
+    for lo in range(0, len(leaf_probs), merge.chunk):
+        hi = lo + merge.chunk
+        merge.add(leaf_rows[lo:hi].view(np.uint8)[:, :length], leaf_probs[lo:hi])
+    del leaf_rows, leaf_probs
     for keys, masses in _cached_rows(cached, suffixes, length, merge.chunk):
         merge.add(keys, masses)
     keys, masses = merge.result()
-    pruned = Interval(pruned_lo, pruned_hi).clamp(0.0, 1.0)
-    return keys, masses, pruned, 0.5 * relw * math.fsum(masses.tolist())
+    return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw * math.fsum(masses.tolist())
+
+
+def _depth_first(
+    depths: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], branches: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in the order of the node paths (seed, then branch rank at
+    each depth), as a depth-first recursion meets them, of the walk's
+    leaves, cached boundaries and pruned-mass additions (per depth, each
+    expanded boundary's tail, then its pruned rest), in `depths` order.
+
+    An expanded boundary takes one slot for its tail, then its kept
+    children's subtrees, then one for its pruned rest if it pruned a
+    branch.  Subtree sizes are summed from the deepest depth up, and
+    positions handed down from the seeds."""
+    sizes = [np.zeros(0, np.intp)]
+    for leaf, hit, expand, kept in reversed(depths):
+        size = np.ones(len(leaf) + len(hit) + len(expand), np.intp)
+        sums = np.concatenate(([0], np.cumsum(sizes[-1])))
+        ends = np.cumsum(kept)
+        size[expand] += (kept < branches) + sums[ends] - sums[ends - kept]
+        sizes.append(size)
+    sizes.reverse()
+    leaf_at, cached_at, pruned_at = [], [], []
+    at = np.cumsum(sizes[0]) - sizes[0]
+    for (leaf, hit, expand, kept), size, below in zip(depths, sizes, sizes[1:]):
+        top = at[expand]
+        leaf_at.append(at[leaf])
+        cached_at.append(at[hit])
+        pruned_at += [top, (top + size[expand] - 1)[kept < branches]]
+        sums = np.concatenate(([0], np.cumsum(below)))
+        at = np.repeat(top + 1 - sums[np.cumsum(kept) - kept], kept) + sums[:-1]
+    return tuple(np.concatenate(a) for a in (leaf_at, cached_at, pruned_at))
 
 
 def _cached_rows(

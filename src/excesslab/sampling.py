@@ -314,17 +314,6 @@ def _level_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
     return _within_group(rng, j, alpha)
 
 
-def sample_branch_level(model: ProcessModel, rng: np.random.Generator) -> int:
-    """Draw the next level at a word boundary of the ergodic kind."""
-    if model.fixed_level is not None:
-        return model.fixed_level
-    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
-    u = rng.random()
-    if u < float(cdf[-1]):
-        return int(_prefix_levels(cdf, u))
-    return _branch_tail(model, rng, u)
-
-
 def _branch_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
     """The branch level of a draw `u` past the prefix table."""
     _, _, group_cdf = _branch_tables(model.alpha, model.series_cutoff)

@@ -1,10 +1,12 @@
-"""Shared fixtures: fast-cutoff models, and independently coded reference
-enumerators, the dict build of the cyclic tables, table profiles, scalar
-level decoders, scalar triple-bound predicates and a scalar trajectory
-sampler used as oracles against the production engine."""
+"""Shared fixtures: fast-cutoff models, tables built from dicts, and
+independently coded reference enumerators, the dict build of the cyclic
+tables, table profiles, scalar level decoders, scalar triple-bound
+predicates and a scalar trajectory sampler used as oracles against the
+production engine."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections import Counter
@@ -14,14 +16,16 @@ import numpy as np
 import pytest
 
 from excesslab.decoders import hidden_truth
-from excesslab.exact import DEFAULT_ENTRY_BUDGET, BudgetExceededError
+from excesslab.exact import DEFAULT_ENTRY_BUDGET, BudgetExceededError, JointBlockTable
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId
 from excesslab.sampling import (
     Trajectory,
+    _branch_tables,
+    _branch_tail,
     _generator,
+    _prefix_levels,
     _uniform_phase,
-    sample_branch_level,
     sample_level,
     sample_trajectory,
 )
@@ -313,6 +317,33 @@ def naive_hmc_table(
     return entries
 
 
+def table_from(
+    n: int,
+    alphabet_size: int,
+    entries: dict,
+    pruned_mass: Interval,
+    entry_slack: float = 0.0,
+) -> JointBlockTable:
+    """The table of a (past, future) -> mass dict of byte strings, in its
+    order: np.fromiter reads the keys into one (count, 2n) symbol matrix and
+    the masses into one vector.  Raises ValueError on an alphabet of more
+    than four symbols, a block that is not n symbols long or a symbol outside
+    the alphabet."""
+    count = len(entries)
+    if alphabet_size > 4:
+        raise ValueError(f"alphabet of {alphabet_size} symbols; at most 4 are packed")
+    lengths = set(map(len, itertools.chain.from_iterable(entries)))
+    if lengths - {n}:
+        raise ValueError(f"block of length {min(lengths - {n})} in a table of n = {n}")
+    blocks = itertools.chain.from_iterable(entries)
+    keys = np.fromiter(blocks, np.dtype((np.void, n)), 2 * count).view(np.uint8)
+    keys = keys.reshape(count, 2 * n)
+    if count and keys.max() >= alphabet_size:
+        raise ValueError(f"symbol {keys.max()} outside alphabet 0..{alphabet_size - 1}")
+    masses = np.fromiter(entries.values(), np.float64, count)
+    return JointBlockTable(n, alphabet_size, keys, masses, pruned_mass, entry_slack)
+
+
 def assert_tables_match(reference: dict, entries: dict, tol: float = 1e-12) -> float:
     assert set(reference) == set(entries), (
         f"key sets differ: {len(reference)} reference vs {len(entries)} engine; "
@@ -431,6 +462,18 @@ def _plug_in_entropy(masses: list) -> float:
 
 
 # ----- scalar trajectory sampler: the reference for the block draws ----------
+
+
+def sample_branch_level(model: ProcessModel, rng: np.random.Generator) -> int:
+    """Draw the next level at a word boundary of the ergodic kind, one
+    double at a time: a prefix-table hit, else the scalar tail."""
+    if model.fixed_level is not None:
+        return model.fixed_level
+    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
+    u = rng.random()
+    if u < float(cdf[-1]):
+        return int(_prefix_levels(cdf, u))
+    return _branch_tail(model, rng, u)
 
 
 def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> Trajectory:

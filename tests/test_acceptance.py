@@ -15,7 +15,7 @@ import pytest
 
 from excesslab.analysis import fit_rate
 from excesslab.decoders import decoded_level_entropy
-from excesslab.exact import block_mi, enumerate_joint
+from excesslab.exact import _number_blocks, block_mi, enumerate_joint
 from excesslab.sampling import estimate_block_mi, sample_trajectories
 from excesslab.series import partial_sum_bracket, tail_sum_bracket
 from excesslab.verify import (
@@ -65,6 +65,13 @@ def sweep_tables():
 @pytest.fixture(scope="session")
 def sweep_mi(sweep_tables):
     return {key: block_mi(t) for key, t in sweep_tables.items()}
+
+
+def test_sweep_tables_have_distinct_keys(sweep_tables):
+    # One numbering of the full 2n-symbol rows: a repeated key would have
+    # split its mass over two rows, and every reduction would miscount it.
+    for key, table in sweep_tables.items():
+        assert len(_number_blocks(table.keys)[1]) == len(table.keys), key
 
 
 def test_criterion_1_oracle_equivalence():

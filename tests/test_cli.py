@@ -66,8 +66,8 @@ def test_manifest_records_resolved_configuration(tmp_path):
 
 
 def test_exact_hmc_runs_unpruned_by_default(tmp_path):
-    # At cutoff 64 pruning hmc is slower than prune_eps 0 and never leaves
-    # less mass out, so no n is pruned unless asked.
+    # Pruning hmc never leaves less mass out than prune_eps 0, so no n is
+    # pruned unless asked.
     cfg = tmp_path / "old-manifest-config.json"
     cfg.write_text(json.dumps({"prune_eps": None}))  # what older manifests stored
     for extra in ([], ["--config", str(cfg)]):

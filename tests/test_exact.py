@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from excesslab.exact import (
     DEFAULT_ENTRY_BUDGET,
     BudgetExceededError,
-    JointBlockTable,
     LabelDisagreementError,
     _cached_rows,
     _enumerate_cyclic,
     _first_appearance,
     _label_decomposition,
+    _number_blocks,
     _retained_table,
     _table_entropy,
     _triple_informations,
@@ -50,11 +50,12 @@ from conftest import (
     naive_profile,
     naive_triple_information,
     scalar_predicate_grid,
+    table_from,
 )
 
 
 def manual_table(n, alphabet_size, entries, pruned=0.0, slack=0.0):
-    return JointBlockTable.from_entries(
+    return table_from(
         n=n,
         alphabet_size=alphabet_size,
         entries=dict(entries),
@@ -157,7 +158,7 @@ def test_hpm1_block_mi_matches_oracle_n8_cutoff_4096():
     reference = naive_cyclic_table(m, 8, 1 << 12)
     table = enumerate_joint(m, 8, 1 << 12)
     assert_tables_match(reference, table.entries)
-    ref_table = JointBlockTable.from_entries(
+    ref_table = table_from(
         n=8,
         alphabet_size=2,
         entries=reference,
@@ -222,6 +223,17 @@ def test_path_budget_counts_every_push():
     with pytest.raises(BudgetExceededError):
         enumerate_joint(h, 4, 64, path_budget=36_575)
     assert len(enumerate_joint(h, 4, 64, path_budget=36_576).entries) == 2109
+
+
+def test_path_budget_counts_the_pruned_walk():
+    # At prune_eps 1e-7 most word boundaries fail the cache gate and expand
+    # depth by depth; every seed and every kept branch still counts once:
+    # 88,536 nodes at this point.
+    h = make_model("hmc", 1.5)
+    with pytest.raises(BudgetExceededError, match="path budget 88535 exceeded") as raised:
+        enumerate_joint(h, 8, 64, 1e-7, path_budget=88_535)
+    assert "prune_eps=1e-07" in str(raised.value)
+    enumerate_joint(h, 8, 64, 1e-7, path_budget=88_536)
 
 
 def test_hmc_completion_cache_is_held_to_entry_budget():
@@ -362,8 +374,12 @@ def table_digest(table) -> str:
 
 # (kind, fixed level, n, level cutoff, prune_eps, tail aggregation) at alpha
 # 1.5, each table's keys, key order, masses, pruned mass and slack pinned bit
-# for bit.  Computed while the tables were dicts built one entry at a time.
+# for bit.  Computed while the tables were dicts built one entry at a time,
+# and the hmc paths walked by a per-boundary recursion.  At n = 5, cutoff 16,
+# eps 1e-4 the pruned mass also pins that each boundary's pruned rest is
+# added after the subtrees of its kept branches, as the recursion added it.
 PINNED_TABLE_DIGESTS = {
+    ("hmc", None, 5, 16, 1e-4, False): "def78de9d1f0096689a3b0318dd3abef358ee8925b6e399fc5a508724e8a37b4",
     ("hmc", None, 4, 64, 0.0, False): "b4c1c97714abe8b824ab2efabb5ada94b66751194d2cd9175570bb342848dd9e",
     ("hmc", None, 6, 64, 0.0, False): "71fef563525ccd4ce7ec10611807f5e6aa2680229112768a48a0721d0a4c6d45",
     ("hmc", None, 8, 64, 0.0, False): "71192d0ab126f11e93e6b2300d11455b22c868e5ec8e26ae51b8cc9e0c8283fb",
@@ -376,25 +392,42 @@ PINNED_TABLE_DIGESTS = {
 }
 
 
-def test_table_digests_are_pinned():
-    for (kind, fixed, n, cutoff, eps, aggregate), expected in PINNED_TABLE_DIGESTS.items():
-        model = make_model(kind, 1.5, fixed_level=fixed)
-        table = enumerate_joint(model, n, cutoff, eps, tail_aggregation=aggregate)
-        assert table_digest(table) == expected, (kind, fixed, n, cutoff, eps)
+@pytest.fixture(scope="module")
+def pinned_tables():
+    return {
+        (kind, fixed, n, cutoff, eps, aggregate): enumerate_joint(
+            make_model(kind, 1.5, fixed_level=fixed), n, cutoff, eps, tail_aggregation=aggregate
+        )
+        for kind, fixed, n, cutoff, eps, aggregate in PINNED_TABLE_DIGESTS
+    }
+
+
+def test_table_digests_are_pinned(pinned_tables):
+    for key, table in pinned_tables.items():
+        assert table_digest(table) == PINNED_TABLE_DIGESTS[key], key
     # A budget just above the entry count merges the 72,428 rows in three
     # chunks; the walk hands its 66,597 leaves over in three pieces.
     table = enumerate_joint(make_model("hmc", 1.5), 8, 64, 1e-7, entry_budget=31_000)
     assert table_digest(table) == PINNED_TABLE_DIGESTS[("hmc", None, 8, 64, 1e-7, False)]
 
 
+def test_pinned_tables_have_distinct_keys(pinned_tables):
+    # One numbering of the full 2n-symbol rows: a repeated key would have
+    # split its mass over two rows.
+    for key, table in pinned_tables.items():
+        assert len(_number_blocks(table.keys)[1]) == len(table.keys), key
+
+
 @pytest.mark.parametrize("prune_eps", [float(e) for e in np.logspace(-9, -4, 8)])
 def test_hmc_matches_oracle_across_the_cache_gate(prune_eps):
     # From 1e-9 every subtree comes from the cache; towards 1e-4 most word
     # boundaries expand explicitly because some leaf below them is pruned.
+    # At n = 7 the walk expands boundaries up to three words deep.
     h = make_model("hmc", 1.5)
-    reference = naive_hmc_table(h, 5, 16, prune_eps)
-    table = enumerate_joint(h, 5, 16, prune_eps)
-    assert_tables_match(reference, table.entries, tol=1e-12)
+    for n in (5, 7):
+        reference = naive_hmc_table(h, n, 16, prune_eps)
+        table = enumerate_joint(h, n, 16, prune_eps)
+        assert_tables_match(reference, table.entries, tol=1e-12)
 
 
 def test_fixed_level_hmc_matches_oracle():
@@ -771,7 +804,7 @@ def test_dropped_entry_leaves_no_block_in_the_profile():
         (bytes([2]), bytes([1])): 1e-40,
         (bytes([1]), bytes([1])): 0.5,
     }
-    t = _retained_table(JointBlockTable.from_entries(1, 3, entries, Interval.point(0.0)))
+    t = _retained_table(table_from(1, 3, entries, Interval.point(0.0)))
     assert list(t.entries) == [(bytes([0]), bytes([0])), (bytes([1]), bytes([1]))]
     assert t.pruned_mass == Interval.point(1e-40)
     prof = t.profile
