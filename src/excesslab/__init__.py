@@ -22,7 +22,6 @@ from .decoders import (
     DecompositionCheck,
     decoded_level_entropy,
     future_decoder,
-    hidden_truth,
     mi_decomposition_residual,
     past_decoder,
 )
@@ -40,7 +39,6 @@ from .models import (
     Kind,
     ProcessModel,
     StateId,
-    binary_digit,
     binary_length,
     phase_count,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "StateId",
     "Trajectory",
     "VerificationLedger",
-    "binary_digit",
     "binary_entropy",
     "binary_length",
     "block_mi",
@@ -89,7 +86,6 @@ __all__ = [
     "estimate_block_mi",
     "fit_rate",
     "future_decoder",
-    "hidden_truth",
     "level_weight",
     "level_weight_sums",
     "mi_decomposition_residual",

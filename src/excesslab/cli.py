@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
@@ -107,16 +108,32 @@ class RunConfig:
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     data: dict = {}
     if path:
-        data.update(json.loads(Path(path).read_text()))
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: a config must be a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(RunConfig)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if value is not None and not _fits(value, hints[key]):
+            raise ValueError(f"{path}: {key} must be {RunConfig.__annotations__[key]}, got {value!r}")
     data.update({k: v for k, v in overrides.items() if v is not None})
     # A null means the default: older manifests stored a null prune_eps.
-    cfg = RunConfig(**{k: v for k, v in data.items() if k in known and v is not None})
+    cfg = RunConfig(**{k: v for k, v in data.items() if v is not None})
     cfg.validate()
     return cfg
+
+
+def _fits(value: object, hint: object) -> bool:
+    """Whether a JSON value has the type `hint` of a `RunConfig` field; an
+    int is a float too."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union with None
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _write_manifest(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exact import JointBlockTable, _label_decomposition
 from .intervals import Enclosure, Interval, entropy_term
-from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind, binary_length
+from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind
 from .series import level_weight_sums, normalization_sum
 
 _CHUNK_SYMBOLS = 1 << 16  # symbols decoded at once
@@ -124,37 +124,18 @@ def future_decoder(kind: Kind | str) -> Callable[[np.ndarray], np.ndarray]:
     return partial(_decode, Kind(kind), True)
 
 
-def hidden_truth(kind: Kind | str, state_at_origin, n: int) -> int:
-    """The defined value of the revealed level, from the hidden state at the
-    last past position (time 0).  Used to check decoders against the truth."""
-    level, phase = state_at_origin.level, state_at_origin.phase
-    return level if phase in _revealed_phases(Kind(kind), level, n) else 0
-
-
-def _revealed_phases(kind: Kind, level: int, n: int) -> range:
-    """The phases of `level` at which the state at time 0 reveals the level
-    to blocks of length n.  A cyclic kind reveals at every phase or at none:
-    when two markers (hpm1) or two delimiters (hpm2) fit in each block.  hmc
-    reveals when 2s <= n and the state sits in phases s+1..2s, the run of
-    threes that the past block ends in and the future block starts from."""
-    if kind is Kind.HPM1:
-        return range(1, level + 1) if 2 * level <= n else range(0)
-    s = binary_length(level)
-    if 2 * s > n:
-        return range(0)
-    return range(1, s + 1) if kind is Kind.HPM2 else range(s + 1, 2 * s + 1)
-
-
 def _revealed_phase_bounds(
     kind: Kind, levels: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`_revealed_phases` of each level of an int64 array of levels below
-    2**62, as the arrays of its first phase and of one past its last; (0, 0)
-    where no phase reveals.
-
-    A level reveals only when 2s <= n, where s is its binary length, so a
-    level clipped to any value of more than n // 2 binary digits gives what
-    the level itself gives."""
+    """The phases at which the hidden state at time 0 reveals its level to
+    blocks of length n, for an int64 array of levels below 2**62: the first
+    such phase and one past the last, (0, 0) where none does.  A cyclic kind
+    reveals at every phase or at none: when two markers (hpm1) or two
+    delimiters (hpm2) fit in each block.  hmc reveals when 2s <= n, s the
+    level's binary length, at phases s+1..2s: the run of threes that the
+    past block ends in and the future block starts from.  A level of more
+    than n // 2 binary digits never reveals, so clipping it to any such
+    value changes nothing."""
     if kind is Kind.HPM1:
         hit = 2 * levels <= n
         return np.where(hit, 1, 0), np.where(hit, levels + 1, 0)

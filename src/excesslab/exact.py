@@ -36,7 +36,8 @@ A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
 matrix, past block then future block, and a float64 mass vector.  Every kind
 builds them directly: keys in order of their first row, and each key's mass
 summed from 0.0 in row order, bit for bit what a dict of running sums would
-hold.  `entries` gives a read-only mapping view of the arrays.
+hold.  `entries` builds a read-only (past, future) -> mass mapping from
+them on first use; the reductions below read the arrays only.
 
 Every table tracks the probability mass that was *not* assigned to a key
 (`pruned_mass`, an interval upper-bounding level tails plus pruned paths) and
@@ -71,6 +72,7 @@ import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -140,8 +142,10 @@ class JointBlockTable:
     @cached_property
     def entries(self) -> Mapping[tuple[bytes, bytes], float]:
         """The entries as a read-only (past, future) -> mass mapping, in
-        table order."""
-        return _Entries(self.keys, self.masses, self.n)
+        table order, built from the arrays on first use."""
+        n = self.n
+        pairs = zip(map(bytes, self.keys[:, :n]), map(bytes, self.keys[:, n:]))
+        return MappingProxyType(dict(zip(pairs, self.masses.tolist())))
 
     def assigned_mass(self) -> float:
         return math.fsum(self.masses.tolist())
@@ -195,32 +199,6 @@ class JointBlockTable:
         h_joint, joint_err = _table_entropy(self, prof.masses, 2)
         err = past_err + future_err + joint_err
         return Enclosure.around(h_past + h_future - h_joint, err), err
-
-
-class _Entries(Mapping):
-    """A table's key and mass arrays as a read-only (past, future) -> mass
-    mapping.  The dict behind it is built on the first lookup or iteration;
-    its length is the row count, with no dict."""
-
-    def __init__(self, keys: np.ndarray, masses: np.ndarray, n: int) -> None:
-        self._keys, self._masses, self._n = keys, masses, n
-        self._dict: dict[tuple[bytes, bytes], float] | None = None
-
-    def _items(self) -> dict[tuple[bytes, bytes], float]:
-        if self._dict is None:
-            n = self._n
-            pairs = zip(map(bytes, self._keys[:, :n]), map(bytes, self._keys[:, n:]))
-            self._dict = dict(zip(pairs, self._masses.tolist()))
-        return self._dict
-
-    def __getitem__(self, key: tuple[bytes, bytes]) -> float:
-        return self._items()[key]
-
-    def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
-        return iter(self._items())
-
-    def __len__(self) -> int:
-        return len(self._masses)
 
 
 def _number_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -697,15 +675,12 @@ def _enumerate_hmc(
 
     leaf_rows, leaf_probs, prefix_rows, prefix_lens, prefix_probs, walked = walk()
     # Word boundaries whose whole subtree comes from the cache, by the path
-    # that reaches them: prefix -> summed path probability, in visit order.
+    # that reaches them: each distinct (prefix, symbol count) with its summed
+    # path probability, in visit order.
     prefix_rows = prefix_rows.view(np.uint8)[:, :length]
     ids, first = _first_appearance(_number_blocks(prefix_rows)[0] * (length + 1) + prefix_lens)
     prefix_probs = np.bincount(ids, prefix_probs, len(first))
-    prefix_lens = prefix_lens[first]
-    cached = {
-        bytes(row[:k]): q
-        for row, k, q in zip(prefix_rows[first], prefix_lens.tolist(), prefix_probs.tolist())
-    }
+    prefix_rows, prefix_lens = prefix_rows[first], prefix_lens[first]
     # The pruned mass (lo, hi) added in the order of a recursion: the walk's
     # additions, then the level tail, then, per cached boundary, the tail
     # below each word boundary of its subtree.  np.cumsum adds in order.
@@ -718,8 +693,8 @@ def _enumerate_hmc(
         hi = lo + merge.chunk
         merge.add(leaf_rows[lo:hi].view(np.uint8)[:, :length], leaf_probs[lo:hi])
     del leaf_rows, leaf_probs
-    for keys, masses in _cached_rows(cached, suffixes, length, merge.chunk):
-        merge.add(keys, masses)
+    for block in _cached_rows(prefix_rows, prefix_lens, prefix_probs, suffixes, merge.chunk):
+        merge.add(*block)
     keys, masses = merge.result()
     return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw * math.fsum(masses.tolist())
 
@@ -757,54 +732,51 @@ def _depth_first(
 
 
 def _cached_rows(
-    cached: dict[bytes, float],
+    rows: np.ndarray,
+    lens: np.ndarray,
+    probs: np.ndarray,
     suffixes: Callable[[int], dict[bytes, float]],
-    length: int,
     chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows of every cached boundary combined with its suffix table, as
-    (key matrix, mass vector) blocks of about `chunk` rows: prefixes in
-    `cached` order, each with its suffixes in table order, and each mass
-    the product prob * q.
+    (key matrix, mass vector) blocks of about `chunk` rows.  Boundary i is
+    the prefix rows[i, :lens[i]] of a window of rows.shape[1] symbols, with
+    path probability probs[i]; the boundaries go in order, each with its
+    suffixes in table order, and each mass is the product prob * q.
 
-    Each suffix table becomes a row matrix and a q vector once, and the
-    prefixes of each remaining length one matrix, so a block is filled with
-    one scatter per remaining length, not one per prefix.  Every suffix
-    table is built before the first block, so an over-budget one stops the
-    run before any cached row is combined."""
-    prefixes = list(cached)
-    probs = np.fromiter(cached.values(), np.float64, len(cached))
-    need_of = np.array([length - len(p) for p in prefixes], np.intp)
-    # By remaining length: the suffix rows and q vector, and the indices and
-    # rows of the prefixes.
+    Each suffix table becomes a row matrix and a q vector once, so a block
+    is filled with one scatter per remaining length, not one per prefix.
+    Every suffix table is built before the first block, so an over-budget
+    one stops the run before any cached row is combined."""
+    length = rows.shape[1]
+    need_of = length - lens
+    # By remaining length: the suffix rows and q vector, and the indices of
+    # the prefixes.
     groups = {}
     rows_of = np.zeros(length + 1, np.intp)
     for need in np.unique(need_of).tolist():
         table = suffixes(need)
-        where = np.flatnonzero(need_of == need)
-        joined = b"".join(prefixes[i] for i in where)
         groups[need] = (
             np.frombuffer(b"".join(table), np.uint8).reshape(len(table), need),
             np.fromiter(table.values(), np.float64, len(table)),
-            where,
-            np.frombuffer(joined, np.uint8).reshape(len(where), length - need),
+            np.flatnonzero(need_of == need),
         )
         rows_of[need] = len(table)
     counts = rows_of[need_of]
     ends = np.cumsum(counts)
     start = 0
-    while start < len(prefixes):
+    while start < len(rows):
         base = int(ends[start] - counts[start])
         stop = max(start + 1, int(np.searchsorted(ends, base + chunk, "right")))
         keys = np.empty((int(ends[stop - 1]) - base, length), np.uint8)
         masses = np.empty(len(keys))
-        for need, (suffix_rows, q, where, prefix_rows) in groups.items():
+        for need, (suffix_rows, q, where) in groups.items():
             lo, hi = np.searchsorted(where, (start, stop))
             if lo == hi:
                 continue
             idx = where[lo:hi]
             at = (ends[idx] - counts[idx] - base)[:, None] + np.arange(len(q))
-            keys[at, : length - need] = prefix_rows[lo:hi, None, :]
+            keys[at, : length - need] = rows[idx, None, : length - need]
             keys[at, length - need :] = suffix_rows
             masses[at] = probs[idx, None] * q
         yield keys, masses

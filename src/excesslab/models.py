@@ -63,14 +63,6 @@ def binary_length(n: int) -> int:
     return n.bit_length()
 
 
-def binary_digit(n: int, k: int) -> int:
-    """b(n, k): the k-th binary digit of n, most significant first (b(n,1)=1)."""
-    s = binary_length(n)
-    if not 1 <= k <= s:
-        raise ValueError(f"digit index {k} out of range 1..{s} for n={n}")
-    return (n >> (s - k)) & 1
-
-
 def phase_count(kind: Kind, level: int) -> int:
     """r(n): phases per level; n (hpm1), s(n) (hpm2), 3*s(n) (hmc)."""
     if level < 2:
@@ -176,32 +168,13 @@ class ProcessModel:
 
     # ----- emission ---------------------------------------------------------
 
-    def emission(self, state: StateId) -> int:
-        """The deterministic observable symbol of one hidden state."""
-        m, k = state.level, state.phase
-        r = self.phase_count(m)
-        if not 1 <= k <= r:
-            raise ValueError(f"phase {k} out of range 1..{r} for level {m} ({self.kind.value})")
-        if self.kind is Kind.HPM1:
-            return 1 if k == m else 0
-        s = binary_length(m)
-        if self.kind is Kind.HPM2:
-            return 2 if k == 1 else binary_digit(m, k)
-        # hmc: delimiter, digits 2..s, run of s+1 threes, digits 2..s again
-        if k == 1:
-            return 2
-        if k <= s:
-            return binary_digit(m, k)
-        if k <= 2 * s + 1:
-            return 3
-        return binary_digit(m, k - 2 * s)
-
     def emission_array(self, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """`emission(StateId(level, offset + 1))` elementwise, as uint8.
+        """`emission_word(level)[offset]` elementwise, as uint8: the symbol
+        of each level at phase offset + 1.
 
         `levels` (below 2**31) and the 0-based phase `offsets` are integer
         arrays that broadcast against each other; every offset must lie in
-        0..r(level)-1.  `emission` is the per-state reference it agrees with.
+        0..r(level)-1.
         """
         levels, k = np.asarray(levels, np.int64), np.asarray(offsets, np.int64)
         if self.kind is Kind.HPM1:
@@ -214,11 +187,8 @@ class ProcessModel:
         return symbols.astype(np.uint8)
 
     def emission_word(self, level: int) -> bytes:
-        """One full cycle of emissions, phases 1..r(level), as bytes.
-
-        Built from the binary digits of `level` in one pass; `emission` is
-        the per-state reference it agrees with.
-        """
+        """One full cycle of emissions, phases 1..r(level), as bytes,
+        built from the binary digits of `level` in one pass."""
         if level < 2:
             raise ValueError(f"levels start at 2, got {level}")
         if self.kind is Kind.HPM1:

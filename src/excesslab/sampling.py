@@ -44,10 +44,8 @@ shows are formatted, so a level with a million digits costs a shift of its
 machine words, not a million symbols.  hpm1 alone places its markers
 directly, since its word has `level` symbols.  The block draws compute the
 symbols of prefix-table levels in numpy (`ProcessModel.emission_array`).
-Hidden states are not
-stored per symbol: each trajectory keeps one entry per word (its initial
-state and the level of every later word), and `Trajectory.hidden_states`
-expands that record on demand.
+Hidden states are not stored per symbol: each trajectory keeps one entry
+per word, its initial state and the level of every later word.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
@@ -71,7 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import _marginals_mi, _number_blocks
-from .models import Kind, ProcessModel, StateId, phase_count
+from .models import Kind, ProcessModel, StateId
 from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
@@ -357,32 +355,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def _word_runs(self) -> Iterator[tuple[int, int, StateId]]:
-        """(start, stop, state at start) for each run of steps on one level.
-
-        A run ends where a word ends and a later word is recorded; the last
-        run lasts to the end of the path.  Within a run the phase steps by
-        one and wraps after r(level), which is how the cyclic kinds repeat
-        their word."""
-        if self.initial_state is None:
-            raise ValueError("trajectory has no hidden record: it was not sampled from a model")
-        kind, state, start = Kind(self.kind), self.initial_state, 0
-        for level in self.word_levels:
-            stop = start + phase_count(kind, state.level) - state.phase + 1
-            yield start, stop, state
-            state, start = StateId(level, 1), stop
-        yield start, len(self.symbols), state
-
-    def hidden_states(self) -> list[StateId]:
-        """The hidden state at every step, expanded from the word record."""
-        states = []
-        for start, stop, first in self._word_runs():
-            r = phase_count(Kind(self.kind), first.level)
-            states.extend(
-                StateId(first.level, (first.phase - 1 + t) % r + 1) for t in range(stop - start)
-            )
-        return states
 
 
 def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectory:

@@ -141,7 +141,7 @@ def check_decoder_agreement(
     once (`exact._number_blocks`), each distinct row is decoded in one call
     per decoder, and the windows are counted from those results.  The truth
     comes from the word records of those trajectories, in arrays
-    (`_hidden_truths`), by the revealed-phase rule behind `hidden_truth`."""
+    (`_revealed_levels`), by the revealed-phase rule `_revealed_phase_bounds`."""
     if windows < 1:
         raise ValueError(f"windows must be >= 1, got {windows}")
     kind = model.kind
@@ -165,7 +165,7 @@ def check_decoder_agreement(
         past_of, future_of = ids[:, :per_traj].ravel()[:count], ids[:, n:].ravel()[:count]
         dp = (past_override or past_decoder(kind))(distinct)[past_of]
         df = future_decoder(kind)(distinct)[future_of]
-        truth = _hidden_truths(group, n, per_traj)[:count]
+        truth = _revealed_levels(group, n, per_traj)[:count]
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
@@ -178,19 +178,21 @@ def check_decoder_agreement(
     return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail)
 
 
-def _hidden_truths(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarray:
-    """`hidden_truth` of windows 0..per_traj-1 of each trajectory, one
-    trajectory after another: window t has its origin, the last past
-    position, at step t + n - 1.
+def _revealed_levels(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarray:
+    """The revealed level of windows 0..per_traj-1 of each trajectory, one
+    trajectory after another: the level of the hidden state at the window's
+    origin, the last past position (step t + n - 1 for window t), where
+    `_revealed_phase_bounds` says that state reveals it, and 0 elsewhere.
 
-    Each quantity of the runs of the word records (`Trajectory._word_runs`)
-    is one array over every trajectory: a run stops at start + r - phase + 1,
-    where the next starts, and the last run of a trajectory lasts to its
-    end.  Levels and phases past `_CLIP` are clipped to it before they become
-    int64; only r needs the exact binary length of a clipped level.  A run
-    revealed at every phase is filled whole; one revealed at only some
-    phases is a single hmc word, whose phases step from its first without
-    wrapping."""
+    A word record splits its trajectory into runs of steps on one level,
+    within which the phase steps by one and wraps after r(level).  Each
+    quantity of the runs is one array over every trajectory: a run stops at
+    start + r - phase + 1, where the next starts, and the last run of a
+    trajectory lasts to its end.  Levels and phases past `_CLIP` are clipped
+    to it before they become int64; only r needs the exact binary length of
+    a clipped level.  A run revealed at every phase is filled whole; one
+    revealed at only some phases is a single hmc word, whose phases step
+    from its first without wrapping."""
     kind = Kind(trajs[0].kind)
     records = [(t.initial_state.level, *t.word_levels) for t in trajs]
     runs = np.fromiter(map(len, records), np.int64, len(records))

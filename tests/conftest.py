@@ -1,8 +1,9 @@
 """Shared fixtures: fast-cutoff models, tables built from dicts, and
 independently coded reference enumerators, the dict build of the cyclic
 tables, table profiles, scalar level decoders, scalar triple-bound
-predicates and a scalar trajectory sampler used as oracles against the
-production engine."""
+predicates, a scalar trajectory sampler and per-state references (emission,
+hidden states, the reveal rule) used as oracles against the production
+engine."""
 
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from excesslab.decoders import hidden_truth
 from excesslab.exact import DEFAULT_ENTRY_BUDGET, BudgetExceededError, JointBlockTable
 from excesslab.intervals import Interval
-from excesslab.models import Kind, ProcessModel, StateId
+from excesslab.models import Kind, ProcessModel, StateId, binary_length, phase_count
 from excesslab.sampling import (
     Trajectory,
     _branch_tables,
@@ -511,6 +511,76 @@ def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> T
     )
 
 
+# ----- per-state references: emission, hidden states, the reveal rule -------
+
+
+def binary_digit(n: int, k: int) -> int:
+    """b(n, k): the k-th binary digit of n, most significant first (b(n,1)=1)."""
+    s = binary_length(n)
+    if not 1 <= k <= s:
+        raise ValueError(f"digit index {k} out of range 1..{s} for n={n}")
+    return (n >> (s - k)) & 1
+
+
+def emission(model: ProcessModel, state: StateId) -> int:
+    """The symbol one hidden state emits, digit by digit: the reference for
+    `ProcessModel.emission_word`, `emission_array` and the sampled paths."""
+    m, k = state.level, state.phase
+    if model.kind is Kind.HPM1:
+        return 1 if k == m else 0
+    s = binary_length(m)
+    if model.kind is Kind.HPM2:
+        return 2 if k == 1 else binary_digit(m, k)
+    # hmc: delimiter, digits 2..s, run of s+1 threes, digits 2..s again
+    if k == 1:
+        return 2
+    if k <= s:
+        return binary_digit(m, k)
+    if k <= 2 * s + 1:
+        return 3
+    return binary_digit(m, k - 2 * s)
+
+
+def word_runs(traj: Trajectory):
+    """(start, stop, state at start) for each run of steps on one level of a
+    sampled trajectory.  A run ends where a word ends and a later word is
+    recorded; the last run lasts to the end of the path.  Within a run the
+    phase steps by one and wraps after r(level)."""
+    kind, state, start = Kind(traj.kind), traj.initial_state, 0
+    for level in traj.word_levels:
+        stop = start + phase_count(kind, state.level) - state.phase + 1
+        yield start, stop, state
+        state, start = StateId(level, 1), stop
+    yield start, len(traj.symbols), state
+
+
+def hidden_states(traj: Trajectory) -> list[StateId]:
+    """The hidden state at every step, expanded from the word record."""
+    states = []
+    for start, stop, first in word_runs(traj):
+        r = phase_count(Kind(traj.kind), first.level)
+        states.extend(
+            StateId(first.level, (first.phase - 1 + t) % r + 1) for t in range(stop - start)
+        )
+    return states
+
+
+def revealed_phases(kind: Kind, level: int, n: int) -> range:
+    """The phases of `level` at which the state at time 0 reveals the level
+    to blocks of length n, one level at a time: the reference for
+    `decoders._revealed_phase_bounds`.  A cyclic kind reveals at every phase
+    or at none: when two markers (hpm1) or two delimiters (hpm2) fit in each
+    block.  hmc reveals when 2s <= n and the state sits in phases s+1..2s,
+    the run of threes that the past block ends in and the future block
+    starts from."""
+    if kind is Kind.HPM1:
+        return range(1, level + 1) if 2 * level <= n else range(0)
+    s = binary_length(level)
+    if 2 * s > n:
+        return range(0)
+    return range(1, s + 1) if kind is Kind.HPM2 else range(s + 1, 2 * s + 1)
+
+
 def truth_hits(detail: str) -> int:
     """Windows with a defined hidden truth, read off a decoder_agreement
     detail ("..., <errors>/<hits> hidden-truth mismatches")."""
@@ -535,12 +605,13 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
         traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
         stream += 1
         sym = traj.symbols
-        states = traj.hidden_states()
+        states = hidden_states(traj)
         for t in range(min(per_traj, windows - seen)):
             dp = past(sym[t : t + n])
             if dp != future(sym[t + n : t + 2 * n]):
                 disagreements += 1
-            truth = hidden_truth(kind, states[t + n - 1], n)
+            level, phase = states[t + n - 1].level, states[t + n - 1].phase
+            truth = level if phase in revealed_phases(kind, level, n) else 0
             if truth:
                 truth_hits += 1
                 if dp != truth:

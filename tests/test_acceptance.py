@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-summary lines.  Scales are pinned here; criteria 2, 3, 5, 7 and 9 run the
+summary lines.  Scales are pinned here; criteria 2, 3, 4, 5, 7 and 9 run the
 checks of `excesslab verify` (`verify.check_*`) with their tolerances, so the
 gate and the CLI cannot drift apart.  Shared sweeps are computed once per
 session and reused across criteria.
@@ -17,12 +17,13 @@ from excesslab.analysis import fit_rate
 from excesslab.decoders import decoded_level_entropy
 from excesslab.exact import _number_blocks, block_mi, enumerate_joint
 from excesslab.sampling import estimate_block_mi, sample_trajectories
-from excesslab.series import partial_sum_bracket, tail_sum_bracket
+from excesslab.series import tail_sum_bracket
 from excesslab.verify import (
     check_decoder_agreement,
     check_decomposition,
     check_monotonicity,
     check_sandwich,
+    check_series_brackets,
     check_triple_bound,
     predicate_grid,
 )
@@ -130,19 +131,20 @@ def test_criterion_3_decoder_agreement():
 def test_criterion_4_series_brackets():
     """Direct sums lie inside the closed-form brackets; zero failures."""
     start = time.time()
-    checks = 0
-    for alpha in (1.2, 1.5, 1.8, 2.0):
-        for n in (2, 2**4, 2**10, 2**20):
-            m = np.arange(2, n + 1, dtype=np.float64)
-            direct = float(np.sum(1.0 / (m * np.log2(m) ** (alpha - 1.0))))
-            br = partial_sum_bracket(alpha, n)
-            assert br.lo - 1e-12 <= direct <= br.hi + 1e-12, (alpha, n)
+    alphas, points = (1.2, 1.5, 1.8, 2.0), (2, 2**4, 2**10, 2**20)
+    # The partial sums and the [n, 2n) segments, as `excesslab verify` checks them.
+    check = check_series_brackets(alphas, points)
+    assert check.passed, check.detail
+    checks = 2 * len(alphas) * len(points)
+    # The [n, 4n) segments, which verify does not check.
+    for alpha in alphas:
+        for n in points:
             seg = np.arange(n, 4 * n, dtype=np.float64)
             direct_seg = float(np.sum(1.0 / (seg * np.log2(seg) ** alpha)))
             lo = tail_sum_bracket(alpha, n).lo - tail_sum_bracket(alpha, 4 * n).hi
             hi = tail_sum_bracket(alpha, n).hi - tail_sum_bracket(alpha, 4 * n).lo
             assert lo - 1e-12 <= direct_seg <= hi + 1e-12, (alpha, n)
-            checks += 2
+            checks += 1
     elapsed = time.time() - start
     assert elapsed <= 60.0
     print(f"\nACCEPTANCE 4 PASS series brackets: {checks} checks, zero failures, {elapsed:.0f}s <= 60s")

@@ -153,6 +153,24 @@ def test_unknown_config_key_rejected(tmp_path):
         run_cli(["exact", "--config", str(cfg), "--n", "2", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "cfg.json: a config must be a JSON object, got list"),
+        ({"alpha": "1.5"}, "cfg.json: alpha must be float, got '1.5'"),
+        ({"block_lengths": 4}, "cfg.json: block_lengths must be list[int], got 4"),
+    ],
+)
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, config, message):
+    # Each of these used to end in a TypeError traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["info", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_hmc_budget_exhaustion_marks_row_skipped(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -10,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from excesslab.decoders import (
+    _revealed_phase_bounds,
     decoded_level_entropy,
     future_decoder,
     mi_decomposition_residual,
@@ -23,7 +24,12 @@ from excesslab.exact import (
 )
 from excesslab.analysis import fit_rate
 from excesslab.models import ALPHABETS, Kind
-from excesslab.verify import check_decoder_agreement, check_decomposition, run_verification
+from excesslab.verify import (
+    _CLIP,
+    check_decoder_agreement,
+    check_decomposition,
+    run_verification,
+)
 
 from conftest import (
     FAST_SERIES_CUTOFF,
@@ -32,6 +38,7 @@ from conftest import (
     level_from_digits,
     make_model,
     naive_decoder_agreement,
+    revealed_phases,
     truth_hits,
 )
 
@@ -223,6 +230,29 @@ def test_digit_words_beyond_int64_decode_exactly(kind):
 
 
 # ----- agreement on sampled windows ----------------------------------------------
+
+
+def _phase_bounds(phases: range) -> tuple[int, int]:
+    return (phases.start, phases.stop) if phases else (0, 0)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_revealed_phase_bounds_match_the_scalar_rule(kind):
+    # The array rule takes int64 levels below 2**62; verify clips larger
+    # levels to _CLIP, which must reveal exactly what the level itself does.
+    levels = [*range(2, 4097), 2**31 - 1, 2**31, 2**31 + 1, 2**61 + 3, 2**62 - 2, 2**62 - 1]
+    big = [_CLIP + 1, 2**40 + 7, 2**62, 2**63 + 5, 3**90]
+    clipped = np.minimum(np.array(big, dtype=object), _CLIP).astype(np.int64)
+    for n in range(1, 65):
+        lo, hi = _revealed_phase_bounds(kind, np.array(levels, np.int64), n)
+        expected = [_phase_bounds(revealed_phases(kind, m, n)) for m in levels]
+        assert list(zip(lo.tolist(), hi.tolist())) == expected, n
+        lo, hi = _revealed_phase_bounds(kind, clipped, n)
+        expected = [_phase_bounds(revealed_phases(kind, m, n)) for m in big]
+        assert list(zip(lo.tolist(), hi.tolist())) == expected, n
+    # Every kind reveals some level at n = 64, so the comparison is not
+    # between empty rules.
+    assert any(_phase_bounds(revealed_phases(kind, m, 64)) != (0, 0) for m in levels)
 
 
 @pytest.mark.parametrize("kind", ("hpm1", "hpm2", "hmc"))

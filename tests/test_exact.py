@@ -350,16 +350,20 @@ def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():
         1: {b"\x00": 0.5, b"\x03": 0.25},
         2: {b"\x01\x02": 0.125, b"\x02\x02": 0.5, b"\x03\x00": 1.0},
     }
-    cached = {b"\x01\x02\x03": 0.5, b"\x00\x01": 0.25, b"\x02\x02\x02": 0.125, b"\x03\x03": 0.75}
+    prefixes = [b"\x01\x02\x03", b"\x00\x01", b"\x02\x02\x02", b"\x03\x03"]
+    probs = np.array([0.5, 0.25, 0.125, 0.75])
+    # Each prefix as a row of the window, zeros past it, as the walk holds it.
+    rows = np.array([list(p.ljust(4, b"\x00")) for p in prefixes], np.uint8)
+    lens = np.array([len(p) for p in prefixes])
     expected = [
         (prefix + s, prob * q)
-        for prefix, prob in cached.items()
+        for prefix, prob in zip(prefixes, probs.tolist())
         for s, q in suffix_tables[4 - len(prefix)].items()
     ]
     for chunk in (1, 2, 3, 5, 100):
-        blocks = list(_cached_rows(cached, suffix_tables.__getitem__, 4, chunk))
-        rows = [(bytes(k), m) for keys, masses in blocks for k, m in zip(keys, masses.tolist())]
-        assert rows == expected, chunk
+        blocks = list(_cached_rows(rows, lens, probs, suffix_tables.__getitem__, chunk))
+        got = [(bytes(k), m) for keys, masses in blocks for k, m in zip(keys, masses.tolist())]
+        assert got == expected, chunk
         # A block holds whole prefixes: at most `chunk` rows, or one prefix's.
         assert all(len(masses) <= max(chunk, 3) for _, masses in blocks), chunk
 

@@ -31,7 +31,15 @@ from excesslab.sampling import (
 
 from excesslab.series import LN2
 
-from conftest import FAST_SERIES_CUTOFF, make_model, naive_estimate, oracle_sample
+from conftest import (
+    FAST_SERIES_CUTOFF,
+    emission,
+    hidden_states,
+    make_model,
+    naive_estimate,
+    oracle_sample,
+    word_runs,
+)
 
 
 # ----- level sampler ---------------------------------------------------------
@@ -196,7 +204,7 @@ def test_trajectory_determinism_and_streams():
 def _symbols_from_words(model, traj):
     """The symbols of `traj`, cut from whole emission words of its record."""
     out = []
-    for start, stop, state in traj._word_runs():
+    for start, stop, state in word_runs(traj):
         word, k = model.emission_word(state.level), state.phase - 1
         out.append((word * ((k + stop - start) // len(word) + 1))[k : k + stop - start])
     return b"".join(out)
@@ -356,14 +364,14 @@ def test_cyclic_kinds_never_change_level():
     for kind in ("hpm1", "hpm2"):
         model = make_model(kind, 1.5)
         traj = sample_trajectory(model, 300, seed=31)
-        levels = {s.level for s in traj.hidden_states()}
+        levels = {s.level for s in hidden_states(traj)}
         assert len(levels) == 1
 
 
 def test_hmc_separator_runs_have_length_digit_count_plus_one():
     model = make_model("hmc", 1.5)
     traj = sample_trajectory(model, 3000, seed=41)
-    states = traj.hidden_states()
+    states = hidden_states(traj)
     sym = traj.symbols
     runs = []
     i = 0
@@ -388,7 +396,7 @@ def test_hmc_word_start_level_frequencies():
     counts = {2: 0, 3: 0}
     starts = 0
     traj = sample_trajectory(model, 60_000, seed=51)
-    states = traj.hidden_states()
+    states = hidden_states(traj)
     for prev, cur in zip(states, states[1:]):
         if cur.phase == 1:  # word boundary
             starts += 1
@@ -489,10 +497,10 @@ def test_symbols_match_emissions_of_hidden_states():
     for kind in ("hpm1", "hpm2", "hmc"):
         model = make_model(kind, 1.5)
         traj = sample_trajectory(model, 400, seed=131)
-        for t, state in enumerate(traj.hidden_states()):
+        for t, state in enumerate(hidden_states(traj)):
             if state.level.bit_length() > 24:
-                continue  # emission() recomputes digits; skip the huge-level case
-            assert traj.symbols[t] == model.emission(state), (kind, t, state)
+                continue  # emission recomputes digits; skip the huge-level case
+            assert traj.symbols[t] == emission(model, state), (kind, t, state)
 
 
 @pytest.mark.parametrize("kind", ["hpm2", "hmc"])
@@ -502,16 +510,16 @@ def test_big_level_symbols_match_emissions_of_hidden_states(kind):
     model = make_model(kind, 1.5, fixed_level=level)
     for stream in range(4):
         traj = sample_trajectory(model, 400, seed=133, stream=stream)
-        states = traj.hidden_states()
+        states = hidden_states(traj)
         assert len(states) == len(traj.symbols)
         assert {s.level for s in states} == {level}
-        assert list(traj.symbols) == [model.emission(state) for state in states]
+        assert list(traj.symbols) == [emission(model, state) for state in states]
 
 
 def test_hmc_per_step_level_occupation_matches_stationary_law():
     model = make_model("hmc", 1.5)
     traj = sample_trajectory(model, 120_000, seed=141)
-    states = traj.hidden_states()
+    states = hidden_states(traj)
     steps = len(states)
     for level in (2, 3):
         occ = sum(1 for s in states if s.level == level) / steps
