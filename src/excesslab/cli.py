@@ -35,11 +35,12 @@ from .decoders import decoded_level_entropy
 from .exact import (
     DEFAULT_ENTRY_BUDGET,
     DEFAULT_PATH_BUDGET,
+    MIN_LEVEL_CUTOFF,
     BudgetExceededError,
     block_mi,
     enumerate_joint,
 )
-from .models import DEFAULT_SERIES_CUTOFF, Kind, ProcessModel
+from .models import DEFAULT_SERIES_CUTOFF, MIN_SERIES_CUTOFF, Kind, ProcessModel
 from .sampling import estimate_block_mi, sample_trajectories, sample_trajectory
 from .verify import run_verification
 
@@ -80,12 +81,17 @@ class RunConfig:
             raise ValueError("block lengths must be >= 1")
         if not 0.0 <= self.prune_eps < 1.0:
             raise ValueError(f"prune threshold must lie in [0, 1), got {self.prune_eps}")
-        # A count below its floor would make a run check or sample nothing.
+        # A count below its floor would make a run check or sample nothing;
+        # a cutoff below its floor would stop the run part way.
         counts = ("windows", "trajectories", "trajectory_length", "path_budget", "entry_budget")
-        for name, floor in {**dict.fromkeys(counts, 1), "bootstrap": 0}.items():
+        floors = {**dict.fromkeys(counts, 1), "bootstrap": 0}
+        floors.update(level_cutoff=MIN_LEVEL_CUTOFF, series_cutoff=MIN_SERIES_CUTOFF)
+        for name, floor in floors.items():
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
+        if self.bootstrap == 1:
+            raise ValueError("bootstrap must be 0 or >= 2, got 1: one resample has no spread")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
         negative = [s for s in self.seeds if s < 0]

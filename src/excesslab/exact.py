@@ -27,10 +27,10 @@ length n each as a finite table:
     at a time in numpy: each takes all its kept branches at once, and the
     walk's leaves, cached boundaries and pruned-mass additions are then put
     in the order of their node paths, as a depth-first recursion meets them.
-    The leaves and the cached (prefix, suffix) combinations become rows of
-    a key matrix and a mass vector, merged into distinct keys in numpy, in
-    bounded chunks: keys in order of first appearance, each mass summed in
-    row order, bit for bit what a dict of running sums would hold.
+    The leaves become rows of a key matrix and a mass vector, and so do the
+    cached (prefix, suffix) combinations: each completion table becomes
+    window rows once, suffixes at the end of the row, and a combination is
+    a prefix row OR'd with a suffix row.  Rows are merged in bounded chunks.
 
 A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
 matrix, past block then future block, and a float64 mass vector.  Every kind
@@ -78,9 +78,10 @@ import numpy as np
 
 from .intervals import Enclosure, Interval, binary_entropy
 from .models import Kind, ProcessModel
-from .series import level_weight, squared_level_tail
+from .series import level_weight, level_weight_fsum, squared_level_tail
 
 MIN_ENTRY_MASS = 1e-30
+MIN_LEVEL_CUTOFF = 2
 
 DEFAULT_PATH_BUDGET = 100_000_000
 DEFAULT_ENTRY_BUDGET = 2_000_000
@@ -278,8 +279,8 @@ def enumerate_joint(
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    if level_cutoff < 2:
-        raise ValueError(f"level cutoff must be >= 2, got {level_cutoff}")
+    if level_cutoff < MIN_LEVEL_CUTOFF:
+        raise ValueError(f"level cutoff must be >= {MIN_LEVEL_CUTOFF}, got {level_cutoff}")
     if not 0.0 <= prune_eps < 1.0:
         raise ValueError(f"prune threshold must lie in [0, 1), got {prune_eps}")
     if tail_aggregation:
@@ -398,7 +399,7 @@ def _enumerate_cyclic(
         # Every level m >= 2n at once: the marker mass is C times the squared
         # level tail, and the zero mass is what those levels leave over.
         marker_iv = c_iv * squared_level_tail(model.alpha, length)
-        short = math.fsum(level_weight(m, model.alpha) for m in range(2, length))
+        short = level_weight_fsum(model.alpha, 2, length - 1)
         zero_iv = ((1.0 - c_iv * short) - float(length) * marker_iv).clamp(0.0, 1.0)
         marker, zero = marker_iv.mid, zero_iv.mid
         slack += 0.5 * (length * marker_iv.width + zero_iv.width)
@@ -420,15 +421,19 @@ def _enumerate_cyclic(
     return keys, masses, pruned, slack
 
 
-def _level_masses(model: ProcessModel, levels: Sequence[int]) -> np.ndarray:
-    """`model.level_mass(m).mid` for each level, bit for bit: the weights
-    come from `level_weight`, since np.log2 and np.power may differ from
+def _level_masses(model: ProcessModel, levels: Sequence[int], branch: bool = False) -> np.ndarray:
+    """P(N = m) of each level, or with `branch` the hmc branch probability
+    p(m): the midpoint of C times w(m), or of D times w(m) / r(m), in the
+    float operations of `Interval.mid`; ones under a fixed level.  w(m)
+    comes from `level_weight`: np.log2 and np.power may differ from
     math.log2 and ** by an ulp."""
     if model.fixed_level is not None:
         return np.ones(len(levels))
-    c = model.norm_c
     w = np.fromiter((level_weight(m, model.alpha) for m in levels), np.float64, len(levels))
-    return 0.5 * (c.lo * w + c.hi * w)
+    if branch:
+        w = w / np.array([model.phase_count(m) for m in levels])
+    const = model.norm_d if branch else model.norm_c
+    return 0.5 * (const.lo * w + const.hi * w)
 
 
 def _running_sum(total: float, values: np.ndarray) -> float:
@@ -522,25 +527,23 @@ def _enumerate_hmc(
 ) -> tuple[np.ndarray, np.ndarray, Interval, float]:
     length = 2 * n
     label = _input_label(model, n, level_cutoff, prune_eps)
-    if model.fixed_level is not None:
-        levels = [model.fixed_level]
-        branch_p = np.ones(1)
+    fixed = model.fixed_level is not None
+    levels = [model.fixed_level] if fixed else range(2, level_cutoff + 1)
+    words = [model.emission_word(m) for m in levels]
+    lens = np.array([len(w) for w in words])
+    seed_masses = _level_masses(model, levels) / lens
+    branch_p = _level_masses(model, levels, branch=True)
+    if fixed:
         branch_tail = seed_tail = Interval.point(0.0)
-        seed_masses = np.array([1.0 / model.phase_count(model.fixed_level)])
         relw = 0.0
     else:
-        levels = range(2, level_cutoff + 1)
-        branch_p = np.array([model.branch_probability(m).mid for m in levels])
         branch_tail = model.branch_tail_mass(level_cutoff)
         seed_tail = model.level_tail_mass(level_cutoff)
-        seed_masses = np.array([model.level_mass(m).mid / model.phase_count(m) for m in levels])
         # Each path multiplies one stationary weight and at most 2n branch
         # weights, so the constant enclosures enter with these multipliers.
         relw = model.norm_c.width / model.norm_c.mid + length * (
             model.norm_d.width / model.norm_d.mid
         )
-    words = [model.emission_word(m) for m in levels]
-    lens = np.array([len(w) for w in words])
     # Row i is level i's word, then zeros to read 2n symbols from any phase.
     symbols = np.zeros((len(words), lens.max() + length), np.uint8)
     for i, word in enumerate(words):
@@ -677,8 +680,8 @@ def _enumerate_hmc(
     # Word boundaries whose whole subtree comes from the cache, by the path
     # that reaches them: each distinct (prefix, symbol count) with its summed
     # path probability, in visit order.
-    prefix_rows = prefix_rows.view(np.uint8)[:, :length]
-    ids, first = _first_appearance(_number_blocks(prefix_rows)[0] * (length + 1) + prefix_lens)
+    prefix_ids = _number_blocks(prefix_rows.view(np.uint8)[:, :length])[0]
+    ids, first = _first_appearance(prefix_ids * (length + 1) + prefix_lens)
     prefix_probs = np.bincount(ids, prefix_probs, len(first))
     prefix_rows, prefix_lens = prefix_rows[first], prefix_lens[first]
     # The pruned mass (lo, hi) added in the order of a recursion: the walk's
@@ -693,7 +696,8 @@ def _enumerate_hmc(
         hi = lo + merge.chunk
         merge.add(leaf_rows[lo:hi].view(np.uint8)[:, :length], leaf_probs[lo:hi])
     del leaf_rows, leaf_probs
-    for block in _cached_rows(prefix_rows, prefix_lens, prefix_probs, suffixes, merge.chunk):
+    cached = _cached_rows(prefix_rows, prefix_lens, prefix_probs, suffixes, length, merge.chunk)
+    for block in cached:
         merge.add(*block)
     keys, masses = merge.result()
     return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw * math.fsum(masses.tolist())
@@ -736,50 +740,47 @@ def _cached_rows(
     lens: np.ndarray,
     probs: np.ndarray,
     suffixes: Callable[[int], dict[bytes, float]],
+    length: int,
     chunk: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The rows of every cached boundary combined with its suffix table, as
     (key matrix, mass vector) blocks of about `chunk` rows.  Boundary i is
-    the prefix rows[i, :lens[i]] of a window of rows.shape[1] symbols, with
-    path probability probs[i]; the boundaries go in order, each with its
-    suffixes in table order, and each mass is the product prob * q.
+    the prefix of lens[i] symbols in rows[i], a window of `length` symbols
+    in whole uint64 words, zeros past the prefix, of path probability
+    probs[i]; boundaries go in order, each with its suffixes in table
+    order, and each mass is prob * q.
 
-    Each suffix table becomes a row matrix and a q vector once, so a block
-    is filled with one scatter per remaining length, not one per prefix.
-    Every suffix table is built before the first block, so an over-budget
-    one stops the run before any cached row is combined."""
-    length = rows.shape[1]
+    Each suffix table becomes rows of that layout once, suffix last and
+    zeros before, so a key is a prefix row OR'd with a suffix row, as the
+    walk places its branches.  Every suffix table is built before the first
+    block, so an over-budget one stops the run before any cached row is
+    combined."""
     need_of = length - lens
-    # By remaining length: the suffix rows and q vector, and the indices of
-    # the prefixes.
-    groups = {}
-    rows_of = np.zeros(length + 1, np.intp)
-    for need in np.unique(need_of).tolist():
-        table = suffixes(need)
-        groups[need] = (
-            np.frombuffer(b"".join(table), np.uint8).reshape(len(table), need),
-            np.fromiter(table.values(), np.float64, len(table)),
-            np.flatnonzero(need_of == need),
-        )
-        rows_of[need] = len(table)
-    counts = rows_of[need_of]
+    needs = np.unique(need_of).tolist()
+    tables = [suffixes(need) for need in needs]
+    # The suffix tables one after another, by remaining length.
+    sizes = np.zeros(length + 1, np.intp)
+    sizes[needs] = [len(t) for t in tables]
+    offsets = np.cumsum(sizes) - sizes
+    placed = np.zeros((int(sizes.sum()), rows.shape[1] * 8), np.uint8)
+    q = np.empty(len(placed))
+    for need, table, at in zip(needs, tables, offsets[needs].tolist()):
+        block = np.frombuffer(b"".join(table), np.uint8).reshape(len(table), need)
+        placed[at : at + len(table), length - need : length] = block
+        q[at : at + len(table)] = np.fromiter(table.values(), np.float64, len(table))
+    placed = placed.view(np.uint64)
+    counts = sizes[need_of]
     ends = np.cumsum(counts)
+    # Output row t of boundary i takes suffix row t + shift[i].
+    shift = offsets[need_of] - (ends - counts)
     start = 0
     while start < len(rows):
         base = int(ends[start] - counts[start])
         stop = max(start + 1, int(np.searchsorted(ends, base + chunk, "right")))
-        keys = np.empty((int(ends[stop - 1]) - base, length), np.uint8)
-        masses = np.empty(len(keys))
-        for need, (suffix_rows, q, where) in groups.items():
-            lo, hi = np.searchsorted(where, (start, stop))
-            if lo == hi:
-                continue
-            idx = where[lo:hi]
-            at = (ends[idx] - counts[idx] - base)[:, None] + np.arange(len(q))
-            keys[at, : length - need] = rows[idx, None, : length - need]
-            keys[at, length - need :] = suffix_rows
-            masses[at] = probs[idx, None] * q
-        yield keys, masses
+        prefix = np.repeat(np.arange(start, stop), counts[start:stop])
+        suffix = np.arange(base, int(ends[stop - 1])) + shift[prefix]
+        keys = rows.take(prefix, 0) | placed.take(suffix, 0)
+        yield keys.view(np.uint8)[:, :length], probs[prefix] * q[suffix]
         start = stop
 
 

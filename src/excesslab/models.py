@@ -16,12 +16,13 @@ deterministic symbol each state emits:
 
 Normalization constants are certified interval enclosures; every stationary
 or transition probability derived from them carries the enclosure along.
+The level and branch tail masses are C and D times sums that `series`
+computes and caches.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,13 @@ import numpy as np
 from .intervals import Interval
 from .series import (
     branch_normalization_sum,
-    level_weight,
+    branch_weight_sum,
+    level_tail_sum,
     normalization_sum,
-    tail_sum_bracket,
 )
 
 DEFAULT_SERIES_CUTOFF = 10_000_000
+MIN_SERIES_CUTOFF = 100
 
 _DIGIT_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> symbols
 # `emission_slice` cuts its slice out of the digits only when the slice
@@ -100,8 +102,8 @@ class ProcessModel:
         self.kind = Kind(kind)
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"tail exponent must lie in (1, 2], got {alpha}")
-        if series_cutoff < 100:
-            raise ValueError(f"series cutoff unreasonably small: {series_cutoff}")
+        if series_cutoff < MIN_SERIES_CUTOFF:
+            raise ValueError(f"series cutoff must be >= {MIN_SERIES_CUTOFF}, got {series_cutoff}")
         if fixed_level is not None and fixed_level < 2:
             raise ValueError(f"levels start at 2, got fixed_level={fixed_level}")
         self.alpha = float(alpha)
@@ -131,39 +133,18 @@ class ProcessModel:
     def phase_count(self, level: int) -> int:
         return phase_count(self.kind, level)
 
-    # ----- stationary law ---------------------------------------------------
-
-    def level_mass(self, level: int) -> Interval:
-        """Enclosure of P(N = level)."""
-        if level < 2:
-            raise ValueError(f"levels start at 2, got {level}")
-        if self.fixed_level is not None:
-            return Interval.point(1.0 if level == self.fixed_level else 0.0)
-        return self.norm_c * Interval.point(level_weight(level, self.alpha))
+    # ----- tail masses ------------------------------------------------------
 
     def level_tail_mass(self, level_cutoff: int) -> Interval:
-        """Enclosure of P(N > level_cutoff): 4096 weights summed, the rest bracketed."""
+        """Enclosure of P(N > level_cutoff): C times `series.level_tail_sum`."""
         if self.fixed_level is not None:
             return Interval.point(1.0 if self.fixed_level > level_cutoff else 0.0)
-        top = level_cutoff + 4096
-        direct = math.fsum(level_weight(m, self.alpha) for m in range(level_cutoff + 1, top + 1))
-        tail = tail_sum_bracket(self.alpha, top + 1)
-        return (self.norm_c * (direct + tail)).clamp(0.0, 1.0)
-
-    # ----- kernel -----------------------------------------------------------
-
-    def branch_probability(self, level: int) -> Interval:
-        """Enclosure of the post-word branch probability p(level) (hmc only)."""
-        if level < 2:
-            raise ValueError(f"levels start at 2, got {level}")
-        w = level_weight(level, self.alpha) / self.phase_count(level)
-        return self.norm_d * Interval.point(w)
+        return (self.norm_c * level_tail_sum(self.alpha, level_cutoff)).clamp(0.0, 1.0)
 
     def branch_tail_mass(self, level_cutoff: int) -> Interval:
-        """Enclosure of the branch mass beyond level_cutoff: 1 - sum_{n<=cutoff} p(n)."""
-        total = math.fsum(
-            level_weight(n, self.alpha) / self.phase_count(n) for n in range(2, level_cutoff + 1)
-        )
+        """Enclosure of the hmc branch mass beyond level_cutoff: 1 - D times
+        `series.branch_weight_sum` up to it."""
+        total = branch_weight_sum(self.alpha, level_cutoff)
         return (1.0 - self.norm_d * Interval.point(total)).clamp(0.0, 1.0)
 
     # ----- emission ---------------------------------------------------------

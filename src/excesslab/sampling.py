@@ -39,10 +39,10 @@ These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
 A trajectory's symbols are slices of the emission words of its levels,
-read with `ProcessModel.emission_slice`: only the digits a trajectory
-shows are formatted, so a level with a million digits costs a shift of its
-machine words, not a million symbols.  hpm1 alone places its markers
-directly, since its word has `level` symbols.  The block draws compute the
+read with `ProcessModel.emission_slice` until the window is full: only the
+digits a trajectory shows are formatted, so a level with a million digits
+costs a shift of its machine words, not a million symbols, and an hpm1
+word is never built.  The block draws compute the
 symbols of prefix-table levels in numpy (`ProcessModel.emission_array`).
 Hidden states are not stored per symbol: each trajectory keeps one entry
 per word, its initial state and the level of every later word.
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -364,10 +364,9 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     and its phase uniformly; the cyclic kinds then stay on their cycle while
     the ergodic kind re-draws a level at every word boundary.  Symbols are
     slices of `ProcessModel.emission_word`, read with
-    `ProcessModel.emission_slice`, except for hpm1, whose word has `level`
-    symbols and is never built, and for hmc words of prefix-table levels,
-    which `ProcessModel.emission_array` computes in numpy.  A seed or stream
-    that is not a non-negative integer raises an error naming it.
+    `ProcessModel.emission_slice`, except for hmc words of prefix-table
+    levels, which `ProcessModel.emission_array` computes in numpy.  A seed
+    or stream that is not a non-negative integer raises an error naming it.
     """
     _check_length(length)
     seed, stream = _check_entropy("seed", seed), _check_entropy("stream", stream)
@@ -456,21 +455,14 @@ def _sample(
     """One trajectory drawn from `rng`, a Philox generator on stream
     `stream` of `seed`."""
     level = sample_level(model, rng)
-    r = model.phase_count(level)
-    phase = _uniform_phase(rng, r)
+    phase = _uniform_phase(rng, model.phase_count(level))
     word_levels: list[int] = []
-    if model.kind is Kind.HPM1:
-        symbols = _hpm1_symbols(level, phase, length)
-    elif model.kind is Kind.HPM2 and r <= length:
-        word = model.emission_word(level)
-        symbols = (word * ((phase - 1 + length) // r + 1))[phase - 1 : phase - 1 + length]
-    elif model.kind is Kind.HPM2:  # the window wraps at most once
-        head = model.emission_slice(level, phase - 1, phase - 1 + length)
-        symbols = head + model.emission_slice(level, 0, length - len(head))
-    else:
-        symbols = model.emission_slice(level, phase - 1, phase - 1 + length)
-        if len(symbols) < length:
-            symbols += _branch_words(model, length - len(symbols), rng, word_levels)
+    symbols = model.emission_slice(level, phase - 1, phase - 1 + length)
+    if len(symbols) < length and model.kind is Kind.HMC:
+        symbols += _branch_words(model, length - len(symbols), rng, word_levels)
+    elif len(symbols) < length:  # the cycle starts over: its word from this phase on, repeated
+        turn = symbols + model.emission_slice(level, 0, min(phase - 1, length - len(symbols)))
+        symbols = (turn * (length // len(turn) + 1))[:length]
     return Trajectory(
         symbols=symbols,
         seed=seed,
@@ -550,15 +542,6 @@ def _rewind(bit_generator: np.random.Philox, words: int) -> None:
         bit_generator.random_raw(p)
 
 
-def _hpm1_symbols(level: int, phase: int, length: int) -> bytes:
-    buf = bytearray(length)
-    t = (level - phase) % level
-    while t < length:
-        buf[t] = 1
-        t += level
-    return bytes(buf)
-
-
 # ----- estimation --------------------------------------------------------------
 
 
@@ -572,7 +555,6 @@ class EstimatorReport:
     n: int
     trajectory_count: int
     bootstrap_resamples: int
-    meta: dict = field(default_factory=dict)
 
 
 def _mi_from_counts(
@@ -602,7 +584,9 @@ def estimate_block_mi(
     support-size bias correction to each plug-in entropy, which subtracts
     the usual (K_joint - K_past - K_future + 1)/(2*S*ln 2) from the MI.
     Standard errors come from a block bootstrap: over trajectories in the
-    pooled regime, over circular window blocks in the sliding regime.
+    pooled regime, over circular window blocks in the sliding regime.  With
+    0 resamples the standard error is 0.0; 1 resample, or a bootstrap of
+    one pooled trajectory, has no spread and raises ValueError.
 
     Each window is numbered once, as the id of its distinct window, and each
     MI comes from count vectors; a bootstrap resample reweights those counts,
@@ -613,6 +597,8 @@ def estimate_block_mi(
         raise ValueError(f"unknown estimator method {method!r}")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
+    if bootstrap_resamples < 0 or bootstrap_resamples == 1:
+        raise ValueError(f"bootstrap_resamples must be 0 or >= 2, got {bootstrap_resamples}")
 
     if isinstance(data, Trajectory):
         min_len = 2 * n + MIN_WINDOWS - 1
@@ -650,6 +636,10 @@ def estimate_block_mi(
             f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, "
             f"got {len(windows)}"
         )
+    if regime == "pooled" and bootstrap_resamples and len(trajectories) < 2:
+        raise ValueError(
+            f"{bootstrap_resamples} bootstrap resamples need >= 2 pooled trajectories, got 1"
+        )
 
     joint_id, first = _number_blocks(windows)
     past_of, _ = _number_blocks(windows[first, :n])
@@ -679,8 +669,6 @@ def _pooled_resamples(
 ) -> Iterator[np.ndarray]:
     """Trajectory bootstrap: every window counts as often as its trajectory
     is drawn.  Yields the distinct-window counts of each resample."""
-    if resamples < 2 or k < 2:
-        return
     rng = _generator(seed, (0xB0, 0x07))
     for _ in range(resamples):
         weights = np.bincount(rng.integers(0, k, size=k), minlength=k)[owner]
@@ -695,8 +683,6 @@ def _sliding_resamples(
     counts of each resample.  The ids are extended circularly by one block
     less one, so each block is one row of a sliding view of them."""
     total = len(joint_id)
-    if resamples < 2:
-        return
     rng = _generator(seed, (0xB0, 0x08))
     block = max(1, int(math.sqrt(total)))
     ext = np.concatenate([joint_id, joint_id[: block - 1]])

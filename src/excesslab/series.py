@@ -13,7 +13,9 @@ summation up to a configurable cutoff, per-digit-group brackets beyond it,
 so cutoffs as large as 2**n for block length n cost little.  Direct sums
 are summed once per (alpha, binary-digit group) per process and shared by
 the normalisers C and D and the level sums: a group's weight is summed
-once whichever of them reaches it first.
+once whichever of them reaches it first.  The sums taken term by term
+from `level_weight`, and `squared_level_tail`, are cached per (alpha,
+bounds) too: callers only multiply them by C or D.
 
 All logarithms are base 2; entropies derived from these sums are in bits.
 """
@@ -73,8 +75,9 @@ def tail_sum_bracket(alpha: float, n: int) -> Interval:
     return Interval(integral, integral + first)
 
 
+@lru_cache(maxsize=None)
 def squared_level_tail(alpha: float, a: int) -> Interval:
-    """Enclosure of sum_{m=a}^{infinity} 1/(m**2 * log2(m)**alpha).
+    """Enclosure of sum_{m=a}^{infinity} 1/(m**2 * log2(m)**alpha), cached.
 
     Converges fast (1/m**2); summed directly below b = max(a, 2**18), then
     bracketed using log2(m) >= log2(b) below and log2(m) <= 2*log2(b) on
@@ -176,6 +179,25 @@ def normalization_sum(alpha: float, cutoff: int) -> Interval:
         raise ValueError(f"series cutoff must be >= 2, got {cutoff}")
     direct = _direct_sums(alpha, cutoff)[0]
     return direct + tail_sum_bracket(alpha, cutoff + 1)
+
+
+@lru_cache(maxsize=None)
+def level_weight_fsum(alpha: float, lo: int, hi: int) -> float:
+    """sum_{m=lo}^{hi} w(m), each term from `level_weight`, added by math.fsum."""
+    return math.fsum(level_weight(m, alpha) for m in range(lo, hi + 1))
+
+
+@lru_cache(maxsize=None)
+def branch_weight_sum(alpha: float, top: int) -> float:
+    """sum_{m=2}^{top} w(m) / (3*s(m)), the hmc branch weights, by math.fsum."""
+    return math.fsum(level_weight(m, alpha) / (3 * m.bit_length()) for m in range(2, top + 1))
+
+
+@lru_cache(maxsize=None)
+def level_tail_sum(alpha: float, cutoff: int) -> Interval:
+    """Enclosure of sum_{m>cutoff} w(m): 4096 terms summed, the rest bracketed."""
+    top = cutoff + 4096
+    return level_weight_fsum(alpha, cutoff + 1, top) + tail_sum_bracket(alpha, top + 1)
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from excesslab.sampling import (
     sample_level,
     sample_trajectory,
 )
-from excesslab.series import LN2, level_weight, squared_level_tail
+from excesslab.series import LN2, level_weight, squared_level_tail, tail_sum_bracket
 
 # Tests run the normalization series at a reduced cutoff; enclosures stay
 # certified, just a few orders of magnitude wider than the default.
@@ -50,6 +50,26 @@ def make_model(kind: str, alpha: float, fixed_level: int | None = None) -> Proce
 @pytest.fixture(scope="session")
 def model_factory():
     return make_model
+
+
+# ----- scalar level law: the reference for the tables' per-level masses -----
+
+
+def level_mass(model: ProcessModel, level: int) -> Interval:
+    """Enclosure of P(N = level), one level at a time."""
+    if level < 2:
+        raise ValueError(f"levels start at 2, got {level}")
+    if model.fixed_level is not None:
+        return Interval.point(1.0 if level == model.fixed_level else 0.0)
+    return model.norm_c * Interval.point(level_weight(level, model.alpha))
+
+
+def branch_probability(model: ProcessModel, level: int) -> Interval:
+    """Enclosure of the hmc post-word branch probability p(level)."""
+    if level < 2:
+        raise ValueError(f"levels start at 2, got {level}")
+    w = level_weight(level, model.alpha) / model.phase_count(level)
+    return model.norm_d * Interval.point(w)
 
 
 # ----- scalar level decoders: the reference for the array decoders ----------
@@ -196,11 +216,11 @@ def naive_cyclic_table(model: ProcessModel, n: int, level_cutoff: int) -> dict:
     if model.fixed_level is not None:
         levels = [m for m in levels if m == model.fixed_level]
     for m in levels:
-        level_mass = model.level_mass(m).mid
+        mass = level_mass(model, m).mid
         word = model.emission_word(m)
         r = len(word)
         ext = word * ((length + r - 1) // r + 1)
-        per_phase = level_mass / r
+        per_phase = mass / r
         for k in range(r):
             win = ext[k : k + length]
             key = (win[:n], win[n:])
@@ -239,16 +259,16 @@ def dict_cyclic_table(
     assigned = 0.0
     marker = zero = 0.0
     for m in levels:
-        level_mass = model.level_mass(m).mid
-        assigned += level_mass
+        mass = level_mass(model, m).mid
+        assigned += mass
         if model.kind is Kind.HPM1 and m >= length:
-            marker += level_mass / m
-            zero += level_mass * (m - length) / m
+            marker += mass / m
+            zero += mass * (m - length) / m
             continue
         word = model.emission_word(m)
         r = len(word)
         ext = word * ((length + r - 1) // r + 1)
-        per_phase = level_mass / r
+        per_phase = mass / r
         for k in range(r):
             win = ext[k : k + length]
             key = (win[:n], win[n:])
@@ -728,3 +748,27 @@ def naive_level_sums(alpha: float, top: int) -> tuple[float, float, float, float
         s2.append(float(np.sum(w * ll)))
         sd.append(float(np.sum(w * np.log2(s))))
     return math.fsum(s0), math.fsum(s1), math.fsum(s2), math.fsum(sd)
+
+
+# Per-term reference loops for the level sums that tables and tail masses
+# take term by term: each weight written out as `series.level_weight`
+# computes it, the terms added by math.fsum in level order.
+
+
+def _weight(m: int, alpha: float) -> float:
+    return 1.0 / (m * math.log2(m) ** alpha)
+
+
+def fsum_weights(alpha: float, lo: int, hi: int) -> float:
+    """sum_{m=lo}^{hi} w(m)."""
+    return math.fsum(_weight(m, alpha) for m in range(lo, hi + 1))
+
+
+def fsum_branch_weights(alpha: float, top: int) -> float:
+    """sum_{m=2}^{top} w(m) / (3 * s(m))."""
+    return math.fsum(_weight(m, alpha) / (3 * binary_length(m)) for m in range(2, top + 1))
+
+
+def fsum_level_tail(alpha: float, cutoff: int) -> Interval:
+    """sum_{m>cutoff} w(m): 4096 terms, then the bracket of the rest."""
+    return fsum_weights(alpha, cutoff + 1, cutoff + 4096) + tail_sum_bracket(alpha, cutoff + 4097)

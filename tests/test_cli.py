@@ -99,13 +99,18 @@ def test_alpha_out_of_range_is_usage_error(tmp_path):
         (["estimate", "--length", "0"], {}, "trajectory_length must be >= 1, got 0"),
         (["exact"], {"path_budget": 0}, "path_budget must be >= 1, got 0"),
         (["exact"], {"entry_budget": -1}, "entry_budget must be >= 1, got -1"),
+        (["estimate", "--bootstrap", "1"], {}, "bootstrap must be 0 or >= 2, got 1"),
+        (["exact", "--level-cutoff", "1"], {}, "level_cutoff must be >= 2, got 1"),
+        (["exact", "--series-cutoff", "50"], {}, "series_cutoff must be >= 100, got 50"),
     ],
 )
 def test_count_that_checks_nothing_is_usage_error(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    # FAST goes first, so that a row's own --series-cutoff overrides it.
+    command, *flags = args
     with pytest.raises(SystemExit) as err:
-        run_cli(args + ["--config", str(cfg), "--n", "2", "--out", str(tmp_path)] + FAST)
+        run_cli([command] + FAST + flags + ["--config", str(cfg), "--n", "2", "--out", str(tmp_path)])
     assert err.value.code == 2
     assert message in capsys.readouterr().err
 

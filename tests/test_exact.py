@@ -18,6 +18,7 @@ from excesslab.exact import (
     _cached_rows,
     _enumerate_cyclic,
     _first_appearance,
+    _level_masses,
     _label_decomposition,
     _number_blocks,
     _retained_table,
@@ -42,7 +43,9 @@ from conftest import (
     FUTURE_ORACLE,
     PAST_ORACLE,
     assert_tables_match,
+    branch_probability,
     dict_cyclic_table,
+    level_mass,
     make_model,
     naive_conditional_mi,
     naive_cyclic_table,
@@ -168,6 +171,20 @@ def test_hpm1_block_mi_matches_oracle_n8_cutoff_4096():
     assert block_mi(ref_table).value == pytest.approx(block_mi(table).value, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 2.0))
+def test_hmc_level_law_equals_scalar_oracles_bit_for_bit(alpha):
+    # The seed masses and branch probabilities the hmc walk starts from, in
+    # numpy, against the scalar enclosures' midpoints level by level.
+    h = make_model("hmc", alpha)
+    levels = range(2, 4097)
+    r = np.array([h.phase_count(m) for m in levels])
+    seeds, branches = _level_masses(h, levels) / r, _level_masses(h, levels, branch=True)
+    expected_seeds = [level_mass(h, m).mid / h.phase_count(m) for m in levels]
+    expected_branches = [branch_probability(h, m).mid for m in levels]
+    assert seeds.tobytes() == np.array(expected_seeds).tobytes()
+    assert branches.tobytes() == np.array(expected_branches).tobytes()
+
+
 def test_hmc_pruned_table_matches_pruned_oracle():
     # The oracle skips the same branches; the mass it never reaches from the
     # seeds is what the engine books as pruned beyond the level tail.
@@ -175,7 +192,7 @@ def test_hmc_pruned_table_matches_pruned_oracle():
     reference = naive_hmc_table(h, 6, 32, 1e-6)
     table = enumerate_joint(h, 6, 32, 1e-6)
     assert_tables_match(reference, table.entries, tol=1e-12)
-    seeds = math.fsum(h.level_mass(m).mid for m in range(2, 33))
+    seeds = math.fsum(level_mass(h, m).mid for m in range(2, 33))
     missed = seeds - math.fsum(reference.values())
     tail = h.level_tail_mass(32)
     path_pruned = Interval(table.pruned_mass.lo - tail.lo, table.pruned_mass.hi - tail.hi)
@@ -352,8 +369,9 @@ def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():
     }
     prefixes = [b"\x01\x02\x03", b"\x00\x01", b"\x02\x02\x02", b"\x03\x03"]
     probs = np.array([0.5, 0.25, 0.125, 0.75])
-    # Each prefix as a row of the window, zeros past it, as the walk holds it.
-    rows = np.array([list(p.ljust(4, b"\x00")) for p in prefixes], np.uint8)
+    # Each prefix as a row of the window, zeros past it, padded to a whole
+    # uint64 word, as the walk holds it.
+    rows = np.array([list(p.ljust(8, b"\x00")) for p in prefixes], np.uint8).view(np.uint64)
     lens = np.array([len(p) for p in prefixes])
     expected = [
         (prefix + s, prob * q)
@@ -361,7 +379,7 @@ def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():
         for s, q in suffix_tables[4 - len(prefix)].items()
     ]
     for chunk in (1, 2, 3, 5, 100):
-        blocks = list(_cached_rows(rows, lens, probs, suffix_tables.__getitem__, chunk))
+        blocks = list(_cached_rows(rows, lens, probs, suffix_tables.__getitem__, 4, chunk))
         got = [(bytes(k), m) for keys, masses in blocks for k, m in zip(keys, masses.tolist())]
         assert got == expected, chunk
         # A block holds whole prefixes: at most `chunk` rows, or one prefix's.

@@ -16,7 +16,14 @@ from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_length
 from excesslab.series import tail_sum_bracket
 
-from conftest import FAST_SERIES_CUTOFF, binary_digit, emission, make_model
+from conftest import (
+    FAST_SERIES_CUTOFF,
+    binary_digit,
+    branch_probability,
+    emission,
+    level_mass,
+    make_model,
+)
 
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (7, 3), (8, 4), (1, 1), (1023, 10), (1024, 11)])
@@ -56,7 +63,7 @@ def test_fixed_level_validated():
 def test_level_probability_ratio_is_constant_free():
     for alpha in (1.2, 1.5, 2.0):
         m = make_model("hpm1", alpha)
-        ratio = (m.level_mass(2) / m.level_mass(4)).mid
+        ratio = (level_mass(m, 2) / level_mass(m, 4)).mid
         assert ratio == pytest.approx(2.0 ** (alpha + 1.0), rel=1e-12)
 
 
@@ -64,7 +71,7 @@ def test_level_probabilities_sum_to_one_within_enclosure():
     m = make_model("hpm2", 1.5)
     total = Interval.point(0.0)
     for level in range(2, 2000):
-        total = total + m.level_mass(level)
+        total = total + level_mass(m, level)
     total = total + m.level_tail_mass(1999)
     assert total.lo - 1e-9 <= 1.0 <= total.hi + 1e-9
 
@@ -88,12 +95,12 @@ def test_level_tail_mass_is_tight_and_inside_the_bracket(kind, alpha, cutoff):
 def test_level_mass_rejects_low_levels():
     m = make_model("hpm1", 1.5)
     with pytest.raises(ValueError):
-        m.level_mass(1)
+        level_mass(m, 1)
 
 
 def test_hmc_branch_ratio():
     h = make_model("hmc", 2.0)
-    ratio = (h.branch_probability(2) / h.branch_probability(4)).mid
+    ratio = (branch_probability(h, 2) / branch_probability(h, 4)).mid
     assert ratio == pytest.approx(12.0, rel=1e-9)
 
 
@@ -101,7 +108,7 @@ def test_hmc_branch_masses_sum_to_one_within_enclosure():
     h = make_model("hmc", 1.5)
     total = Interval.point(0.0)
     for level in range(2, 501):
-        total = total + h.branch_probability(level)
+        total = total + branch_probability(h, level)
     total = total + h.branch_tail_mass(500)
     assert total.lo - 1e-9 <= 1.0 <= total.hi + 1e-9
 
@@ -237,12 +244,12 @@ def test_hmc_truncated_stationarity_audit():
     h = make_model("hmc", 1.5)
     cutoff = 64
     levels = range(2, cutoff + 1)
-    branch = {m: h.branch_probability(m).mid for m in levels}
+    branch = {m: branch_probability(h, m).mid for m in levels}
     pi = {}
     for m in levels:
         r = h.phase_count(m)
         for k in range(1, r + 1):
-            pi[(m, k)] = h.level_mass(m).mid / r
+            pi[(m, k)] = level_mass(h, m).mid / r
     flow = dict.fromkeys(pi, 0.0)
     for (m, k), mass in pi.items():
         if k < h.phase_count(m):
@@ -275,7 +282,7 @@ def test_level_mass_at_two_matches_normalization_oracle():
     # the first term, which is below 1e-6 here
     tail = math.log(2.0) / math.log2(2_000_001)
     model = make_model("hpm1", 2.0)
-    enclosure = model.level_mass(2)
+    enclosure = level_mass(model, 2)
     oracle_lo = (1.0 / (inv_c + tail + 1e-6)) / 2.0
     oracle_hi = (1.0 / (inv_c + tail)) / 2.0
     assert enclosure.lo <= oracle_hi + 1e-12 and oracle_lo <= enclosure.hi + 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from excesslab import series
+from excesslab.intervals import Interval
 from excesslab.series import (
     branch_normalization_sum,
     level_weight,
@@ -16,7 +17,14 @@ from excesslab.series import (
     tail_sum_bracket,
 )
 
-from conftest import naive_branch_normalization_sum, naive_level_sums, naive_normalization_sum
+from conftest import (
+    fsum_branch_weights,
+    fsum_level_tail,
+    fsum_weights,
+    naive_branch_normalization_sum,
+    naive_level_sums,
+    naive_normalization_sum,
+)
 
 ALPHAS = (1.2, 1.5, 1.8, 2.0)
 POINTS = (2, 2**4, 2**10, 2**16, 2**20)
@@ -205,3 +213,22 @@ def test_squared_level_tail_against_direct_summation(alpha):
     iv = squared_level_tail(alpha, a)
     # the directly summed part misses only ~1e-8 relative tail mass
     assert iv.lo - 1e-12 <= direct <= iv.hi + 1e-12
+
+
+@pytest.mark.parametrize("cutoff", (2, 31, 64, 4096, 2**20))
+def test_cached_level_sums_equal_fsum_oracles_bit_for_bit(cutoff):
+    def bits(x):
+        return (x.lo.hex(), x.hi.hex()) if isinstance(x, Interval) else x.hex()
+
+    alpha = 1.5
+    cases = (
+        (series.level_weight_fsum, fsum_weights, (alpha, 2, cutoff)),
+        (series.branch_weight_sum, fsum_branch_weights, (alpha, cutoff)),
+        (series.level_tail_sum, fsum_level_tail, (alpha, cutoff)),
+        (squared_level_tail, squared_level_tail.__wrapped__, (alpha, cutoff)),
+    )
+    for cached, oracle, args in cases:
+        assert bits(cached(*args)) == bits(oracle(*args)), cached.__name__
+        hits = cached.cache_info().hits
+        cached(*args)
+        assert cached.cache_info().hits == hits + 1, cached.__name__
