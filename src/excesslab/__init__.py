@@ -46,7 +46,6 @@ from .sampling import (
     EstimatorReport,
     Trajectory,
     estimate_block_mi,
-    sample_level,
     sample_trajectories,
     sample_trajectory,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "phase_count",
     "predicted_rate_class",
     "run_verification",
-    "sample_level",
     "sample_trajectories",
     "sample_trajectory",
     "squared_level_tail",

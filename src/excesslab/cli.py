@@ -41,7 +41,7 @@ from .exact import (
     enumerate_joint,
 )
 from .models import DEFAULT_SERIES_CUTOFF, MIN_SERIES_CUTOFF, Kind, ProcessModel
-from .sampling import estimate_block_mi, sample_trajectories, sample_trajectory
+from .sampling import MIN_WINDOWS, estimate_block_mi, sample_trajectories, sample_trajectory
 from .verify import run_verification
 
 DEFAULT_HMC_CUTOFF = 64
@@ -94,15 +94,38 @@ class RunConfig:
             raise ValueError("bootstrap must be 0 or >= 2, got 1: one resample has no spread")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
-        negative = [s for s in self.seeds if s < 0]
-        if negative:
-            raise ValueError(f"seeds must be >= 0, got {negative[0]}")
+        for seed in self.seeds:  # a seed is one 64-bit word of a Philox key
+            if not 0 <= seed < 1 << 64:
+                raise ValueError(f"seeds must be {'>= 0' if seed < 0 else '< 2**64'}, got {seed}")
         if self.estimator not in ("plugin", "miller_madow"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.regressor not in ("auto",) + REGRESSORS:
             raise ValueError(f"unknown regressor {self.regressor!r}")
         if self.source not in ("exact", "closed_form"):
             raise ValueError(f"unknown fit source {self.source!r}")
+
+    def validate_estimate(self) -> None:
+        """Reject a pooled estimate that would stop part way: it needs
+        MIN_WINDOWS disjoint windows of 2n symbols at every n and, for a
+        bootstrap, two trajectories to resample."""
+        if self.process == Kind.HMC.value:
+            return
+        for n in self.block_lengths:
+            length = self.estimate_length(n)
+            windows = self.trajectories * (length // (2 * n))
+            if windows < MIN_WINDOWS:
+                raise ValueError(
+                    f"trajectories must give >= {MIN_WINDOWS} pooled windows at n={n}, "
+                    f"got {windows} from {self.trajectories} of length {length}"
+                )
+        if self.bootstrap and self.trajectories < 2:
+            raise ValueError(f"trajectories must be >= 2 for a bootstrap, got {self.trajectories}")
+
+    def estimate_length(self, n: int) -> int:
+        """The length of the trajectories an estimate at block length n samples."""
+        if self.trajectory_length:
+            return self.trajectory_length
+        return max(4 * n, 100_000) if self.process == Kind.HMC.value else 2 * n
 
     def model(self) -> ProcessModel:
         return ProcessModel(self.process, self.alpha, series_cutoff=self.series_cutoff)
@@ -235,14 +258,13 @@ def cmd_exact(config: RunConfig, out: Path) -> int:
 def _estimate_row(config: RunConfig, n: int, seed: int) -> dict:
     kind = Kind(config.process)
     model = config.model()
+    length = config.estimate_length(n)
     if kind is Kind.HMC:
-        length = config.trajectory_length or max(4 * n, 100_000)
         traj = sample_trajectory(model, length, seed)
         report = estimate_block_mi(
             traj, n, method=config.estimator, bootstrap_resamples=config.bootstrap
         )
     else:
-        length = config.trajectory_length or 2 * n
         trajs = sample_trajectories(model, config.trajectories, length, seed)
         report = estimate_block_mi(
             trajs, n, method=config.estimator, bootstrap_resamples=config.bootstrap
@@ -435,6 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = load_config(args.config, overrides)
+        if args.command == "estimate":
+            config.validate_estimate()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
     out = Path(config.output_dir)

@@ -153,7 +153,7 @@ class ProcessModel:
         """`emission_word(level)[offset]` elementwise, as uint8: the symbol
         of each level at phase offset + 1.
 
-        `levels` (below 2**31) and the 0-based phase `offsets` are integer
+        `levels` (below 2**53) and the 0-based phase `offsets` are integer
         arrays that broadcast against each other; every offset must lie in
         0..r(level)-1.
         """

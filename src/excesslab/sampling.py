@@ -1,51 +1,52 @@
 """Seeded trajectory sampling and block-MI estimation.
 
-Randomness comes from numpy's Philox counter-based 64-bit generator, keyed
-by (seed, stream) through SeedSequence, so identical inputs give identical
-outputs on every platform.  A single stream and the bootstraps build their
-generator through numpy's SeedSequence.  Pooled streams are keyed by
-`_stream_keys` in one numpy pass (a port of SeedSequence's pool mixing).
-Philox is counter-based, so each stream gets exactly the variates a fresh
-generator of that stream would give, however they are computed:
+Every variate is a pure function of (seed, stream, lane, draw): draw k of
+lane p of stream s is the four 64-bit words that Philox4x64-10 (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) gives with key
+(seed, s) and counter (k, p, 0, 0).  No generator carries state from one
+variate to the next, so a stream does not depend on which streams are
+drawn with it, and `sample_trajectories` builds all of its streams in array
+passes; its trajectory i equals `sample_trajectory(model, length, seed,
+stream=i)` bit for bit.  Seeds and streams are 64-bit words.  The lanes:
 
-* A pooled cyclic stream (hpm1, hpm2) draws one double for its level and
-  one bounded integer for its phase.  `_philox`, a numpy port of
-  Philox4x64-10, computes every stream's first four-word block at once;
-  word 0 gives the double, the low half of word 1 gives the phase through
-  `_lemire32`, numpy's bounded-integer draw, and every trajectory's symbols
-  come from one `(count, length)` matrix.  A stream whose level falls past
-  the prefix table, whose phase draw rejects, or whose model has a fixed
-  level is drawn by the scalar sampler on one generator, re-keyed and
-  rewound to counter 0 before each stream.
-* The hmc branch levels of one trajectory are drawn as blocks of doubles,
-  which numpy gives from the same outputs as one call per double.  Prefix
-  hits become levels and symbols in numpy; at a draw past the prefix table
-  the generator is stepped back to just after it and the scalar tail
-  draws on from there.
+* lane 0, draw 0: the initial hidden state.  Word 0 is the level's
+  uniform, word 1 its within-group uniform, word 2 the phase and word 3 the
+  first 64 low digits of a tail level.
+* lane 1, draw k: the level of hmc word k + 1, the (k+1)-th word after the
+  initial one, from its words 0, 1 and 3 as in lane 0.
+* lane 2: the further words of a phase count of 2**32 or more, which only
+  hpm1 levels reach.
+* lane 3 + w: the further low digits of the tail level of word w (0 is the
+  initial word).
 
-The prefix map (`_prefix_levels`) serves the scalar and the array draws
-alike, so the level law is written once; the tails (`_level_tail`,
-`_branch_tail`) stay scalar.  The one-variate-at-a-time sampler these
-reproduce bit for bit is kept in the tests as their reference.
-
-Level draws follow the heavy-tailed law exactly over a one-million-entry
-prefix table; beyond it the law is inverted one binary-digit group at a
-time using the integral-bracket midpoints, with an exact rejection step
-inside each group up to 512 digits and a log-uniform within-group
-approximation above that (density distortion below alpha/512 there).
-Digit groups are capped at 2**20 binary digits; the folded-in residual is
-about 1.6e-3 of the stationary mass at alpha = 1.5 and smaller otherwise.
+A uniform is the top 53 bits of a word times 2**-53.  Levels are drawn by
+inverse CDF.  Below the last entry of a one-million-level prefix table
+(`_prefix_levels`) the uniform gives its level exactly as tabulated.
+Beyond it, it gives a binary-digit group j (levels of j digits): for the
+stationary law by inverting the integral-bracket midpoint of the group
+tail, for the hmc branch law from a table of 20,000 groups.  Within the
+group, the top 21 binary digits come from inverting the density
+t**-alpha of t = log2(level) at the within-group uniform, and the j - 21
+low digits are uniform; within a group the sampled density is proportional
+to 1/(m*log2(m)**alpha) to a relative 2**-20.  Digit groups are capped at 2**20
+binary digits; the folded-in residual is about 1.6e-3 of the stationary
+mass at alpha = 1.5 and smaller otherwise.  A phase offset in 0..r-1 is
+X mod r for an integer X of at least 32 more bits than r (`_phase_offsets`).
 These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
-A trajectory's symbols are slices of the emission words of its levels,
-read with `ProcessModel.emission_slice` until the window is full: only the
-digits a trajectory shows are formatted, so a level with a million digits
-costs a shift of its machine words, not a million symbols, and an hpm1
-word is never built.  The block draws compute the
-symbols of prefix-table levels in numpy (`ProcessModel.emission_array`).
-Hidden states are not stored per symbol: each trajectory keeps one entry
-per word, its initial state and the level of every later word.
+Levels of up to 53 binary digits are int64 arrays; their symbols come from
+`ProcessModel.emission_array`, all streams at once, into one
+`(count, length)` matrix.  Longer levels are Python ints, and their symbols
+are slices of their emission words read with `ProcessModel.emission_slice`:
+only the digits a trajectory shows are formatted, so a level with a million
+digits costs a shift of its machine words, not a million symbols.  The hmc
+words that follow the initial one come in blocks of consecutive draws for
+every unfinished stream at once (`_branch_words`).  Each trajectory keeps
+one entry per word, its initial state and the level of every later word.
+Draws are read in runs of consecutive counters under one key (`_runs`).  A
+scalar sampler with the same lanes, in Python ints, is kept in the tests as
+the reference.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
@@ -73,17 +74,19 @@ from .models import Kind, ProcessModel, StateId
 from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
-_EXACT_REJECT_DIGITS = 512  # exact within-group rejection up to this digit count
+_FIRST_GROUP = 21  # digit count of the first level past the prefix table
+_TOP_DIGITS = 21  # leading binary digits of a tail level set by the inverse
+_ARRAY_DIGITS = 53  # levels of at most this many digits are held as int64
 _GROUP_CAP = 1 << 20  # largest digit group representable by the sampler
 _BRANCH_GROUPS = 20000  # digit groups tabulated for the branch law
-_BRANCH_BLOCK = 256  # most branch levels drawn as one block
+_BRANCH_ROWS = 1 << 16  # most hmc branch draws made in one array pass
 _MIN_HMC_WORD = 6  # r(2) = r(3) = 3 * 2 symbols, the shortest hmc word
+_FEW_RUNS = 32  # Philox runs read one by one from numpy's generator, however short
+_LONG_RUN = 16  # or when they average this many blocks
+_CHUNK_SYMBOLS = 1 << 20  # most symbols sampled in one array pass
+_STATE_LANE, _BRANCH_LANE, _PHASE_LANE, _DIGIT_LANE = 0, 1, 2, 3
 
 MIN_WINDOWS = 4
-
-
-def _generator(seed: int, stream: tuple[int, ...] = ()) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=stream)))
 
 
 def _check_entropy(name: str, value) -> int:
@@ -94,79 +97,18 @@ def _check_entropy(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    if value >= 1 << 64:
+        raise ValueError(f"{name} must be < 2**64, got {value}")
     return value
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """The Philox keys of the given stream numbers of `seed`, one row each.
-
-    Row i equals `SeedSequence(entropy=seed, spawn_key=(streams[i],))
-    .generate_state(2, np.uint64)`: numpy's pool mixing, run for every
-    stream at once with each 32-bit word held in a uint64 array.  The hash
-    constants do not depend on the data, so each mixing step is one array
-    operation.  A stream of 2**32 or more is a two-word spawn key, which this
-    port does not cover.
-    """
-    seed = _check_entropy("seed", seed)
-    streams = np.asarray(streams)
-    outside = streams[(streams < 0) | (streams > _MASK32)]
-    if len(outside):
-        raise ValueError(
-            f"stream {outside[0]} outside 0..2**32-1: only one-word spawn keys are ported"
-        )
-    mask = np.uint64(_MASK32)
-    shift = np.uint64(16)
-    # The seed as little-endian 32-bit words, zero-padded to the pool size
-    # because a spawn key follows, then the stream number.
-    words = [(seed >> bit) & _MASK32 for bit in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(len(streams), w, np.uint64) for w in words]
-    entropy.append(streams.astype(np.uint64))
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint64(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint64(hash_const) & mask
-        return value ^ (value >> shift)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # MIX_MULT_L*x - MIX_MULT_R*y mod 2**32; uint64 wraps mod 2**64.
-        result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & mask
-        return result ^ (result >> shift)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for word in pool:  # generate_state(2, np.uint64) reads the pool once
-        word = word ^ np.uint64(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * np.uint64(hash_const) & mask
-        state.append(word ^ (word >> shift))
-    high = np.uint64(32)
-    return np.stack([state[0] | state[1] << high, state[2] | state[3] << high], axis=1)
-
+# ----- counter-based variates ---------------------------------------------------
 
 # Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11).
+_MASK32, _MASK64 = 0xFFFFFFFF, (1 << 64) - 1
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_EMPTY_BUFFER = {"buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,17 +137,59 @@ def _philox(counter: tuple[np.ndarray, ...], key: np.ndarray) -> tuple[np.ndarra
     return c0, c1, c2, c3
 
 
-def _lemire32(words: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw of 0..r-1 from 32-bit words, for 1 < r < 2**32
-    (Lemire, ACM TOMACS 2019): the high word of words * r, rejected where
-    its low word is below 2**32 mod r.  Returns (draws, rejected)."""
-    r = r.astype(np.uint64)
-    product = words * r
-    rejected = (product & np.uint64(_MASK32)) < np.uint64(1 << 32) % r
-    return product >> np.uint64(32), rejected
+def _philox_words(bits, key: np.ndarray, lane: int, first: int, count: int) -> np.ndarray:
+    """`count` words from draw `first` of `lane` under `key`, read from
+    numpy's Philox bit generator `bits`.  It steps its 256-bit counter
+    before it fills its buffer, so it is set one step back, buffer empty."""
+    before = ((lane << 64) + first - 1) % (1 << 256)
+    counter = [before >> b & _MASK64 for b in range(0, 256, 64)]
+    state = {"counter": counter, "key": key}
+    bits.state = {"bit_generator": "Philox", "state": state, **_EMPTY_BUFFER}
+    return bits.random_raw(count)
 
 
-# ----- level samplers ---------------------------------------------------------
+def _runs(
+    keys: np.ndarray, lanes: np.ndarray, firsts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The four words of draws firsts[i] .. firsts[i] + counts[i] - 1 of
+    lane lanes[i] under keys[i], run after run: one row of a `(draws, 4)`
+    uint64 array per draw.
+
+    Many short runs go through `_philox` in one array pass, about 200 numpy
+    calls whatever the row count.  A few runs, or long ones, are read one
+    after another from numpy's Philox bit generator: a few microseconds a
+    run, and a block six times faster than in the array pass.  Both give
+    the same words (`test_philox_port_matches_numpy`)."""
+    total = int(counts.sum())
+    if len(keys) > _FEW_RUNS and total < _LONG_RUN * len(keys):
+        run = np.repeat(np.arange(len(keys)), counts)
+        draws = firsts[run] + np.arange(total) - (np.cumsum(counts) - counts)[run]
+        zero = np.zeros(total, np.uint64)
+        counter = (draws.astype(np.uint64), lanes[run].astype(np.uint64), zero, zero)
+        return np.stack(_philox(counter, keys[run]), axis=1)
+    bits = np.random.Philox(0)
+    words = [np.zeros(0, np.uint64)]
+    for key, lane, first, count in zip(keys, lanes.tolist(), firsts.tolist(), counts.tolist()):
+        words.append(_philox_words(bits, key, lane, first, 4 * count))
+    return np.concatenate(words).reshape(-1, 4)
+
+
+def _lane_ints(keys: np.ndarray, lanes: np.ndarray, counts: np.ndarray) -> Iterator[int]:
+    """Row i's first counts[i] words of lane lanes[i] under keys[i], word 0
+    lowest, as one Python int each: draws 0, 1, ... of the lane, 4 words a
+    draw, read row by row from numpy's Philox bit generator."""
+    bits = np.random.Philox(0)
+    for key, lane, count in zip(keys, lanes.tolist(), counts.tolist()):
+        words = _philox_words(bits, key, lane, 0, count)
+        yield int.from_bytes(words.astype("<u8").tobytes(), "little")
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+# ----- level law ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
@@ -237,41 +221,11 @@ def _branch_tables(alpha: float, series_cutoff: int):
     np.cumsum(cdf, out=cdf)
     # Digit groups beyond the prefix, integral midpoints; the residual past
     # the last group (~1e-9) is folded into it.
-    j0 = 21
-    js = np.arange(j0, j0 + _BRANCH_GROUPS, dtype=np.float64)
+    js = np.arange(_FIRST_GROUP, _FIRST_GROUP + _BRANCH_GROUPS, dtype=np.float64)
     ints = LN2 / (alpha - 1.0) * ((js - 1.0) ** (1.0 - alpha) - js ** (1.0 - alpha))
     group = d_mid * ints / (3.0 * js)
     group_cdf = float(cdf[-1]) + np.cumsum(group)
     return d_mid, cdf, group_cdf
-
-
-def _within_group(rng: np.random.Generator, j: int, alpha: float) -> int:
-    """Draw a level from digit group j (m in [2**(j-1), 2**j)) with density
-    proportional to 1/(m*log2(m)**alpha); exact by rejection for moderate j."""
-    if j <= _EXACT_REJECT_DIGITS:
-        envelope = 1.5 * LN2 * (j - 1.0) ** (-alpha)
-        while True:
-            x = rng.random()
-            if j <= 53:
-                m = min(int(2.0 ** (j - 1 + x)), (1 << j) - 1)
-                m = max(m, 1 << (j - 1))
-            else:
-                m = _log_uniform_big(rng, j, x)
-            ratio = 1.0 / (m * math.log2(m) ** alpha * (math.log1p(1.0 / m) / LN2))
-            if rng.random() * envelope <= ratio:
-                return m
-    return _log_uniform_big(rng, j, rng.random())
-
-
-def _log_uniform_big(rng: np.random.Generator, j: int, frac: float) -> int:
-    mant = int(2.0**frac * (1 << 52))
-    m = mant << (j - 53)
-    low_bits = j - 53
-    if low_bits > 0:
-        nbytes = (low_bits + 7) // 8
-        fill = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << low_bits) - 1)
-        m |= fill
-    return min(max(m, 1 << (j - 1)), (1 << j) - 1)
 
 
 def _prefix_levels(cdf: np.ndarray, u):
@@ -280,56 +234,118 @@ def _prefix_levels(cdf: np.ndarray, u):
     return 2 + cdf.searchsorted(u, "right")
 
 
-def sample_level(model: ProcessModel, rng: np.random.Generator) -> int:
-    """Draw one level from the stationary level law P(N=n) = C/(n*log2(n)**alpha)."""
-    if model.fixed_level is not None:
-        return model.fixed_level
-    _, cdf = _stationary_tables(model.alpha, model.series_cutoff)
-    u = rng.random()
-    if u < float(cdf[-1]):
-        return int(_prefix_levels(cdf, u))
-    return _level_tail(model, rng, u)
-
-
-def _level_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
-    """The stationary level of a draw `u` past the prefix table."""
-    alpha = model.alpha
-    c_mid, _ = _stationary_tables(alpha, model.series_cutoff)
-    # Analytic tail: P(digit group >= j) ~ K*(j-1)**(1-alpha) with the
-    # bracket-midpoint constant; invert, then settle on the exact group.
+def _stationary_groups(alpha: float, c_mid: float, u: np.ndarray) -> np.ndarray:
+    """The digit group of each stationary draw `u` past the prefix table:
+    the largest j in 21.._GROUP_CAP whose bracket-midpoint tail
+    K * (j-1)**(1-alpha) is at least 1 - u, or 21 if none is."""
     v = 1.0 - u
     k_const = c_mid * LN2 / (alpha - 1.0)
-
-    def group_tail(j: float) -> float:
-        return k_const * (j - 1.0) ** (1.0 - alpha)
-
-    j = 1 + (k_const / max(v, 1e-300)) ** (1.0 / (alpha - 1.0))
-    j = max(21, min(int(j), _GROUP_CAP))
-    while j > 21 and group_tail(j) < v:
-        j -= 1
-    while j < _GROUP_CAP and group_tail(j + 1) >= v:
-        j += 1
-    return _within_group(rng, j, alpha)
+    guess = 1 + (k_const / np.maximum(v, 1e-300)) ** (1.0 / (alpha - 1.0))
+    j = np.maximum(np.minimum(guess, _GROUP_CAP).astype(np.int64), _FIRST_GROUP)
+    while True:  # settle the guess on the exact group
+        down = (j > _FIRST_GROUP) & (k_const * (j - 1.0) ** (1.0 - alpha) < v)
+        up = (j < _GROUP_CAP) & (k_const * (j + 0.0) ** (1.0 - alpha) >= v)
+        if not (down.any() or up.any()):
+            return j
+        j = j - down + up
 
 
-def _branch_tail(model: ProcessModel, rng: np.random.Generator, u: float) -> int:
-    """The branch level of a draw `u` past the prefix table."""
-    _, _, group_cdf = _branch_tables(model.alpha, model.series_cutoff)
-    idx = int(group_cdf.searchsorted(min(u, float(group_cdf[-1]))))
-    j = min(21 + idx, 21 + _BRANCH_GROUPS - 1)
-    return _within_group(rng, j, model.alpha)
+def _group_tops(alpha: float, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The top 21 binary digits of a level of digit group j at within-group
+    uniform v: t = log2(level) in [j-1, j) has density proportional to
+    t**-alpha, inverted in closed form around a = j - 1 with log1p and expm1
+    so that the fraction t - a keeps full precision at any j."""
+    a, beta = j - 1.0, 1.0 - alpha
+    q = -np.expm1(beta * np.log1p(1.0 / a))
+    frac = a * np.expm1(np.log1p(-v * q) / beta)
+    top = np.floor(2.0**frac * 2.0 ** (_TOP_DIGITS - 1)).astype(np.int64)
+    return np.clip(top, 1 << (_TOP_DIGITS - 1), (1 << _TOP_DIGITS) - 1)
 
 
-def _uniform_phase(rng: np.random.Generator, r: int) -> int:
-    """Uniform phase in 1..r for arbitrarily large r (rejection on raw bits)."""
-    if r <= (1 << 62):
-        return 1 + int(rng.integers(0, r))
-    bits = r.bit_length()
-    nbytes = (bits + 7) // 8
-    while True:
-        x = int.from_bytes(rng.bytes(nbytes), "little") & ((1 << bits) - 1)
-        if x < r:
-            return 1 + x
+def _levels(
+    model: ProcessModel,
+    words: np.ndarray,
+    keys: np.ndarray,
+    words_of: np.ndarray,
+    branch: bool,
+) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """The levels of one draw per row, from its words 0 (the uniform), 1
+    (the within-group uniform) and 3 (the first low digits); `words_of` is
+    the word number of each row, whose lane 3 + w holds further low digits.
+
+    Returns the levels as int64 (2 in the rows of longer levels), the binary
+    digit count of every row, and the rows of more than 53 digits with their
+    levels as Python ints.  A fixed-level model draws nothing."""
+    count = len(keys)
+    if model.fixed_level is not None:
+        fixed = model.fixed_level
+        digits = np.full(count, fixed.bit_length())
+        if fixed.bit_length() <= _ARRAY_DIGITS:
+            return np.full(count, fixed), digits, {}
+        return np.full(count, 2), digits, dict.fromkeys(range(count), fixed)
+    u = _uniforms(words[:, 0])
+    if branch:
+        _, cdf, group_cdf = _branch_tables(model.alpha, model.series_cutoff)
+    else:
+        c_mid, cdf = _stationary_tables(model.alpha, model.series_cutoff)
+    tail = np.flatnonzero(u >= cdf[-1])
+    levels = _prefix_levels(cdf, u).astype(np.int64)
+    digits = np.frexp(levels)[1].astype(np.int64)
+    if not len(tail):
+        return levels, digits, {}
+    if branch:
+        at = group_cdf.searchsorted(np.minimum(u[tail], group_cdf[-1]))
+        j = np.minimum(_FIRST_GROUP + at, _FIRST_GROUP + _BRANCH_GROUPS - 1)
+    else:
+        j = _stationary_groups(model.alpha, c_mid, u[tail])
+    tops = _group_tops(model.alpha, j, _uniforms(words[tail, 1]))
+    low = words[tail, 3]
+    shift = j - _TOP_DIGITS
+    digits[tail] = j
+    short = j <= _ARRAY_DIGITS
+    mask = (np.uint64(1) << shift[short].astype(np.uint64)) - np.uint64(1)
+    levels[tail[short]] = (tops[short] << shift[short]) | (low[short] & mask).astype(np.int64)
+    long = np.flatnonzero(~short)
+    if not len(long):
+        return levels, digits, {}
+    rows = tail[long]
+    levels[rows] = 2
+    more = np.maximum(0, -(-(j[long] - _TOP_DIGITS - 64) // 64))
+    further = _lane_ints(keys[rows], _DIGIT_LANE + words_of[rows], more)
+    parts = zip(tops[long].tolist(), shift[long].tolist(), low[long].tolist(), further)
+    big = ((top << k) | ((first | rest << 64) & ((1 << k) - 1)) for top, k, first, rest in parts)
+    return levels, digits, dict(zip(rows.tolist(), big))
+
+
+def _phase_counts(model: ProcessModel, levels: np.ndarray) -> np.ndarray:
+    """r(level) of int64 levels of at most 53 binary digits."""
+    if model.kind is Kind.HPM1:
+        return levels
+    digits = np.frexp(levels)[1].astype(np.int64)
+    return 3 * digits if model.kind is Kind.HMC else digits
+
+
+def _phase_offsets(
+    model: ProcessModel, r: np.ndarray, big: dict, word: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Each row's phase offset in 0..r-1: X mod r, where X is the phase
+    word alone below r = 2**32 and above it that word over K - 1 = ceil(b/64)
+    further words of lane 2, for r of b binary digits, so that the bias is
+    below 2**-32 at any r.  Returns the offsets for the phase counts `r` as
+    int64, and the offsets for the levels of `big` as Python ints."""
+    offsets = (word % r.astype(np.uint64)).astype(np.int64)
+    wide = {row: int(r[row]) for row in np.flatnonzero(r >> 32).tolist()}
+    wide.update((row, model.phase_count(level)) for row, level in big.items())
+    if not wide:
+        return offsets, {}
+    rows = np.fromiter(wide, np.int64, len(wide))
+    more = np.array([0 if r >> 32 == 0 else -(-r.bit_length() // 64) for r in wide.values()])
+    further = _lane_ints(keys[rows], np.full(len(rows), _PHASE_LANE), more)
+    parts = zip(rows.tolist(), wide.values(), more.tolist(), word[rows].tolist(), further)
+    wide_offsets = {row: ((first << 64 * k) | rest) % r for row, r, k, first, rest in parts}
+    for row in wide_offsets.keys() - big.keys():  # the rows of int64 phase counts
+        offsets[row] = wide_offsets.pop(row)
+    return offsets, wide_offsets
 
 
 # ----- trajectories -----------------------------------------------------------
@@ -362,54 +378,32 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
 
     The initial hidden state draws its level from the stationary level law
     and its phase uniformly; the cyclic kinds then stay on their cycle while
-    the ergodic kind re-draws a level at every word boundary.  Symbols are
-    slices of `ProcessModel.emission_word`, read with
-    `ProcessModel.emission_slice`, except for hmc words of prefix-table
-    levels, which `ProcessModel.emission_array` computes in numpy.  A seed
-    or stream that is not a non-negative integer raises an error naming it.
+    the ergodic kind re-draws a level from the branch law at every word
+    boundary.  The trajectory is row `stream` of the array pass of
+    `sample_trajectories`.  A seed or stream that is not an integer in
+    0..2**64-1 raises an error naming it.
     """
     _check_length(length)
     seed, stream = _check_entropy("seed", seed), _check_entropy("stream", stream)
-    return _sample(model, length, seed, stream, _generator(seed, (stream,)))
+    return _sample(model, length, seed, np.array([stream], np.uint64))[0]
 
 
-def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> list[Trajectory]:
+def sample_trajectories(
+    model: ProcessModel, count: int, length: int, seed: int
+) -> list[Trajectory]:
     """`count` independent trajectories on streams 0..count-1 of one seed.
 
-    Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`.
-    The cyclic kinds take most streams from `_first_blocks`, in numpy.  One
-    Philox generator serves every other stream: it is re-keyed with the
-    stream's key from `_stream_keys` and rewound to counter 0 with an empty
-    buffer, which is the state a fresh generator of that stream starts from.
+    Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`:
+    every variate is a function of (seed, stream, lane, draw) alone.
     """
     if count < 0:
         raise ValueError(f"trajectory count must be >= 0, got {count}")
     _check_length(length)
     seed = _check_entropy("seed", seed)
-    keys = _stream_keys(seed, np.arange(operator.index(count)))
-    if model.kind is Kind.HMC or model.fixed_level is not None:
-        trajectories: list = [None] * count
-    else:
-        trajectories = _first_blocks(model, keys, length, seed)
-    bit_generator = np.random.Philox(seed)
-    rng = np.random.Generator(bit_generator)
-    # What Philox(SeedSequence(seed, spawn_key=(stream,))) starts from: the
-    # stream's key, counter 0 and an empty 4-word buffer.  Lists of ints set
-    # it in a third of the time arrays take.
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0] * 4, "key": None},
-        "buffer": [0] * 4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for stream, key in enumerate(keys.tolist()):
-        if trajectories[stream] is None:
-            fresh["state"]["key"] = key
-            bit_generator.state = fresh
-            trajectories[stream] = _sample(model, length, seed, stream, rng)
-    return trajectories
+    streams = np.arange(operator.index(count), dtype=np.uint64)
+    step = max(1, _CHUNK_SYMBOLS // length)  # bounds the (streams, length) temporaries
+    chunks = (_sample(model, length, seed, streams[lo : lo + step]) for lo in range(0, count, step))
+    return [t for chunk in chunks for t in chunk]
 
 
 def _check_length(length: int) -> None:
@@ -417,129 +411,101 @@ def _check_length(length: int) -> None:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
 
 
-def _first_blocks(model: ProcessModel, keys: np.ndarray, length: int, seed: int) -> list:
-    """The cyclic trajectories that the first Philox block of their stream
-    decides, in one numpy pass; None for every other stream.
-
-    A cyclic stream draws `random()` for its level, `integers(0, r)` for its
-    phase and nothing more.  From a fresh generator the level is word 0 of
-    the block at counter 1, `(word >> 11) * 2**-53`, and the phase is the
-    bounded draw from the low half of word 1.  A stream whose level falls
-    past the prefix table, or whose bounded draw rejects, is left to
-    `_sample`.
-    """
-    zero = np.zeros(len(keys), np.uint64)
-    word0, word1, _, _ = _philox((zero + np.uint64(1), zero, zero, zero), keys)
-    _, cdf = _stationary_tables(model.alpha, model.series_cutoff)
-    u = (word0 >> np.uint64(11)) * 2.0**-53
-    levels = _prefix_levels(cdf, u)
-    r = levels if model.kind is Kind.HPM1 else np.frexp(levels)[1]
-    offsets, rejected = _lemire32(word1 & np.uint64(_MASK32), r)
-    streams = np.flatnonzero((u < cdf[-1]) & ~rejected)
-    levels, offsets = levels[streams], offsets[streams].astype(np.int64)
-    phases = (offsets[:, None] + np.arange(length)) % r[streams, None]
-    data = model.emission_array(levels[:, None], phases).tobytes()
-    trajectories: list = [None] * len(keys)
+def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) -> list[Trajectory]:
+    """The trajectories of `streams` of `seed`, in array passes: the
+    initial states of every stream at once, their symbols as rows of one
+    matrix, then for hmc the later words of every unfinished stream."""
+    count = len(streams)
+    keys = np.stack([np.full(count, seed, np.uint64), streams], axis=1)
+    zero = np.zeros(count, np.int64)
+    words = _runs(keys, zero + _STATE_LANE, zero, zero + 1)
+    levels, _, big = _levels(model, words, keys, zero, branch=False)
+    r = _phase_counts(model, levels)
+    offsets, big_offsets = _phase_offsets(model, r, big, words[:, 2], keys)
+    hmc = model.kind is Kind.HMC
+    steps = offsets[:, None] + np.arange(length)
+    # A cycle starts over after r symbols; an hmc word is cut where it ends.
+    phases = np.minimum(steps, r[:, None] - 1) if hmc else steps % r[:, None]
+    out = model.emission_array(levels[:, None], phases)
+    filled = np.minimum(r - offsets, length)
+    initial, phase = levels.tolist(), (offsets + 1).tolist()
+    for row, level in big.items():
+        start = big_offsets[row]
+        initial[row], phase[row] = level, start + 1
+        symbols = model.emission_slice(level, start, start + length)
+        if len(symbols) < length and not hmc:  # the cycle starts over, repeated
+            turn = symbols + model.emission_slice(level, 0, min(start, length - len(symbols)))
+            symbols = (turn * (length // len(turn) + 1))[:length]
+        out[row, : len(symbols)] = np.frombuffer(symbols, np.uint8)
+        filled[row] = len(symbols)
+    records: dict[int, list[int]] = {}
+    if hmc:
+        _branch_words(model, keys, out, filled, records)
+    data = out.tobytes()
+    rows = zip(range(count), streams.tolist(), initial, phase)
     kind, alpha = model.kind.value, model.alpha
-    rows = zip(streams.tolist(), levels.tolist(), offsets.tolist())
-    for i, (stream, level, offset) in enumerate(rows):
-        symbols = data[i * length : (i + 1) * length]
-        state = StateId(level, offset + 1)
-        trajectories[stream] = Trajectory(symbols, seed, stream, kind, alpha, state)
-    return trajectories
-
-
-def _sample(
-    model: ProcessModel, length: int, seed: int, stream: int, rng: np.random.Generator
-) -> Trajectory:
-    """One trajectory drawn from `rng`, a Philox generator on stream
-    `stream` of `seed`."""
-    level = sample_level(model, rng)
-    phase = _uniform_phase(rng, model.phase_count(level))
-    word_levels: list[int] = []
-    symbols = model.emission_slice(level, phase - 1, phase - 1 + length)
-    if len(symbols) < length and model.kind is Kind.HMC:
-        symbols += _branch_words(model, length - len(symbols), rng, word_levels)
-    elif len(symbols) < length:  # the cycle starts over: its word from this phase on, repeated
-        turn = symbols + model.emission_slice(level, 0, min(phase - 1, length - len(symbols)))
-        symbols = (turn * (length // len(turn) + 1))[:length]
-    return Trajectory(
-        symbols=symbols,
-        seed=seed,
-        stream=stream,
-        kind=model.kind.value,
-        alpha=model.alpha,
-        initial_state=StateId(level, phase),
-        word_levels=tuple(word_levels),
-    )
+    return [
+        Trajectory(
+            data[i * length : (i + 1) * length],
+            seed,
+            stream,
+            kind,
+            alpha,
+            StateId(level, k),
+            tuple(records.get(i, ())),
+        )
+        for i, stream, level, k in rows
+    ]
 
 
 def _branch_words(
-    model: ProcessModel, length: int, rng: np.random.Generator, word_levels: list[int]
-) -> bytes:
-    """The first `length` symbols of the hmc words that follow a word end,
-    appending the level of each word to `word_levels`.
+    model: ProcessModel,
+    keys: np.ndarray,
+    out: np.ndarray,
+    filled: np.ndarray,
+    records: dict[int, list[int]],
+) -> None:
+    """Fill each row of `out` past `filled` with the hmc words that follow a
+    word end, appending the level of each word to the row's record.
 
-    Branch levels are drawn as blocks of doubles, `rng.random(k)`, which
-    gives the same values as k calls to `rng.random()`.  The draws that hit
-    the prefix table become levels and symbols in numpy.  At the first draw
-    past it the generator is stepped back to just after that draw, so that
-    the scalar tail (`_branch_tail`) draws what it would have drawn.  A
-    block holds at most enough words to fill the trajectory; draws past its
-    last word are never used, as nothing draws from the stream again.
-    """
-    pieces: list[bytes] = []
-    filled = 0
-
-    def add_word(level: int) -> None:
-        nonlocal filled
-        word_levels.append(level)
-        pieces.append(model.emission_slice(level, 0, length - filled))
-        filled += len(pieces[-1])
-
-    if model.fixed_level is not None:
-        while filled < length:
-            add_word(model.fixed_level)
-        return b"".join(pieces)
-    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
-    while filled < length:
-        u = rng.random(min(-(-(length - filled) // _MIN_HMC_WORD), _BRANCH_BLOCK))
-        past_prefix = u >= cdf[-1]
-        first_tail = int(past_prefix.argmax()) if past_prefix.any() else len(u)
-        levels = _prefix_levels(cdf, u[:first_tail])
-        r = 3 * np.frexp(levels)[1]
-        ends = np.cumsum(r)
-        words = min(int(ends.searchsorted(length - filled)) + 1, len(levels))
-        if words:
-            word = np.repeat(np.arange(words), r[:words])[: length - filled]
-            offsets = np.arange(len(word)) - (ends - r)[word]
-            pieces.append(model.emission_array(levels[word], offsets).tobytes())
-            word_levels.extend(levels[:words].tolist())
-            filled += len(word)
-        if filled < length and first_tail < len(u):
-            _rewind(rng.bit_generator, len(u) - first_tail - 1)
-            add_word(_branch_tail(model, rng, float(u[first_tail])))
-    return b"".join(pieces)
-
-
-def _rewind(bit_generator: np.random.Philox, words: int) -> None:
-    """Step a Philox bit generator back by `words` 64-bit outputs.
-
-    At counter c and buffer position p it has given 4*c + p - 4 outputs.
-    Setting counter q with an empty buffer and drawing p' more outputs, for
-    q, p' = divmod(outputs - words, 4), leaves it where it was `words`
-    outputs ago.  The 32-bit half-word numpy keeps for `integers` is not
-    touched by 64-bit outputs, so it is kept as it is."""
-    if not words:
-        return
-    state = bit_generator.state
-    counter = sum(int(w) << (64 * i) for i, w in enumerate(state["state"]["counter"]))
-    q, p = divmod(4 * counter + state["buffer_pos"] - 4 - words, 4)
-    state["state"]["counter"] = [(q >> (64 * i)) & (2**64 - 1) for i in range(4)]
-    state["buffer_pos"] = 4
-    bit_generator.state = state
-    if p:
-        bit_generator.random_raw(p)
+    Every unfinished row takes the same block of consecutive draws of lane
+    1 in one pass: ceil(remaining / 6) draws for the row with the most
+    symbols left, which fills every row unless `_BRANCH_ROWS` caps the
+    block.  Draws past a row's last word are never read."""
+    length = out.shape[1]
+    active = np.flatnonzero(filled < length)
+    drawn = 0
+    while len(active):
+        block = -(-int((length - filled[active]).max()) // _MIN_HMC_WORD)
+        block = max(1, min(block, _BRANCH_ROWS // len(active)))
+        rows = np.repeat(active, block)
+        draws = np.tile(np.arange(drawn, drawn + block), len(active))
+        each = np.ones(len(active), np.int64)
+        words = _runs(keys[active], each * _BRANCH_LANE, each * drawn, each * block)
+        levels, digits, big = _levels(model, words, keys[rows], 1 + draws, branch=True)
+        r = 3 * digits.reshape(-1, block)
+        starts = (filled[active, None] + np.cumsum(r, axis=1) - r).ravel()
+        used = starts < length
+        ends = np.minimum(starts + r.ravel(), length)
+        long = np.zeros(len(rows), bool)
+        long[list(big)] = True
+        word = np.flatnonzero(used & ~long)
+        size = ends[word] - starts[word]
+        at = np.repeat(np.arange(len(word)), size)
+        step = np.arange(len(at)) - (np.cumsum(size) - size)[at]
+        out[rows[word][at], starts[word][at] + step] = model.emission_array(levels[word][at], step)
+        for w in np.flatnonzero(used & long).tolist():
+            k, end = int(starts[w]), int(ends[w])
+            out[rows[w], k:end] = np.frombuffer(model.emission_slice(big[w], 0, end - k), np.uint8)
+        level_list = levels.tolist()
+        for w, level in big.items():
+            level_list[w] = level
+        counts = used.reshape(-1, block).sum(axis=1).tolist()
+        for i, (row, n_used) in enumerate(zip(active.tolist(), counts)):
+            records.setdefault(row, []).extend(level_list[i * block : i * block + n_used])
+        filled[active] = ends.reshape(-1, block)[:, -1]
+        drawn += block
+        active = active[filled[active] < length]
 
 
 # ----- estimation --------------------------------------------------------------
@@ -662,6 +628,12 @@ def estimate_block_mi(
         trajectory_count=len(trajectories),
         bootstrap_resamples=bootstrap_resamples,
     )
+
+
+def _generator(seed: int, stream: tuple[int, ...]) -> np.random.Generator:
+    """The bootstraps' own generator; trajectory sampling does not use it."""
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=stream)
+    return np.random.Generator(np.random.Philox(sequence))
 
 
 def _pooled_resamples(

@@ -3,10 +3,11 @@ independently coded reference enumerators, the dict build of the cyclic
 tables, table profiles, scalar level decoders, scalar triple-bound
 predicates, a scalar trajectory sampler and per-state references (emission,
 hidden states, the reveal rule) used as oracles against the production
-engine."""
+engine, and G-tests of sampled counts against tabulated laws."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -16,17 +17,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from excesslab.exact import DEFAULT_ENTRY_BUDGET, BudgetExceededError, JointBlockTable
+from excesslab.exact import (
+    DEFAULT_ENTRY_BUDGET,
+    BudgetExceededError,
+    JointBlockTable,
+    enumerate_joint,
+)
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_length, phase_count
 from excesslab.sampling import (
+    _GROUP_CAP,
     Trajectory,
     _branch_tables,
-    _branch_tail,
     _generator,
     _prefix_levels,
-    _uniform_phase,
-    sample_level,
+    _stationary_tables,
+    sample_trajectories,
     sample_trajectory,
 )
 from excesslab.series import LN2, level_weight, squared_level_tail, tail_sum_bracket
@@ -481,30 +487,89 @@ def _plug_in_entropy(masses: list) -> float:
     return float(-np.sum(q * np.log2(q)))
 
 
-# ----- scalar trajectory sampler: the reference for the block draws ----------
+# ----- scalar trajectory sampler: the reference for the array passes ---------
+
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
-def sample_branch_level(model: ProcessModel, rng: np.random.Generator) -> int:
-    """Draw the next level at a word boundary of the ergodic kind, one
-    double at a time: a prefix-table hit, else the scalar tail."""
+def philox_block(key: tuple[int, int], draw: int, lane: int) -> list[int]:
+    """Philox4x64-10 in Python ints: the four words of draw `draw` of lane
+    `lane` under `key`, from counter (draw, lane, 0, 0)."""
+    c0, c1, c2, c3 = draw, lane, 0, 0
+    k0, k1 = key
+    for i in range(10):
+        if i:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+    return [c0, c1, c2, c3]
+
+
+def lane_int(key: tuple[int, int], lane: int, words: int) -> int:
+    """The first `words` words of lane `lane` >= 1, word 0 lowest, as one
+    int: draws 0, 1, ... from numpy's Philox bit generator set one step
+    before counter (0, lane, 0, 0), whose blocks `_philox` must equal
+    (`test_philox_port_matches_numpy`)."""
+    counter = np.array([2**64 - 1, lane - 1, 0, 0], np.uint64)
+    bits = np.random.Philox(key=np.array(key, np.uint64), counter=counter)
+    return int.from_bytes(bits.random_raw(words).astype("<u8").tobytes(), "little")
+
+
+def reference_level(model: ProcessModel, key, words: list[int], word: int, branch: bool) -> int:
+    """The level of one draw's words, one variate at a time: the prefix
+    table, else the digit group and its within-group inverse in float64
+    scalars, and the low digits from word 3 and lane 3 + `word`.  The
+    inverse calls numpy's power, expm1 and log1p, as the sampler does:
+    numpy may run them on SIMD code whose last bit differs from libm's."""
     if model.fixed_level is not None:
         return model.fixed_level
-    _, cdf, _ = _branch_tables(model.alpha, model.series_cutoff)
-    u = rng.random()
+    alpha = model.alpha
+    u = (words[0] >> 11) * 2.0**-53
+    if branch:
+        _, cdf, group_cdf = _branch_tables(alpha, model.series_cutoff)
+    else:
+        c_mid, cdf = _stationary_tables(alpha, model.series_cutoff)
     if u < float(cdf[-1]):
         return int(_prefix_levels(cdf, u))
-    return _branch_tail(model, rng, u)
+    if branch:
+        at = int(group_cdf.searchsorted(min(u, float(group_cdf[-1]))))
+        j = min(21 + at, 21 + len(group_cdf) - 1)
+    else:
+        v = 1.0 - u
+        k_const = c_mid * LN2 / (alpha - 1.0)
+
+        def tail(j: int) -> float:  # the group tail past j - 1 binary digits
+            return k_const * np.power(j - 1.0, 1.0 - alpha)
+
+        j = max(21, min(int(1 + np.power(k_const / max(v, 1e-300), 1.0 / (alpha - 1.0))), _GROUP_CAP))
+        while j > 21 and tail(j) < v:
+            j -= 1
+        while j < _GROUP_CAP and tail(j + 1) >= v:
+            j += 1
+    a, beta = np.float64(j - 1.0), 1.0 - alpha
+    q = -np.expm1(beta * np.log1p(1.0 / a))
+    frac = a * np.expm1(np.log1p(-((words[1] >> 11) * 2.0**-53) * q) / beta)
+    top = min(max(math.floor(np.power(2.0, frac) * 2.0**20), 1 << 20), (1 << 21) - 1)
+    shift = j - 21
+    low = words[3] | lane_int(key, 3 + word, max(0, -(-(shift - 64) // 64))) << 64
+    return (top << shift) | (low & ((1 << shift) - 1))
 
 
-def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> Trajectory:
-    """Stream `stream` of `seed` drawn one variate at a time, as the sampler
-    drew it before its block draws: the level by one `random()` through the
-    prefix table or the scalar tail, the phase by one `integers(0, r)`, and
-    every later hmc word by one branch-level draw."""
-    rng = _generator(seed, (stream,))
-    level = sample_level(model, rng)
+def reference_sample(model: ProcessModel, length: int, seed: int, stream: int) -> Trajectory:
+    """Stream `stream` of `seed` drawn one variate at a time: the initial
+    level from draw 0 of lane 0, its phase offset as X mod r (X the phase
+    word, over ceil(b/64) words of lane 2 for r of b > 32 binary digits),
+    and hmc word k + 1 from draw k of lane 1.  The draws of lanes 0 and 1
+    are Python-int Philox (`philox_block`), the longer runs of lane words
+    numpy's Philox (`lane_int`); neither is the sampler's `_philox`."""
+    key = (seed, stream)
+    words = philox_block(key, 0, 0)
+    level = reference_level(model, key, words, 0, branch=False)
     r = model.phase_count(level)
-    phase = _uniform_phase(rng, r)
+    more = 0 if r.bit_length() <= 32 else -(-r.bit_length() // 64)
+    phase = ((words[2] << 64 * more) | lane_int(key, 2, more)) % r + 1
     word_levels: list[int] = []
     if model.kind is Kind.HPM1:
         symbols = bytes((t + phase) % level == 0 for t in range(length))
@@ -516,7 +581,9 @@ def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> T
         pieces = [model.emission_slice(level, phase - 1, phase - 1 + length)]
         filled = len(pieces[0])
         while filled < length:
-            word_levels.append(sample_branch_level(model, rng))
+            k = len(word_levels)
+            words = philox_block(key, k, 1)
+            word_levels.append(reference_level(model, key, words, k + 1, branch=True))
             pieces.append(model.emission_slice(word_levels[-1], 0, length - filled))
             filled += len(pieces[-1])
         symbols = b"".join(pieces)
@@ -529,6 +596,99 @@ def oracle_sample(model: ProcessModel, length: int, seed: int, stream: int) -> T
         initial_state=StateId(level, phase),
         word_levels=tuple(word_levels),
     )
+
+
+# ----- goodness of fit: sampled counts against a tabulated law ----------------
+
+# Fixed before the first run: a law test fails when its p-value falls below it.
+G_TEST_THRESHOLD = 1e-6
+
+
+def chi2_tail(statistic: float, df: int) -> float:
+    """P(chi2_df >= statistic): the regularized upper incomplete gamma
+    Q(df/2, statistic/2), by its power series below a + 1 and by Lentz's
+    continued fraction above (Numerical Recipes, 3rd ed., section 6.2)."""
+    a, x = df / 2.0, statistic / 2.0
+    if x <= 0.0:
+        return 1.0
+    log_prefix = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return max(0.0, 1.0 - total * math.exp(log_prefix))
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return math.exp(log_prefix) * h
+
+
+def law_p_value(law: dict, counts: Counter, total: int) -> float:
+    """The G-test p-value of `counts`, `total` draws in all, against `law`.
+
+    Each outcome of `law` whose expected count is 5 or more is a bin; every
+    other draw falls in one "other" bin of the mass the bins leave.  The
+    statistic is the Poisson deviance 2 * sum(O ln(O/E) - (O - E)), which is
+    the G statistic when the expected counts sum to `total` and stays
+    defined when a faulty law's do not; a bin with draws and no expected
+    mass gives p = 0."""
+    bins = [key for key, mass in law.items() if total * mass >= 5]
+    expected = [total * law[key] for key in bins]
+    observed = [counts[key] for key in bins]
+    expected.append(max(0.0, total - math.fsum(expected)))
+    observed.append(total - sum(observed))
+    statistic = 0.0
+    for o, e in zip(observed, expected):
+        if e == 0.0:
+            if o:
+                return 0.0
+            continue
+        statistic += 2.0 * ((o * math.log(o / e) if o else 0.0) - (o - e))
+    return chi2_tail(statistic, sum(e > 0.0 for e in expected) - 1)
+
+
+def window_law(model: ProcessModel, n: int, level_cutoff: int, aggregate: bool = False) -> dict:
+    """The table's law of the length-2n windows it fully knows: every key
+    of an aggregated hpm1 table, and the hpm2 keys that show the delimiter
+    twice or more (each such window reveals a level below 2**(2n)).  A
+    key's mass sums over every row that carries it."""
+    table = enumerate_joint(model, n, level_cutoff, tail_aggregation=aggregate)
+    law: dict[bytes, float] = {}
+    for key, mass in zip(map(bytes, table.keys), table.masses.tolist()):
+        if aggregate or key.count(2) >= 2:
+            law[key] = law.get(key, 0.0) + mass
+    return law
+
+
+@functools.lru_cache(maxsize=4)
+def sampled_windows(model: ProcessModel, length: int, count: int, seed: int) -> Counter:
+    """The counts of `count` pooled windows, one per trajectory of
+    `sample_trajectories`; cached, since the table-side fault tests read
+    the same sample as the unfaulted tests."""
+    return Counter(t.symbols for t in sample_trajectories(model, count, length, seed))
+
+
+def branch_law_p_value(model: ProcessModel, length: int, seed: int) -> float:
+    """The G-test p-value of the hmc word levels of one sampled trajectory
+    of `length` symbols against `branch_probability` over levels 2..64."""
+    levels = sample_trajectory(model, length, seed).word_levels
+    law = {m: branch_probability(model, m).mid for m in range(2, 65)}
+    return law_p_value(law, Counter(levels), len(levels))
 
 
 # ----- per-state references: emission, hidden states, the reveal rule -------

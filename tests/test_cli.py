@@ -102,6 +102,16 @@ def test_alpha_out_of_range_is_usage_error(tmp_path):
         (["estimate", "--bootstrap", "1"], {}, "bootstrap must be 0 or >= 2, got 1"),
         (["exact", "--level-cutoff", "1"], {}, "level_cutoff must be >= 2, got 1"),
         (["exact", "--series-cutoff", "50"], {}, "series_cutoff must be >= 100, got 50"),
+        (
+            ["estimate", "--process", "hpm2", "--trajectories", "1", "--length", "100"],
+            {},
+            "trajectories must be >= 2 for a bootstrap, got 1",
+        ),
+        (
+            ["estimate", "--process", "hpm2", "--trajectories", "1"],
+            {},
+            "trajectories must give >= 4 pooled windows at n=2, got 1 from 1 of length 4",
+        ),
     ],
 )
 def test_count_that_checks_nothing_is_usage_error(tmp_path, capsys, args, config, message):
@@ -115,12 +125,21 @@ def test_count_that_checks_nothing_is_usage_error(tmp_path, capsys, args, config
     assert message in capsys.readouterr().err
 
 
+def test_pooled_window_check_is_the_estimate_commands_alone(tmp_path):
+    # One hpm2 trajectory gives no pooled estimate, but exact never samples.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trajectories": 1}))
+    args = ["exact", "--process", "hpm2", "--config", str(cfg), "--n", "2", "--out", str(tmp_path)]
+    assert run_cli(args + FAST) == 0
+
+
 def test_negative_or_missing_seed_is_usage_error(tmp_path, capsys):
     # An empty seed list used to write an estimate.csv with no rows, exit 0.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": [2, -5]}))
     for args, message in (
         (["--seed", "3,-1"], "seeds must be >= 0, got -1"),
+        (["--seed", f"3,{2**64}"], f"seeds must be < 2**64, got {2**64}"),
         (["--config", str(cfg)], "seeds must be >= 0, got -5"),
         (["--seed", ""], "seed list must not be empty"),
     ):

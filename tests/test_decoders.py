@@ -333,9 +333,9 @@ def test_verify_pins_the_benchmark_decoder_details():
     assert details == {
         f"decoder_agreement[{kind}]": f"100000 windows, 0 past/future disagreements, {truth}"
         for kind, truth in (
-            ("hpm1", "0/39000 hidden-truth mismatches"),
-            ("hpm2", "0/56000 hidden-truth mismatches"),
-            ("hmc", "0/18586 hidden-truth mismatches"),
+            ("hpm1", "0/45000 hidden-truth mismatches"),
+            ("hpm2", "0/59500 hidden-truth mismatches"),
+            ("hmc", "0/19624 hidden-truth mismatches"),
         )
     }
 

@@ -10,20 +10,19 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from excesslab import sampling
 from excesslab.exact import _plug_in_mi, block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
-    _MASK32,
+    _STATE_LANE,
     Trajectory,
     _branch_tables,
-    _lemire32,
+    _levels,
     _philox,
-    _prefix_levels,
+    _runs,
     _sliding_resamples,
     _stationary_tables,
-    _stream_keys,
     estimate_block_mi,
-    sample_level,
     sample_trajectories,
     sample_trajectory,
     _generator,
@@ -36,10 +35,12 @@ from conftest import (
     branch_probability,
     emission,
     hidden_states,
+    lane_int,
     level_mass,
     make_model,
     naive_estimate,
-    oracle_sample,
+    philox_block,
+    reference_sample,
     word_runs,
 )
 
@@ -62,11 +63,26 @@ def test_prefix_tables_match_plain_expressions_bit_for_bit(alpha):
     assert group_cdf.tobytes() == expected_groups.tobytes()
 
 
+def _initial_levels(model, seed: int, draws: int, first: int = 0) -> list[int]:
+    """The initial levels of streams first..first+draws-1 of `seed`, in one
+    array pass."""
+    streams = np.arange(first, first + draws, dtype=np.uint64)
+    keys = np.stack([np.full(draws, seed, np.uint64), streams], axis=1)
+    zero = np.zeros(draws, np.int64)
+    words = _runs(keys, zero + _STATE_LANE, zero, zero + 1)
+    levels, _, long = _levels(model, words, keys, zero, branch=False)
+    levels = levels.tolist()
+    for row, level in long.items():
+        levels[row] = level
+    return levels
+
+
 def test_level_law_frequency_of_level_two():
     model = make_model("hpm1", 1.5)
-    rng = _generator(11, (0,))
     draws = 1_000_000
-    hits = sum(1 for _ in range(draws) if sample_level(model, rng) == 2)
+    # In passes of 100,000 streams: a level at the 2**20-digit cap is a 128 KB int.
+    passes = range(0, draws, 100_000)
+    hits = sum(_initial_levels(model, 11, 100_000, first).count(2) for first in passes)
     p = level_mass(model, 2).mid
     se = math.sqrt(p * (1 - p) / draws)
     assert abs(hits / draws - p) <= 4 * se
@@ -74,61 +90,27 @@ def test_level_law_frequency_of_level_two():
 
 def test_level_law_constant_free_ratio():
     model = make_model("hpm2", 1.5)
-    rng = _generator(12, (0,))
-    counts = {2: 0, 4: 0}
-    for _ in range(200_000):
-        lvl = sample_level(model, rng)
-        if lvl in counts:
-            counts[lvl] += 1
-    ratio = counts[2] / counts[4]
+    levels = _initial_levels(model, 12, 200_000)
+    ratio = levels.count(2) / levels.count(4)
     assert ratio == pytest.approx(2.0 ** (1.5 + 1.0), rel=0.05)
 
 
 def test_level_sampler_heavy_tail_is_sampled():
     model = make_model("hpm1", 1.5)
-    rng = _generator(13, (0,))
-    draws = [sample_level(model, rng) for _ in range(20_000)]
+    draws = _initial_levels(model, 13, 20_000)
     assert any(d > 1 << 40 for d in draws)
     assert all(d >= 2 for d in draws)
 
 
 def test_fixed_seed_reproduces_draws():
+    # A level is a function of (seed, stream) alone: two passes, and the
+    # trajectories of single streams, give the same levels.
     model = make_model("hpm1", 1.5)
-    a = [sample_level(model, _generator(99, (0,))) for _ in range(1)]
-    b = [sample_level(model, _generator(99, (0,))) for _ in range(1)]
-    rng1, rng2 = _generator(99, (0,)), _generator(99, (0,))
-    seq1 = [sample_level(model, rng1) for _ in range(1000)]
-    seq2 = [sample_level(model, rng2) for _ in range(1000)]
+    seq1, seq2 = _initial_levels(model, 99, 1000), _initial_levels(model, 99, 1000)
     assert seq1 == seq2
-
-
-@seed(20261019)
-@settings(max_examples=60, deadline=None, database=None)
-@given(
-    entropy=st.integers(0, 2**160),
-    streams=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-)
-@example(entropy=0, streams=[])
-@example(entropy=2**32 - 1, streams=[])
-@example(entropy=2**32, streams=[])
-@example(entropy=2**64, streams=[])
-@example(entropy=2**128 + 5, streams=[])
-def test_stream_keys_match_seed_sequence(entropy, streams):
-    streams = np.array([0, 1, 2**32 - 1, *streams], dtype=np.int64)
-    keys = _stream_keys(entropy, streams)
-    assert keys.shape == (len(streams), 2) and keys.dtype == np.uint64
-    for stream, key in zip(streams, keys):
-        expected = np.random.SeedSequence(entropy=entropy, spawn_key=(int(stream),))
-        assert (key == expected.generate_state(2, np.uint64)).all(), (entropy, stream)
-
-
-def test_stream_keys_reject_streams_past_one_word():
-    with pytest.raises(ValueError, match="stream 4294967296"):
-        _stream_keys(5, np.array([3, 2**32]))
-    with pytest.raises(ValueError, match="stream -1"):
-        _stream_keys(5, np.array([-1]))
-    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
-        _stream_keys(-3, np.arange(2))
+    for stream in (0, 1, 999):
+        assert sample_trajectory(model, 4, 99, stream).initial_state.level == seq1[stream]
+    assert seq1 != _initial_levels(model, 98, 1000)
 
 
 @seed(20261020)
@@ -153,42 +135,45 @@ def test_philox_port_matches_numpy(keys, counter):
         assert (block == expected).all(), f"numpy {np.__version__}: key {key}, counter {counter}"
 
 
-@pytest.mark.parametrize("r", [2, 3, 7, 19_715, 2**20 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1])
-def test_bounded_draw_matches_numpy_integers(r):
-    # integers(0, r) takes 32-bit halves of the 64-bit outputs, low half
-    # first, until the bounded draw accepts one.  r = 2**31 + 1 rejects
-    # about half of them.
-    rng = np.random.default_rng(r)
-    keys = rng.integers(0, 2**64, size=(200, 2), dtype=np.uint64)
-    keys[:2] = [(0, 0), (2**64 - 1, 2**64 - 1)]
-    rejections = 0
-    for key in keys:
-        words = np.random.Philox(key=key).random_raw(32).tolist()
-        halves = [h for w in words for h in (w & _MASK32, w >> 32)]
-        for half in halves:
-            draw, rejected = _lemire32(np.array([half], np.uint64), np.array([r]))
-            rejections += bool(rejected[0])
-            if not rejected[0]:
-                break
-        expected = np.random.Generator(np.random.Philox(key=key)).integers(0, r)
-        assert int(draw[0]) == expected, f"numpy {np.__version__}: key {key}, r {r}"
-    if r == 2**31 + 1:
-        assert rejections > 50
+ENGINES = {
+    "array pass": {"_FEW_RUNS": 0, "_LONG_RUN": 2**62},
+    "numpy generator": {"_FEW_RUNS": 2**62},
+}
 
 
-def test_first_block_of_a_stream_whose_phase_draw_rejects():
-    # Found by search: stream 28 of seed 5674 draws level 19,715 of hpm1 at
-    # alpha 1.5 from the prefix table, and the bounded draw of its phase
-    # rejects the low half of word 1, so the pooled sampler leaves the stream
-    # to the scalar sampler (test_samplers_equal_scalar_oracle runs it).
-    model = make_model("hpm1", 1.5)
-    _, cdf = _stationary_tables(1.5, FAST_SERIES_CUTOFF)
-    zero = np.zeros(1, np.uint64)
-    word0, word1, _, _ = _philox((zero + np.uint64(1), zero, zero, zero), _stream_keys(5674, np.array([28])))
-    u = (word0 >> np.uint64(11)) * 2.0**-53
-    assert u[0] < cdf[-1] and int(_prefix_levels(cdf, u)[0]) == 19_715
-    assert _lemire32(word1 & np.uint64(_MASK32), np.array([19_715]))[1][0]
-    assert sample_trajectory(model, 40, 5674, stream=28).initial_state.level == 19_715
+@pytest.mark.parametrize("engine", ENGINES)
+def test_philox_runs_equal_python_int_philox(engine, monkeypatch):
+    # Runs of consecutive draws, whichever engine reads them, against the
+    # Python-int Philox of the tests; draw 0 of lane 0 sets numpy's counter
+    # one step before zero, which borrows through all four words.
+    for name, value in ENGINES[engine].items():
+        monkeypatch.setattr(sampling, name, value)
+    keys = np.array([(0, 0), (7, 2**64 - 1), (2**64 - 1, 5), (3, 4)], np.uint64)
+    lanes = np.array([0, 1, 3, 2**20 + 3])
+    firsts = np.array([0, 2**40, 5, 0])
+    counts = np.array([3, 4, 0, 2])
+    blocks = _runs(keys, lanes, firsts, counts).tolist()
+    expected = [
+        philox_block(tuple(map(int, key)), int(first) + k, int(lane))
+        for key, lane, first, count in zip(keys, lanes, firsts, counts)
+        for k in range(count)
+    ]
+    assert blocks == expected
+
+
+@pytest.mark.parametrize(
+    "r", [2, 3, 7, 19_715, 2**20 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 7]
+)
+def test_phase_offset_is_its_words_mod_r(r):
+    # An hpm1 level has r = level phases.  The offset is word 2 of draw 0 of
+    # lane 0 mod r below r = 2**32; from there on that word goes over
+    # ceil(b/64) words of lane 2, for r of b binary digits.
+    model = make_model("hpm1", 1.5, fixed_level=r)
+    more = 0 if r < 2**32 else -(-r.bit_length() // 64)
+    for traj in sample_trajectories(model, 50, 1, seed=r % 2**64):
+        key = (traj.seed, traj.stream)
+        x = (philox_block(key, 0, 0)[2] << 64 * more) | lane_int(key, 2, more)
+        assert traj.initial_state.phase == x % r + 1, (r, traj.stream)
 
 
 # ----- trajectories -------------------------------------------------------------
@@ -213,12 +198,12 @@ def _symbols_from_words(model, traj):
 
 
 def _assert_samplers_equal_oracle(model, count: int, length: int, seed: int) -> list:
-    """Both entry points against the scalar sampler, field by field."""
+    """Both entry points against the scalar reference, field by field."""
     pooled = sample_trajectories(model, count, length, seed)
     assert len(pooled) == count
     for stream, traj in enumerate(pooled):
         single = sample_trajectory(model, length, seed, stream=stream)
-        expected = oracle_sample(model, length, seed, stream)
+        expected = reference_sample(model, length, seed, stream)
         for f in dataclasses.fields(Trajectory):
             case = (f.name, model, length, seed, stream)
             assert getattr(traj, f.name) == getattr(expected, f.name), case
@@ -244,7 +229,7 @@ def test_fixed_cycle_near_the_window_length_equals_scalar_oracle(kind, r, over):
     alpha=st.sampled_from([1.2, 1.5, 2.0]),
     fixed_level=st.sampled_from([None, None, None, 2, 2**70 + 3]),
     length=st.integers(1, 600),
-    entropy=st.integers(0, 2**64),
+    entropy=st.integers(0, 2**64 - 1),
     count=st.integers(1, 12),
 )
 @example(kind="hpm1", alpha=1.5, fixed_level=None, length=40, entropy=5674, count=29)
@@ -254,11 +239,11 @@ def test_samplers_equal_scalar_oracle(kind, alpha, fixed_level, length, entropy,
 
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
 def test_sample_trajectories_equal_per_stream_sampler(kind):
-    # Every trajectory must be the one the scalar sampler draws, field by
-    # field, whichever way it is drawn: from the first Philox block, by the
-    # scalar tail, or by hmc branch draws in blocks with tail draws between.
-    # Symbols read with emission_slice must be those of the whole words
-    # (hpm1 never builds a word: its words reach 2**(2**20) symbols).
+    # Every trajectory must be the one the scalar reference draws, field by
+    # field, whichever way it is drawn: as an int64 level in the array pass
+    # or as a Python int past 53 digits, and for hmc in the blocks of branch
+    # draws.  Symbols read with emission_slice must be those of the whole
+    # words (hpm1 never builds a word: its words reach 2**(2**20) symbols).
     cases = [
         (make_model(kind, alpha), length, seed, 300)
         for alpha in (1.2, 1.5, 2.0)
@@ -275,15 +260,33 @@ def test_sample_trajectories_equal_per_stream_sampler(kind):
             branch_levels += traj.word_levels
             r = model.phase_count(state.level)
             wraps += r > length and state.phase - 1 + length > r
-    # The draws reach the tail beyond the prefix table, the log-uniform
-    # within-group draw past 512 digits (its low bits come from rng.bytes),
-    # and windows that run off the end of their word; hmc words reach the
-    # branch tail.
+    # The draws reach the tail beyond the prefix table, levels past 53
+    # digits, and past 85 digits, whose low digits go on in lane 3 + w, and
+    # windows that run off the end of their word; hpm1 reaches phases of r
+    # >= 2**32, which read lane 2; hmc words reach the branch tail.
     assert any(level > 1 << 20 for level in levels)
-    assert any(level.bit_length() > 512 for level in levels)
+    assert any(53 < level.bit_length() <= 85 for level in levels)
+    assert any(level.bit_length() > 85 for level in levels)
     assert wraps > 0
+    if kind == "hpm1":
+        assert any(level >> 32 for level in levels)
     if kind == "hmc":
         assert any(level > 1 << 20 for level in branch_levels)
+
+
+@pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
+def test_trajectories_do_not_depend_on_the_pass_sizes(kind, monkeypatch):
+    # Every variate is a function of (seed, stream, lane, draw): streams and
+    # hmc branch draws cut into small passes, and Philox runs read by either
+    # engine, give the trajectories of one pass.
+    model = make_model(kind, 1.5)
+    whole = sample_trajectories(model, 200, 40, 175)
+    sizes = {"_CHUNK_SYMBOLS": 120, "_BRANCH_ROWS": 50}
+    for settings in (sizes, *ENGINES.values()):
+        with monkeypatch.context() as patch:
+            for name, value in settings.items():
+                patch.setattr(sampling, name, value)
+            assert sample_trajectories(model, 200, 40, 175) == whole
 
 
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
@@ -312,22 +315,22 @@ def _digest(trajectories) -> str:
 
 
 def test_trajectory_digests_are_pinned():
-    # Computed with the scalar sampler (one numpy call per variate), before
-    # levels, phases and branch levels were drawn in blocks.
+    # Computed once with the counter-based sampler (every variate a function
+    # of seed, stream, lane and draw); any change to a draw moves them.
     pinned = {
-        "97955a9654f1070450f16a22384cc8feacca0fc187c4572a20f16095c9b960db": lambda: (
+        "469767bebd1f359aad39f42ac101f77b6de89b435442ef49854d5d855c2bd799": lambda: (
             sample_trajectories(make_model("hpm1", 1.5), 3000, 16, 601)
         ),
-        "92077eb83edb65ddd8a9abab19380aa3e98fcde9eb02ac62d828518498a9bcc1": lambda: (
+        "3e36af1d4e4ffb96b917b71f402646098c23574a8e80bf1adc86217d1eadaade": lambda: (
             sample_trajectories(make_model("hpm2", 1.2), 3000, 16, 602)
         ),
-        "fad13788a891705ed2029f35d0680a5382af0e1e8ec00b33ff57702fefced761": lambda: (
+        "ff440f5db41b1077008507aa2264f7cc766b7240f06c0425587ffe1fdb5eb584": lambda: (
             sample_trajectories(make_model("hpm2", 2.0), 500, 64, 603)
         ),
-        "8c955302b198e3f4edf100aaa253a13dd6f963ef108d1506498c5f182a63e65e": lambda: (
+        "e8ca11319841f9dc2870699a55bda3fec5ce6865ff3efde55cbbd1e553557ece": lambda: (
             [sample_trajectory(make_model("hmc", 1.5), 30_000, 604)]
         ),
-        "5f4fb2c8784485da170871c8c03bfdc9f4c3f6c32e33cbbb93afd53e46ddb158": lambda: (
+        "b3424efcf2ebce1092461abbebbef5e33cb94b9ad775a4c758bce0d207042dd8": lambda: (
             sample_trajectories(make_model("hmc", 1.2), 100, 600, 605)
         ),
     }
@@ -348,6 +351,12 @@ def test_seed_and_stream_errors_name_the_value():
             sample()
     with pytest.raises(TypeError, match="stream must be an integer, got '1'"):
         sample_trajectory(model, 8, 3, stream="1")
+    # Seeds and streams are the two 64-bit words of a Philox key.
+    with pytest.raises(ValueError, match=rf"seed must be < 2\*\*64, got {2**64}"):
+        sample_trajectories(model, 4, 8, 2**64)
+    with pytest.raises(ValueError, match=rf"stream must be < 2\*\*64, got {2**64}"):
+        sample_trajectory(model, 8, 3, stream=2**64)
+    sample_trajectory(model, 8, 2**64 - 1, stream=2**64 - 1)
 
 
 def test_sample_trajectories_check_their_arguments_first():
