@@ -44,6 +44,7 @@ from .models import (
 )
 from .sampling import (
     EstimatorReport,
+    Trajectories,
     Trajectory,
     estimate_block_mi,
     sample_trajectories,
@@ -73,6 +74,7 @@ __all__ = [
     "ProcessModel",
     "RateFitReport",
     "StateId",
+    "Trajectories",
     "Trajectory",
     "VerificationLedger",
     "binary_entropy",

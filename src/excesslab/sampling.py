@@ -48,6 +48,12 @@ Draws are read in runs of consecutive counters under one key (`_runs`).  A
 scalar sampler with the same lanes, in Python ints, is kept in the tests as
 the reference.
 
+`sample_trajectories` returns a `Trajectories` batch: the read-only
+`(count, length)` symbol matrix the passes fill, with the seed, the
+streams, the initial levels and phases and the hmc word records, and no
+per-stream object.  Its `Trajectory` records are built only when indexed
+or iterated; the pooled estimator reads the matrix.
+
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
 ensemble block MI.  Ensemble estimation therefore pools disjoint windows
@@ -63,7 +69,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,8 +87,8 @@ _GROUP_CAP = 1 << 20  # largest digit group representable by the sampler
 _BRANCH_GROUPS = 20000  # digit groups tabulated for the branch law
 _BRANCH_ROWS = 1 << 16  # most hmc branch draws made in one array pass
 _MIN_HMC_WORD = 6  # r(2) = r(3) = 3 * 2 symbols, the shortest hmc word
-_FEW_RUNS = 32  # Philox runs read one by one from numpy's generator, however short
-_LONG_RUN = 16  # or when they average this many blocks
+_FEW_RUNS = 32  # Philox runs of one call all read from numpy's generator, however short
+_LONG_RUN = 16  # blocks in a run that numpy's generator reads among more runs
 _CHUNK_SYMBOLS = 1 << 20  # most symbols sampled in one array pass
 _STATE_LANE, _BRANCH_LANE, _PHASE_LANE, _DIGIT_LANE = 0, 1, 2, 3
 
@@ -155,33 +161,38 @@ def _runs(
     lane lanes[i] under keys[i], run after run: one row of a `(draws, 4)`
     uint64 array per draw.
 
-    Many short runs go through `_philox` in one array pass, about 200 numpy
-    calls whatever the row count.  A few runs, or long ones, are read one
-    after another from numpy's Philox bit generator: a few microseconds a
-    run, and a block six times faster than in the array pass.  Both give
-    the same words (`test_philox_port_matches_numpy`)."""
-    total = int(counts.sum())
-    if len(keys) > _FEW_RUNS and total < _LONG_RUN * len(keys):
-        run = np.repeat(np.arange(len(keys)), counts)
-        draws = firsts[run] + np.arange(total) - (np.cumsum(counts) - counts)[run]
-        zero = np.zeros(total, np.uint64)
-        counter = (draws.astype(np.uint64), lanes[run].astype(np.uint64), zero, zero)
-        return np.stack(_philox(counter, keys[run]), axis=1)
-    bits = np.random.Philox(0)
-    words = [np.zeros(0, np.uint64)]
-    for key, lane, first, count in zip(keys, lanes.tolist(), firsts.tolist(), counts.tolist()):
-        words.append(_philox_words(bits, key, lane, first, 4 * count))
-    return np.concatenate(words).reshape(-1, 4)
+    Short runs go through `_philox` in one array pass, about 200 numpy
+    calls whatever their count.  Runs of `_LONG_RUN` blocks or more, and
+    every run of a call with at most `_FEW_RUNS`, are read one after
+    another from numpy's Philox bit generator: a few microseconds a run, and
+    a block six times faster than in the array pass.  Both give the same
+    words (`test_philox_port_matches_numpy`)."""
+    starts = np.cumsum(counts) - counts
+    words = np.empty((int(counts.sum()), 4), np.uint64)
+    long = counts >= _LONG_RUN if len(keys) > _FEW_RUNS else np.full(len(keys), True)
+    short = np.flatnonzero(~long)
+    if len(short):
+        run = np.repeat(short, counts[short])
+        step = np.arange(len(run)) - np.repeat(np.cumsum(counts[short]) - counts[short], counts[short])
+        zero = np.zeros(len(run), np.uint64)
+        counter = ((firsts[run] + step).astype(np.uint64), lanes[run].astype(np.uint64), zero, zero)
+        words[starts[run] + step] = np.stack(_philox(counter, keys[run]), axis=1)
+    if long.any():
+        bits = np.random.Philox(0)
+        for i in np.flatnonzero(long).tolist():
+            drawn = _philox_words(bits, keys[i], int(lanes[i]), int(firsts[i]), 4 * int(counts[i]))
+            words[starts[i] : starts[i] + counts[i]] = drawn.reshape(-1, 4)
+    return words
 
 
 def _lane_ints(keys: np.ndarray, lanes: np.ndarray, counts: np.ndarray) -> Iterator[int]:
     """Row i's first counts[i] words of lane lanes[i] under keys[i], word 0
     lowest, as one Python int each: draws 0, 1, ... of the lane, 4 words a
-    draw, read row by row from numpy's Philox bit generator."""
-    bits = np.random.Philox(0)
-    for key, lane, count in zip(keys, lanes.tolist(), counts.tolist()):
-        words = _philox_words(bits, key, lane, 0, count)
-        yield int.from_bytes(words.astype("<u8").tobytes(), "little")
+    draw, read for every row in one `_runs` call."""
+    draws = -(-counts // 4)
+    words = memoryview(_runs(keys, lanes, np.zeros_like(counts), draws).astype("<u8").tobytes())
+    for start, count in zip((32 * (np.cumsum(draws) - draws)).tolist(), counts.tolist()):
+        yield int.from_bytes(words[start : start + 8 * count], "little")
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -373,6 +384,43 @@ class Trajectory:
         return len(self.symbols)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Trajectories(Sequence):
+    """Trajectories of one length on streams of one seed, as one read-only
+    `(count, length)` uint8 symbol matrix and the records of their words.
+
+    Row i is the trajectory of stream `streams[i]`: `initial_levels[i]` and
+    `initial_phases[i]` are its initial state, and `word_levels.get(i, ())`
+    the level of each later word (hmc only).  `batch[i]` and iteration build
+    each `Trajectory` on demand; a slice is a list of them."""
+
+    symbols: np.ndarray
+    seed: int
+    streams: np.ndarray
+    kind: str
+    alpha: float
+    initial_levels: list[int]
+    initial_phases: list[int]
+    word_levels: dict[int, list[int]]
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        return Trajectory(
+            self.symbols[i].tobytes(),
+            self.seed,
+            int(self.streams[i]),
+            self.kind,
+            self.alpha,
+            StateId(self.initial_levels[i], self.initial_phases[i]),
+            tuple(self.word_levels.get(i, ())),
+        )
+
+
 def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectory:
     """Sample `length` observable symbols starting from the stationary law.
 
@@ -388,9 +436,7 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     return _sample(model, length, seed, np.array([stream], np.uint64))[0]
 
 
-def sample_trajectories(
-    model: ProcessModel, count: int, length: int, seed: int
-) -> list[Trajectory]:
+def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> Trajectories:
     """`count` independent trajectories on streams 0..count-1 of one seed.
 
     Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`:
@@ -400,10 +446,7 @@ def sample_trajectories(
         raise ValueError(f"trajectory count must be >= 0, got {count}")
     _check_length(length)
     seed = _check_entropy("seed", seed)
-    streams = np.arange(operator.index(count), dtype=np.uint64)
-    step = max(1, _CHUNK_SYMBOLS // length)  # bounds the (streams, length) temporaries
-    chunks = (_sample(model, length, seed, streams[lo : lo + step]) for lo in range(0, count, step))
-    return [t for chunk in chunks for t in chunk]
+    return _sample(model, length, seed, np.arange(operator.index(count), dtype=np.uint64))
 
 
 def _check_length(length: int) -> None:
@@ -411,11 +454,32 @@ def _check_length(length: int) -> None:
         raise ValueError(f"trajectory length must be >= 1, got {length}")
 
 
-def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) -> list[Trajectory]:
-    """The trajectories of `streams` of `seed`, in array passes: the
-    initial states of every stream at once, their symbols as rows of one
-    matrix, then for hmc the later words of every unfinished stream."""
-    count = len(streams)
+def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) -> Trajectories:
+    """The trajectories of `streams` of `seed`, in passes of at most
+    `_CHUNK_SYMBOLS` symbols, which bound the `(streams, length)` temporaries."""
+    symbols = np.empty((len(streams), length), np.uint8)
+    initial: list[int] = []
+    phase: list[int] = []
+    records: dict[int, list[int]] = {}
+    step = max(1, _CHUNK_SYMBOLS // length)
+    for lo in range(0, len(streams), step):
+        part = _sample_rows(model, seed, streams[lo : lo + step], symbols[lo : lo + step])
+        initial += part[0]
+        phase += part[1]
+        records.update((lo + row, levels) for row, levels in part[2].items())
+    symbols.flags.writeable = False
+    return Trajectories(symbols, seed, streams, model.kind.value, model.alpha, initial, phase, records)
+
+
+def _sample_rows(
+    model: ProcessModel, seed: int, streams: np.ndarray, out: np.ndarray
+) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """Fill row i of `out` with the symbols of stream streams[i] of `seed`,
+    in array passes: the initial states of every stream at once, their
+    symbols as rows of one matrix, then for hmc the later words of every
+    unfinished stream.  Returns the initial levels and phases and the hmc
+    word records, by row."""
+    count, length = out.shape
     keys = np.stack([np.full(count, seed, np.uint64), streams], axis=1)
     zero = np.zeros(count, np.int64)
     words = _runs(keys, zero + _STATE_LANE, zero, zero + 1)
@@ -426,7 +490,7 @@ def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) ->
     steps = offsets[:, None] + np.arange(length)
     # A cycle starts over after r symbols; an hmc word is cut where it ends.
     phases = np.minimum(steps, r[:, None] - 1) if hmc else steps % r[:, None]
-    out = model.emission_array(levels[:, None], phases)
+    out[:] = model.emission_array(levels[:, None], phases)
     filled = np.minimum(r - offsets, length)
     initial, phase = levels.tolist(), (offsets + 1).tolist()
     for row, level in big.items():
@@ -441,21 +505,7 @@ def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) ->
     records: dict[int, list[int]] = {}
     if hmc:
         _branch_words(model, keys, out, filled, records)
-    data = out.tobytes()
-    rows = zip(range(count), streams.tolist(), initial, phase)
-    kind, alpha = model.kind.value, model.alpha
-    return [
-        Trajectory(
-            data[i * length : (i + 1) * length],
-            seed,
-            stream,
-            kind,
-            alpha,
-            StateId(level, k),
-            tuple(records.get(i, ())),
-        )
-        for i, stream, level, k in rows
-    ]
+    return initial, phase, records
 
 
 def _branch_words(
@@ -536,7 +586,7 @@ def _mi_from_counts(
 
 
 def estimate_block_mi(
-    data: Trajectory | list[Trajectory],
+    data: Trajectory | Trajectories | list[Trajectory],
     n: int,
     method: str = "plugin",
     bootstrap_resamples: int = 64,
@@ -545,10 +595,11 @@ def estimate_block_mi(
     """Estimate E(n) from samples.
 
     A single trajectory is estimated with sliding stride-1 windows (ergodic
-    use); a list of trajectories is pooled with disjoint windows per
-    trajectory (the nonergodic ensemble regime).  `miller_madow` applies the
-    support-size bias correction to each plug-in entropy, which subtracts
-    the usual (K_joint - K_past - K_future + 1)/(2*S*ln 2) from the MI.
+    use); a `Trajectories` batch, or a list of trajectories, is pooled
+    with disjoint windows per trajectory (the nonergodic ensemble regime).
+    `miller_madow` applies the support-size bias correction to each plug-in
+    entropy, which subtracts the usual (K_joint - K_past - K_future + 1) /
+    (2*S*ln 2) from the MI.
     Standard errors come from a block bootstrap: over trajectories in the
     pooled regime, over circular window blocks in the sliding regime.  With
     0 resamples the standard error is 0.0; 1 resample, or a bootstrap of
@@ -573,36 +624,39 @@ def estimate_block_mi(
                 f"insufficient data: sliding estimation at n={n} needs length >= {min_len}, "
                 f"got {len(data)}"
             )
-        regime, trajectories, step = "sliding", [data], 1
+        regime, count = "sliding", 1
+        joined = np.frombuffer(data.symbols, np.uint8)
+        windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)
     else:
-        trajectories = list(data)
-        min_len = 2 * n
-        if not trajectories:
+        regime = "pooled"
+        if isinstance(data, Trajectories):
+            joined, lengths = data.symbols.ravel(), np.full(len(data), data.symbols.shape[1])
+        else:  # a list of trajectories, as data from outside the sampler comes
+            pieces = [t.symbols for t in data]
+            joined = np.frombuffer(b"".join(pieces), np.uint8)
+            lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
+        count = len(lengths)
+        if not count:
             raise ValueError("insufficient data: no trajectories supplied")
-        short = [len(t) for t in trajectories if len(t) < min_len]
-        if short:
+        if lengths.min() < 2 * n:
             raise ValueError(
                 f"insufficient data: pooled estimation at n={n} needs every trajectory "
-                f"length >= {min_len}, got one of length {short[0]}"
+                f"length >= {2 * n}, got one of length {lengths[lengths < 2 * n][0]}"
             )
-        regime, step = "pooled", 2 * n
-
-    # Every trajectory's windows, gathered in one pass from the joined symbols.
-    lengths = np.fromiter((len(t) for t in trajectories), np.int64, len(trajectories))
-    counts = (lengths - 2 * n) // step + 1
-    owner = np.repeat(np.arange(len(trajectories)), counts)
-    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
-    starts = (np.cumsum(lengths) - lengths)[owner] + rank * step
-    joined = np.frombuffer(b"".join(t.symbols for t in trajectories), np.uint8)
+        # Every trajectory's disjoint windows, gathered in one pass.
+        per = lengths // (2 * n)
+        owner = np.repeat(np.arange(count), per)
+        rank = np.arange(len(owner)) - (np.cumsum(per) - per)[owner]
+        starts = (np.cumsum(lengths) - lengths)[owner] + rank * 2 * n
+        windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
     if joined.max() > 3:
         raise ValueError(f"symbol {joined.max()} outside 0..3: blocks are packed 2 bits per symbol")
-    windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
     if len(windows) < MIN_WINDOWS:  # only reachable by the pooled regime
         raise ValueError(
             f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, "
             f"got {len(windows)}"
         )
-    if regime == "pooled" and bootstrap_resamples and len(trajectories) < 2:
+    if regime == "pooled" and bootstrap_resamples and count < 2:
         raise ValueError(
             f"{bootstrap_resamples} bootstrap resamples need >= 2 pooled trajectories, got 1"
         )
@@ -615,7 +669,7 @@ def estimate_block_mi(
         resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, bootstrap_seed)
     else:
         resampled = _pooled_resamples(
-            joint_id, owner, len(trajectories), len(past_of), bootstrap_resamples, bootstrap_seed
+            joint_id, owner, count, len(past_of), bootstrap_resamples, bootstrap_seed
         )
     values = [_mi_from_counts(joint, past_of, future_of, method) for joint in resampled]
     return EstimatorReport(
@@ -625,7 +679,7 @@ def estimate_block_mi(
         method=method,
         regime=regime,
         n=n,
-        trajectory_count=len(trajectories),
+        trajectory_count=count,
         bootstrap_resamples=bootstrap_resamples,
     )
 

@@ -123,7 +123,7 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     m_max may be astronomically large (it is an int, e.g. 2**n); only
     min(m_max, 2**22 - 1) terms are summed directly, from the cached
     digit-group sums.  The rest is bracketed one binary-digit group at a
-    time on every call.
+    time, every group in one array pass, on every call.
     """
     _check_alpha(alpha)
     if m_max < 2:
@@ -133,15 +133,18 @@ def level_weight_sums(alpha: float, m_max: int) -> LevelSums:
     s0, s1, s2, sd = (Interval.point(v) for v in _direct_sums(alpha, direct_top)[:4])
 
     if m_max > direct_top:
-        for j in range(_DIRECT_DIGITS + 1, m_max.bit_length() + 1):
-            a = 1 << (j - 1)
-            b = min((1 << j) - 1, m_max)
-            g0 = _group_sum(alpha, a, b)
-            g1 = _group_sum(alpha - 1.0, a, b)
-            s0 = s0 + g0
-            s1 = s1 + g1
-            s2 = s2 + g0 * Interval(math.log2(j - 1), math.log2(j))
-            sd = sd + g0 * Interval.point(math.log2(j))
+        # Group j holds levels 2**(j-1) .. 2**j - 1, the last one up to m_max.
+        js = np.arange(_DIRECT_DIGITS + 1, m_max.bit_length() + 1, dtype=np.float64)
+        la, lb1 = js - 1.0, js.copy()
+        # log2(2**j - 1), which rounds to j from j = 54 on
+        lb = js + np.log1p(-np.exp2(-js)) / LN2
+        lb[-1], lb1[-1] = math.log2(m_max), math.log2(m_max + 1)
+        g0, g1 = _group_brackets(alpha, la, lb, lb1), _group_brackets(alpha - 1.0, la, lb, lb1)
+        log_j = np.log2(js)
+        s0 = s0 + Interval(*(float(np.sum(g)) for g in g0))
+        s1 = s1 + Interval(*(float(np.sum(g)) for g in g1))
+        s2 = s2 + Interval(float(np.sum(g0[0] * np.log2(la))), float(np.sum(g0[1] * log_j)))
+        sd = sd + Interval(*(float(np.sum(g * log_j)) for g in g0))
 
     return LevelSums(s0, s1, s2, sd)
 
@@ -235,6 +238,25 @@ def _group_sum(alpha_pow: float, a: int, b: int) -> Interval:
     # f(a) from la alone: the int a may be too large for a float.
     upper = _integral_pow(alpha_pow, la, lb) + math.exp2(-la) / la**alpha_pow
     return Interval(min(lower, upper), max(lower, upper))
+
+
+def _group_brackets(
+    alpha_pow: float, la: np.ndarray, lb: np.ndarray, lb1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_group_sum` of every group at once, from the base-2 logs of its
+    ends a, b and b + 1: the lower and upper ends of each enclosure.  Its
+    last bits can differ from `_group_sum`'s, which
+    `branch_normalization_sum` keeps: the sampler's branch law and the hmc
+    tables are pinned to those bits."""
+    if abs(alpha_pow - 1.0) < 1e-12:
+        lower = LN2 * (np.log(lb1) - np.log(la))
+        upper = LN2 * (np.log(lb) - np.log(la))
+    else:
+        beta = 1.0 - alpha_pow
+        lower = LN2 / beta * (lb1**beta - la**beta)
+        upper = LN2 / beta * (lb**beta - la**beta)
+    upper += np.exp2(-la) / la**alpha_pow
+    return np.minimum(lower, upper), np.maximum(lower, upper)
 
 
 def _group_integrals(alpha: float, js: np.ndarray) -> np.ndarray:

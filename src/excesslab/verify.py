@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -46,7 +45,7 @@ from .exact import (
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import Enclosure, binary_entropy
 from .models import Kind, ProcessModel
-from .sampling import Trajectory, sample_trajectories
+from .sampling import Trajectories, sample_trajectories
 from .series import level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
 
 _CLIP = 1 << 32  # levels and phases above it are never revealed at n <= 64
@@ -134,7 +133,7 @@ def check_decoder_agreement(
     `seed` with n alternating 6 and 12, 500 windows each.
 
     The streams come from one `sample_trajectories` call of 2*12 + 500
-    symbols; an n = 6 stream reads only its first 2*6 + 500, which are the
+    symbols, read as its symbol matrix; an n = 6 stream reads only its first 2*6 + 500, which are the
     trajectory `sample_trajectory` gives at that length.  Window t's past
     block is row t of its trajectory's length-n blocks and its future block
     row t + n, so the rows of every trajectory with the same n are numbered
@@ -147,25 +146,24 @@ def check_decoder_agreement(
     kind = model.kind
     per_traj = 500
     trajs = sample_trajectories(model, -(-windows // per_traj), 2 * 12 + per_traj, seed)
-    symbols = np.frombuffer(b"".join(t.symbols for t in trajs), np.uint8).reshape(len(trajs), -1)
     disagreements = 0
     truth_errors = 0
     truth_hits = 0
     for n, first in ((6, 0), (12, 1)):  # n = 6 on even streams, 12 on odd ones
-        group = trajs[first::2]
+        picked = slice(first, None, 2)
+        group = range(len(trajs))[picked]
         if not group:
             continue
-        rows = np.lib.stride_tricks.sliding_window_view(symbols[first::2], n, axis=1)
+        rows = np.lib.stride_tricks.sliding_window_view(trajs.symbols[picked], n, axis=1)
         rows = rows[:, : per_traj + n].reshape(-1, n)
         ids, at = _number_blocks(rows)
         ids, distinct = ids.reshape(len(group), per_traj + n), rows[at]
         # Only the last trajectory sampled may have fewer than per_traj windows.
-        last = first + 2 * (len(group) - 1)
-        count = (len(group) - 1) * per_traj + min(per_traj, windows - last * per_traj)
+        count = (len(group) - 1) * per_traj + min(per_traj, windows - group[-1] * per_traj)
         past_of, future_of = ids[:, :per_traj].ravel()[:count], ids[:, n:].ravel()[:count]
         dp = (past_override or past_decoder(kind))(distinct)[past_of]
         df = future_decoder(kind)(distinct)[future_of]
-        truth = _revealed_levels(group, n, per_traj)[:count]
+        truth = _revealed_levels(trajs, picked, n, per_traj)[:count]
         defined = truth != 0
         disagreements += int(np.count_nonzero(dp != df))
         truth_hits += int(np.count_nonzero(defined))
@@ -178,11 +176,12 @@ def check_decoder_agreement(
     return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail)
 
 
-def _revealed_levels(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarray:
-    """The revealed level of windows 0..per_traj-1 of each trajectory, one
-    trajectory after another: the level of the hidden state at the window's
-    origin, the last past position (step t + n - 1 for window t), where
-    `_revealed_phase_bounds` says that state reveals it, and 0 elsewhere.
+def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) -> np.ndarray:
+    """The revealed level of windows 0..per_traj-1 of each trajectory of
+    `rows` of the batch, one trajectory after another: the level of the
+    hidden state at the window's origin, the last past position (step
+    t + n - 1 for window t), where `_revealed_phase_bounds` says that state
+    reveals it, and 0 elsewhere.
 
     A word record splits its trajectory into runs of steps on one level,
     within which the phase steps by one and wraps after r(level).  Each
@@ -193,22 +192,22 @@ def _revealed_levels(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarr
     a clipped level.  A run revealed at every phase is filled whole; one
     revealed at only some phases is a single hmc word, whose phases step
     from its first without wrapping."""
-    kind = Kind(trajs[0].kind)
-    records = [(t.initial_state.level, *t.word_levels) for t in trajs]
-    runs = np.fromiter(map(len, records), np.int64, len(records))
-    levels = list(chain.from_iterable(records))
-    owner = np.repeat(np.arange(len(trajs)), runs)
+    kind = Kind(trajs.kind)
+    later = [trajs.word_levels.get(i, ()) for i in range(len(trajs))[rows]]
+    levels = [x for level, words in zip(trajs.initial_levels[rows], later) for x in (level, *words)]
+    runs = 1 + np.fromiter(map(len, later), np.int64, len(later))
+    owner = np.repeat(np.arange(len(later)), runs)
     first = np.cumsum(runs) - runs
     s = np.fromiter(map(int.bit_length, levels), np.int64, len(levels))
     level = np.minimum(np.array(levels, dtype=object), _CLIP).astype(np.int64)
     phase = np.ones(len(levels), np.int64)
-    phase[first] = [min(t.initial_state.phase, _CLIP) for t in trajs]
+    phase[first] = [min(k, _CLIP) for k in trajs.initial_phases[rows]]
     r = {Kind.HPM1: level, Kind.HPM2: s, Kind.HMC: 3 * s}[kind]
     length = r - phase + 1
     start = np.cumsum(length) - length
     start -= start[first][owner]
     stop = start + length
-    stop[first + runs - 1] = len(trajs[0])
+    stop[first + runs - 1] = trajs.symbols.shape[1]
     lo, hi = _revealed_phase_bounds(kind, level, n)
     whole = hi - lo == r
     a = np.where(whole, start, np.maximum(start, start + lo - phase))
@@ -216,7 +215,7 @@ def _revealed_levels(trajs: list[Trajectory], n: int, per_traj: int) -> np.ndarr
     a, b = (np.clip(x - (n - 1), 0, per_traj) for x in (a, b))
     width = np.maximum(b - a, 0)
     at = np.repeat(owner * per_traj + a - (np.cumsum(width) - width), width)
-    truth = np.zeros(len(trajs) * per_traj, np.int64)
+    truth = np.zeros(len(later) * per_traj, np.int64)
     truth[at + np.arange(len(at))] = np.repeat(level, width)
     return truth
 

@@ -678,9 +678,12 @@ def window_law(model: ProcessModel, n: int, level_cutoff: int, aggregate: bool =
 @functools.lru_cache(maxsize=4)
 def sampled_windows(model: ProcessModel, length: int, count: int, seed: int) -> Counter:
     """The counts of `count` pooled windows, one per trajectory of
-    `sample_trajectories`; cached, since the table-side fault tests read
-    the same sample as the unfaulted tests."""
-    return Counter(t.symbols for t in sample_trajectories(model, count, length, seed))
+    `sample_trajectories`, counted as distinct rows of its symbol matrix;
+    cached, since the table-side fault tests read the same sample as the
+    unfaulted tests."""
+    symbols = sample_trajectories(model, count, length, seed).symbols
+    rows, counts = np.unique(symbols, axis=0, return_counts=True)
+    return Counter(dict(zip(map(bytes, rows), counts.tolist())))
 
 
 def branch_law_p_value(model: ProcessModel, length: int, seed: int) -> float:

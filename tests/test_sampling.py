@@ -138,6 +138,7 @@ def test_philox_port_matches_numpy(keys, counter):
 ENGINES = {
     "array pass": {"_FEW_RUNS": 0, "_LONG_RUN": 2**62},
     "numpy generator": {"_FEW_RUNS": 2**62},
+    "both, by run length": {"_FEW_RUNS": 0, "_LONG_RUN": 3},
 }
 
 
@@ -280,13 +281,13 @@ def test_trajectories_do_not_depend_on_the_pass_sizes(kind, monkeypatch):
     # hmc branch draws cut into small passes, and Philox runs read by either
     # engine, give the trajectories of one pass.
     model = make_model(kind, 1.5)
-    whole = sample_trajectories(model, 200, 40, 175)
+    whole = list(sample_trajectories(model, 200, 40, 175))
     sizes = {"_CHUNK_SYMBOLS": 120, "_BRANCH_ROWS": 50}
     for settings in (sizes, *ENGINES.values()):
         with monkeypatch.context() as patch:
             for name, value in settings.items():
                 patch.setattr(sampling, name, value)
-            assert sample_trajectories(model, 200, 40, 175) == whole
+            assert list(sample_trajectories(model, 200, 40, 175)) == whole
 
 
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
@@ -366,7 +367,7 @@ def test_sample_trajectories_check_their_arguments_first():
             sample_trajectories(model, count, 0, seed=1)
     with pytest.raises(ValueError, match="count must be >= 0, got -1"):
         sample_trajectories(model, -1, 8, seed=1)
-    assert sample_trajectories(model, 0, 8, seed=1) == []
+    assert list(sample_trajectories(model, 0, 8, seed=1)) == []
 
 
 def test_hpm1_window_marker_structure():
@@ -506,6 +507,20 @@ def test_bootstrap_that_cannot_spread_is_an_error():
     for resamples in (2, 64):
         with pytest.raises(ValueError, match=f"^{resamples} bootstrap resamples need >= 2 pooled trajectories, got 1$"):
             estimate_block_mi(trajs[:1], 2, bootstrap_resamples=resamples)
+
+
+def test_batch_reads_as_the_list_of_its_trajectories():
+    # The estimator reads a batch's symbol matrix and a list through the
+    # trajectories' bytes; both, and the records built on demand, agree.
+    model = make_model("hmc", 1.5)
+    batch = sample_trajectories(model, 50, 20, seed=131)
+    trajs = list(batch)
+    assert batch.symbols.shape == (50, 20) and not batch.symbols.flags.writeable
+    assert batch[-1] == trajs[-1] and batch[10:40:3] == trajs[10:40:3]
+    with pytest.raises(IndexError):
+        batch[50]
+    for method in ("plugin", "miller_madow"):
+        assert estimate_block_mi(batch, 4, method, 16, 5) == estimate_block_mi(trajs, 4, method, 16, 5)
 
 
 def test_estimator_rejects_symbols_it_cannot_pack():

@@ -27,6 +27,7 @@ from conftest import (
 )
 
 WINDOWS = 400_000
+SLOW_WINDOWS = 1_000_000
 BRANCH_SYMBOLS = 1_000_000
 SEED = 2026
 # (model, n, level cutoff, tail aggregation) of each window-law case
@@ -53,6 +54,18 @@ def test_chi2_tail_matches_closed_forms():
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_sampled_windows_follow_the_table_law(kind):
     assert _window_p_value(kind) >= G_TEST_THRESHOLD
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_a_million_sampled_windows_follow_the_table_law(kind, n):
+    # The Tier-1 law test's cases at N = 10**6 over four block lengths; the
+    # sample is not cached, as no other test reads it.
+    model, _, cutoff, aggregate = CASES[kind]
+    counts = sampled_windows.__wrapped__(model, 2 * n, SLOW_WINDOWS, SEED)
+    law = window_law(model, n, cutoff, aggregate)
+    assert law_p_value(law, counts, SLOW_WINDOWS) >= G_TEST_THRESHOLD
 
 
 def test_window_law_catches_a_sampler_level_fault(monkeypatch):
