@@ -28,7 +28,13 @@ import numpy as np
 
 from .intervals import Enclosure, Interval, entropy_term
 from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind
-from .series import LevelSums, level_weight_sums, normalization_sum, tail_sum_bracket
+from .series import (
+    LevelSums,
+    _check_alpha,
+    level_weight_sums,
+    normalization_sum,
+    tail_sum_bracket,
+)
 
 REGRESSORS = ("power", "log", "loglog", "logpow")
 
@@ -47,6 +53,7 @@ def block_mi_upper_bound(
     above; the enclosure widens only with the series brackets.
     """
     kind = Kind(kind)
+    _check_alpha(alpha, f"{kind.value} alpha={alpha} n={n}: ")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     c = normalization_sum(alpha, series_cutoff).reciprocal()

@@ -30,7 +30,7 @@ import numpy as np
 from .exact import JointBlockTable, _label_decomposition
 from .intervals import Enclosure, Interval, entropy_term
 from .models import ALPHABETS, DEFAULT_SERIES_CUTOFF, Kind
-from .series import level_weight_sums, normalization_sum
+from .series import _check_alpha, level_weight_sums, normalization_sum
 
 _CHUNK_SYMBOLS = 1 << 16  # symbols decoded at once
 _LIMB = 62  # digits per int64 limb of a level
@@ -164,6 +164,7 @@ def decoded_level_entropy(
     summation limit are handled by per-digit-group integral brackets.
     """
     kind = Kind(kind)
+    _check_alpha(alpha, f"{kind.value} alpha={alpha} n={n}: ")
     if n < 2:
         return Enclosure(0.0, 0.0, 0.0)
     if kind is Kind.HPM1:

@@ -39,10 +39,6 @@ DEFAULT_SERIES_CUTOFF = 10_000_000
 MIN_SERIES_CUTOFF = 100
 
 _DIGIT_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> symbols
-# `emission_slice` cuts its slice out of the digits only when the slice
-# leaves out more than this many symbols of the word; otherwise building the
-# whole word is faster (timed crossover: 1,000 to 2,000 symbols left out).
-_CUT_MIN_SKIPPED = 1024
 
 
 class Kind(str, enum.Enum):
@@ -160,12 +156,25 @@ class ProcessModel:
         levels, k = np.asarray(levels, np.int64), np.asarray(offsets, np.int64)
         if self.kind is Kind.HPM1:
             return (k == levels - 1).astype(np.uint8)
-        s = np.frexp(levels)[1]  # binary digit counts, exact below 2**53
-        # digits 2..s sit at offsets 1..s-1 and, for hmc, again at 2s+1..3s-1
-        symbols = np.where(k == 0, 2, (levels >> np.where(k < s, s - 1 - k, 3 * s - 1 - k)) & 1)
+        p = self.emission_digits(np.frexp(levels)[1], k)  # digit counts exact below 2**53
+        return np.where(p >= 0, (levels >> np.maximum(p, 0)) & 1, -p).astype(np.uint8)
+
+    def emission_digits(self, digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Which binary digit of an hpm2 or hmc level of `digits` digits the
+        0-based phase `offsets` emit, elementwise: its place p (0 the least
+        significant digit), or -2 where the symbol is the delimiter 2 and -3
+        where it is one of hmc's 3s.
+
+        Digits 2..s sit at offsets 1..s-1 and, for hmc, again at
+        2s+1..3s-1, so a symbol is known from s and the one digit it shows.
+        """
+        s, k = digits, offsets
+        p = s - 1 - k
         if self.kind is Kind.HMC:
-            symbols = np.where((k >= s) & (k <= 2 * s), 3, symbols)
-        return symbols.astype(np.uint8)
+            p += 2 * s * (k > 2 * s)
+            p[(k >= s) & (k <= 2 * s)] = -3
+        p[k == 0] = -2
+        return p
 
     def emission_word(self, level: int) -> bytes:
         """One full cycle of emissions, phases 1..r(level), as bytes,
@@ -178,38 +187,3 @@ class ProcessModel:
         if self.kind is Kind.HPM2:
             return b"\x02" + digits
         return b"\x02" + digits + b"\x03" * (len(digits) + 2) + digits
-
-    def emission_slice(self, level: int, start: int, stop: int) -> bytes:
-        """`emission_word(level)[start:stop]` for 0 <= start and 0 <= stop.
-
-        A slice that leaves out most of a long word is cut from the digits
-        inside it only: they are shifted and masked out of `level` and
-        formatted, so a short slice of a level with a million digits costs a
-        shift of its machine words, not a pass over every digit.
-        """
-        if level < 2:
-            raise ValueError(f"levels start at 2, got {level}")
-        if start < 0 or stop < 0:
-            raise ValueError(f"slice bounds must be >= 0, got [{start}:{stop}]")
-        if self.kind is Kind.HPM1:
-            return bytes(max(0, min(stop, level - 1) - start)) + b"\x01" * (start < level <= stop)
-        r = self.phase_count(level)
-        stop = min(stop, r)
-        if r - max(0, stop - start) <= _CUT_MIN_SKIPPED:
-            return self.emission_word(level)[start:stop]
-        s = level.bit_length()
-        # The word's regions in order; a region outside the slice adds nothing.
-        out = b"\x02" if start == 0 < stop else b""
-        out += _digit_symbols(level, max(start, 1) - 1, min(stop, s) - 1)
-        if self.kind is Kind.HMC:
-            out += b"\x03" * (min(stop, 2 * s + 1) - max(start, s))
-            out += _digit_symbols(level, max(start, 2 * s + 1) - 2 * s - 1, stop - 2 * s - 1)
-        return out
-
-
-def _digit_symbols(level: int, a: int, b: int) -> bytes:
-    """Symbols a..b-1 (0-based) of the digits 2..s of `level`; b <= s - 1."""
-    if a >= b:
-        return b""
-    chunk = (level >> (level.bit_length() - 1 - b)) & ((1 << (b - a)) - 1)
-    return format(chunk, f"0{b - a}b").encode().translate(_DIGIT_SYMBOLS)

@@ -35,24 +35,31 @@ X mod r for an integer X of at least 32 more bits than r (`_phase_offsets`).
 These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
-Levels of up to 53 binary digits are int64 arrays; their symbols come from
-`ProcessModel.emission_array`, all streams at once, into one
-`(count, length)` matrix.  Longer levels are Python ints, and their symbols
-are slices of their emission words read with `ProcessModel.emission_slice`:
-only the digits a trajectory shows are formatted, so a level with a million
-digits costs a shift of its machine words, not a million symbols.  The hmc
-words that follow the initial one come in blocks of consecutive draws for
-every unfinished stream at once (`_branch_words`).  Each trajectory keeps
-one entry per word, its initial state and the level of every later word.
+Levels are int64 arrays, exact up to 62 binary digits and clipped to
+2**62 past them, with their binary digit counts and top 21 digits.  Up to
+53 digits their symbols come from `ProcessModel.emission_array`, all
+streams at once, into one `(count, length)` matrix.  A longer level shows
+at most `length` of its digits, and no symbol needs the rest: each shown
+digit comes from the top 21 or from the one low-digit word that holds it
+(word 3, or a word of lane 3 + w), and the words of every such row are
+read in one pass (`_long_symbols`).  An hpm1 level past 62 digits shows
+its one marker only if its phase lies within `length` of the cycle's end,
+so its phase is the exact remainder, in Python ints that live for one
+pass of rows only (`_phase_offsets`), and is kept clipped.  The hmc words
+that follow the initial one come in blocks of consecutive draws for every
+unfinished stream at once (`_branch_words`).  Each trajectory keeps one
+entry per word, its initial state and the level of every later word.
 Draws are read in runs of consecutive counters under one key (`_runs`).  A
 scalar sampler with the same lanes, in Python ints, is kept in the tests as
 the reference.
 
 `sample_trajectories` returns a `Trajectories` batch: the read-only
 `(count, length)` symbol matrix the passes fill, with the seed, the
-streams, the initial levels and phases and the hmc word records, and no
-per-stream object.  Its `Trajectory` records are built only when indexed
-or iterated; the pooled estimator reads the matrix.
+streams and the word records as flat int64 arrays, and no per-stream
+object.  Its `Trajectory` records are built only when indexed or
+iterated; a clipped level or phase is then drawn again, whole, from
+(seed, stream) for that row alone.  The pooled estimator reads the
+matrix.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
@@ -62,7 +69,8 @@ sliding windows over one trajectory.  The report records which regime ran.
 Either way each window is numbered once, in order of first appearance, by
 the block numbering of the exact engine's tables (`exact._number_blocks`),
 and the bootstraps reweight window counts with the same random draws as a
-window-by-window resample.
+window-by-window resample.  Every entropy is taken from integer counts,
+with c * log2(c) read from one table per estimate.
 """
 
 from __future__ import annotations
@@ -75,34 +83,43 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _marginals_mi, _number_blocks
+from .exact import _number_blocks
 from .models import Kind, ProcessModel, StateId
 from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
 _FIRST_GROUP = 21  # digit count of the first level past the prefix table
 _TOP_DIGITS = 21  # leading binary digits of a tail level set by the inverse
-_ARRAY_DIGITS = 53  # levels of at most this many digits are held as int64
+_ARRAY_DIGITS = 53  # levels of at most this many digits are emitted as int64 arrays
+_EXACT_DIGITS = 62  # levels of at most this many digits are recorded exactly
+_CLIP = 1 << 62  # the record of a longer level, or of a phase this large or larger
 _GROUP_CAP = 1 << 20  # largest digit group representable by the sampler
 _BRANCH_GROUPS = 20000  # digit groups tabulated for the branch law
 _BRANCH_ROWS = 1 << 16  # most hmc branch draws made in one array pass
 _MIN_HMC_WORD = 6  # r(2) = r(3) = 3 * 2 symbols, the shortest hmc word
 _FEW_RUNS = 32  # Philox runs of one call all read from numpy's generator, however short
 _LONG_RUN = 16  # blocks in a run that numpy's generator reads among more runs
-_CHUNK_SYMBOLS = 1 << 20  # most symbols sampled in one array pass
+_CHUNK_SYMBOLS = 1 << 18  # most symbols sampled in one array pass
 _STATE_LANE, _BRANCH_LANE, _PHASE_LANE, _DIGIT_LANE = 0, 1, 2, 3
 
 MIN_WINDOWS = 4
 
 
-def _check_entropy(name: str, value) -> int:
-    """A seed or stream number as an int; anything else raises naming it."""
+def _check_integer(name: str, value, minimum: int) -> int:
+    """An integer argument as an int; anything else, or a value below
+    `minimum`, raises an error naming the argument."""
     try:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _check_entropy(name: str, value) -> int:
+    """A seed or stream number, an integer in 0..2**64-1, as an int."""
+    value = _check_integer(name, value, 0)
     if value >= 1 << 64:
         raise ValueError(f"{name} must be < 2**64, got {value}")
     return value
@@ -190,9 +207,36 @@ def _lane_ints(keys: np.ndarray, lanes: np.ndarray, counts: np.ndarray) -> Itera
     lowest, as one Python int each: draws 0, 1, ... of the lane, 4 words a
     draw, read for every row in one `_runs` call."""
     draws = -(-counts // 4)
-    words = memoryview(_runs(keys, lanes, np.zeros_like(counts), draws).astype("<u8").tobytes())
+    words = _runs(keys, lanes, np.zeros_like(counts), draws).astype("<u8", copy=False)
+    words = memoryview(words.view(np.uint8).ravel())
     for start, count in zip((32 * (np.cumsum(draws) - draws)).tolist(), counts.tolist()):
         yield int.from_bytes(words[start : start + 8 * count], "little")
+
+
+def _lane_words(
+    keys: np.ndarray, lanes: np.ndarray, src: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """Word index[q] (4 words a draw) of lane lanes[src[q]] under
+    keys[src[q]], for every query q: each draw asked for is read once, the
+    draws of one row in runs of consecutive counters, in one `_runs` call."""
+    if not len(src):
+        return np.empty(0, np.uint64)
+    draw = index // 4
+    span = int(draw.max()) + 1
+    asked = src * span + draw
+    # Neighbouring queries mostly ask for one draw: only the first of each
+    # such run is sorted.
+    new = np.ones(len(asked), bool)
+    new[1:] = asked[1:] != asked[:-1]
+    pair, inverse = np.unique(asked[new], return_inverse=True)
+    inverse = inverse.ravel()[np.cumsum(new) - 1]
+    row, first = np.divmod(pair, span)
+    new = np.ones(len(pair), bool)
+    new[1:] = (row[1:] != row[:-1]) | (first[1:] != first[:-1] + 1)
+    starts = np.flatnonzero(new)
+    runs = row[starts]
+    words = _runs(keys[runs], lanes[runs], first[starts], np.diff(starts, append=len(pair)))
+    return words[inverse, index % 4]
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -274,26 +318,23 @@ def _group_tops(alpha: float, j: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _levels(
-    model: ProcessModel,
-    words: np.ndarray,
-    keys: np.ndarray,
-    words_of: np.ndarray,
-    branch: bool,
-) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    model: ProcessModel, words: np.ndarray, branch: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The levels of one draw per row, from its words 0 (the uniform), 1
-    (the within-group uniform) and 3 (the first low digits); `words_of` is
-    the word number of each row, whose lane 3 + w holds further low digits.
+    (the within-group uniform) and 3 (the first low digits).
 
-    Returns the levels as int64 (2 in the rows of longer levels), the binary
-    digit count of every row, and the rows of more than 53 digits with their
-    levels as Python ints.  A fixed-level model draws nothing."""
-    count = len(keys)
+    Returns three int64 arrays: the levels, exact up to 62 binary digits
+    and `_CLIP` past them; their binary digit counts; and their top 21
+    digits (the whole level up to 21 digits).  Below its top digits a
+    level's low digits are word 3 and then the words of lane 3 + w
+    (`_low_words`); past 62 digits they are read only where a reader asks
+    for them.  A fixed-level model draws nothing."""
+    count = len(words)
     if model.fixed_level is not None:
         fixed = model.fixed_level
-        digits = np.full(count, fixed.bit_length())
-        if fixed.bit_length() <= _ARRAY_DIGITS:
-            return np.full(count, fixed), digits, {}
-        return np.full(count, 2), digits, dict.fromkeys(range(count), fixed)
+        digits = fixed.bit_length()
+        top = fixed >> max(0, digits - _TOP_DIGITS)
+        return np.full(count, min(fixed, _CLIP)), np.full(count, digits), np.full(count, top)
     u = _uniforms(words[:, 0])
     if branch:
         _, cdf, group_cdf = _branch_tables(model.alpha, model.series_cutoff)
@@ -302,61 +343,141 @@ def _levels(
     tail = np.flatnonzero(u >= cdf[-1])
     levels = _prefix_levels(cdf, u).astype(np.int64)
     digits = np.frexp(levels)[1].astype(np.int64)
+    tops = levels.copy()
     if not len(tail):
-        return levels, digits, {}
+        return levels, digits, tops
     if branch:
         at = group_cdf.searchsorted(np.minimum(u[tail], group_cdf[-1]))
         j = np.minimum(_FIRST_GROUP + at, _FIRST_GROUP + _BRANCH_GROUPS - 1)
     else:
         j = _stationary_groups(model.alpha, c_mid, u[tail])
-    tops = _group_tops(model.alpha, j, _uniforms(words[tail, 1]))
-    low = words[tail, 3]
-    shift = j - _TOP_DIGITS
+    tops[tail] = _group_tops(model.alpha, j, _uniforms(words[tail, 1]))
     digits[tail] = j
-    short = j <= _ARRAY_DIGITS
-    mask = (np.uint64(1) << shift[short].astype(np.uint64)) - np.uint64(1)
-    levels[tail[short]] = (tops[short] << shift[short]) | (low[short] & mask).astype(np.int64)
-    long = np.flatnonzero(~short)
-    if not len(long):
-        return levels, digits, {}
-    rows = tail[long]
-    levels[rows] = 2
-    more = np.maximum(0, -(-(j[long] - _TOP_DIGITS - 64) // 64))
-    further = _lane_ints(keys[rows], _DIGIT_LANE + words_of[rows], more)
-    parts = zip(tops[long].tolist(), shift[long].tolist(), low[long].tolist(), further)
-    big = ((top << k) | ((first | rest << 64) & ((1 << k) - 1)) for top, k, first, rest in parts)
-    return levels, digits, dict(zip(rows.tolist(), big))
+    fits = j <= _EXACT_DIGITS
+    rows, shift = tail[fits], j[fits] - _TOP_DIGITS
+    mask = (np.uint64(1) << shift.astype(np.uint64)) - np.uint64(1)
+    levels[rows] = (tops[rows] << shift) | (words[rows, 3] & mask).astype(np.int64)
+    levels[tail[~fits]] = _CLIP
+    return levels, digits, tops
 
 
-def _phase_counts(model: ProcessModel, levels: np.ndarray) -> np.ndarray:
-    """r(level) of int64 levels of at most 53 binary digits."""
+def _low_words(
+    model: ProcessModel,
+    keys: np.ndarray,
+    words_of: np.ndarray,
+    low: np.ndarray,
+    src: np.ndarray,
+    index: np.ndarray,
+) -> np.ndarray:
+    """Word index[q] of the low digits of the level of row src[q], 64
+    digits a word from the least significant: word 3 of the row's draw
+    (`low`) for index 0, then the words of lane 3 + words_of[row] under
+    keys[row]; a fixed level's own words."""
+    if model.fixed_level is not None:
+        fixed = model.fixed_level
+        own = np.frombuffer(fixed.to_bytes(8 * -(-fixed.bit_length() // 64), "little"), "<u8")
+        return own.astype(np.uint64)[index]
+    out = low[src]
+    far = np.flatnonzero(index > 0)
+    out[far] = _lane_words(keys, _DIGIT_LANE + words_of, src[far], index[far] - 1)
+    return out
+
+
+def _exact_levels(
+    model: ProcessModel,
+    keys: np.ndarray,
+    words_of: np.ndarray,
+    tops: np.ndarray,
+    digits: np.ndarray,
+    low: np.ndarray,
+) -> list[int]:
+    """The levels of rows past 21 digits as Python ints: each row's top
+    digits over all of its low digits, word 3 (`low`) and then the words
+    of lane 3 + words_of[row], read for every row in one pass."""
+    if model.fixed_level is not None:
+        return [model.fixed_level] * len(keys)
+    shift = digits - _TOP_DIGITS
+    further = _lane_ints(keys, _DIGIT_LANE + words_of, np.maximum(0, -(-(shift - 64) // 64)))
+    parts = zip(tops.tolist(), shift.tolist(), low.tolist(), further)
+    return [(top << k) | ((first | rest << 64) & ((1 << k) - 1)) for top, k, first, rest in parts]
+
+
+def _long_symbols(
+    model: ProcessModel,
+    src: np.ndarray,
+    offsets: np.ndarray,
+    digits: np.ndarray,
+    tops: np.ndarray,
+    low: np.ndarray,
+    keys: np.ndarray,
+    words_of: np.ndarray,
+) -> np.ndarray:
+    """The hpm2 or hmc symbol at phase offsets[q] of the level of row
+    src[q], a level past 53 digits: a digit of its top 21 comes from
+    `tops`, a lower one from the one word of its low digits that holds it
+    (`_low_words`), so only the words under the digits shown are read."""
+    s = digits[src]
+    p = model.emission_digits(s, offsets)
+    shift = s - _TOP_DIGITS
+    bits = np.zeros(len(p), np.int64)
+    top = np.flatnonzero(p >= shift)
+    bits[top] = tops[src[top]] >> (p[top] - shift[top])
+    under = np.flatnonzero((p >= 0) & (p < shift))
+    place = p[under]
+    words = _low_words(model, keys, words_of, low, src[under], place // 64)
+    bits[under] = (words >> (place % 64).astype(np.uint64)).astype(np.int64)
+    return np.where(p >= 0, bits & 1, -p).astype(np.uint8)
+
+
+def _phase_counts(model: ProcessModel, levels: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """r(level) of each row; `_CLIP` for an hpm1 level of 63 or more digits."""
     if model.kind is Kind.HPM1:
         return levels
-    digits = np.frexp(levels)[1].astype(np.int64)
     return 3 * digits if model.kind is Kind.HMC else digits
 
 
 def _phase_offsets(
-    model: ProcessModel, r: np.ndarray, big: dict, word: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, dict[int, int]]:
-    """Each row's phase offset in 0..r-1: X mod r, where X is the phase
-    word alone below r = 2**32 and above it that word over K - 1 = ceil(b/64)
-    further words of lane 2, for r of b binary digits, so that the bias is
-    below 2**-32 at any r.  Returns the offsets for the phase counts `r` as
-    int64, and the offsets for the levels of `big` as Python ints."""
+    model: ProcessModel,
+    r: np.ndarray,
+    digits: np.ndarray,
+    tops: np.ndarray,
+    words: np.ndarray,
+    keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's phase offset in 0..r-1, X mod r, and the phases left to
+    the end of its cycle, r - offset, both clipped at `_CLIP`.  X is the
+    phase word (word 2) alone below r = 2**32 and above it that word over
+    ceil(b/64) further words of lane 2, for r of b binary digits, so that
+    the bias is below 2**-32 at any r.
+
+    Only hpm1 levels reach r = 2**32.  Their remainders are taken exactly,
+    in Python ints that live only for this pass, with the clipped levels
+    read whole (`_exact_levels`)."""
+    word = words[:, 2]
     offsets = (word % r.astype(np.uint64)).astype(np.int64)
-    wide = {row: int(r[row]) for row in np.flatnonzero(r >> 32).tolist()}
-    wide.update((row, model.phase_count(level)) for row, level in big.items())
-    if not wide:
-        return offsets, {}
-    rows = np.fromiter(wide, np.int64, len(wide))
-    more = np.array([0 if r >> 32 == 0 else -(-r.bit_length() // 64) for r in wide.values()])
-    further = _lane_ints(keys[rows], np.full(len(rows), _PHASE_LANE), more)
-    parts = zip(rows.tolist(), wide.values(), more.tolist(), word[rows].tolist(), further)
-    wide_offsets = {row: ((first << 64 * k) | rest) % r for row, r, k, first, rest in parts}
-    for row in wide_offsets.keys() - big.keys():  # the rows of int64 phase counts
-        offsets[row] = wide_offsets.pop(row)
-    return offsets, wide_offsets
+    left = r - offsets
+    wide = np.flatnonzero(r >> 32 > 0)
+    if len(wide):
+        moduli = r[wide].tolist()
+        long = np.flatnonzero(r[wide] == _CLIP)
+        at = wide[long]
+        zero = np.zeros(len(at), np.int64)
+        exact = _exact_levels(model, keys[at], zero, tops[at], digits[at], words[at, 3])
+        for i, level in zip(long.tolist(), exact):
+            moduli[i] = level
+        rems = _exact_remainders(keys[wide], word[wide], moduli)
+        offsets[wide] = [min(rem, _CLIP) for rem in rems]
+        left[wide] = [min(m - rem, _CLIP) for m, rem in zip(moduli, rems)]
+    return offsets, left
+
+
+def _exact_remainders(keys: np.ndarray, word: np.ndarray, moduli: list[int]) -> list[int]:
+    """X mod r for every row as a Python int, for phase counts r of b >= 33
+    digits: X is the phase word `word` over ceil(b/64) words of lane 2."""
+    more = np.array([-(-r.bit_length() // 64) for r in moduli], np.int64)
+    further = _lane_ints(keys, np.full(len(keys), _PHASE_LANE), more)
+    parts = zip(word.tolist(), more.tolist(), further, moduli)
+    return [((first << 64 * k) | rest) % r for first, k, rest, r in parts]
 
 
 # ----- trajectories -----------------------------------------------------------
@@ -389,19 +510,27 @@ class Trajectories(Sequence):
     """Trajectories of one length on streams of one seed, as one read-only
     `(count, length)` uint8 symbol matrix and the records of their words.
 
-    Row i is the trajectory of stream `streams[i]`: `initial_levels[i]` and
-    `initial_phases[i]` are its initial state, and `word_levels.get(i, ())`
-    the level of each later word (hmc only).  `batch[i]` and iteration build
-    each `Trajectory` on demand; a slice is a list of them."""
+    Row i is the trajectory of stream `streams[i]` of `model`.  Its record
+    is held in int64 arrays: `initial_levels[i]` and `initial_phases[i]`
+    are its initial state, and `word_levels[word_starts[i]:word_starts[i +
+    1]]` the level of each later word (hmc only), with the binary digit
+    count of every level in `initial_digits` and `word_digits`.  A level
+    or phase of `_CLIP` = 2**62 or more is held as `_CLIP`.
+
+    `batch[i]` and iteration build each `Trajectory` on demand, with its
+    exact record: a clipped value is drawn again from (seed, streams[i])
+    for that row alone.  A slice is a list of them."""
 
     symbols: np.ndarray
     seed: int
-    streams: np.ndarray
-    kind: str
-    alpha: float
-    initial_levels: list[int]
-    initial_phases: list[int]
-    word_levels: dict[int, list[int]]
+    streams: range
+    model: ProcessModel
+    initial_levels: np.ndarray
+    initial_digits: np.ndarray
+    initial_phases: np.ndarray
+    word_starts: np.ndarray
+    word_levels: np.ndarray
+    word_digits: np.ndarray
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -410,15 +539,45 @@ class Trajectories(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         i = range(len(self))[i]
+        later = self.word_levels[self.word_starts[i] : self.word_starts[i + 1]]
+        levels = np.append(self.initial_levels[i], later)
+        clipped = np.flatnonzero(levels == _CLIP)
+        levels, phase = levels.tolist(), int(self.initial_phases[i])
+        if len(clipped):
+            phase = _exact_record(self.model, self.seed, self.streams[i], clipped, levels, phase)
         return Trajectory(
             self.symbols[i].tobytes(),
             self.seed,
-            int(self.streams[i]),
-            self.kind,
-            self.alpha,
-            StateId(self.initial_levels[i], self.initial_phases[i]),
-            tuple(self.word_levels.get(i, ())),
+            self.streams[i],
+            self.model.kind.value,
+            self.model.alpha,
+            StateId(levels[0], phase),
+            tuple(levels[1:]),
         )
+
+
+def _exact_record(
+    model: ProcessModel, seed: int, stream: int, clipped: np.ndarray, levels: list[int], phase: int
+) -> int:
+    """Draw the `clipped` word levels of one trajectory again, whole, into
+    `levels`, and return its exact initial phase.  Word w's level comes from
+    its draw (draw 0 of lane 0 for the initial word, draw w - 1 of lane 1
+    after it) and all of its low digits, read for every clipped word in one
+    pass; a clipped phase (hpm1 only, on a clipped level) from all of its
+    phase words."""
+    keys = np.repeat(np.array([[seed, stream]], np.uint64), len(clipped), axis=0)
+    lanes = np.where(clipped == 0, _STATE_LANE, _BRANCH_LANE)
+    words = _runs(keys, lanes, np.maximum(clipped - 1, 0), np.ones_like(clipped))
+    for branch in (False, True):
+        at = np.flatnonzero((clipped > 0) == branch)
+        if len(at):
+            _, digits, tops = _levels(model, words[at], branch)
+            exact = _exact_levels(model, keys[at], clipped[at], tops, digits, words[at, 3])
+            for w, level in zip(clipped[at].tolist(), exact):
+                levels[w] = level
+    if phase == _CLIP:
+        phase = _exact_remainders(keys[:1], words[:1, 2], levels[:1])[0] + 1
+    return phase
 
 
 def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectory:
@@ -428,12 +587,12 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     and its phase uniformly; the cyclic kinds then stay on their cycle while
     the ergodic kind re-draws a level from the branch law at every word
     boundary.  The trajectory is row `stream` of the array pass of
-    `sample_trajectories`.  A seed or stream that is not an integer in
-    0..2**64-1 raises an error naming it.
+    `sample_trajectories`.  A length, seed or stream that is not an integer
+    in range raises an error naming it.
     """
-    _check_length(length)
+    length = _check_integer("trajectory length", length, 1)
     seed, stream = _check_entropy("seed", seed), _check_entropy("stream", stream)
-    return _sample(model, length, seed, np.array([stream], np.uint64))[0]
+    return _sample(model, length, seed, range(stream, stream + 1))[0]
 
 
 def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> Trajectories:
@@ -442,81 +601,102 @@ def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int)
     Trajectory i equals `sample_trajectory(model, length, seed, stream=i)`:
     every variate is a function of (seed, stream, lane, draw) alone.
     """
-    if count < 0:
-        raise ValueError(f"trajectory count must be >= 0, got {count}")
-    _check_length(length)
+    count = _check_integer("trajectory count", count, 0)
+    length = _check_integer("trajectory length", length, 1)
     seed = _check_entropy("seed", seed)
-    return _sample(model, length, seed, np.arange(operator.index(count), dtype=np.uint64))
+    return _sample(model, length, seed, range(count))
 
 
-def _check_length(length: int) -> None:
-    if length < 1:
-        raise ValueError(f"trajectory length must be >= 1, got {length}")
-
-
-def _sample(model: ProcessModel, length: int, seed: int, streams: np.ndarray) -> Trajectories:
+def _sample(model: ProcessModel, length: int, seed: int, streams: range) -> Trajectories:
     """The trajectories of `streams` of `seed`, in passes of at most
-    `_CHUNK_SYMBOLS` symbols, which bound the `(streams, length)` temporaries."""
-    symbols = np.empty((len(streams), length), np.uint8)
-    initial: list[int] = []
-    phase: list[int] = []
-    records: dict[int, list[int]] = {}
+    `_CHUNK_SYMBOLS` symbols, which bound the `(streams, length)`
+    temporaries; each pass fills its rows of the batch's arrays."""
+    count = len(streams)
+    symbols = np.empty((count, length), np.uint8)
+    levels, digits, phases = (np.empty(count, np.int64) for _ in range(3))
+    word_starts = np.zeros(count + 1, np.int64)
+    word_levels, word_digits = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     step = max(1, _CHUNK_SYMBOLS // length)
-    for lo in range(0, len(streams), step):
-        part = _sample_rows(model, seed, streams[lo : lo + step], symbols[lo : lo + step])
-        initial += part[0]
-        phase += part[1]
-        records.update((lo + row, levels) for row, levels in part[2].items())
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        part = _sample_rows(model, seed, streams[rows], symbols[rows])
+        levels[rows], digits[rows], phases[rows], word_starts[lo + 1 : lo + 1 + step] = part[:4]
+        word_levels.append(part[4])
+        word_digits.append(part[5])
+    np.cumsum(word_starts, out=word_starts)
     symbols.flags.writeable = False
-    return Trajectories(symbols, seed, streams, model.kind.value, model.alpha, initial, phase, records)
+    return Trajectories(
+        symbols,
+        seed,
+        streams,
+        model,
+        levels,
+        digits,
+        phases,
+        word_starts,
+        np.concatenate(word_levels),
+        np.concatenate(word_digits),
+    )
 
 
-def _sample_rows(
-    model: ProcessModel, seed: int, streams: np.ndarray, out: np.ndarray
-) -> tuple[list[int], list[int], dict[int, list[int]]]:
+def _spans(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t) for every t in 0..sizes[i]-1, i ascending: the index pairs of
+    consecutive spans of these sizes laid end to end."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
+def _sample_rows(model: ProcessModel, seed: int, streams: range, out: np.ndarray) -> tuple:
     """Fill row i of `out` with the symbols of stream streams[i] of `seed`,
     in array passes: the initial states of every stream at once, their
     symbols as rows of one matrix, then for hmc the later words of every
-    unfinished stream.  Returns the initial levels and phases and the hmc
-    word records, by row."""
+    unfinished stream.  Returns the initial levels, digit counts and
+    phases, each row's count of later words, and the levels and digit
+    counts of those words, row after row."""
     count, length = out.shape
-    keys = np.stack([np.full(count, seed, np.uint64), streams], axis=1)
+    stream = np.arange(count, dtype=np.uint64) + np.uint64(streams.start)
+    keys = np.stack([np.full(count, seed, np.uint64), stream], axis=1)
     zero = np.zeros(count, np.int64)
     words = _runs(keys, zero + _STATE_LANE, zero, zero + 1)
-    levels, _, big = _levels(model, words, keys, zero, branch=False)
-    r = _phase_counts(model, levels)
-    offsets, big_offsets = _phase_offsets(model, r, big, words[:, 2], keys)
+    levels, digits, tops = _levels(model, words, branch=False)
+    r = _phase_counts(model, levels, digits)
+    offsets, left = _phase_offsets(model, r, digits, tops, words, keys)
     hmc = model.kind is Kind.HMC
-    steps = offsets[:, None] + np.arange(length)
+    # Levels the int64 matrix pass cannot emit: past the hpm1 clip, past 53 digits otherwise.
+    long = r == _CLIP if model.kind is Kind.HPM1 else digits > _ARRAY_DIGITS
+    short = ~long
+    phases = offsets[short, None] + np.arange(length)
     # A cycle starts over after r symbols; an hmc word is cut where it ends.
-    phases = np.minimum(steps, r[:, None] - 1) if hmc else steps % r[:, None]
-    out[:] = model.emission_array(levels[:, None], phases)
-    filled = np.minimum(r - offsets, length)
-    initial, phase = levels.tolist(), (offsets + 1).tolist()
-    for row, level in big.items():
-        start = big_offsets[row]
-        initial[row], phase[row] = level, start + 1
-        symbols = model.emission_slice(level, start, start + length)
-        if len(symbols) < length and not hmc:  # the cycle starts over, repeated
-            turn = symbols + model.emission_slice(level, 0, min(start, length - len(symbols)))
-            symbols = (turn * (length // len(turn) + 1))[:length]
-        out[row, : len(symbols)] = np.frombuffer(symbols, np.uint8)
-        filled[row] = len(symbols)
-    records: dict[int, list[int]] = {}
     if hmc:
-        _branch_words(model, keys, out, filled, records)
-    return initial, phase, records
+        np.minimum(phases, r[short, None] - 1, out=phases)
+    else:
+        phases %= r[short, None]
+    out[short] = model.emission_array(levels[short, None], phases)
+    filled = np.minimum(left, length)
+    rows = np.flatnonzero(long)
+    if model.kind is Kind.HPM1:
+        # A clipped level shows at most one marker, at the end of its cycle.
+        out[rows] = 0
+        shown = rows[left[rows] <= length]
+        out[shown, left[shown] - 1] = 1
+    elif len(rows):
+        src, t = _spans(filled[rows] if hmc else np.full(len(rows), length))
+        src = rows[src]
+        k = offsets[src] + t if hmc else (offsets[src] + t) % r[src]
+        out[src, t] = _long_symbols(model, src, k, digits, tops, words[:, 3], keys, zero)
+    later = (np.empty(0, np.int64),) * 3
+    if hmc:
+        later = _branch_words(model, keys, out, filled)
+    counts = np.bincount(later[0], minlength=count)
+    return levels, digits, np.minimum(offsets + 1, _CLIP), counts, later[1], later[2]
 
 
 def _branch_words(
-    model: ProcessModel,
-    keys: np.ndarray,
-    out: np.ndarray,
-    filled: np.ndarray,
-    records: dict[int, list[int]],
-) -> None:
+    model: ProcessModel, keys: np.ndarray, out: np.ndarray, filled: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill each row of `out` past `filled` with the hmc words that follow a
-    word end, appending the level of each word to the row's record.
+    word end.  Returns the row, level and digit count of every word used,
+    row after row and in order within a row.
 
     Every unfinished row takes the same block of consecutive draws of lane
     1 in one pass: ceil(remaining / 6) draws for the row with the most
@@ -525,6 +705,7 @@ def _branch_words(
     length = out.shape[1]
     active = np.flatnonzero(filled < length)
     drawn = 0
+    records = []
     while len(active):
         block = -(-int((length - filled[active]).max()) // _MIN_HMC_WORD)
         block = max(1, min(block, _BRANCH_ROWS // len(active)))
@@ -532,30 +713,32 @@ def _branch_words(
         draws = np.tile(np.arange(drawn, drawn + block), len(active))
         each = np.ones(len(active), np.int64)
         words = _runs(keys[active], each * _BRANCH_LANE, each * drawn, each * block)
-        levels, digits, big = _levels(model, words, keys[rows], 1 + draws, branch=True)
+        levels, digits, tops = _levels(model, words, branch=True)
         r = 3 * digits.reshape(-1, block)
         starts = (filled[active, None] + np.cumsum(r, axis=1) - r).ravel()
         used = starts < length
-        ends = np.minimum(starts + r.ravel(), length)
-        long = np.zeros(len(rows), bool)
-        long[list(big)] = True
+        sizes = np.minimum(starts + r.ravel(), length) - starts
+        long = digits > _ARRAY_DIGITS
         word = np.flatnonzero(used & ~long)
-        size = ends[word] - starts[word]
-        at = np.repeat(np.arange(len(word)), size)
-        step = np.arange(len(at)) - (np.cumsum(size) - size)[at]
-        out[rows[word][at], starts[word][at] + step] = model.emission_array(levels[word][at], step)
-        for w in np.flatnonzero(used & long).tolist():
-            k, end = int(starts[w]), int(ends[w])
-            out[rows[w], k:end] = np.frombuffer(model.emission_slice(big[w], 0, end - k), np.uint8)
-        level_list = levels.tolist()
-        for w, level in big.items():
-            level_list[w] = level
-        counts = used.reshape(-1, block).sum(axis=1).tolist()
-        for i, (row, n_used) in enumerate(zip(active.tolist(), counts)):
-            records.setdefault(row, []).extend(level_list[i * block : i * block + n_used])
-        filled[active] = ends.reshape(-1, block)[:, -1]
+        at, step = _spans(sizes[word])
+        word = word[at]
+        out[rows[word], starts[word] + step] = model.emission_array(levels[word], step)
+        word = np.flatnonzero(used & long)
+        if len(word):
+            at, step = _spans(sizes[word])
+            word = word[at]
+            out[rows[word], starts[word] + step] = _long_symbols(
+                model, word, step, digits, tops, words[:, 3], keys[rows], 1 + draws
+            )
+        records.append((rows[used], levels[used], digits[used]))
+        filled[active] = (starts + sizes).reshape(-1, block)[:, -1]
         drawn += block
         active = active[filled[active] < length]
+    if not records:
+        return (np.empty(0, np.int64),) * 3
+    rows, levels, digits = map(np.concatenate, zip(*records))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], levels[order], digits[order]
 
 
 # ----- estimation --------------------------------------------------------------
@@ -573,15 +756,33 @@ class EstimatorReport:
     bootstrap_resamples: int
 
 
+def _xlog2x(limit: int) -> np.ndarray:
+    """c * log2(c) for every count c in 0..limit, 0 at c = 0."""
+    c = np.arange(limit + 1, dtype=np.float64)
+    table = np.maximum(c, 1.0)
+    np.log2(table, out=table)
+    table *= c
+    return table
+
+
 def _mi_from_counts(
-    joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str
+    joint: np.ndarray, past_of: np.ndarray, future_of: np.ndarray, method: str, xlog2x: np.ndarray
 ) -> float:
-    """Plug-in (or Miller-Madow) MI from the count of every distinct window."""
-    past, future = np.bincount(past_of, joint), np.bincount(future_of, joint)
-    value = _marginals_mi(joint, past, future)
+    """Plug-in (or Miller-Madow) MI from the integer count of every distinct
+    window.  The entropy of counts c of N windows is log2(N) - sum(c *
+    log2(c)) / N, with c * log2(c) read from the table `xlog2x`; a resample
+    of more windows than it covers (a pooled bootstrap of trajectories of
+    unequal lengths) builds its own."""
+    total = int(joint.sum())
+    if total >= len(xlog2x):
+        xlog2x = _xlog2x(total)
+    past = np.bincount(past_of, joint).astype(np.int64)
+    future = np.bincount(future_of, joint).astype(np.int64)
+    sums = xlog2x[past].sum() + xlog2x[future].sum() - xlog2x[joint].sum()
+    value = math.log2(total) - float(sums) / total
     if method == "miller_madow":
         k_past, k_future, k_joint = (np.count_nonzero(c) for c in (past, future, joint))
-        value += (k_past + k_future - k_joint - 1) / (2.0 * joint.sum() * LN2)
+        value += (k_past + k_future - k_joint - 1) / (2.0 * total * LN2)
     return value
 
 
@@ -612,10 +813,11 @@ def estimate_block_mi(
     """
     if method not in ("plugin", "miller_madow"):
         raise ValueError(f"unknown estimator method {method!r}")
-    if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
-    if bootstrap_resamples < 0 or bootstrap_resamples == 1:
-        raise ValueError(f"bootstrap_resamples must be 0 or >= 2, got {bootstrap_resamples}")
+    n = _check_integer("block length", n, 1)
+    bootstrap_resamples = _check_integer("bootstrap_resamples", bootstrap_resamples, 0)
+    if bootstrap_resamples == 1:
+        raise ValueError("bootstrap_resamples must be 0 or >= 2, got 1")
+    bootstrap_seed = _check_integer("bootstrap_seed", bootstrap_seed, 0)
 
     if isinstance(data, Trajectory):
         min_len = 2 * n + MIN_WINDOWS - 1
@@ -644,9 +846,7 @@ def estimate_block_mi(
                 f"length >= {2 * n}, got one of length {lengths[lengths < 2 * n][0]}"
             )
         # Every trajectory's disjoint windows, gathered in one pass.
-        per = lengths // (2 * n)
-        owner = np.repeat(np.arange(count), per)
-        rank = np.arange(len(owner)) - (np.cumsum(per) - per)[owner]
+        owner, rank = _spans(lengths // (2 * n))
         starts = (np.cumsum(lengths) - lengths)[owner] + rank * 2 * n
         windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
     if joined.max() > 3:
@@ -664,14 +864,15 @@ def estimate_block_mi(
     joint_id, first = _number_blocks(windows)
     past_of, _ = _number_blocks(windows[first, :n])
     future_of, _ = _number_blocks(windows[first, n:])
-    value = _mi_from_counts(np.bincount(joint_id), past_of, future_of, method)
+    xlog2x = _xlog2x(len(joint_id))
+    value = _mi_from_counts(np.bincount(joint_id), past_of, future_of, method, xlog2x)
     if regime == "sliding":
         resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, bootstrap_seed)
     else:
         resampled = _pooled_resamples(
             joint_id, owner, count, len(past_of), bootstrap_resamples, bootstrap_seed
         )
-    values = [_mi_from_counts(joint, past_of, future_of, method) for joint in resampled]
+    values = [_mi_from_counts(joint, past_of, future_of, method, xlog2x) for joint in resampled]
     return EstimatorReport(
         point_estimate=value,
         std_error=float(np.std(values, ddof=1)) if values else 0.0,
@@ -698,7 +899,7 @@ def _pooled_resamples(
     rng = _generator(seed, (0xB0, 0x07))
     for _ in range(resamples):
         weights = np.bincount(rng.integers(0, k, size=k), minlength=k)[owner]
-        yield np.bincount(joint_id, weights=weights, minlength=distinct)
+        yield np.bincount(joint_id, weights=weights, minlength=distinct).astype(np.int64)
 
 
 def _sliding_resamples(

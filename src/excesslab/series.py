@@ -277,6 +277,7 @@ def _integral_pow(beta: float, p_lo: float, p_hi: float | None) -> float:
     return LN2 / (1.0 - beta) * (p_hi ** (1.0 - beta) - p_lo ** (1.0 - beta))
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float, where: str = "") -> None:
+    """Raise for a tail exponent outside (1, 2]; `where` prefixes the message."""
     if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"tail exponent must lie in (1, 2], got {alpha}")
+        raise ValueError(f"{where}tail exponent must lie in (1, 2], got {alpha}")

@@ -187,21 +187,28 @@ def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) ->
     within which the phase steps by one and wraps after r(level).  Each
     quantity of the runs is one array over every trajectory: a run stops at
     start + r - phase + 1, where the next starts, and the last run of a
-    trajectory lasts to its end.  Levels and phases past `_CLIP` are clipped
-    to it before they become int64; only r needs the exact binary length of
-    a clipped level.  A run revealed at every phase is filled whole; one
-    revealed at only some phases is a single hmc word, whose phases step
-    from its first without wrapping."""
-    kind = Kind(trajs.kind)
-    later = [trajs.word_levels.get(i, ()) for i in range(len(trajs))[rows]]
-    levels = [x for level, words in zip(trajs.initial_levels[rows], later) for x in (level, *words)]
-    runs = 1 + np.fromiter(map(len, later), np.int64, len(later))
-    owner = np.repeat(np.arange(len(later)), runs)
+    trajectory lasts to its end.  The batch's int64 records, clipped at
+    2**62, are clipped here at this module's `_CLIP` = 2**32, past which
+    nothing is revealed, so that the sums over runs stay far inside int64;
+    r is read from the digit counts.  A run revealed at every phase is
+    filled whole; one revealed at only some phases is a single hmc word,
+    whose phases step from its first without wrapping."""
+    kind = trajs.model.kind
+    picked = np.arange(len(trajs))[rows]
+    word_start = trajs.word_starts[picked]
+    runs = 1 + trajs.word_starts[picked + 1] - word_start
+    owner = np.repeat(np.arange(len(picked)), runs)
     first = np.cumsum(runs) - runs
-    s = np.fromiter(map(int.bit_length, levels), np.int64, len(levels))
-    level = np.minimum(np.array(levels, dtype=object), _CLIP).astype(np.int64)
-    phase = np.ones(len(levels), np.int64)
-    phase[first] = [min(k, _CLIP) for k in trajs.initial_phases[rows]]
+    level, s = np.empty((2, len(owner)), np.int64)
+    level[first], s[first] = trajs.initial_levels[picked], trajs.initial_digits[picked]
+    later = np.ones(len(owner), bool)
+    later[first] = False
+    later = np.flatnonzero(later)
+    index = later + (word_start - first - 1)[owner[later]]
+    level[later], s[later] = trajs.word_levels[index], trajs.word_digits[index]
+    level = np.minimum(level, _CLIP)
+    phase = np.ones(len(owner), np.int64)
+    phase[first] = np.minimum(trajs.initial_phases[picked], _CLIP)
     r = {Kind.HPM1: level, Kind.HPM2: s, Kind.HMC: 3 * s}[kind]
     length = r - phase + 1
     start = np.cumsum(length) - length
@@ -215,7 +222,7 @@ def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) ->
     a, b = (np.clip(x - (n - 1), 0, per_traj) for x in (a, b))
     width = np.maximum(b - a, 0)
     at = np.repeat(owner * per_traj + a - (np.cumsum(width) - width), width)
-    truth = np.zeros(len(later) * per_traj, np.int64)
+    truth = np.zeros(len(picked) * per_traj, np.int64)
     truth[at + np.arange(len(at))] = np.repeat(level, width)
     return truth
 

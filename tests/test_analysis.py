@@ -96,6 +96,20 @@ def test_bound_validation():
         block_mi_upper_bound("hpm1", 1.5, 0, FAST_SERIES_CUTOFF)
 
 
+@pytest.mark.parametrize(
+    "closed_form, kind, alpha, n",
+    [
+        (block_mi_upper_bound, "hpm2", 2.5, 8),
+        (decoded_level_entropy, "hmc", 0.9, 8),
+        (decoded_level_entropy, "hpm1", 1.0, 1),  # checked before the n < 2 shortcut
+    ],
+)
+def test_closed_form_alpha_errors_name_kind_alpha_and_n(closed_form, kind, alpha, n):
+    message = rf"^{kind} alpha={alpha} n={n}: tail exponent must lie in \(1, 2\], got {alpha}$"
+    with pytest.raises(ValueError, match=message):
+        closed_form(kind, alpha, n, FAST_SERIES_CUTOFF)
+
+
 # ----- rate fitting --------------------------------------------------------------
 
 

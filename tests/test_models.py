@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from excesslab import models
 from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, StateId, binary_length
 from excesslab.series import tail_sum_bracket
 
+import conftest
 from conftest import (
     FAST_SERIES_CUTOFF,
     binary_digit,
     branch_probability,
     emission,
+    emission_slice,
     level_mass,
     make_model,
 )
@@ -157,9 +158,9 @@ def _check_slices(m, level, pairs):
     # digits however much of the word it keeps.
     word = m.emission_word(level)
     for start, stop in pairs:
-        assert m.emission_slice(level, start, stop) == word[start:stop], (start, stop)
-        with mock.patch.object(models, "_CUT_MIN_SKIPPED", -1):
-            assert m.emission_slice(level, start, stop) == word[start:stop], (start, stop, "cut")
+        assert emission_slice(m, level, start, stop) == word[start:stop], (start, stop)
+        with mock.patch.object(conftest, "_CUT_MIN_SKIPPED", -1):
+            assert emission_slice(m, level, start, stop) == word[start:stop], (start, stop, "cut")
 
 
 @pytest.mark.parametrize("kind", ["hpm2", "hmc"])
@@ -192,11 +193,11 @@ def test_emission_slice_hpm1_and_bad_bounds():
         word = m.emission_word(level)
         for start in range(level + 3):
             for stop in range(level + 3):
-                assert m.emission_slice(level, start, stop) == word[start:stop]
+                assert emission_slice(m, level, start, stop) == word[start:stop]
     with pytest.raises(ValueError, match=r"\[-1:4\]"):
-        make_model("hmc", 1.5).emission_slice(9, -1, 4)
+        emission_slice(make_model("hmc", 1.5), 9, -1, 4)
     with pytest.raises(ValueError, match="levels start at 2"):
-        m.emission_slice(1, 0, 1)
+        emission_slice(m, 1, 0, 1)
 
 
 def test_hpm1_emission_cases():

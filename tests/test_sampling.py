@@ -4,6 +4,8 @@ structure, and estimator behaviour on known targets."""
 import dataclasses
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from excesslab import sampling
 from excesslab.exact import _plug_in_mi, block_mi, enumerate_joint
 from excesslab.models import binary_length
 from excesslab.sampling import (
+    _CLIP,
     _STATE_LANE,
     Trajectory,
     _branch_tables,
+    _exact_levels,
     _levels,
     _philox,
     _runs,
@@ -26,10 +30,13 @@ from excesslab.sampling import (
     sample_trajectories,
     sample_trajectory,
     _generator,
+    _mi_from_counts,
+    _xlog2x,
 )
 
 from excesslab.series import LN2
 
+import conftest
 from conftest import (
     FAST_SERIES_CUTOFF,
     branch_probability,
@@ -65,14 +72,16 @@ def test_prefix_tables_match_plain_expressions_bit_for_bit(alpha):
 
 def _initial_levels(model, seed: int, draws: int, first: int = 0) -> list[int]:
     """The initial levels of streams first..first+draws-1 of `seed`, in one
-    array pass."""
+    array pass, with the levels clipped past 62 digits read whole."""
     streams = np.arange(first, first + draws, dtype=np.uint64)
     keys = np.stack([np.full(draws, seed, np.uint64), streams], axis=1)
     zero = np.zeros(draws, np.int64)
     words = _runs(keys, zero + _STATE_LANE, zero, zero + 1)
-    levels, _, long = _levels(model, words, keys, zero, branch=False)
+    levels, digits, tops = _levels(model, words, branch=False)
+    long = np.flatnonzero(levels == _CLIP)
+    exact = _exact_levels(model, keys[long], zero[long], tops[long], digits[long], words[long, 3])
     levels = levels.tolist()
-    for row, level in long.items():
+    for row, level in zip(long.tolist(), exact):
         levels[row] = level
     return levels
 
@@ -275,6 +284,46 @@ def test_sample_trajectories_equal_per_stream_sampler(kind):
         assert any(level > 1 << 20 for level in branch_levels)
 
 
+def test_hpm1_phases_at_the_clip_and_the_cycle_end_equal_scalar_oracle(monkeypatch):
+    # The phase words of lane 2 are replaced, in the sampler and in the
+    # oracle alike, so that X mod m lands below, at and just past the clip,
+    # and within `length` of the cycle's end, where a clipped level shows
+    # its one marker.
+    length, seed_ = 16, 177
+    real_runs, real_lane_int = sampling._runs, conftest.lane_int
+    lane2 = {}
+
+    def crafted_runs(keys, lanes, firsts, counts):
+        words = real_runs(keys, lanes, firsts, counts)
+        row = 0
+        for key, lane, first, count in zip(keys.tolist(), lanes.tolist(), firsts.tolist(), counts.tolist()):
+            crafted = lane2.get(tuple(key)) if lane == 2 else None
+            for draw in range(first, first + count):
+                if crafted is not None:
+                    words[row] = [(crafted >> 64 * (4 * draw + c)) & (2**64 - 1) for c in range(4)]
+                row += 1
+        return words
+
+    def crafted_lane_int(key, lane, words):
+        return lane2[key] if lane == 2 else real_lane_int(key, lane, words)
+
+    monkeypatch.setattr(sampling, "_runs", crafted_runs)
+    monkeypatch.setattr(conftest, "lane_int", crafted_lane_int)
+    for level in (2**80 + 12345, 2**400 + 9):
+        model = make_model("hpm1", 1.5, fixed_level=level)
+        k = -(-level.bit_length() // 64)
+        rems = [0, 5, _CLIP - 1, _CLIP, _CLIP + 1, level // 3, *(level - d for d in (length + 1, length, 7, 1))]
+        lane2.clear()
+        for stream, rem in enumerate(rems):
+            word = philox_block((seed_, stream), 0, 0)[2]
+            lane2[(seed_, stream)] = (rem - (word << 64 * k)) % level
+        markers = [level - 1 - rem if level - 1 - rem < length else -1 for rem in rems]
+        assert markers[-4:] == [-1, length - 1, 6, 0]
+        batch = _assert_samplers_equal_oracle(model, len(rems), length, seed_)
+        assert [t.initial_state.phase - 1 for t in batch] == rems
+        assert [t.symbols.find(1) for t in batch] == markers
+
+
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
 def test_trajectories_do_not_depend_on_the_pass_sizes(kind, monkeypatch):
     # Every variate is a function of (seed, stream, lane, draw): streams and
@@ -313,6 +362,22 @@ def _digest(trajectories) -> str:
         fields = (t.symbols.hex(), t.stream, hex(state.level), hex(state.phase), *map(hex, t.word_levels))
         h.update(repr(fields).encode())
     return h.hexdigest()
+
+
+@pytest.mark.slow
+def test_a_million_hpm2_trajectories_peak_below_64_mb():
+    # The batch holds 16 MB of symbols and int64 records; the 11% of levels
+    # past 62 digits are held clipped, where whole they took 203 MB.
+    model = make_model("hpm2", 1.5)
+    sample_trajectories(model, 10, 16, 2026)  # the cached level tables
+    tracemalloc.start()
+    try:
+        batch = sample_trajectories(model, 1_000_000, 16, 2026)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(batch.initial_levels == _CLIP) > 100_000
+    assert peak < 64e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_trajectory_digests_are_pinned():
@@ -358,6 +423,29 @@ def test_seed_and_stream_errors_name_the_value():
     with pytest.raises(ValueError, match=rf"stream must be < 2\*\*64, got {2**64}"):
         sample_trajectory(model, 8, 3, stream=2**64)
     sample_trajectory(model, 8, 2**64 - 1, stream=2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda m, t: sample_trajectories(m, 2.5, 8, 0), TypeError, "trajectory count must be an integer, got 2.5"),
+        (lambda m, t: sample_trajectory(m, 16.0, 0), TypeError, "trajectory length must be an integer, got 16.0"),
+        (lambda m, t: estimate_block_mi(t, 8.0), TypeError, "block length must be an integer, got 8.0"),
+        (lambda m, t: estimate_block_mi(t, 0), ValueError, "block length must be >= 1, got 0"),
+        (
+            lambda m, t: estimate_block_mi(t, 4, bootstrap_resamples=2.5),
+            TypeError,
+            "bootstrap_resamples must be an integer, got 2.5",
+        ),
+        (lambda m, t: estimate_block_mi(t, 4, bootstrap_seed=-1), ValueError, "bootstrap_seed must be >= 0, got -1"),
+        (lambda m, t: estimate_block_mi(t, 4, bootstrap_seed=0.5), TypeError, "bootstrap_seed must be an integer, got 0.5"),
+    ],
+    ids=["count", "length", "n", "n below 1", "resamples", "bootstrap seed", "bootstrap seed float"],
+)
+def test_integer_argument_errors_name_the_argument(call, error, message):
+    model = make_model("hpm2", 1.5)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(model, sample_trajectories(model, 20, 16, seed=115))
 
 
 def test_sample_trajectories_check_their_arguments_first():
@@ -664,3 +752,7 @@ def test_pooled_plug_in_equals_exact_block_mi_on_one_cycle(kind, level, n):
     past = np.append(np.repeat(prof.past, 2), prof.past.max() + 1)
     future = np.append(np.repeat(prof.future, 2), prof.future.max() + 1)
     assert _plug_in_mi(padded, past, future) == _plug_in_mi(counts, prof.past, prof.future)
+    xlog2x = _xlog2x(int(counts.sum()))
+    for method in ("plugin", "miller_madow"):
+        with_zeros = _mi_from_counts(padded, past, future, method, xlog2x)
+        assert with_zeros == pytest.approx(_mi_from_counts(counts, prof.past, prof.future, method, xlog2x), abs=1e-14)
