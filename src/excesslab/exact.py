@@ -852,18 +852,13 @@ def _grouped_entropy(group: np.ndarray, masses: np.ndarray, count: int) -> np.nd
     return -np.add.reduceat(q * np.log2(q), starts)
 
 
-def _plug_in_mi(weights: np.ndarray, past: np.ndarray, future: np.ndarray) -> float:
-    """Plug-in I(past; future) of the atoms with these weights (masses or
-    counts) and past and future block ids, renormalized by their total.
-    With count weights, zero-weight atoms (the windows a bootstrap resample
-    did not draw) leave the value unchanged."""
-    return _marginals_mi(weights, np.bincount(past, weights), np.bincount(future, weights))
-
-
 def _marginals_mi(
     weights: np.ndarray, past_weights: np.ndarray, future_weights: np.ndarray
 ) -> float:
-    """`_plug_in_mi` from the summed weights of each past and future block."""
+    """Plug-in I(past; future) of the atoms with these weights (masses or
+    counts), renormalized by their total, from the summed weights of each
+    past and future block.  With count weights, zero-weight atoms (the
+    windows a bootstrap resample did not draw) leave the value unchanged."""
     total = float(np.sum(weights))
     if total <= 0.0:
         return 0.0
@@ -982,21 +977,37 @@ def _triple_informations(
     """I(past; future; 1_B) and P(B) on the renormalized table for each event
     B.  An event takes the per-entry past and future block matrices (row i
     is entry i's key) and returns one bool per entry; each is called once.
-    The plug-in MI of the whole table is taken once."""
+    The plug-in MI of the whole table is taken once.
+
+    Per event, the past marginals of both sides come from one np.bincount
+    over (side, past id), and the future ones likewise; its bins add in
+    table order, as a bincount of each side alone would.  Each side's MI is
+    `_marginals_mi` of its masses, and P(B) is the inside total, a pairwise
+    np.sum, over the table's fsum total.  An event that holds on every
+    entry, or on none, is exactly (0.0, 1.0) or (0.0, 0.0)."""
     prof = table.profile
     total = math.fsum(prof.masses.tolist())
     if total <= 0.0:
         return [(0.0, 0.0)] * len(events)
     full_mi = _marginals_mi(prof.masses, prof.past_mass, prof.future_mass)
     past_rows, future_rows = prof.past_blocks[prof.past], prof.future_blocks[prof.future]
-
-    def side_mi(side: np.ndarray) -> float:
-        return _plug_in_mi(prof.masses[side], prof.past[side], prof.future[side])
+    n_past, n_future = len(prof.past_blocks), len(prof.future_blocks)
 
     out = []
     for event in events:
         inside = np.asarray(event(past_rows, future_rows), bool)
-        mass_in, mass_out = (math.fsum(prof.masses[s].tolist()) / total for s in (inside, ~inside))
-        cond = mass_in * side_mi(inside) + mass_out * side_mi(~inside)
-        out.append((full_mi - cond, mass_in))
+        if inside.all() or not inside.any():
+            out.append((0.0, float(inside[0])))
+            continue
+        outside = ~inside
+        side = outside.astype(np.intp)
+        past = np.bincount(side * n_past + prof.past, prof.masses, 2 * n_past)
+        future = np.bincount(side * n_future + prof.future, prof.masses, 2 * n_future)
+        past, future = past.reshape(2, n_past), future.reshape(2, n_future)
+        shares, mis = [], []
+        for s, mask in enumerate((inside, outside)):
+            masses = prof.masses[mask]
+            shares.append(float(np.sum(masses)) / total)
+            mis.append(_marginals_mi(masses, past[s], future[s]))
+        out.append((full_mi - (shares[0] * mis[0] + shares[1] * mis[1]), shares[0]))
     return out

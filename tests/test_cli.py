@@ -305,6 +305,14 @@ def test_verify_passes_and_writes_ledger(tmp_path):
     assert "triple_bound" in names
     assert "monotonicity" in names
     assert ledger["config"]["alpha"] == 1.5
+    assert_margins_match_verdicts(ledger)
+
+
+def assert_margins_match_verdicts(ledger):
+    # A check's margin is its least slack: negative exactly when it fails.
+    for check in ledger["checks"]:
+        assert isinstance(check["margin"], float), check
+        assert (check["margin"] >= 0) == check["passed"], check
 
 
 def test_verify_records_the_block_lengths_and_cutoff_it_ran(tmp_path, capsys):
@@ -338,6 +346,7 @@ def test_verify_detects_injected_decoder_fault(tmp_path):
     ledger = json.loads((out / "verify.json").read_text())
     failed = [c["name"] for c in ledger["checks"] if not c["passed"]]
     assert failed == [f"decoder_agreement[{kind}]" for kind in ("hpm1", "hpm2", "hmc")]
+    assert_margins_match_verdicts(ledger)
 
 
 def test_fit_auto_selects_log_for_alpha_two(tmp_path):

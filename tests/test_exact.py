@@ -715,6 +715,13 @@ def test_triple_information_matches_two_sub_table_loop(oracle_table):
         )
 
 
+def test_triple_information_of_constant_events_is_exactly_zero(oracle_table):
+    _, table = oracle_table
+    always = lambda P, F: np.ones(len(P), bool)
+    never = lambda P, F: np.zeros(len(P), bool)
+    assert _triple_informations(table, [always, never]) == [(0.0, 1.0), (0.0, 0.0)]
+
+
 def test_array_predicates_match_scalar_oracle(oracle_table):
     _, table = oracle_table
     assert_predicates_match(table)

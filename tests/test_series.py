@@ -16,6 +16,7 @@ from excesslab.series import (
     squared_level_tail,
     tail_sum_bracket,
 )
+from excesslab.verify import _direct_sums as verify_direct_sums
 
 from conftest import (
     fsum_branch_weights,
@@ -203,6 +204,25 @@ def test_digit_group_sums_match_per_term_loops(alpha):
         for name, reference in zip(("s0", "s1", "s2", "s_digit"), naive_level_sums(alpha, top)):
             iv = getattr(sums, name)
             assert iv.lo == iv.hi and close(iv.lo, reference), (top, name)
+
+
+def test_verify_direct_sums_match_exact_and_scalar_oracles():
+    import mpmath
+
+    def close(values, references):
+        return all(abs(v - r) <= 1e-14 * abs(r) for v, r in zip(values, references))
+
+    exponents = (0.2, 1.0, 1.5, 2.0)
+    with mpmath.workdps(30):
+        exact = [
+            float(mpmath.fsum(1 / (m * mpmath.log(m, 2) ** e) for m in range(2, 600)))
+            for e in exponents
+        ]
+    assert close(verify_direct_sums(2, 600, exponents), exact)
+    # Chunks start at lo, so this range ends in a second, 8-term chunk.
+    lo, hi = (1 << 14) - 5, (1 << 15) + 3
+    scalar = [math.fsum(1 / (m * math.log2(m) ** e) for m in range(lo, hi)) for e in exponents]
+    assert close(verify_direct_sums(lo, hi, exponents), scalar)
 
 
 @pytest.mark.parametrize("alpha", (1.5, 2.0))
