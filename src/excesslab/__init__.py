@@ -8,7 +8,7 @@ estimates it from seeded samples, and fits the growth laws the constructions
 are designed to exhibit.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
     RateFitReport,
@@ -38,14 +38,12 @@ from .models import (
     DEFAULT_SERIES_CUTOFF,
     Kind,
     ProcessModel,
-    StateId,
     binary_length,
     phase_count,
 )
 from .sampling import (
     EstimatorReport,
     Trajectories,
-    Trajectory,
     estimate_block_mi,
     sample_trajectories,
     sample_trajectory,
@@ -73,9 +71,7 @@ __all__ = [
     "LabelDisagreementError",
     "ProcessModel",
     "RateFitReport",
-    "StateId",
     "Trajectories",
-    "Trajectory",
     "VerificationLedger",
     "binary_entropy",
     "binary_length",

@@ -53,9 +53,10 @@ def block_mi_upper_bound(
     above; the enclosure widens only with the series brackets.
     """
     kind = Kind(kind)
-    _check_alpha(alpha, f"{kind.value} alpha={alpha} n={n}: ")
+    where = f"{kind.value} alpha={alpha} n={n}: "
+    _check_alpha(alpha, where)
     if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
+        raise ValueError(f"{where}block length must be >= 1, got {n}")
     c = normalization_sum(alpha, series_cutoff).reciprocal()
     top = 1 << n
     sums = level_weight_sums(alpha, top)
@@ -121,8 +122,7 @@ class RateFitReport:
 def predicted_rate_class(kind: Kind | str, alpha: float) -> dict:
     """The growth class of E(n) predicted for (kind, alpha)."""
     kind = Kind(kind)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"tail exponent must lie in (1, 2], got {alpha}")
+    _check_alpha(alpha, f"{kind.value} alpha={alpha}: ")
     if kind is Kind.HPM1:
         if alpha == 2.0:
             return {"family": "loglog", "exponent": None}

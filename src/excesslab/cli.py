@@ -105,9 +105,9 @@ class RunConfig:
             raise ValueError(f"unknown fit source {self.source!r}")
 
     def validate_estimate(self) -> None:
-        """Reject a pooled estimate that would stop part way: it needs
-        MIN_WINDOWS disjoint windows of 2n symbols at every n and, for a
-        bootstrap, two trajectories to resample."""
+        """Reject a pooled estimate that would stop part way or not pool:
+        it needs MIN_WINDOWS disjoint windows of 2n symbols at every n, and
+        two trajectories, since the estimator slides over a single one."""
         if self.process == Kind.HMC.value:
             return
         for n in self.block_lengths:
@@ -118,8 +118,11 @@ class RunConfig:
                     f"trajectories must give >= {MIN_WINDOWS} pooled windows at n={n}, "
                     f"got {windows} from {self.trajectories} of length {length}"
                 )
-        if self.bootstrap and self.trajectories < 2:
-            raise ValueError(f"trajectories must be >= 2 for a bootstrap, got {self.trajectories}")
+        if self.trajectories < 2:
+            raise ValueError(
+                f"trajectories must be >= 2 for a pooled {self.process} estimate, "
+                f"got {self.trajectories}"
+            )
 
     def estimate_length(self, n: int) -> int:
         """The length of the trajectories an estimate at block length n samples."""
@@ -260,15 +263,10 @@ def _estimate_row(config: RunConfig, n: int, seed: int) -> dict:
     model = config.model()
     length = config.estimate_length(n)
     if kind is Kind.HMC:
-        traj = sample_trajectory(model, length, seed)
-        report = estimate_block_mi(
-            traj, n, method=config.estimator, bootstrap_resamples=config.bootstrap
-        )
+        data = sample_trajectory(model, length, seed)
     else:
-        trajs = sample_trajectories(model, config.trajectories, length, seed)
-        report = estimate_block_mi(
-            trajs, n, method=config.estimator, bootstrap_resamples=config.bootstrap
-        )
+        data = sample_trajectories(model, config.trajectories, length, seed)
+    report = estimate_block_mi(data, n, method=config.estimator, bootstrap_resamples=config.bootstrap)
     return {
         "kind": config.process,
         "alpha": config.alpha,

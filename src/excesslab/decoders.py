@@ -161,10 +161,15 @@ def decoded_level_entropy(
     2..2**floor(n/2)-1 for the digit kinds; the ergodic kind carries an
     extra factor 1/3 (only one phase window in three reveals the level).
     The remaining probability sits on D = 0.  Supports beyond the direct
-    summation limit are handled by per-digit-group integral brackets.
+    summation limit are handled by per-digit-group integral brackets.  An
+    alpha outside (1, 2] or an n below 1 raises ValueError naming the kind,
+    alpha and n.
     """
     kind = Kind(kind)
-    _check_alpha(alpha, f"{kind.value} alpha={alpha} n={n}: ")
+    where = f"{kind.value} alpha={alpha} n={n}: "
+    _check_alpha(alpha, where)
+    if n < 1:
+        raise ValueError(f"{where}block length must be >= 1, got {n}")
     if n < 2:
         return Enclosure(0.0, 0.0, 0.0)
     if kind is Kind.HPM1:

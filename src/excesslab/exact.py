@@ -973,22 +973,26 @@ def _label_decomposition(
 
 def _triple_informations(
     table: JointBlockTable, events: list[Callable]
-) -> list[tuple[float, float]]:
-    """I(past; future; 1_B) and P(B) on the renormalized table for each event
-    B.  An event takes the per-entry past and future block matrices (row i
-    is entry i's key) and returns one bool per entry; each is called once.
-    The plug-in MI of the whole table is taken once.
+) -> list[tuple[float, float, bool]]:
+    """I(past; future; 1_B), P(B) and whether each block alone fixes B, on
+    the renormalized table, for each event B.  An event takes the per-entry
+    past and future block matrices (row i is entry i's key) and returns one
+    bool per entry; each is called once.  The plug-in MI of the whole table
+    is taken once.
 
     Per event, the past marginals of both sides come from one np.bincount
     over (side, past id), and the future ones likewise; its bins add in
     table order, as a bincount of each side alone would.  Each side's MI is
     `_marginals_mi` of its masses, and P(B) is the inside total, a pairwise
-    np.sum, over the table's fsum total.  An event that holds on every
-    entry, or on none, is exactly (0.0, 1.0) or (0.0, 0.0)."""
+    np.sum, over the table's fsum total.  B is fixed by each block alone when
+    no past block and no future block of positive mass lies on both sides;
+    then |I(past; future; 1_B)| = H(1_B) exactly.  An event that holds on
+    every entry, or on none, is exactly (0.0, 1.0, True) or (0.0, 0.0,
+    True)."""
     prof = table.profile
     total = math.fsum(prof.masses.tolist())
     if total <= 0.0:
-        return [(0.0, 0.0)] * len(events)
+        return [(0.0, 0.0, True)] * len(events)
     full_mi = _marginals_mi(prof.masses, prof.past_mass, prof.future_mass)
     past_rows, future_rows = prof.past_blocks[prof.past], prof.future_blocks[prof.future]
     n_past, n_future = len(prof.past_blocks), len(prof.future_blocks)
@@ -997,17 +1001,18 @@ def _triple_informations(
     for event in events:
         inside = np.asarray(event(past_rows, future_rows), bool)
         if inside.all() or not inside.any():
-            out.append((0.0, float(inside[0])))
+            out.append((0.0, float(inside[0]), True))
             continue
         outside = ~inside
         side = outside.astype(np.intp)
         past = np.bincount(side * n_past + prof.past, prof.masses, 2 * n_past)
         future = np.bincount(side * n_future + prof.future, prof.masses, 2 * n_future)
         past, future = past.reshape(2, n_past), future.reshape(2, n_future)
+        fixed = not (np.logical_and(*past).any() or np.logical_and(*future).any())
         shares, mis = [], []
         for s, mask in enumerate((inside, outside)):
             masses = prof.masses[mask]
             shares.append(float(np.sum(masses)) / total)
             mis.append(_marginals_mi(masses, past[s], future[s]))
-        out.append((full_mi - (shares[0] * mis[0] + shares[1] * mis[1]), shares[0]))
+        out.append((full_mi - (shares[0] * mis[0] + shares[1] * mis[1]), shares[0], fixed))
     return out

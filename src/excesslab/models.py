@@ -23,7 +23,6 @@ computes and caches.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def phase_count(kind: Kind, level: int) -> int:
     if kind is Kind.HPM2:
         return binary_length(level)
     return 3 * binary_length(level)
-
-
-@dataclass(frozen=True)
-class StateId:
-    """Hidden state: (level, phase) with 1 <= phase <= r(level)."""
-
-    level: int
-    phase: int
 
 
 class ProcessModel:

@@ -53,19 +53,18 @@ Draws are read in runs of consecutive counters under one key (`_runs`).  A
 scalar sampler with the same lanes, in Python ints, is kept in the tests as
 the reference.
 
-`sample_trajectories` returns a `Trajectories` batch: the read-only
-`(count, length)` symbol matrix the passes fill, with the seed, the
-streams and the word records as flat int64 arrays, and no per-stream
-object.  Its `Trajectory` records are built only when indexed or
-iterated; a clipped level or phase is then drawn again, whole, from
-(seed, stream) for that row alone.  The pooled estimator reads the
-matrix.
+Both entry points return a `Trajectories` batch, the one trajectory type:
+the read-only `(count, length)` symbol matrix the passes fill, with the
+seed, the streams and the word records as flat int64 arrays, and no
+per-stream object; `sample_trajectory` returns a batch of one row.  The
+estimator reads the matrix, of a batch or of data from elsewhere.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
 ensemble block MI.  Ensemble estimation therefore pools disjoint windows
-across many independently seeded trajectories; the ergodic kind uses
-sliding windows over one trajectory.  The report records which regime ran.
+across the rows of a matrix of many independently seeded trajectories;
+the ergodic kind uses sliding windows over a matrix of one row.  The
+estimator takes its regime from the row count and reports which one ran.
 Either way each window is numbered once, in order of first appearance, by
 the block numbering of the exact engine's tables (`exact._number_blocks`),
 and the bootstraps reweight window counts with the same random draws as a
@@ -77,14 +76,14 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .exact import _number_blocks
-from .models import Kind, ProcessModel, StateId
+from .models import Kind, ProcessModel
 from .series import LN2, branch_normalization_sum, normalization_sum
 
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
@@ -483,30 +482,8 @@ def _exact_remainders(keys: np.ndarray, word: np.ndarray, moduli: list[int]) -> 
 # ----- trajectories -----------------------------------------------------------
 
 
-@dataclass
-class Trajectory:
-    """A sampled observable path and the record of its hidden words.
-
-    The record costs one entry per word: `initial_state`, the hidden state
-    at time 0, and `word_levels`, the level of each later word.  Only the
-    ergodic kind starts later words; the cyclic kinds never leave their
-    level, so their record is the initial state alone.  A path that was not
-    sampled from a model (data handed to the estimator) has no record."""
-
-    symbols: bytes
-    seed: int
-    stream: int
-    kind: str
-    alpha: float
-    initial_state: StateId | None = None
-    word_levels: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class Trajectories(Sequence):
+class Trajectories:
     """Trajectories of one length on streams of one seed, as one read-only
     `(count, length)` uint8 symbol matrix and the records of their words.
 
@@ -515,11 +492,7 @@ class Trajectories(Sequence):
     are its initial state, and `word_levels[word_starts[i]:word_starts[i +
     1]]` the level of each later word (hmc only), with the binary digit
     count of every level in `initial_digits` and `word_digits`.  A level
-    or phase of `_CLIP` = 2**62 or more is held as `_CLIP`.
-
-    `batch[i]` and iteration build each `Trajectory` on demand, with its
-    exact record: a clipped value is drawn again from (seed, streams[i])
-    for that row alone.  A slice is a list of them."""
+    or phase of `_CLIP` = 2**62 or more is held as `_CLIP`."""
 
     symbols: np.ndarray
     seed: int
@@ -535,53 +508,10 @@ class Trajectories(Sequence):
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        later = self.word_levels[self.word_starts[i] : self.word_starts[i + 1]]
-        levels = np.append(self.initial_levels[i], later)
-        clipped = np.flatnonzero(levels == _CLIP)
-        levels, phase = levels.tolist(), int(self.initial_phases[i])
-        if len(clipped):
-            phase = _exact_record(self.model, self.seed, self.streams[i], clipped, levels, phase)
-        return Trajectory(
-            self.symbols[i].tobytes(),
-            self.seed,
-            self.streams[i],
-            self.model.kind.value,
-            self.model.alpha,
-            StateId(levels[0], phase),
-            tuple(levels[1:]),
-        )
 
-
-def _exact_record(
-    model: ProcessModel, seed: int, stream: int, clipped: np.ndarray, levels: list[int], phase: int
-) -> int:
-    """Draw the `clipped` word levels of one trajectory again, whole, into
-    `levels`, and return its exact initial phase.  Word w's level comes from
-    its draw (draw 0 of lane 0 for the initial word, draw w - 1 of lane 1
-    after it) and all of its low digits, read for every clipped word in one
-    pass; a clipped phase (hpm1 only, on a clipped level) from all of its
-    phase words."""
-    keys = np.repeat(np.array([[seed, stream]], np.uint64), len(clipped), axis=0)
-    lanes = np.where(clipped == 0, _STATE_LANE, _BRANCH_LANE)
-    words = _runs(keys, lanes, np.maximum(clipped - 1, 0), np.ones_like(clipped))
-    for branch in (False, True):
-        at = np.flatnonzero((clipped > 0) == branch)
-        if len(at):
-            _, digits, tops = _levels(model, words[at], branch)
-            exact = _exact_levels(model, keys[at], clipped[at], tops, digits, words[at, 3])
-            for w, level in zip(clipped[at].tolist(), exact):
-                levels[w] = level
-    if phase == _CLIP:
-        phase = _exact_remainders(keys[:1], words[:1, 2], levels[:1])[0] + 1
-    return phase
-
-
-def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectory:
-    """Sample `length` observable symbols starting from the stationary law.
+def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int = 0) -> Trajectories:
+    """Sample `length` observable symbols starting from the stationary law,
+    as a batch of one row.
 
     The initial hidden state draws its level from the stationary level law
     and its phase uniformly; the cyclic kinds then stay on their cycle while
@@ -592,7 +522,7 @@ def sample_trajectory(model: ProcessModel, length: int, seed: int, stream: int =
     """
     length = _check_integer("trajectory length", length, 1)
     seed, stream = _check_entropy("seed", seed), _check_entropy("stream", stream)
-    return _sample(model, length, seed, range(stream, stream + 1))[0]
+    return _sample(model, length, seed, range(stream, stream + 1))
 
 
 def sample_trajectories(model: ProcessModel, count: int, length: int, seed: int) -> Trajectories:
@@ -770,12 +700,9 @@ def _mi_from_counts(
 ) -> float:
     """Plug-in (or Miller-Madow) MI from the integer count of every distinct
     window.  The entropy of counts c of N windows is log2(N) - sum(c *
-    log2(c)) / N, with c * log2(c) read from the table `xlog2x`; a resample
-    of more windows than it covers (a pooled bootstrap of trajectories of
-    unequal lengths) builds its own."""
+    log2(c)) / N, with c * log2(c) read from the table `xlog2x`, which covers
+    every count up to N: a resample has as many windows as the sample."""
     total = int(joint.sum())
-    if total >= len(xlog2x):
-        xlog2x = _xlog2x(total)
     past = np.bincount(past_of, joint).astype(np.int64)
     future = np.bincount(future_of, joint).astype(np.int64)
     sums = xlog2x[past].sum() + xlog2x[future].sum() - xlog2x[joint].sum()
@@ -787,24 +714,25 @@ def _mi_from_counts(
 
 
 def estimate_block_mi(
-    data: Trajectory | Trajectories | list[Trajectory],
+    data: Trajectories | np.ndarray,
     n: int,
     method: str = "plugin",
     bootstrap_resamples: int = 64,
     bootstrap_seed: int = 0,
 ) -> EstimatorReport:
-    """Estimate E(n) from samples.
+    """Estimate E(n) from samples: the symbol matrix of a `Trajectories`
+    batch, or a `(rows, length)` uint8 matrix of data from elsewhere, one
+    trajectory a row.  Any other shape or dtype raises ValueError.
 
-    A single trajectory is estimated with sliding stride-1 windows (ergodic
-    use); a `Trajectories` batch, or a list of trajectories, is pooled
-    with disjoint windows per trajectory (the nonergodic ensemble regime).
-    `miller_madow` applies the support-size bias correction to each plug-in
-    entropy, which subtracts the usual (K_joint - K_past - K_future + 1) /
-    (2*S*ln 2) from the MI.
-    Standard errors come from a block bootstrap: over trajectories in the
-    pooled regime, over circular window blocks in the sliding regime.  With
-    0 resamples the standard error is 0.0; 1 resample, or a bootstrap of
-    one pooled trajectory, has no spread and raises ValueError.
+    One row is estimated with sliding stride-1 windows (ergodic use); two
+    or more rows are pooled with disjoint windows per row (the nonergodic
+    ensemble regime).  `miller_madow` applies the support-size bias
+    correction to each plug-in entropy, which subtracts the usual
+    (K_joint - K_past - K_future + 1) / (2*S*ln 2) from the MI.
+    Standard errors come from a block bootstrap: over rows in the pooled
+    regime, over circular window blocks in the sliding regime.  With 0
+    resamples the standard error is 0.0; 1 resample has no spread and
+    raises ValueError.
 
     Each window is numbered once, as the id of its distinct window, and each
     MI comes from count vectors; a bootstrap resample reweights those counts,
@@ -819,47 +747,41 @@ def estimate_block_mi(
         raise ValueError("bootstrap_resamples must be 0 or >= 2, got 1")
     bootstrap_seed = _check_integer("bootstrap_seed", bootstrap_seed, 0)
 
-    if isinstance(data, Trajectory):
+    symbols = data.symbols if isinstance(data, Trajectories) else np.asarray(data)
+    if symbols.ndim != 2 or symbols.dtype != np.uint8:
+        raise ValueError(
+            f"symbols must be a (rows, length) uint8 matrix, got shape {symbols.shape} "
+            f"and dtype {symbols.dtype}"
+        )
+    count, length = symbols.shape
+    if count == 1:
+        regime = "sliding"
         min_len = 2 * n + MIN_WINDOWS - 1
-        if len(data) < min_len:
+        if length < min_len:
             raise ValueError(
                 f"insufficient data: sliding estimation at n={n} needs length >= {min_len}, "
-                f"got {len(data)}"
+                f"got {length}"
             )
-        regime, count = "sliding", 1
-        joined = np.frombuffer(data.symbols, np.uint8)
-        windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)
+        windows = np.lib.stride_tricks.sliding_window_view(symbols[0], 2 * n)
     else:
         regime = "pooled"
-        if isinstance(data, Trajectories):
-            joined, lengths = data.symbols.ravel(), np.full(len(data), data.symbols.shape[1])
-        else:  # a list of trajectories, as data from outside the sampler comes
-            pieces = [t.symbols for t in data]
-            joined = np.frombuffer(b"".join(pieces), np.uint8)
-            lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
-        count = len(lengths)
         if not count:
             raise ValueError("insufficient data: no trajectories supplied")
-        if lengths.min() < 2 * n:
+        if length < 2 * n:
             raise ValueError(
-                f"insufficient data: pooled estimation at n={n} needs every trajectory "
-                f"length >= {2 * n}, got one of length {lengths[lengths < 2 * n][0]}"
+                f"insufficient data: pooled estimation at n={n} needs trajectory "
+                f"length >= {2 * n}, got {length}"
             )
-        # Every trajectory's disjoint windows, gathered in one pass.
-        owner, rank = _spans(lengths // (2 * n))
-        starts = (np.cumsum(lengths) - lengths)[owner] + rank * 2 * n
-        windows = np.lib.stride_tricks.sliding_window_view(joined, 2 * n)[starts]
-    if joined.max() > 3:
-        raise ValueError(f"symbol {joined.max()} outside 0..3: blocks are packed 2 bits per symbol")
-    if len(windows) < MIN_WINDOWS:  # only reachable by the pooled regime
-        raise ValueError(
-            f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, "
-            f"got {len(windows)}"
-        )
-    if regime == "pooled" and bootstrap_resamples and count < 2:
-        raise ValueError(
-            f"{bootstrap_resamples} bootstrap resamples need >= 2 pooled trajectories, got 1"
-        )
+        per_row = length // (2 * n)
+        windows = symbols[:, : per_row * 2 * n].reshape(-1, 2 * n)
+        owner = np.repeat(np.arange(count), per_row)
+        if len(windows) < MIN_WINDOWS:
+            raise ValueError(
+                f"insufficient data: pooled estimation needs >= {MIN_WINDOWS} windows, "
+                f"got {len(windows)}"
+            )
+    if symbols.max() > 3:
+        raise ValueError(f"symbol {symbols.max()} outside 0..3: blocks are packed 2 bits per symbol")
 
     joint_id, first = _number_blocks(windows)
     past_of, _ = _number_blocks(windows[first, :n])

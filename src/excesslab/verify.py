@@ -2,13 +2,16 @@
 
 Each check returns a named pass/fail entry with a human-readable detail
 string and a numeric margin, the least slack of its inequalities (negative
-exactly when it fails); the collection serialises to a machine-readable
-JSON ledger.  The checks mirror the library's contracts:
+exactly when it fails); an inequality that holds with equality by
+construction, and so would pin the margin at its tolerance, is left out of
+it.  The collection serialises to a machine-readable JSON ledger.  The
+checks mirror the library's contracts:
 
   series_brackets     direct sums of the two bracketed series lie inside
                       their closed-form enclosures (summed in cache-sized
                       chunks, one exp2 of a scaled log2(log2(m)) per
-                      exponent);
+                      exponent); the n = 2 partial, one term at the upper
+                      end of its bracket, is left out of the margin;
   decomposition       |E(n) - H(D) - I(past;future|D)| within float roundoff;
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
@@ -25,8 +28,9 @@ JSON ledger.  The checks mirror the library's contracts:
                       array predicates, each called once per table on the
                       past and future block matrices of its entries; both
                       sides of an event share one bincount per marginal,
-                      and an event true on every entry, or on none, is
-                      exactly 0;
+                      an event true on every entry, or on none, is
+                      exactly 0, and an event that each block alone fixes
+                      is left out of the margin;
   monotonicity        certified E(n) intervals consistent with E nondecreasing.
 """
 
@@ -110,7 +114,8 @@ def check_series_brackets(
             slack = _bracket_slack(partials[n][i], br.lo - 1e-12, br.hi + 1e-12)
             if not slack >= 0.0:
                 failures.append(f"partial alpha={alpha} n={n}")
-            margin = min(margin, slack)
+            if n > 2 or slack < 0.0:  # the n = 2 partial is one term, its bracket's upper end
+                margin = min(margin, slack)
             near, far = tail_sum_bracket(alpha, n), tail_sum_bracket(alpha, 2 * n)
             lo, hi = near.lo - far.hi - 1e-12, near.hi - far.lo + 1e-12
             slack = _bracket_slack(segments[n][i], lo, hi)
@@ -354,12 +359,16 @@ def check_triple_bound(tables: dict) -> CheckResult:
     margin = math.inf
     for (kind, alpha, n), table in tables.items():
         preds = predicate_grid(tuple(range(table.alphabet_size)))
-        for i, (value, mass_in) in enumerate(_triple_informations(table, preds)):
+        for i, (value, mass_in, fixed) in enumerate(_triple_informations(table, preds)):
             h_ind = binary_entropy(mass_in)
             worst = max(worst, abs(value))
+            slack = (min(h_ind, 1.0) + 1e-9) - abs(value)
             if abs(value) > h_ind + 1e-9 or abs(value) > 1.0 + 1e-9:
                 failures.append(f"{kind} a={alpha} n={n} pred#{i}: |{value:.4f}| > H={h_ind:.4f}")
-            margin = min(margin, (min(h_ind, 1.0) + 1e-9) - abs(value))
+            # An event each block alone fixes (a constant one among them)
+            # meets the bound with equality by construction.
+            if slack < 0.0 or not fixed:
+                margin = min(margin, slack)
     detail = f"worst |triple| {worst:.4f}" if not failures else "; ".join(failures)
     return CheckResult("triple_bound", not failures, detail, margin)
 

@@ -1,9 +1,10 @@
 """Shared fixtures: fast-cutoff models, tables built from dicts, and
 independently coded reference enumerators, the dict build of the cyclic
 tables, table profiles, scalar level decoders, scalar triple-bound
-predicates, a scalar trajectory sampler and per-state references (emission,
-hidden states, the reveal rule) used as oracles against the production
-engine, and G-tests of sampled counts against tabulated laws."""
+predicates, trajectory records with exact levels (`record`), a scalar
+trajectory sampler and per-state references (emission, hidden states, the
+reveal rule) used as oracles against the production engine, and G-tests of
+sampled counts against tabulated laws."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,13 +26,20 @@ from excesslab.exact import (
     enumerate_joint,
 )
 from excesslab.intervals import Interval
-from excesslab.models import Kind, ProcessModel, StateId, binary_length, phase_count
+from excesslab.models import Kind, ProcessModel, binary_length, phase_count
 from excesslab.sampling import (
+    _BRANCH_LANE,
+    _CLIP,
     _GROUP_CAP,
-    Trajectory,
+    _STATE_LANE,
+    Trajectories,
     _branch_tables,
+    _exact_levels,
+    _exact_remainders,
     _generator,
+    _levels,
     _prefix_levels,
+    _runs,
     _stationary_tables,
     sample_trajectories,
     sample_trajectory,
@@ -487,6 +496,77 @@ def _plug_in_entropy(masses: list) -> float:
     return float(-np.sum(q * np.log2(q)))
 
 
+# ----- trajectory records: one row of a batch, with its exact levels ---------
+
+
+@dataclass(frozen=True)
+class StateId:
+    """Hidden state: (level, phase) with 1 <= phase <= r(level)."""
+
+    level: int
+    phase: int
+
+
+@dataclass
+class Trajectory:
+    """A sampled observable path and the record of its hidden words.
+
+    The record costs one entry per word: `initial_state`, the hidden state
+    at time 0, and `word_levels`, the level of each later word.  Only the
+    ergodic kind starts later words; the cyclic kinds never leave their
+    level, so their record is the initial state alone."""
+
+    symbols: bytes
+    seed: int
+    stream: int
+    kind: str
+    alpha: float
+    initial_state: StateId
+    word_levels: tuple[int, ...]
+
+
+def record(batch: Trajectories, i: int) -> Trajectory:
+    """Row i of `batch` as a `Trajectory` with its exact record.  The batch
+    holds a level or phase of 2**62 or more clipped; such a value is drawn
+    again, whole, from (seed, stream) for that row alone.  Word w's level
+    comes from its draw (draw 0 of lane 0 for the initial word, draw w - 1
+    of lane 1 after it) and all of its low digits, read for every clipped
+    word in one pass; a clipped phase (hpm1 only, on a clipped level) from
+    all of its phase words."""
+    model, stream = batch.model, batch.streams[i]
+    later = batch.word_levels[batch.word_starts[i] : batch.word_starts[i + 1]]
+    levels = np.append(batch.initial_levels[i], later)
+    clipped = np.flatnonzero(levels == _CLIP)
+    levels, phase = levels.tolist(), int(batch.initial_phases[i])
+    if len(clipped):
+        keys = np.repeat(np.array([[batch.seed, stream]], np.uint64), len(clipped), axis=0)
+        lanes = np.where(clipped == 0, _STATE_LANE, _BRANCH_LANE)
+        words = _runs(keys, lanes, np.maximum(clipped - 1, 0), np.ones_like(clipped))
+        for branch in (False, True):
+            at = np.flatnonzero((clipped > 0) == branch)
+            if len(at):
+                _, digits, tops = _levels(model, words[at], branch)
+                exact = _exact_levels(model, keys[at], clipped[at], tops, digits, words[at, 3])
+                for w, level in zip(clipped[at].tolist(), exact):
+                    levels[w] = level
+        if phase == _CLIP:
+            phase = _exact_remainders(keys[:1], words[:1, 2], levels[:1])[0] + 1
+    return Trajectory(
+        batch.symbols[i].tobytes(),
+        batch.seed,
+        stream,
+        model.kind.value,
+        model.alpha,
+        StateId(levels[0], phase),
+        tuple(levels[1:]),
+    )
+
+
+def records(batch: Trajectories) -> list[Trajectory]:
+    """Every row of `batch` as a `Trajectory`, in order."""
+    return [record(batch, i) for i in range(len(batch))]
+
+
 # ----- scalar trajectory sampler: the reference for the array passes ---------
 
 _MASK64 = (1 << 64) - 1
@@ -733,7 +813,8 @@ def sampled_windows(model: ProcessModel, length: int, count: int, seed: int) -> 
 def branch_law_p_value(model: ProcessModel, length: int, seed: int) -> float:
     """The G-test p-value of the hmc word levels of one sampled trajectory
     of `length` symbols against `branch_probability` over levels 2..64."""
-    levels = sample_trajectory(model, length, seed).word_levels
+    # A level held clipped lies far past 64, in the "other" bin either way.
+    levels = sample_trajectory(model, length, seed).word_levels.tolist()
     law = {m: branch_probability(model, m).mid for m in range(2, 65)}
     return law_p_value(law, Counter(levels), len(levels))
 
@@ -829,7 +910,7 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
     stream = 0
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
-        traj = sample_trajectory(model, 2 * n + per_traj, seed, stream=stream)
+        traj = record(sample_trajectory(model, 2 * n + per_traj, seed, stream=stream), 0)
         stream += 1
         sym = traj.symbols
         states = hidden_states(traj)
@@ -850,10 +931,12 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
     )
 
 
-def naive_estimate(data, n: int, method: str, resamples: int, seed: int):
-    """Reference block-MI estimator: windows as (past, future) byte pairs in
-    a `Counter`, resampled in plain Python loops with the production
-    bootstrap streams.  Returns (point estimate, standard error, windows)."""
+def naive_estimate(symbols: np.ndarray, n: int, method: str, resamples: int, seed: int):
+    """Reference block-MI estimator on a `(rows, length)` symbol matrix:
+    sliding windows over one row, disjoint windows pooled over more, as
+    (past, future) byte pairs in a `Counter`, resampled in plain Python
+    loops with the production bootstrap streams.  Returns (point estimate,
+    standard error, windows)."""
 
     def windows(symbols: bytes, step: int) -> list:
         return [
@@ -877,8 +960,9 @@ def naive_estimate(data, n: int, method: str, resamples: int, seed: int):
         return value
 
     values = []
-    if isinstance(data, Trajectory):
-        wins = windows(data.symbols, 1)
+    rows = [row.tobytes() for row in symbols]
+    if len(rows) == 1:
+        wins = windows(rows[0], 1)
         total = len(wins)
         point = mi(Counter(wins), total)
         if resamples >= 2 and total >= 2:
@@ -896,7 +980,7 @@ def naive_estimate(data, n: int, method: str, resamples: int, seed: int):
                         count += 1
                 values.append(mi(joint, count))
     else:
-        per_traj = [Counter(windows(t.symbols, 2 * n)) for t in data]
+        per_traj = [Counter(windows(row, 2 * n)) for row in rows]
         joint = Counter()
         for c in per_traj:
             joint.update(c)

@@ -1,6 +1,7 @@
 """Analysis contracts: the upper-bound curve, rate fitting, and CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,27 @@ def test_closed_form_alpha_errors_name_kind_alpha_and_n(closed_form, kind, alpha
     message = rf"^{kind} alpha={alpha} n={n}: tail exponent must lie in \(1, 2\], got {alpha}$"
     with pytest.raises(ValueError, match=message):
         closed_form(kind, alpha, n, FAST_SERIES_CUTOFF)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: block_mi_upper_bound("hpm2", 1.5, 0, FAST_SERIES_CUTOFF),
+            "hpm2 alpha=1.5 n=0: block length must be >= 1, got 0",
+        ),
+        (
+            lambda: decoded_level_entropy("hmc", 2.0, -3, FAST_SERIES_CUTOFF),
+            "hmc alpha=2.0 n=-3: block length must be >= 1, got -3",
+        ),
+        # The growth class takes no block length.
+        (lambda: predicted_rate_class("hpm1", 2.5), "hpm1 alpha=2.5: tail exponent must lie in (1, 2], got 2.5"),
+    ],
+    ids=["upper bound n", "decoded entropy n", "rate class alpha"],
+)
+def test_closed_form_argument_errors_name_kind_alpha_and_n(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ----- rate fitting --------------------------------------------------------------

@@ -105,12 +105,18 @@ def test_alpha_out_of_range_is_usage_error(tmp_path):
         (
             ["estimate", "--process", "hpm2", "--trajectories", "1", "--length", "100"],
             {},
-            "trajectories must be >= 2 for a bootstrap, got 1",
+            "trajectories must be >= 2 for a pooled hpm2 estimate, got 1",
         ),
         (
             ["estimate", "--process", "hpm2", "--trajectories", "1"],
             {},
             "trajectories must give >= 4 pooled windows at n=2, got 1 from 1 of length 4",
+        ),
+        # One trajectory would slide, not pool, even with no bootstrap.
+        (
+            ["estimate", "--process", "hpm1", "--trajectories", "1", "--length", "100", "--bootstrap", "0"],
+            {},
+            "trajectories must be >= 2 for a pooled hpm1 estimate, got 1",
         ),
     ],
 )

@@ -325,10 +325,15 @@ def test_decoder_agreement_rejects_no_windows(windows):
         check_decoder_agreement(make_model("hpm1", 1.5), windows=windows)
 
 
-def test_verify_pins_the_benchmark_decoder_details():
-    # run_verification at the verify benchmark's scale; a change to the
-    # sampled windows would change these counts.
-    ledger = run_verification(alphas=(1.5,), block_lengths=(2, 4, 8))
+@pytest.fixture(scope="module")
+def benchmark_ledger():
+    """run_verification at the verify benchmark's scale."""
+    return run_verification(alphas=(1.5,), block_lengths=(2, 4, 8))
+
+
+def test_verify_pins_the_benchmark_decoder_details(benchmark_ledger):
+    # A change to the sampled windows would change these counts.
+    ledger = benchmark_ledger
     details = {c.name: c.detail for c in ledger.checks if c.name.startswith("decoder_agreement")}
     assert details == {
         f"decoder_agreement[{kind}]": f"100000 windows, 0 past/future disagreements, {truth}"
@@ -338,6 +343,16 @@ def test_verify_pins_the_benchmark_decoder_details():
             ("hmc", "0/19624 hidden-truth mismatches"),
         )
     }
+
+
+def test_verify_margins_are_not_pinned_at_their_tolerances(benchmark_ledger):
+    # The n = 2 partial sum equals its bracket's upper end, and an event
+    # true on every entry has triple information 0 and H(1_B) = 0: both hold
+    # with equality by construction, and held these margins at the 1e-12 and
+    # 1e-9 tolerances on every run.  They are left out of the minimum.
+    margins = {c.name: c.margin for c in benchmark_ledger.checks}
+    assert margins["series_brackets"] > 1e-12
+    assert margins["triple_bound"] > 1e-9
 
 
 # ----- closed-form H(D) ------------------------------------------------------------

@@ -640,6 +640,16 @@ def test_triple_information_independent_components():
     assert _triple_informations(t, [lambda P, F: P[:, 0] == 0])[0][0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_triple_information_of_an_event_each_block_fixes_meets_the_bound():
+    # Past and future copy one bit: "the past is 0" is also "the future is
+    # 0", and |I(past; future; 1_B)| = H(1_B) = 1 by construction.
+    copy = manual_table(1, 2, {(bytes([a]), bytes([a])): 0.5 for a in (0, 1)})
+    [(value, mass_in, fixed)] = _triple_informations(copy, [lambda P, F: P[:, 0] == 0])
+    assert (value, mass_in, fixed) == (pytest.approx(1.0, abs=1e-12), 0.5, True)
+    independent = manual_table(1, 2, {(bytes([a]), bytes([b])): 0.25 for a in (0, 1) for b in (0, 1)})
+    assert _triple_informations(independent, [lambda P, F: P[:, 0] == 0])[0][2] is False
+
+
 def test_triple_information_bounded_by_indicator_entropy():
     m = make_model("hpm1", 1.5)
     t = enumerate_joint(m, 6, 1 << 10)
@@ -708,7 +718,7 @@ def test_triple_information_matches_two_sub_table_loop(oracle_table):
     _, table = oracle_table
     alphabet = tuple(range(table.alphabet_size))
     values = _triple_informations(table, predicate_grid(alphabet))
-    for i, (pred, (value, _)) in enumerate(zip(scalar_predicate_grid(alphabet), values)):
+    for i, (pred, (value, *_)) in enumerate(zip(scalar_predicate_grid(alphabet), values)):
         reference = naive_triple_information(table, pred)
         assert abs(value - reference) <= 1e-12 * abs(reference) or value == reference, (
             f"predicate {i}: {value!r} vs loop {reference!r}"
@@ -719,7 +729,7 @@ def test_triple_information_of_constant_events_is_exactly_zero(oracle_table):
     _, table = oracle_table
     always = lambda P, F: np.ones(len(P), bool)
     never = lambda P, F: np.zeros(len(P), bool)
-    assert _triple_informations(table, [always, never]) == [(0.0, 1.0), (0.0, 0.0)]
+    assert _triple_informations(table, [always, never]) == [(0.0, 1.0, True), (0.0, 0.0, True)]
 
 
 def test_array_predicates_match_scalar_oracle(oracle_table):

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
-from excesslab.models import Kind, ProcessModel, StateId, binary_length
+from excesslab.models import Kind, ProcessModel, binary_length
 from excesslab.series import tail_sum_bracket
 
 import conftest
 from conftest import (
     FAST_SERIES_CUTOFF,
+    StateId,
     binary_digit,
     branch_probability,
     emission,

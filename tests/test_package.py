@@ -1,6 +1,7 @@
 """Package surface: every exported name is read somewhere in the library."""
 
 import ast
+import re
 from pathlib import Path
 
 import excesslab
@@ -62,3 +63,10 @@ def test_every_public_method_has_a_reader_in_the_library_or_benchmark():
     members = [m for path in modules for m in _public_members(path)]
     assert "ProcessModel.level_tail_mass" in members
     assert [m for m in members if m.split(".")[1] not in read] == []
+
+
+def test_version_matches_pyproject():
+    # Python 3.10 has no tomllib, so the version line is read with a regex.
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert excesslab.__version__ == declared

@@ -18,7 +18,6 @@ from excesslab.models import binary_length
 from excesslab.sampling import (
     _CLIP,
     _STATE_LANE,
-    Trajectory,
     _branch_tables,
     _exact_levels,
     _levels,
@@ -39,6 +38,7 @@ from excesslab.series import LN2
 import conftest
 from conftest import (
     FAST_SERIES_CUTOFF,
+    Trajectory,
     branch_probability,
     emission,
     hidden_states,
@@ -47,6 +47,8 @@ from conftest import (
     make_model,
     naive_estimate,
     philox_block,
+    record,
+    records,
     reference_sample,
     word_runs,
 )
@@ -118,7 +120,7 @@ def test_fixed_seed_reproduces_draws():
     seq1, seq2 = _initial_levels(model, 99, 1000), _initial_levels(model, 99, 1000)
     assert seq1 == seq2
     for stream in (0, 1, 999):
-        assert sample_trajectory(model, 4, 99, stream).initial_state.level == seq1[stream]
+        assert record(sample_trajectory(model, 4, 99, stream), 0).initial_state.level == seq1[stream]
     assert seq1 != _initial_levels(model, 98, 1000)
 
 
@@ -180,7 +182,7 @@ def test_phase_offset_is_its_words_mod_r(r):
     # ceil(b/64) words of lane 2, for r of b binary digits.
     model = make_model("hpm1", 1.5, fixed_level=r)
     more = 0 if r < 2**32 else -(-r.bit_length() // 64)
-    for traj in sample_trajectories(model, 50, 1, seed=r % 2**64):
+    for traj in records(sample_trajectories(model, 50, 1, seed=r % 2**64)):
         key = (traj.seed, traj.stream)
         x = (philox_block(key, 0, 0)[2] << 64 * more) | lane_int(key, 2, more)
         assert traj.initial_state.phase == x % r + 1, (r, traj.stream)
@@ -194,8 +196,8 @@ def test_trajectory_determinism_and_streams():
     a = sample_trajectory(model, 200, seed=5)
     b = sample_trajectory(model, 200, seed=5)
     c = sample_trajectory(model, 200, seed=5, stream=1)
-    assert a.symbols == b.symbols
-    assert a.symbols != c.symbols
+    assert a.symbols.tobytes() == b.symbols.tobytes()
+    assert a.symbols.tobytes() != c.symbols.tobytes()
 
 
 def _symbols_from_words(model, traj):
@@ -209,10 +211,10 @@ def _symbols_from_words(model, traj):
 
 def _assert_samplers_equal_oracle(model, count: int, length: int, seed: int) -> list:
     """Both entry points against the scalar reference, field by field."""
-    pooled = sample_trajectories(model, count, length, seed)
+    pooled = records(sample_trajectories(model, count, length, seed))
     assert len(pooled) == count
     for stream, traj in enumerate(pooled):
-        single = sample_trajectory(model, length, seed, stream=stream)
+        single = record(sample_trajectory(model, length, seed, stream=stream), 0)
         expected = reference_sample(model, length, seed, stream)
         for f in dataclasses.fields(Trajectory):
             case = (f.name, model, length, seed, stream)
@@ -330,13 +332,13 @@ def test_trajectories_do_not_depend_on_the_pass_sizes(kind, monkeypatch):
     # hmc branch draws cut into small passes, and Philox runs read by either
     # engine, give the trajectories of one pass.
     model = make_model(kind, 1.5)
-    whole = list(sample_trajectories(model, 200, 40, 175))
+    whole = records(sample_trajectories(model, 200, 40, 175))
     sizes = {"_CHUNK_SYMBOLS": 120, "_BRANCH_ROWS": 50}
     for settings in (sizes, *ENGINES.values()):
         with monkeypatch.context() as patch:
             for name, value in settings.items():
                 patch.setattr(sampling, name, value)
-            assert list(sample_trajectories(model, 200, 40, 175)) == whole
+            assert records(sample_trajectories(model, 200, 40, 175)) == whole
 
 
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
@@ -346,8 +348,8 @@ def test_longer_trajectory_starts_with_the_shorter_one(kind, alpha):
     # symbols and reads only the first 512.
     model = make_model(kind, alpha)
     longer_records = 0
-    for long in sample_trajectories(model, 40, 524, 2024):
-        short = sample_trajectory(model, 512, 2024, stream=long.stream)
+    for long in records(sample_trajectories(model, 40, 524, 2024)):
+        short = record(sample_trajectory(model, 512, 2024, stream=long.stream), 0)
         assert long.symbols[:512] == short.symbols, long.stream
         assert long.initial_state == short.initial_state, long.stream
         assert long.word_levels[: len(short.word_levels)] == short.word_levels, long.stream
@@ -355,9 +357,9 @@ def test_longer_trajectory_starts_with_the_shorter_one(kind, alpha):
     assert (longer_records > 0) == (kind == "hmc")
 
 
-def _digest(trajectories) -> str:
+def _digest(batch) -> str:
     h = hashlib.sha256()
-    for t in trajectories:
+    for t in records(batch):
         state = t.initial_state
         fields = (t.symbols.hex(), t.stream, hex(state.level), hex(state.phase), *map(hex, t.word_levels))
         h.update(repr(fields).encode())
@@ -394,7 +396,7 @@ def test_trajectory_digests_are_pinned():
             sample_trajectories(make_model("hpm2", 2.0), 500, 64, 603)
         ),
         "e8ca11319841f9dc2870699a55bda3fec5ce6865ff3efde55cbbd1e553557ece": lambda: (
-            [sample_trajectory(make_model("hmc", 1.5), 30_000, 604)]
+            sample_trajectory(make_model("hmc", 1.5), 30_000, 604)
         ),
         "b3424efcf2ebce1092461abbebbef5e33cb94b9ad775a4c758bce0d207042dd8": lambda: (
             sample_trajectories(make_model("hmc", 1.2), 100, 600, 605)
@@ -455,13 +457,13 @@ def test_sample_trajectories_check_their_arguments_first():
             sample_trajectories(model, count, 0, seed=1)
     with pytest.raises(ValueError, match="count must be >= 0, got -1"):
         sample_trajectories(model, -1, 8, seed=1)
-    assert list(sample_trajectories(model, 0, 8, seed=1)) == []
+    assert sample_trajectories(model, 0, 8, seed=1).symbols.shape == (0, 8)
 
 
 def test_hpm1_window_marker_structure():
     model = make_model("hpm1", 1.5)
     for stream in range(60):
-        traj = sample_trajectory(model, 400, seed=21, stream=stream)
+        traj = record(sample_trajectory(model, 400, seed=21, stream=stream), 0)
         level = traj.initial_state.level
         if level > 150:
             continue
@@ -474,14 +476,14 @@ def test_hpm1_window_marker_structure():
 def test_cyclic_kinds_never_change_level():
     for kind in ("hpm1", "hpm2"):
         model = make_model(kind, 1.5)
-        traj = sample_trajectory(model, 300, seed=31)
+        traj = record(sample_trajectory(model, 300, seed=31), 0)
         levels = {s.level for s in hidden_states(traj)}
         assert len(levels) == 1
 
 
 def test_hmc_separator_runs_have_length_digit_count_plus_one():
     model = make_model("hmc", 1.5)
-    traj = sample_trajectory(model, 3000, seed=41)
+    traj = record(sample_trajectory(model, 3000, seed=41), 0)
     states = hidden_states(traj)
     sym = traj.symbols
     runs = []
@@ -506,8 +508,7 @@ def test_hmc_word_start_level_frequencies():
     model = make_model("hmc", 1.5)
     counts = {2: 0, 3: 0}
     starts = 0
-    traj = sample_trajectory(model, 60_000, seed=51)
-    states = hidden_states(traj)
+    states = hidden_states(record(sample_trajectory(model, 60_000, seed=51), 0))
     for prev, cur in zip(states, states[1:]):
         if cur.phase == 1:  # word boundary
             starts += 1
@@ -524,12 +525,11 @@ def test_hmc_word_start_level_frequencies():
 
 def test_iid_bits_estimate_near_zero():
     rng = np.random.default_rng(7)
-    bits = rng.integers(0, 2, size=1_000_000 + 7, dtype=np.uint8).tobytes()
-    traj = Trajectory(symbols=bits, seed=7, stream=0, kind="hpm1", alpha=2.0)
-    report = estimate_block_mi(traj, 4, bootstrap_resamples=4)
+    bits = rng.integers(0, 2, size=1_000_000 + 7, dtype=np.uint8)[None]
+    report = estimate_block_mi(bits, 4, bootstrap_resamples=4)
     assert abs(report.point_estimate) <= 0.01
     assert report.regime == "sliding"
-    mm = estimate_block_mi(traj, 4, method="miller_madow", bootstrap_resamples=4)
+    mm = estimate_block_mi(bits, 4, method="miller_madow", bootstrap_resamples=4)
     assert abs(mm.point_estimate) <= abs(report.point_estimate)
 
 
@@ -573,52 +573,76 @@ def test_insufficient_data_errors_name_the_minimum():
     with pytest.raises(ValueError, match="length >= 11"):
         estimate_block_mi(short, 4)
     # pooled minimum is 2n per trajectory, plus a window-count floor
-    tiny = sample_trajectory(model, 7, seed=112)
+    tiny = sample_trajectories(model, 2, 7, seed=112)
     with pytest.raises(ValueError, match="length >= 8"):
-        estimate_block_mi([tiny], 4)
-    one_window = sample_trajectory(model, 8, seed=113)
+        estimate_block_mi(tiny, 4)
+    three_windows = sample_trajectories(model, 3, 8, seed=113)
     with pytest.raises(ValueError, match=">= 4 windows"):
-        estimate_block_mi([one_window], 4)
+        estimate_block_mi(three_windows, 4)
+    with pytest.raises(ValueError, match="no trajectories supplied"):
+        estimate_block_mi(sample_trajectories(model, 0, 8, seed=114), 4)
 
 
 def test_bootstrap_that_cannot_spread_is_an_error():
-    # One resample, or a trajectory bootstrap of one trajectory, has no
-    # spread; its standard error used to read 0.0, as if the estimate were
-    # exact.  No bootstrap at all still reports 0.0.
+    # One resample has no spread; its standard error used to read 0.0, as
+    # if the estimate were exact.  No bootstrap at all still reports 0.0.
     model = make_model("hpm2", 1.5)
     trajs = sample_trajectories(model, 200, 16, seed=114)
-    for data in (trajs, trajs[0]):
+    for data in (trajs, sample_trajectory(model, 16, seed=114)):
         with pytest.raises(ValueError, match="bootstrap_resamples must be 0 or >= 2, got 1"):
             estimate_block_mi(data, 8, bootstrap_resamples=1)
         assert estimate_block_mi(data, 2, bootstrap_resamples=0).std_error == 0.0
     assert estimate_block_mi(trajs, 8, bootstrap_resamples=2).std_error > 0.0
-    for resamples in (2, 64):
-        with pytest.raises(ValueError, match=f"^{resamples} bootstrap resamples need >= 2 pooled trajectories, got 1$"):
-            estimate_block_mi(trajs[:1], 2, bootstrap_resamples=resamples)
 
 
-def test_batch_reads_as_the_list_of_its_trajectories():
-    # The estimator reads a batch's symbol matrix and a list through the
-    # trajectories' bytes; both, and the records built on demand, agree.
+def test_batch_reads_as_its_symbol_matrix():
+    # The estimator reads a batch through its read-only symbol matrix; a
+    # writable copy of the matrix, as data from elsewhere comes, agrees.
     model = make_model("hmc", 1.5)
     batch = sample_trajectories(model, 50, 20, seed=131)
-    trajs = list(batch)
     assert batch.symbols.shape == (50, 20) and not batch.symbols.flags.writeable
-    assert batch[-1] == trajs[-1] and batch[10:40:3] == trajs[10:40:3]
-    with pytest.raises(IndexError):
-        batch[50]
+    copy = batch.symbols.copy()
     for method in ("plugin", "miller_madow"):
-        assert estimate_block_mi(batch, 4, method, 16, 5) == estimate_block_mi(trajs, 4, method, 16, 5)
+        assert estimate_block_mi(batch, 4, method, 16, 5) == estimate_block_mi(copy, 4, method, 16, 5)
 
 
 def test_estimator_rejects_symbols_it_cannot_pack():
     # Blocks are packed 2 bits per symbol, so a 4 would collide with another
     # block instead of counting as a new one.
-    symbols = bytes([0, 1, 2, 3] * 5 + [4])
-    traj = Trajectory(symbols=symbols, seed=0, stream=0, kind="hpm2", alpha=1.5)
-    for data in (traj, [traj]):
+    row = np.frombuffer(bytes([0, 1, 2, 3] * 5 + [4]), np.uint8)[None]
+    for data in (row, np.repeat(row, 2, axis=0)):  # sliding, then pooled
         with pytest.raises(ValueError, match="symbol 4 outside 0..3"):
             estimate_block_mi(data, 2)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (np.zeros(40, np.uint8), "shape (40,)"),
+        (np.zeros((2, 40), np.int64), "dtype int64"),
+        (np.zeros((2, 4, 40), np.uint8), "shape (2, 4, 40)"),
+    ],
+    ids=["1-D", "int64", "3-D"],
+)
+def test_estimator_rejects_other_shapes_and_dtypes(data, named):
+    # The estimator reads one (rows, length) uint8 matrix; anything else is
+    # data from outside the program, and the error names what it got.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        estimate_block_mi(data, 2)
+
+
+@pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
+def test_one_row_slides_however_it_was_sampled(kind):
+    # The regime follows the row count alone: a batch of one trajectory
+    # slides, as the trajectory of `sample_trajectory` does; a one-element
+    # hmc batch is not pooled.
+    model = make_model(kind, 1.5)
+    batch = sample_trajectories(model, 1, 500, seed=181)
+    single = sample_trajectory(model, 500, seed=181)
+    for method in ("plugin", "miller_madow"):
+        report = estimate_block_mi(batch, 3, method, 16, 7)
+        assert report.regime == "sliding" and report.trajectory_count == 1
+        assert report == estimate_block_mi(single, 3, method, 16, 7)
 
 
 def test_pooled_estimate_lands_in_certified_interval():
@@ -637,7 +661,7 @@ def test_pooled_estimate_lands_in_certified_interval():
 def test_symbols_match_emissions_of_hidden_states():
     for kind in ("hpm1", "hpm2", "hmc"):
         model = make_model(kind, 1.5)
-        traj = sample_trajectory(model, 400, seed=131)
+        traj = record(sample_trajectory(model, 400, seed=131), 0)
         for t, state in enumerate(hidden_states(traj)):
             if state.level.bit_length() > 24:
                 continue  # emission recomputes digits; skip the huge-level case
@@ -650,7 +674,7 @@ def test_big_level_symbols_match_emissions_of_hidden_states(kind):
     level = 2**40 + 12345
     model = make_model(kind, 1.5, fixed_level=level)
     for stream in range(4):
-        traj = sample_trajectory(model, 400, seed=133, stream=stream)
+        traj = record(sample_trajectory(model, 400, seed=133, stream=stream), 0)
         states = hidden_states(traj)
         assert len(states) == len(traj.symbols)
         assert {s.level for s in states} == {level}
@@ -659,8 +683,7 @@ def test_big_level_symbols_match_emissions_of_hidden_states(kind):
 
 def test_hmc_per_step_level_occupation_matches_stationary_law():
     model = make_model("hmc", 1.5)
-    traj = sample_trajectory(model, 120_000, seed=141)
-    states = hidden_states(traj)
+    states = hidden_states(record(sample_trajectory(model, 120_000, seed=141), 0))
     steps = len(states)
     for level in (2, 3):
         occ = sum(1 for s in states if s.level == level) / steps
@@ -677,7 +700,7 @@ def test_single_trajectory_underestimates_ensemble_mi():
     stream = next(
         s
         for s in range(200)
-        if sample_trajectory(model, 4, seed=151, stream=s).initial_state.level == 2
+        if record(sample_trajectory(model, 4, seed=151, stream=s), 0).initial_state.level == 2
     )
     single = sample_trajectory(model, 2000, seed=151, stream=stream)
     sliding = estimate_block_mi(single, 4, bootstrap_resamples=4)
@@ -692,15 +715,12 @@ def test_estimator_matches_counter_oracle(kind):
     lengths = np.random.default_rng(161)
     for n in (1, 3, 8, 16, 40):
         single = sample_trajectory(model, 60 * n, seed=162, stream=n)
-        pooled = [
-            sample_trajectory(model, int(lengths.integers(2 * n, 6 * n + 3)), seed=163, stream=s)
-            for s in range(40)
-        ]
+        pooled = sample_trajectories(model, 40, int(lengths.integers(2 * n, 6 * n + 3)), seed=163)
         for data in (single, pooled):
             for method in ("plugin", "miller_madow"):
                 for resamples in (0, 2, 9):
                     report = estimate_block_mi(data, n, method, resamples, bootstrap_seed=n)
-                    point, std, count = naive_estimate(data, n, method, resamples, seed=n)
+                    point, std, count = naive_estimate(data.symbols, n, method, resamples, seed=n)
                     case = (n, report.regime, method, resamples)
                     assert report.sample_count == count, case
                     # Windows are numbered in first-seen order, as the oracle's Counters
@@ -736,11 +756,9 @@ def test_pooled_plug_in_equals_exact_block_mi_on_one_cycle(kind, level, n):
     # the estimator needs 4 windows.
     model = make_model(kind, 1.5, fixed_level=level)
     r = model.phase_count(level)
-    ext = model.emission_word(level) * (2 * n // r + 2)
-    trajs = [
-        Trajectory(ext[k : k + 2 * n], seed=0, stream=k, kind=kind, alpha=1.5) for k in range(r)
-    ] * (2 if r < 4 else 1)
-    report = estimate_block_mi(trajs, n, bootstrap_resamples=0)
+    ext = np.frombuffer(model.emission_word(level) * (2 * n // r + 2), np.uint8)
+    rows = np.stack([ext[k : k + 2 * n] for k in range(r)] * (2 if r < 4 else 1))
+    report = estimate_block_mi(rows, n, bootstrap_resamples=0)
     table = enumerate_joint(model, n, level)
     assert report.point_estimate == pytest.approx(block_mi(table).value, abs=1e-12)
 
