@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,19 +101,7 @@ class RateFitReport:
     sources: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "regressor": self.regressor,
-            "fitted_slope": self.fitted_slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "point_count": self.point_count,
-            "predicted_class": self.predicted_class,
-            "sources": list(self.sources),
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), indent=2, **kwargs)

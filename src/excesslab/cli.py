@@ -53,12 +53,10 @@ class RunConfig:
     alpha: float = 1.5
     block_lengths: list[int] = dataclasses.field(default_factory=lambda: [2, 4, 8])
     level_cutoff: int | None = None
-    prune_eps: float = 0.0
     seeds: list[int] = dataclasses.field(default_factory=lambda: [0])
     estimator: str = "plugin"
     output_dir: str = "runs"
     series_cutoff: int = DEFAULT_SERIES_CUTOFF
-    tail_aggregation: bool | None = None
     trajectories: int = 10_000
     trajectory_length: int | None = None
     bootstrap: int = 64
@@ -79,8 +77,6 @@ class RunConfig:
             raise ValueError("block lengths must be strictly increasing")
         if self.block_lengths[0] < 1:
             raise ValueError("block lengths must be >= 1")
-        if not 0.0 <= self.prune_eps < 1.0:
-            raise ValueError(f"prune threshold must lie in [0, 1), got {self.prune_eps}")
         # A count below its floor would make a run check or sample nothing;
         # a cutoff below its floor would stop the run part way.
         counts = ("windows", "trajectories", "trajectory_length", "path_budget", "entry_budget")
@@ -105,10 +101,17 @@ class RunConfig:
             raise ValueError(f"unknown fit source {self.source!r}")
 
     def validate_estimate(self) -> None:
-        """Reject a pooled estimate that would stop part way or not pool:
-        it needs MIN_WINDOWS disjoint windows of 2n symbols at every n, and
-        two trajectories, since the estimator slides over a single one."""
+        """Reject an estimate that would stop part way or not pool: at every n
+        it needs MIN_WINDOWS windows of 2n symbols, disjoint when pooled, and
+        a pooled one needs two trajectories, since one row would slide."""
         if self.process == Kind.HMC.value:
+            for n in self.block_lengths:
+                length, floor = self.estimate_length(n), 2 * n + MIN_WINDOWS - 1
+                if length < floor:
+                    raise ValueError(
+                        f"trajectory_length must be >= {floor} for a sliding estimate at n={n}, "
+                        f"got {length}"
+                    )
             return
         for n in self.block_lengths:
             length = self.estimate_length(n)
@@ -151,7 +154,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if value is not None and not _fits(value, hints[key]):
             raise ValueError(f"{path}: {key} must be {RunConfig.__annotations__[key]}, got {value!r}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    # A null means the default: older manifests stored a null prune_eps.
+    # A null means the default.
     cfg = RunConfig(**{k: v for k, v in data.items() if v is not None})
     cfg.validate()
     return cfg
@@ -187,7 +190,7 @@ def _write_manifest(
 
 def _resolved_rows(rows: list[dict]) -> list[dict]:
     """What `_exact_row` resolved per block length; the manifest records it."""
-    return [{k: r[k] for k in ("n", "level_cutoff", "prune_eps", "tail_aggregation")} for r in rows]
+    return [{k: r[k] for k in ("n", "level_cutoff", "tail_aggregation")} for r in rows]
 
 
 def _auto_cutoff(config: RunConfig, n: int) -> int:
@@ -205,16 +208,15 @@ def _exact_row(config: RunConfig, n: int) -> dict:
     kind = Kind(config.process)
     model = config.model()
     cutoff = _auto_cutoff(config, n)
-    aggregate = config.tail_aggregation
-    if aggregate is None:
-        aggregate = kind is Kind.HPM1
+    # Only hpm1 has a closed-form tail; no run prunes, since a pruned hmc
+    # table is never narrower than the same table unpruned.
+    aggregate = kind is Kind.HPM1
     row = {
         "kind": config.process,
         "alpha": config.alpha,
         "n": n,
         "source": "exact",
         "level_cutoff": cutoff,
-        "prune_eps": config.prune_eps,
         "tail_aggregation": aggregate,
         "status": "ok",
     }
@@ -223,7 +225,6 @@ def _exact_row(config: RunConfig, n: int) -> dict:
             model,
             n,
             cutoff,
-            config.prune_eps,
             tail_aggregation=aggregate,
             path_budget=config.path_budget,
             entry_budget=config.entry_budget,
@@ -247,9 +248,7 @@ def _exact_row(config: RunConfig, n: int) -> dict:
 def cmd_exact(config: RunConfig, out: Path) -> int:
     rows = [_exact_row(config, n) for n in config.block_lengths]
     path = out / "exact.csv"
-    write_series_csv(
-        rows, path, extra_columns=("entries", "pruned_mass_hi", "level_cutoff", "prune_eps", "status")
-    )
+    write_series_csv(rows, path, extra_columns=("entries", "pruned_mass_hi", "level_cutoff", "status"))
     _write_manifest(out, "exact", config, [path.name], _resolved_rows(rows))
     skipped = [r for r in rows if r["status"] != "ok"]
     for r in skipped:
@@ -309,7 +308,6 @@ def cmd_verify(config: RunConfig, out: Path, decoder_fault: bool = False) -> int
     if dropped:
         print(f"verify: dropped n = {dropped} (above 12); ran n = {block_lengths}", file=sys.stderr)
     ledger = run_verification(
-        kinds=tuple(Kind),
         alphas=(config.alpha,),
         block_lengths=tuple(block_lengths),
         series_cutoff=series_cutoff,
@@ -413,15 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="tail exponent in (1, 2] (default 1.5)")
         p.add_argument("--n", dest="block_lengths", type=_int_list, help="block lengths, e.g. 2,4,8")
         p.add_argument("--level-cutoff", dest="level_cutoff", type=int, help="level support cutoff (default: auto per kind)")
-        p.add_argument("--prune-eps", dest="prune_eps", type=float, help="path pruning threshold for the ergodic kind (default 0)")
         p.add_argument("--seed", dest="seeds", type=_int_list, help="seeds, e.g. 0,1,2")
         p.add_argument("--out", dest="output_dir", help="output directory (default runs)")
         p.add_argument("--series-cutoff", dest="series_cutoff", type=int, help="normalization series cutoff (default 1e7)")
 
     p_exact = sub.add_parser("exact", help="certified E(n) sweep to CSV")
     common(p_exact)
-    p_exact.add_argument("--tail-aggregation", dest="tail_aggregation", action="store_true", default=None)
-    p_exact.add_argument("--no-tail-aggregation", dest="tail_aggregation", action="store_false")
 
     p_est = sub.add_parser("estimate", help="sampled E(n) estimates to CSV")
     common(p_est)

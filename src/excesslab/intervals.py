@@ -66,9 +66,6 @@ class Interval:
             raise ZeroDivisionError("interval straddles zero")
         return Interval(1.0 / self.hi, 1.0 / self.lo)
 
-    def __truediv__(self, other) -> "Interval":
-        return self * _coerce(other).reciprocal()
-
     def clamp(self, lo: float = 0.0, hi: float = 1.0) -> "Interval":
         return Interval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
 

@@ -61,6 +61,9 @@ from .series import (
 )
 
 _CLIP = 1 << 32  # levels and phases above it are never revealed at n <= 64
+# The exponents and the points n at which series_brackets sums directly.
+BRACKET_ALPHAS = (1.2, 1.5, 1.8, 2.0)
+BRACKET_POINTS = (2, 2**4, 2**10, 2**20)
 
 
 @dataclass
@@ -99,9 +102,8 @@ class VerificationLedger:
         }
 
 
-def check_series_brackets(
-    alphas=(1.2, 1.5, 1.8, 2.0), points=(2, 2**4, 2**10, 2**20)
-) -> CheckResult:
+def check_series_brackets() -> CheckResult:
+    alphas, points = BRACKET_ALPHAS, BRACKET_POINTS
     partials = {n: _direct_sums(2, n + 1, [alpha - 1.0 for alpha in alphas]) for n in points}
     # Telescoping: the tail brackets at n and 2n must enclose the directly
     # summed finite segment [n, 2n).
@@ -393,22 +395,20 @@ def check_monotonicity(results: dict) -> CheckResult:
 
 
 def run_verification(
-    kinds=(Kind.HPM1, Kind.HPM2, Kind.HMC),
     alphas=(1.5, 2.0),
     block_lengths=(2, 4, 6, 8),
     series_cutoff: int = 1_000_000,
     windows: int = 100_000,
     decoder_fault: bool = False,
 ) -> VerificationLedger:
-    """Run the whole suite at a configurable desk scale."""
+    """Run the whole suite, over every kind, at a configurable desk scale."""
     ledger = VerificationLedger()
     ledger.checks.append(check_series_brackets())
 
     tables: dict = {}
     mi_results: dict = {}
     models: dict = {}  # the alphas[0] model of each kind, for the decoder check
-    for kind in kinds:
-        kind = Kind(kind)
+    for kind in Kind:
         for alpha in alphas:
             model = ProcessModel(kind, alpha, series_cutoff=series_cutoff)
             models.setdefault(kind, model)

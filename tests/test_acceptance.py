@@ -18,6 +18,8 @@ from excesslab.exact import _number_blocks, block_mi, enumerate_joint
 from excesslab.sampling import estimate_block_mi, sample_trajectories
 from excesslab.series import tail_sum_bracket
 from excesslab.verify import (
+    BRACKET_ALPHAS,
+    BRACKET_POINTS,
     _direct_sums,
     check_decoder_agreement,
     check_decomposition,
@@ -131,14 +133,13 @@ def test_criterion_3_decoder_agreement():
 def test_criterion_4_series_brackets():
     """Direct sums lie inside the closed-form brackets; zero failures."""
     start = time.time()
-    alphas, points = (1.2, 1.5, 1.8, 2.0), (2, 2**4, 2**10, 2**20)
     # The partial sums and the [n, 2n) segments, as `excesslab verify` checks them.
-    check = check_series_brackets(alphas, points)
+    check = check_series_brackets()
     assert check.passed, check.detail
-    checks = 2 * len(alphas) * len(points)
+    checks = 2 * len(BRACKET_ALPHAS) * len(BRACKET_POINTS)
     # The [n, 4n) segments, which verify does not check, summed as it sums.
-    for n in points:
-        for alpha, direct_seg in zip(alphas, _direct_sums(n, 4 * n, alphas)):
+    for n in BRACKET_POINTS:
+        for alpha, direct_seg in zip(BRACKET_ALPHAS, _direct_sums(n, 4 * n, BRACKET_ALPHAS)):
             lo = tail_sum_bracket(alpha, n).lo - tail_sum_bracket(alpha, 4 * n).hi
             hi = tail_sum_bracket(alpha, n).hi - tail_sum_bracket(alpha, 4 * n).lo
             assert lo - 1e-12 <= direct_seg <= hi + 1e-12, (alpha, n)

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from excesslab.cli import main
+from excesslab.cli import DEFAULT_HMC_CUTOFF, main
+from excesslab.exact import block_mi, enumerate_joint
+from excesslab.models import ProcessModel
 
 FAST = ["--series-cutoff", "1000000"]
 
@@ -47,8 +49,8 @@ def test_manifest_records_resolved_configuration(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["level_cutoff"] is None
     assert manifest["resolved"] == [
-        {"n": 4, "level_cutoff": 4, "prune_eps": 0.0, "tail_aggregation": False},
-        {"n": 8, "level_cutoff": 15, "prune_eps": 0.0, "tail_aggregation": False},
+        {"n": 4, "level_cutoff": 4, "tail_aggregation": False},
+        {"n": 8, "level_cutoff": 15, "tail_aggregation": False},
     ]
     rows = read_csv(out / "exact.csv")
     assert [int(r["level_cutoff"]) for r in rows] == [4, 15]
@@ -60,22 +62,57 @@ def test_manifest_records_resolved_configuration(tmp_path):
     assert manifest["command"] == "fit"
     assert manifest["outputs"] == ["fit.json"]
     assert manifest["resolved"] == [
-        {"n": n, "level_cutoff": 1 << 12, "prune_eps": 0.0, "tail_aggregation": True}
+        {"n": n, "level_cutoff": 1 << 12, "tail_aggregation": True}
         for n in (4, 6, 8, 10)
     ]
 
 
-def test_exact_hmc_runs_unpruned_by_default(tmp_path):
-    # Pruning hmc never leaves less mass out than prune_eps 0, so no n is
-    # pruned unless asked.
-    cfg = tmp_path / "old-manifest-config.json"
-    cfg.write_text(json.dumps({"prune_eps": None}))  # what older manifests stored
-    for extra in ([], ["--config", str(cfg)]):
-        out = tmp_path / f"run{len(extra)}"
-        args = ["exact", "--process", "hmc", "--n", "9", "--out", str(out)] + extra
-        assert run_cli(args + FAST) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["resolved"][0]["prune_eps"] == 0.0
+@pytest.mark.parametrize(
+    "kind, cutoff, aggregate",
+    [("hpm1", 1 << 12, True), ("hpm2", None, False), ("hmc", DEFAULT_HMC_CUTOFF, False)],
+)
+def test_exact_values_equal_the_per_kind_recipe(tmp_path, kind, cutoff, aggregate):
+    # One table recipe per kind: hpm1 aggregates its tail, hpm2 and hmc do
+    # not, and nothing is pruned.  The CSV's 17 digits read back bit for bit.
+    out = tmp_path / "run"
+    assert run_cli(["exact", "--process", kind, "--n", "2,4,8", "--out", str(out)] + FAST) == 0
+    header = (out / "exact.csv").read_text().splitlines()[0]
+    assert header == "kind,alpha,n,value,err_low,err_high,source,entries,pruned_mass_hi,level_cutoff,status"
+    rows = read_csv(out / "exact.csv")
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert {r["tail_aggregation"] for r in resolved} == {aggregate}
+    model = ProcessModel(kind, 1.5, series_cutoff=1_000_000)
+    for n, row in zip((2, 4, 8), rows):
+        level_cutoff = cutoff or max(4, (1 << (n // 2)) - 1)
+        mi = block_mi(enumerate_joint(model, n, level_cutoff, 0.0, tail_aggregation=aggregate))
+        assert float(row["value"]) == mi.value
+        assert float(row["err_low"]) == mi.value - mi.lo
+        assert float(row["err_high"]) == mi.hi - mi.value
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    # Every subcommand took --prune-eps; only exact took the other two.
+    [(command, ["--prune-eps", "1e-7"]) for command in ("exact", "estimate", "verify", "fit", "info")]
+    + [("exact", ["--tail-aggregation"]), ("exact", ["--no-tail-aggregation"])],
+)
+def test_removed_table_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "--n", "2", "--out", str(tmp_path / "run")] + flag + FAST)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config", [{"prune_eps": 0.0}, {"prune_eps": None}, {"tail_aggregation": False}])
+def test_config_with_a_removed_key_is_usage_error(tmp_path, capsys, config):
+    # Older configs and manifests hold these keys; they are named, not ignored.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        run_cli(["exact", "--config", str(cfg), "--n", "2", "--out", str(tmp_path / "run")] + FAST)
+    assert err.value.code == 2
+    assert f"unknown config keys: {list(config)}" in capsys.readouterr().err
 
 
 def test_exact_empty_block_lengths_is_usage_error(tmp_path):
@@ -117,6 +154,16 @@ def test_alpha_out_of_range_is_usage_error(tmp_path):
             ["estimate", "--process", "hpm1", "--trajectories", "1", "--length", "100", "--bootstrap", "0"],
             {},
             "trajectories must be >= 2 for a pooled hpm1 estimate, got 1",
+        ),
+        (
+            ["estimate", "--process", "hpm1", "--trajectories", "2", "--length", "3"],
+            {},
+            "trajectories must give >= 4 pooled windows at n=2, got 0 from 2 of length 3",
+        ),
+        (
+            ["estimate", "--process", "hmc", "--length", "5"],
+            {},
+            "trajectory_length must be >= 7 for a sliding estimate at n=2, got 5",
         ),
     ],
 )
