@@ -19,6 +19,7 @@ class per construction:
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -196,12 +197,13 @@ SERIES_CSV_COLUMNS = ("kind", "alpha", "n", "value", "err_low", "err_high", "sou
 
 
 def write_series_csv(rows: Iterable[dict], path, extra_columns: Sequence[str] = ()) -> None:
-    """One row per computed point; '.' decimal separator, 17 significant digits."""
+    """One row per computed point; '.' decimal separator, 17 significant
+    digits, and a cell that holds a comma (a skipped row's status) quoted."""
     columns = list(SERIES_CSV_COLUMNS) + list(extra_columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(row.get(c)) for c in columns] for row in rows)
 
 
 def _format_cell(value) -> str:

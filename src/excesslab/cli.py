@@ -208,15 +208,16 @@ def _exact_row(config: RunConfig, n: int) -> dict:
     kind = Kind(config.process)
     model = config.model()
     cutoff = _auto_cutoff(config, n)
-    # Only hpm1 has a closed-form tail; no run prunes, since a pruned hmc
-    # table is never narrower than the same table unpruned.
+    # Only hpm1 has a closed-form tail, and its aggregated table ignores the
+    # cutoff; no run prunes, since a pruned hmc table is never narrower than
+    # the same table unpruned.
     aggregate = kind is Kind.HPM1
     row = {
         "kind": config.process,
         "alpha": config.alpha,
         "n": n,
         "source": "exact",
-        "level_cutoff": cutoff,
+        "level_cutoff": None if aggregate else cutoff,
         "tail_aggregation": aggregate,
         "status": "ok",
     }
@@ -308,7 +309,7 @@ def cmd_verify(config: RunConfig, out: Path, decoder_fault: bool = False) -> int
     if dropped:
         print(f"verify: dropped n = {dropped} (above 12); ran n = {block_lengths}", file=sys.stderr)
     ledger = run_verification(
-        alphas=(config.alpha,),
+        alpha=config.alpha,
         block_lengths=tuple(block_lengths),
         series_cutoff=series_cutoff,
         windows=config.windows,

@@ -25,8 +25,9 @@ length n each as a finite table:
     subtree from the cache only when even its least likely leaf clears the
     threshold.  The others expand in a walk over the path tree, one depth
     at a time in numpy: each takes all its kept branches at once, and the
-    walk's leaves, cached boundaries and pruned-mass additions are then put
-    in the order of their node paths, as a depth-first recursion meets them.
+    walk's leaves, cached boundaries and pruned-mass additions are kept
+    depth after depth, in the order it makes them.  Without pruning every
+    boundary is cached, so the walk is one depth: the seeds in level order.
     The leaves become rows of a key matrix and a mass vector, and so do the
     cached (prefix, suffix) combinations: each completion table becomes
     window rows once, suffixes at the end of the row, and a combination is
@@ -274,20 +275,23 @@ def enumerate_joint(
     ergodic kind, each cached suffix table; the ergodic table's keys are
     counted after each merge of its rows, so memory stays within the budget
     plus one chunk of rows.  Exceeding either raises
-    `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` and, for
-    the ergodic kind, `prune_eps`.
+    `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` and, when
+    it prunes, `prune_eps`.
     """
+    where = f"{model.kind.value} alpha={model.alpha} n={n}: "
     if n < 1:
-        raise ValueError(f"block length must be >= 1, got {n}")
+        raise ValueError(f"{where}block length must be >= 1, got {n}")
     if level_cutoff < MIN_LEVEL_CUTOFF:
-        raise ValueError(f"level cutoff must be >= {MIN_LEVEL_CUTOFF}, got {level_cutoff}")
+        raise ValueError(f"{where}level cutoff must be >= {MIN_LEVEL_CUTOFF}, got {level_cutoff}")
     if not 0.0 <= prune_eps < 1.0:
-        raise ValueError(f"prune threshold must lie in [0, 1), got {prune_eps}")
+        raise ValueError(f"{where}prune threshold must lie in [0, 1), got {prune_eps}")
     if tail_aggregation:
         if model.kind is not Kind.HPM1:
-            raise ValueError("tail aggregation applies to the single-marker cyclic kind only")
+            raise ValueError(
+                f"{where}tail aggregation applies to the single-marker cyclic kind only"
+            )
         if model.fixed_level is not None:
-            raise ValueError("tail aggregation needs the full heavy-tailed level law")
+            raise ValueError(f"{where}tail aggregation needs the full heavy-tailed level law")
     meta = {
         "kind": model.kind.value,
         "alpha": model.alpha,
@@ -326,12 +330,11 @@ def _retained_table(table: JointBlockTable) -> JointBlockTable:
     )
 
 
-def _input_label(
-    model: ProcessModel, n: int, level_cutoff: int, prune_eps: float | None = None
-) -> str:
-    """The enumeration input a budget error names."""
+def _input_label(model: ProcessModel, n: int, level_cutoff: int, prune_eps: float = 0.0) -> str:
+    """The enumeration input a budget error names; `prune_eps` only when it
+    prunes."""
     label = f"kind={model.kind.value}, alpha={model.alpha}, n={n}, level_cutoff={level_cutoff}"
-    return label if prune_eps is None else f"{label}, prune_eps={prune_eps}"
+    return f"{label}, prune_eps={prune_eps}" if prune_eps > 0.0 else label
 
 
 def _levels(model: ProcessModel, level_cutoff: int) -> Sequence[int]:
@@ -622,8 +625,9 @@ def _enumerate_hmc(
         """The walk from the seeds, one depth at a time: the rows and
         probabilities of its leaves, the rows, symbol counts and
         probabilities of its cached boundaries, and its pruned-mass
-        additions as (lo, hi) pairs, each in the order of the node paths.
-        Its per-depth arrays go when it returns, before the merge's peak."""
+        additions as (lo, hi) pairs, depth after depth in the order it makes
+        them.  Its per-depth arrays go when it returns, before the merge's
+        peak."""
         # Depth 0 holds the seeds, one per (level, phase) in level order,
         # which are never pruned.  A node is the row of its first 2n symbols
         # (zeros past `filled`, read as uint64 words), how many of them its
@@ -635,10 +639,7 @@ def _enumerate_hmc(
         rows, filled = rows.view(np.uint64), np.minimum(lens[level] - phase, length)
         probs = seed_masses[level]
         count(len(probs))
-        # Per depth: the indices of its leaves, cached and expanded
-        # boundaries, and how many branches each expanded one keeps; then
-        # what each of them contributes.
-        depths, leaves, hits, additions = [], [], [], []
+        leaves, hits, additions = [], [], []
         while len(probs):
             open_ = np.flatnonzero(filled < length)
             need = length - filled[open_]
@@ -667,26 +668,23 @@ def _enumerate_hmc(
                 kids.append((child, reach, probs[parent] * b[rank], k))
             p = probs[expand]
             rows, filled, probs, kept = (np.concatenate(a) for a in zip(*kids))
-            # prob * tail at each expanded boundary, and after its kept
-            # subtrees prob * the rest from its first pruned branch on.
+            # prob * tail at each expanded boundary, and prob * the rest from
+            # its first pruned branch on.
             cut = kept < len(b)
             additions += [p[:, None] * tail, (p[cut] * rests[kept[cut]])[:, None].repeat(2, 1)]
-            depths.append((leaf, hit, expand, kept))
-        orders = [np.argsort(at, kind="stable") for at in _depth_first(depths, len(b))]
-        groups = (zip(*leaves), zip(*hits), [additions])
-        return [np.concatenate(a).take(order, 0) for order, g in zip(orders, groups) for a in g]
+        return [np.concatenate(a) for g in (zip(*leaves), zip(*hits), [additions]) for a in g]
 
     leaf_rows, leaf_probs, prefix_rows, prefix_lens, prefix_probs, walked = walk()
     # Word boundaries whose whole subtree comes from the cache, by the path
     # that reaches them: each distinct (prefix, symbol count) with its summed
-    # path probability, in visit order.
+    # path probability, in the walk's order.
     prefix_ids = _number_blocks(prefix_rows.view(np.uint8)[:, :length])[0]
     ids, first = _first_appearance(prefix_ids * (length + 1) + prefix_lens)
     prefix_probs = np.bincount(ids, prefix_probs, len(first))
     prefix_rows, prefix_lens = prefix_rows[first], prefix_lens[first]
-    # The pruned mass (lo, hi) added in the order of a recursion: the walk's
-    # additions, then the level tail, then, per cached boundary, the tail
-    # below each word boundary of its subtree.  np.cumsum adds in order.
+    # The pruned mass (lo, hi) added in one order: the walk's additions, then
+    # the level tail, then, per cached boundary, the tail below each word
+    # boundary of its subtree.  np.cumsum adds in order.
     internal = prefix_probs * np.array(internal_q)[length - prefix_lens]
     added = (walked, [[seed_tail.lo, seed_tail.hi]], internal[:, None] * tail)
     pruned = Interval(*np.cumsum(np.concatenate(added), axis=0)[-1].tolist())
@@ -701,38 +699,6 @@ def _enumerate_hmc(
         merge.add(*block)
     keys, masses = merge.result()
     return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw * math.fsum(masses.tolist())
-
-
-def _depth_first(
-    depths: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], branches: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions in the order of the node paths (seed, then branch rank at
-    each depth), as a depth-first recursion meets them, of the walk's
-    leaves, cached boundaries and pruned-mass additions (per depth, each
-    expanded boundary's tail, then its pruned rest), in `depths` order.
-
-    An expanded boundary takes one slot for its tail, then its kept
-    children's subtrees, then one for its pruned rest if it pruned a
-    branch.  Subtree sizes are summed from the deepest depth up, and
-    positions handed down from the seeds."""
-    sizes = [np.zeros(0, np.intp)]
-    for leaf, hit, expand, kept in reversed(depths):
-        size = np.ones(len(leaf) + len(hit) + len(expand), np.intp)
-        sums = np.concatenate(([0], np.cumsum(sizes[-1])))
-        ends = np.cumsum(kept)
-        size[expand] += (kept < branches) + sums[ends] - sums[ends - kept]
-        sizes.append(size)
-    sizes.reverse()
-    leaf_at, cached_at, pruned_at = [], [], []
-    at = np.cumsum(sizes[0]) - sizes[0]
-    for (leaf, hit, expand, kept), size, below in zip(depths, sizes, sizes[1:]):
-        top = at[expand]
-        leaf_at.append(at[leaf])
-        cached_at.append(at[hit])
-        pruned_at += [top, (top + size[expand] - 1)[kept < branches]]
-        sums = np.concatenate(([0], np.cumsum(below)))
-        at = np.repeat(top + 1 - sums[np.cumsum(kept) - kept], kept) + sums[:-1]
-    return tuple(np.concatenate(a) for a in (leaf_at, cached_at, pruned_at))
 
 
 def _cached_rows(

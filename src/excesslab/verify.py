@@ -395,32 +395,30 @@ def check_monotonicity(results: dict) -> CheckResult:
 
 
 def run_verification(
-    alphas=(1.5, 2.0),
+    alpha: float = 1.5,
     block_lengths=(2, 4, 6, 8),
     series_cutoff: int = 1_000_000,
     windows: int = 100_000,
     decoder_fault: bool = False,
 ) -> VerificationLedger:
-    """Run the whole suite, over every kind, at a configurable desk scale."""
+    """Run the whole suite, over every kind at one alpha, at a configurable
+    desk scale."""
     ledger = VerificationLedger()
     ledger.checks.append(check_series_brackets())
 
     tables: dict = {}
     mi_results: dict = {}
-    models: dict = {}  # the alphas[0] model of each kind, for the decoder check
-    for kind in Kind:
-        for alpha in alphas:
-            model = ProcessModel(kind, alpha, series_cutoff=series_cutoff)
-            models.setdefault(kind, model)
-            for n in block_lengths:
-                if kind is Kind.HMC:
-                    table = enumerate_joint(model, n, 32)
-                elif kind is Kind.HPM1:
-                    table = enumerate_joint(model, n, 1 << 12, tail_aggregation=True)
-                else:
-                    table = enumerate_joint(model, n, max(4, (1 << (n // 2)) - 1))
-                tables[(kind, alpha, n)] = table
-                mi_results[(kind, alpha, n)] = block_mi(table)
+    models = {kind: ProcessModel(kind, alpha, series_cutoff=series_cutoff) for kind in Kind}
+    for kind, model in models.items():
+        for n in block_lengths:
+            if kind is Kind.HMC:
+                table = enumerate_joint(model, n, 32)
+            elif kind is Kind.HPM1:
+                table = enumerate_joint(model, n, 1 << 12, tail_aggregation=True)
+            else:
+                table = enumerate_joint(model, n, max(4, (1 << (n // 2)) - 1))
+            tables[(kind, alpha, n)] = table
+            mi_results[(kind, alpha, n)] = block_mi(table)
 
     ledger.checks.append(check_decomposition(tables))
     for kind, model in models.items():

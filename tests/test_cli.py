@@ -61,9 +61,10 @@ def test_manifest_records_resolved_configuration(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "fit"
     assert manifest["outputs"] == ["fit.json"]
+    # An aggregated hpm1 table ignores the cutoff, so none is recorded.
+    assert manifest["config"]["level_cutoff"] is None
     assert manifest["resolved"] == [
-        {"n": n, "level_cutoff": 1 << 12, "tail_aggregation": True}
-        for n in (4, 6, 8, 10)
+        {"n": n, "level_cutoff": None, "tail_aggregation": True} for n in (4, 6, 8, 10)
     ]
 
 
@@ -268,6 +269,34 @@ def test_hmc_budget_exhaustion_marks_row_skipped(tmp_path):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("skipped")
     assert rows[1]["value"] == ""
+
+
+def test_hmc_entry_budget_skip_names_its_input(tmp_path, capsys):
+    # The status names what the run was given; no run prunes, so it names
+    # no pruning threshold.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "process": "hmc",
+                "alpha": 1.5,
+                "block_lengths": [2, 8],
+                "entry_budget": 4000,
+                "series_cutoff": 1_000_000,
+            }
+        )
+    )
+    out = tmp_path / "run"
+    assert run_cli(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "exact.csv")
+    assert rows[0]["status"] == "ok"
+    status = rows[1]["status"]
+    assert status == (
+        "skipped: table exceeded entry budget 4000 "
+        "(kind=hmc, alpha=1.5, n=8, level_cutoff=64)"
+    )
+    assert f"n=8: {status}" in capsys.readouterr().err
+    assert "prune_eps" not in status
 
 
 def test_estimate_reproducible_and_pooled(tmp_path):

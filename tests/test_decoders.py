@@ -328,7 +328,7 @@ def test_decoder_agreement_rejects_no_windows(windows):
 @pytest.fixture(scope="module")
 def benchmark_ledger():
     """run_verification at the verify benchmark's scale."""
-    return run_verification(alphas=(1.5,), block_lengths=(2, 4, 8))
+    return run_verification(alpha=1.5, block_lengths=(2, 4, 8))
 
 
 def test_verify_pins_the_benchmark_decoder_details(benchmark_ledger):

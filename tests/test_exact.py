@@ -93,15 +93,20 @@ def test_conservation_at_n1(kind):
 
 
 def test_enumerate_validation():
+    # Each message names the input, as the closed-form bounds do.
     m = make_model("hpm1", 1.5)
-    with pytest.raises(ValueError):
+    where = r"^hpm1 alpha=1\.5 n=2: "
+    with pytest.raises(ValueError, match=r"^hpm1 alpha=1\.5 n=0: block length must be >= 1, got 0$"):
         enumerate_joint(m, 0, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=where + r"level cutoff must be >= 2, got 1$"):
         enumerate_joint(m, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=where + r"prune threshold must lie in \[0, 1\), got 1\.0$"):
         enumerate_joint(m, 2, 16, prune_eps=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^hpm2 alpha=1\.5 n=2: tail aggregation applies to"):
         enumerate_joint(make_model("hpm2", 1.5), 2, 16, tail_aggregation=True)
+    fixed = make_model("hpm1", 1.5, fixed_level=5)
+    with pytest.raises(ValueError, match=where + "tail aggregation needs the full"):
+        enumerate_joint(fixed, 2, 16, tail_aggregation=True)
 
 
 def test_hpm1_matches_bruteforce_oracle_n3():
@@ -185,19 +190,24 @@ def test_hmc_level_law_equals_scalar_oracles_bit_for_bit(alpha):
     assert branches.tobytes() == np.array(expected_branches).tobytes()
 
 
+def assert_pruned_mass_matches_oracle(model, table, reference, level_cutoff):
+    """The mass the oracle never reaches from the seeds is what the engine
+    books as pruned beyond the level tail."""
+    seeds = math.fsum(level_mass(model, m).mid for m in range(2, level_cutoff + 1))
+    missed = seeds - math.fsum(reference.values())
+    tail = model.level_tail_mass(level_cutoff)
+    path_pruned = Interval(table.pruned_mass.lo - tail.lo, table.pruned_mass.hi - tail.hi)
+    assert path_pruned.lo - 1e-12 <= missed <= path_pruned.hi + 1e-12
+    assert abs(path_pruned.mid - missed) <= 1e-12
+
+
 def test_hmc_pruned_table_matches_pruned_oracle():
-    # The oracle skips the same branches; the mass it never reaches from the
-    # seeds is what the engine books as pruned beyond the level tail.
+    # The oracle skips the same branches.
     h = make_model("hmc", 1.5)
     reference = naive_hmc_table(h, 6, 32, 1e-6)
     table = enumerate_joint(h, 6, 32, 1e-6)
     assert_tables_match(reference, table.entries, tol=1e-12)
-    seeds = math.fsum(level_mass(h, m).mid for m in range(2, 33))
-    missed = seeds - math.fsum(reference.values())
-    tail = h.level_tail_mass(32)
-    path_pruned = Interval(table.pruned_mass.lo - tail.lo, table.pruned_mass.hi - tail.hi)
-    assert path_pruned.lo - 1e-12 <= missed <= path_pruned.hi + 1e-12
-    assert abs(path_pruned.mid - missed) <= 1e-12
+    assert_pruned_mass_matches_oracle(h, table, reference, 32)
 
 
 def test_hmc_pruning_moves_mass_to_pruned():
@@ -213,8 +223,9 @@ def test_path_budget_guard():
     h = make_model("hmc", 1.5)
     with pytest.raises(BudgetExceededError) as raised:
         enumerate_joint(h, 6, 1 << 5, path_budget=1000)
-    for field in ("kind=hmc", "alpha=1.5", "n=6", "level_cutoff=32", "prune_eps=0.0"):
+    for field in ("kind=hmc", "alpha=1.5", "n=6", "level_cutoff=32"):
         assert field in str(raised.value)
+    assert "prune_eps" not in str(raised.value)
 
 
 def test_entry_budget_guard():
@@ -259,8 +270,9 @@ def test_hmc_completion_cache_is_held_to_entry_budget():
     h = make_model("hmc", 1.5)
     with pytest.raises(BudgetExceededError, match="completion table") as raised:
         enumerate_joint(h, 8, 64, entry_budget=200)
-    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64", "prune_eps=0.0"):
+    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64"):
         assert field in str(raised.value)
+    assert "prune_eps" not in str(raised.value)
 
 
 def test_hmc_entry_budget_stops_the_merge_before_memory_grows():
@@ -278,8 +290,9 @@ def test_hmc_entry_budget_stops_the_merge_before_memory_grows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64", "prune_eps=0.0"):
+    for field in ("kind=hmc", "alpha=1.5", "n=8", "level_cutoff=64"):
         assert field in str(raised.value)
+    assert "prune_eps" not in str(raised.value)
     # About 400 bytes per budgeted entry (suffix dicts, waiting rows and the
     # merge's sort); the whole table takes over 7 MB.
     assert peak < 600 * budget
@@ -396,17 +409,17 @@ def table_digest(table) -> str:
 
 # (kind, fixed level, n, level cutoff, prune_eps, tail aggregation) at alpha
 # 1.5, each table's keys, key order, masses, pruned mass and slack pinned bit
-# for bit.  Computed while the tables were dicts built one entry at a time,
-# and the hmc paths walked by a per-boundary recursion.  At n = 5, cutoff 16,
-# eps 1e-4 the pruned mass also pins that each boundary's pruned rest is
-# added after the subtrees of its kept branches, as the recursion added it.
+# for bit.  The eps-0 rows were computed while the tables were dicts built
+# one entry at a time and the hmc paths were walked by a per-boundary
+# recursion.  The eps > 0 rows pin the depth-wise walk's order: its leaves,
+# cached boundaries and pruned-mass additions depth after depth.
 PINNED_TABLE_DIGESTS = {
-    ("hmc", None, 5, 16, 1e-4, False): "def78de9d1f0096689a3b0318dd3abef358ee8925b6e399fc5a508724e8a37b4",
+    ("hmc", None, 5, 16, 1e-4, False): "381777ea91f96c0bb9e5853991d98d2ddf7013ba77a0abcf05199ea57004d6f6",
     ("hmc", None, 4, 64, 0.0, False): "b4c1c97714abe8b824ab2efabb5ada94b66751194d2cd9175570bb342848dd9e",
     ("hmc", None, 6, 64, 0.0, False): "71fef563525ccd4ce7ec10611807f5e6aa2680229112768a48a0721d0a4c6d45",
     ("hmc", None, 8, 64, 0.0, False): "71192d0ab126f11e93e6b2300d11455b22c868e5ec8e26ae51b8cc9e0c8283fb",
-    ("hmc", None, 8, 64, 1e-7, False): "5743f7ad5700676f96321dc6516372c588f4b9b18075aca322e14a15124cfc52",
-    ("hmc", None, 5, 16, 1e-6, False): "bf95bf480db00b4aa3cd45b79688958eec0d75674ea850dbe80e30471bb96e12",
+    ("hmc", None, 8, 64, 1e-7, False): "a78b4926e921d82cbcc9855568b209b38241e1f58520d9a86af7416a8e9aab97",
+    ("hmc", None, 5, 16, 1e-6, False): "f0421edee91216e0406768f8029712abf7f4ab80efc7d1fe6d18a1a21e55cfc8",
     ("hmc", 5, 6, 16, 0.0, False): "977e627addf78fb35084498bf4aea902f6b209d140a5d5047cca66ee53926289",
     ("hpm1", None, 8, 1 << 12, 0.0, True): "c62f61ed4c1c54f97787658a385fd797e4969a4f8580e6a5e02e0e0fc0f22133",
     ("hpm1", None, 32, 1 << 12, 0.0, True): "1d190bd5da6ba0e78c2e85bdf19d6ca17055e5781c02b29da85486d4dcf8b435",
@@ -445,11 +458,14 @@ def test_hmc_matches_oracle_across_the_cache_gate(prune_eps):
     # From 1e-9 every subtree comes from the cache; towards 1e-4 most word
     # boundaries expand explicitly because some leaf below them is pruned.
     # At n = 7 the walk expands boundaries up to three words deep.
+    # A digest pins only what the walk makes; the oracle checks the pruned
+    # mass at every point.
     h = make_model("hmc", 1.5)
     for n in (5, 7):
         reference = naive_hmc_table(h, n, 16, prune_eps)
         table = enumerate_joint(h, n, 16, prune_eps)
         assert_tables_match(reference, table.entries, tol=1e-12)
+        assert_pruned_mass_matches_oracle(h, table, reference, 16)
 
 
 def test_fixed_level_hmc_matches_oracle():
