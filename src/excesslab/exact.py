@@ -57,13 +57,13 @@ certified width.
 
 The reductions are array-native and share one profile per table
 (`JointBlockTable.profile`, built on first use and cached): each half of the
-key matrix packed into integer codes and numbered in order of first
-appearance by one sort, the distinct past and future block matrices, and the
-two marginals.  A label reduction labels each block matrix with one array
-call (a level decoder, for the decomposition), numbers the label groups the
-same way, and takes every group's mass, past, future and joint entropy from
-sorted per-group runs, with no sub-table per group.  A triple-information event is one array predicate over the past and
-future block matrices of every entry.
+key matrix packed into integer codes, numbered in order of first appearance
+by one np.sort of (code, row) keys, the distinct block matrices, and the two
+marginals.  A label reduction labels each block matrix with one array call
+(a level decoder, for the decomposition), numbers the label groups the same
+way, and takes every group's mass, past, future and joint entropy from
+sorted per-group runs.  A triple-information event is one array predicate
+over the past and future block matrices of every entry.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class JointBlockTable:
     sum_k |true_k - stored_k| over keys.
 
     A table is never mutated after it is built: the arrays are made
-    read-only, and `entries`, `profile` and `block_mi` are computed on first
-    use and cached, so every reduction reads the same ones.
+    read-only, and `entries`, `profile`, `block_mi` and the assigned mass are
+    computed on first use and cached, so every reduction reads the same ones.
     """
 
     n: int
@@ -150,16 +150,17 @@ class JointBlockTable:
         return MappingProxyType(dict(zip(pairs, self.masses.tolist())))
 
     def assigned_mass(self) -> float:
+        return self._assigned_mass
+
+    @cached_property
+    def _assigned_mass(self) -> float:
         return math.fsum(self.masses.tolist())
 
     def conservation_interval(self) -> Interval:
         """Interval that must contain 1 if the table conserved probability."""
         total = self.assigned_mass()
         slack = self.entry_slack + 1e-12 * max(1, len(self.masses))
-        return Interval(
-            total + self.pruned_mass.lo - slack,
-            total + self.pruned_mass.hi + slack,
-        )
+        return Interval(total + self.pruned_mass.lo - slack, total + self.pruned_mass.hi + slack)
 
     def past_marginal(self) -> dict[bytes, float]:
         prof = self.profile
@@ -208,42 +209,67 @@ def _number_blocks(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     `_first_appearance`: the id of every row, and the index of each distinct
     row by id.  The one block numbering of the table profile, the estimator
     and the decoder check.  Each run of 8 symbols, one per byte of a uint64
-    word, is packed into 16 bits, 2 bits per symbol, and the packed bytes are
-    read as uint64: one code per row for n <= 32, else a row of codes.  A
+    word, is packed in place into its low 16 bits, 2 bits per symbol, read 4
+    words to a code: one code per row for n <= 32, else a row of codes.  A
     symbol above 3 would collide, so callers reject them."""
     count, n = blocks.shape
-    padded = np.zeros((count, -(-n // 8) * 8), np.uint8)
-    padded[:, :n] = blocks
-    x = padded.view(np.uint64)
-    x = (x | x >> np.uint64(6)) & np.uint64(0x000F000F000F000F)
-    x = (x | x >> np.uint64(12)) & np.uint64(0x000000FF000000FF)
-    packed = ((x | x >> np.uint64(24)) & np.uint64(0xFFFF)).astype(np.uint16).view(np.uint8)
-    width = packed.shape[1]
-    codes = np.zeros((count, -(-width // 8) * 8), np.uint8)
-    codes[:, :width] = packed
-    codes = codes.view(np.uint64)
-    return _first_appearance(codes[:, 0] if codes.shape[1] == 1 else codes)
+    words = -(-n // 8)
+    x = np.zeros((count, words * 8), np.uint8)
+    x[:, :n] = blocks
+    x = x.view(np.uint64)
+    for shift, mask in ((6, 0x000F000F000F000F), (12, 0x000000FF000000FF), (24, 0xFFFF)):
+        x |= x >> np.uint64(shift)
+        x &= np.uint64(mask)
+    if words > 1:
+        codes = np.zeros((count, -(-words // 4) * 4), np.uint16)
+        codes[:, :words] = x
+        x = codes.view(np.uint64)
+    return _first_appearance(x[:, 0] if x.shape[1] == 1 else x)
+
+
+def _packed_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vector sorted and its stable order, by one np.sort of value << b | index, b the
+    last index's bit length; None unless the values are integers >= 0 below 2**(64 - b)."""
+    bits = max(len(values) - 1, 0).bit_length()
+    fits = values.dtype.kind in "iu" and len(values) and values.min() >= 0
+    if not fits or int(values.max()).bit_length() + bits > 64:
+        return None
+    keys = values.astype(np.uint64) << np.uint64(bits) | np.arange(len(values), dtype=np.uint64)
+    keys.sort()
+    return keys >> np.uint64(bits), (keys & np.uint64((1 << bits) - 1)).view(np.int64)
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(values, kind="stable"), by `_packed_sort` when it fits."""
+    packed = _packed_sort(values)
+    return np.argsort(values, kind="stable") if packed is None else packed[1]
 
 
 def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct values in order of first appearance.  Returns the
     id of every value and, by id, the index where each first appears.  The
     values are a vector of any dtype np.argsort sorts, or a matrix whose
-    rows are the values."""
-    order = np.argsort(values) if values.ndim == 1 else np.lexsort(values.T)
-    ranked = values[order]
+    rows are the values.  A run of equal sorted values first appears at its
+    smallest index: its head, when `_packed_sort` sorted it stably."""
+    packed = _packed_sort(values) if values.ndim == 1 else None
+    if packed is None:
+        order = np.argsort(values) if values.ndim == 1 else np.lexsort(values.T)
+        ranked = values[order]
+    else:
+        ranked, order = packed
     differ = ranked[1:] != ranked[:-1]
     new = np.ones(len(values), bool)
     new[1:] = differ if differ.ndim == 1 else differ.any(1)
-    # Each run of equal values starts at `new`; its smallest index is where
-    # the value first appears.
-    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(values) else order
+    runs = np.flatnonzero(new)
+    heads = np.minimum.reduceat(order, runs) if packed is None and len(values) else order[runs]
+    del packed, ranked, differ, new  # before the N-length arrays below
     seen = np.zeros(len(values), bool)
-    seen[first] = True
-    rank = np.cumsum(seen) - 1  # the id of each first appearance, by index
+    seen[heads] = True
+    first = np.flatnonzero(seen)
     ids = np.empty(len(values), np.intp)
-    ids[order] = rank[first][np.cumsum(new) - 1]
-    return ids, np.flatnonzero(seen)
+    ids[first] = np.arange(len(first))  # each first appearance's id, until overwritten
+    ids[order] = np.repeat(ids[heads], np.diff(runs, append=len(values)))
+    return ids, first
 
 
 def enumerate_joint(
@@ -275,8 +301,8 @@ def enumerate_joint(
     ergodic kind, each cached suffix table; the ergodic table's keys are
     counted after each merge of its rows, so memory stays within the budget
     plus one chunk of rows.  Exceeding either raises
-    `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` and, when
-    it prunes, `prune_eps`.
+    `BudgetExceededError` naming the kind, alpha, n, `level_cutoff` (or
+    `tail_aggregation`, which ignores it) and, when it prunes, `prune_eps`.
     """
     where = f"{model.kind.value} alpha={model.alpha} n={n}: "
     if n < 1:
@@ -330,10 +356,10 @@ def _retained_table(table: JointBlockTable) -> JointBlockTable:
     )
 
 
-def _input_label(model: ProcessModel, n: int, level_cutoff: int, prune_eps: float = 0.0) -> str:
-    """The enumeration input a budget error names; `prune_eps` only when it
-    prunes."""
-    label = f"kind={model.kind.value}, alpha={model.alpha}, n={n}, level_cutoff={level_cutoff}"
+def _input_label(model: ProcessModel, n: int, level_cutoff: int | None, prune_eps: float = 0.0) -> str:
+    """The input a budget error names: tail aggregation for no cutoff, `prune_eps` if > 0."""
+    cut = f"level_cutoff={level_cutoff}" if level_cutoff else "tail_aggregation=True"
+    label = f"kind={model.kind.value}, alpha={model.alpha}, n={n}, {cut}"
     return f"{label}, prune_eps={prune_eps}" if prune_eps > 0.0 else label
 
 
@@ -350,7 +376,7 @@ def _enumerate_cyclic(
     hpm1 = model.kind is Kind.HPM1
     c_iv = model.norm_c
     c_relw = 0.0 if model.fixed_level is not None else c_iv.width / c_iv.mid
-    label = _input_label(model, n, level_cutoff)
+    label = _input_label(model, n, None if aggregate else level_cutoff)
     levels = range(2, length) if aggregate else _levels(model, level_cutoff)
     # hpm1 levels m >= 2n: a window sees at most one marker, so each such
     # level adds P/m to every one of the 2n single-marker keys and the rest of
@@ -804,7 +830,7 @@ def _entropy(weights: np.ndarray, total: float) -> float:
 
 def _runs(group: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """`values` stably sorted by group id, and the length of each group's run."""
-    return values[np.argsort(group, kind="stable")], np.bincount(group, minlength=count)
+    return values[_stable_order(group)], np.bincount(group, minlength=count)
 
 
 def _grouped_entropy(group: np.ndarray, masses: np.ndarray, count: int) -> np.ndarray:
@@ -841,31 +867,23 @@ def _mixture_bound(delta: float, support_log2: float) -> float:
     return delta * support_log2 + binary_entropy(delta)
 
 
-def _entropy_result(
-    masses: list[float] | np.ndarray, delta: float, support_log2: float, entry_slack: float
-) -> tuple[float, float]:
-    """Certified entropy from a subnormalized mass list, as (value,
-    half-width): the plug-in entropy of the renormalized masses, off by at
-    most `_mixture_bound` of the unassigned mass delta plus the slack of the
-    stored masses times the worst slope of -q*log2(q) above the smallest
-    retained atom."""
-    arr = np.asarray(masses, dtype=np.float64)
-    value = _entropy(arr, float(np.sum(arr)))
-    err = _mixture_bound(delta, support_log2)
-    if entry_slack > 0.0 and arr.size:
-        total = math.fsum(arr.tolist())
-        q_min = float(np.min(arr)) / total
-        slope = (max(0.0, -math.log(q_min)) + 1.0) / math.log(2.0)
-        err += slope * 2.0 * entry_slack / total
-    return value, err
-
-
 def _table_entropy(
     table: JointBlockTable, masses: list[float] | np.ndarray, blocks: int
 ) -> tuple[float, float]:
-    """`_entropy_result` of masses on keys of `blocks` blocks of n symbols."""
-    support = blocks * table.n * math.log2(table.alphabet_size)
-    return _entropy_result(masses, table.pruned_mass.hi, support, table.entry_slack)
+    """Certified entropy of subnormalized masses on keys of `blocks` blocks
+    of n symbols (two: the table's own), as (value, half-width): the plug-in
+    entropy of the renormalized masses, off by at most `_mixture_bound` of
+    the unassigned mass plus the slack of the stored masses times the worst
+    slope of -q*log2(q) above the smallest retained atom."""
+    arr = np.asarray(masses, dtype=np.float64)
+    value = _entropy(arr, float(np.sum(arr)))
+    err = _mixture_bound(table.pruned_mass.hi, blocks * table.n * math.log2(table.alphabet_size))
+    if table.entry_slack > 0.0 and arr.size:
+        total = table.assigned_mass() if blocks == 2 else math.fsum(arr.tolist())
+        q_min = float(np.min(arr)) / total
+        slope = (max(0.0, -math.log(q_min)) + 1.0) / math.log(2.0)
+        err += slope * 2.0 * table.entry_slack / total
+    return value, err
 
 
 def block_mi(table: JointBlockTable) -> Enclosure:
@@ -956,7 +974,7 @@ def _triple_informations(
     every entry, or on none, is exactly (0.0, 1.0, True) or (0.0, 0.0,
     True)."""
     prof = table.profile
-    total = math.fsum(prof.masses.tolist())
+    total = table.assigned_mass()
     if total <= 0.0:
         return [(0.0, 0.0, True)] * len(events)
     full_mi = _marginals_mi(prof.masses, prof.past_mass, prof.future_mass)

@@ -66,7 +66,8 @@ across the rows of a matrix of many independently seeded trajectories;
 the ergodic kind uses sliding windows over a matrix of one row.  The
 estimator takes its regime from the row count and reports which one ran.
 Either way each window is numbered once, in order of first appearance, by
-the block numbering of the exact engine's tables (`exact._number_blocks`),
+the block numbering of the exact engine's tables (`exact._number_blocks`,
+one np.sort of packed (code, index) keys wherever they fit in 64 bits),
 and the bootstraps reweight window counts with the same random draws as a
 window-by-window resample.  Every entropy is taken from integer counts,
 with c * log2(c) read from one table per estimate.
@@ -82,7 +83,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _number_blocks
+from .exact import _number_blocks, _stable_order
 from .models import Kind, ProcessModel
 from .series import LN2, branch_normalization_sum, normalization_sum
 
@@ -667,7 +668,7 @@ def _branch_words(
     if not records:
         return (np.empty(0, np.int64),) * 3
     rows, levels, digits = map(np.concatenate, zip(*records))
-    order = np.argsort(rows, kind="stable")
+    order = _stable_order(rows)
     return rows[order], levels[order], digits[order]
 
 

@@ -16,10 +16,12 @@ checks mirror the library's contracts:
   decoder_agreement   past- and future-decoded levels agree on sampled
                       windows and match the hidden truth where defined
                       (the trajectories come from one batched sample; the
-                      blocks of each block length are numbered once, as a
-                      table's are, and decoded in one array call per
-                      decoder; the truth is read from the word records in
-                      arrays);
+                      blocks of each block length are numbered once, by
+                      the table's one-sort numbering, and decoded in one
+                      array call per decoder; the truth is read from the
+                      word records in arrays); its margin is the number of
+                      windows with a defined truth when it passes, and
+                      minus the number of failures when it does not;
   sandwich            H(D) <= upper(E(n)), lower(E(n)) <= upper bound curve,
                       and the data-processing comparison against the
                       certified upper end of the restricted hidden-state
@@ -223,9 +225,8 @@ def check_decoder_agreement(
         f"{windows} windows, {disagreements} past/future disagreements, "
         f"{truth_errors}/{truth_hits} hidden-truth mismatches"
     )
-    return CheckResult(
-        f"decoder_agreement[{kind.value}]", ok, detail, float(-(disagreements + truth_errors))
-    )
+    margin = truth_hits if ok else -(disagreements + truth_errors)
+    return CheckResult(f"decoder_agreement[{kind.value}]", ok, detail, float(margin))
 
 
 def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 the closed-form revealed-level entropy, and the decomposition identity."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -269,6 +270,8 @@ def test_decoder_agreement_matches_per_window_oracle(kind):
     check = check_decoder_agreement(model, windows=2_345, seed=91)
     assert check.detail == naive_decoder_agreement(model, 2_345, 91)
     assert truth_hits(check.detail) > 0
+    # A passing run's margin counts the windows with a defined truth.
+    assert check.margin == float(truth_hits(check.detail))
 
     true_past, oracle_past = past_decoder(kind), PAST_ORACLE[Kind(kind)]
 
@@ -281,6 +284,9 @@ def test_decoder_agreement_matches_per_window_oracle(kind):
 
     check = check_decoder_agreement(model, windows=2_345, seed=91, past_override=faulty)
     assert check.detail == naive_decoder_agreement(model, 2_345, 91, faulty_oracle)
+    # A failing run's margin is minus its disagreements and truth errors.
+    failures = re.search(r"(\d+) past/future disagreements, (\d+)/", check.detail).groups()
+    assert not check.passed and check.margin == -float(sum(map(int, failures)))
 
 
 @pytest.mark.parametrize(
@@ -353,6 +359,12 @@ def test_verify_margins_are_not_pinned_at_their_tolerances(benchmark_ledger):
     margins = {c.name: c.margin for c in benchmark_ledger.checks}
     assert margins["series_brackets"] > 1e-12
     assert margins["triple_bound"] > 1e-9
+    # A passing decoder check counts its windows with a defined truth.
+    assert {k: margins[f"decoder_agreement[{k}]"] for k in ("hpm1", "hpm2", "hmc")} == {
+        "hpm1": 45000.0,
+        "hpm2": 59500.0,
+        "hmc": 19624.0,
+    }
 
 
 # ----- closed-form H(D) ------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from excesslab.exact import (
@@ -21,7 +21,9 @@ from excesslab.exact import (
     _level_masses,
     _label_decomposition,
     _number_blocks,
+    _packed_sort,
     _retained_table,
+    _runs,
     _table_entropy,
     _triple_informations,
     block_mi,
@@ -240,8 +242,9 @@ def test_aggregated_entry_budget_names_its_input():
     m = make_model("hpm1", 1.5)
     with pytest.raises(BudgetExceededError) as raised:
         enumerate_joint(m, 4, 64, tail_aggregation=True, entry_budget=5)
-    for field in ("kind=hpm1", "alpha=1.5", "n=4", "level_cutoff=64"):
+    for field in ("kind=hpm1", "alpha=1.5", "n=4", "tail_aggregation=True"):
         assert field in str(raised.value)
+    assert "level_cutoff" not in str(raised.value)
 
 
 def test_path_budget_counts_every_push():
@@ -819,6 +822,110 @@ def test_first_appearance_numbers_whole_rows():
     values = np.array([[1, 5], [2, 5], [2, 6], [1, 5]], np.uint64)
     ids, first = _first_appearance(values)
     assert ids.tolist() == [0, 1, 2, 0] and first.tolist() == [0, 1, 2]
+
+
+def dict_numbering(values) -> tuple[list[int], list[int]]:
+    """The first-appearance numbering as a dict of ids: the id of every
+    value and, by id, the index where each first appears."""
+    number: dict = {}
+    ids = [number.setdefault(v, len(number)) for v in values]
+    first = sorted({v: i for i, v in reversed(list(enumerate(values)))}.values())
+    return ids, first
+
+
+@st.composite
+def label_vectors(draw):
+    """Integer labels with repeats, in every dtype the numbering takes.  The
+    widest label is drawn at the 64 bits the packed sort can hold beside
+    the index bits, one beyond, or anywhere; signed labels may be negative."""
+    count = draw(st.integers(0, 40))
+    bits = max(count - 1, 0).bit_length()
+    dtype = draw(st.sampled_from([np.intp, np.int64, np.uint64, object]))
+    limit = 63 if dtype in (np.intp, np.int64) else 64
+    width = min(limit, draw(st.sampled_from([64 - bits, 65 - bits, draw(st.integers(0, 64))])))
+    low = -(1 << 8) if dtype in (np.intp, np.int64) and draw(st.booleans()) else 0
+    pool = draw(st.lists(st.integers(low, (1 << width) - 1), min_size=1, max_size=max(1, count)))
+    pool[0] = (1 << width) >> 1  # the widest label, of exactly `width` bits
+    values = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    return np.array(values, dtype)
+
+
+EDGE_LABELS = [
+    np.zeros(0, np.intp),  # empty
+    np.array([7], np.int64),  # one value
+    np.full(9, 5, np.uint64),  # all equal
+    np.array([4, 1, 3, 0, 2], np.intp),  # all distinct
+    np.array([1 << 60, 0, 1 << 60, 3, 0], np.uint64),  # 61 + 3 index bits = 64
+    np.array([1 << 61, 0, 1 << 61, 3, 0], np.uint64),  # 62 + 3 = 65
+    np.array([1 << 63, 5, 1 << 63], np.uint64),
+    np.array([3, -1, 3, 2, -1], np.int64),
+    np.array([2**70, 5, 2**70, 5], object),
+]
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(label_vectors())
+@example(EDGE_LABELS[0])
+@example(EDGE_LABELS[1])
+@example(EDGE_LABELS[2])
+@example(EDGE_LABELS[3])
+@example(EDGE_LABELS[4])
+@example(EDGE_LABELS[5])
+@example(EDGE_LABELS[6])
+@example(EDGE_LABELS[7])
+@example(EDGE_LABELS[8])
+def test_label_numbering_matches_a_dict_on_every_path(labels):
+    # The packed sort takes exactly the labels >= 0 whose bits, beside the
+    # index bits, fit in 64; each other vector goes by np.argsort, a
+    # one-column matrix by np.lexsort, and every path numbers alike.
+    values = labels.tolist()
+    bits = max(len(values) - 1, 0).bit_length()
+    fits = (
+        labels.dtype != object
+        and len(values) > 0
+        and min(values) >= 0
+        and max(values).bit_length() + bits <= 64
+    )
+    assert (_packed_sort(labels) is not None) == fits
+    ids, first = dict_numbering(values)
+    paths = [labels, labels.astype(object)]
+    if labels.dtype != object:
+        paths.append(labels.reshape(-1, 1))
+    for path in paths:
+        got_ids, got_first = _first_appearance(path)
+        assert got_ids.dtype == np.intp and got_first.dtype.kind == "i"
+        assert got_ids.tolist() == ids and got_first.tolist() == first
+    # _runs: values stably sorted by group id, and each group's run length.
+    masses = np.arange(len(values), dtype=float)
+    ordered, lengths = _runs(np.array(ids, np.intp), masses, len(first))
+    by_group = [[i for i, g in enumerate(ids) if g == k] for k in range(len(first))]
+    assert ordered.tolist() == [float(i) for run in by_group for i in run]
+    assert lengths.tolist() == [len(run) for run in by_group]
+
+
+@st.composite
+def symbol_rows(draw):
+    """(k, n) matrices of symbols 0..3 with repeated rows, n on both sides
+    of 32 symbols (one uint64 code per row) and of 8 (one packed word)."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 16, 31, 32, 33, 40, 64, 65]))
+    count = draw(st.integers(0, 30))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    pool = draw(st.lists(row, min_size=1, max_size=max(1, count)))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    return np.array(rows, np.uint8).reshape(count, n)
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None, database=None)
+@given(symbol_rows())
+@example(np.zeros((0, 32), np.uint8))
+@example(np.full((1, 33), 3, np.uint8))
+@example(np.full((6, 32), 3, np.uint8))  # 64-bit codes: np.argsort
+@example(np.eye(33, dtype=np.uint8) * 3)
+def test_block_numbering_matches_a_dict(rows):
+    ids, first = _number_blocks(rows)
+    assert (ids.tolist(), first.tolist()) == dict_numbering(list(map(bytes, rows)))
 
 
 def test_profile_rejects_symbols_outside_the_alphabet():
