@@ -14,6 +14,10 @@ deterministic symbol each state emits:
          making the chain ergodic; emits delimiter, digits, a run of 3s,
          then the digits again.
 
+Two independent rules give the symbols: `emission_word` spells a whole
+cycle for the exact tables, and `emission_digits` names the one digit a
+phase shows, which the sampler reads at any level (`sampling._symbols`).
+
 Normalization constants are certified interval enclosures; every stationary
 or transition probability derived from them carries the enclosure along.
 The level and branch tail masses are C and D times sums that `series`
@@ -136,20 +140,6 @@ class ProcessModel:
 
     # ----- emission ---------------------------------------------------------
 
-    def emission_array(self, levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """`emission_word(level)[offset]` elementwise, as uint8: the symbol
-        of each level at phase offset + 1.
-
-        `levels` (below 2**53) and the 0-based phase `offsets` are integer
-        arrays that broadcast against each other; every offset must lie in
-        0..r(level)-1.
-        """
-        levels, k = np.asarray(levels, np.int64), np.asarray(offsets, np.int64)
-        if self.kind is Kind.HPM1:
-            return (k == levels - 1).astype(np.uint8)
-        p = self.emission_digits(np.frexp(levels)[1], k)  # digit counts exact below 2**53
-        return np.where(p >= 0, (levels >> np.maximum(p, 0)) & 1, -p).astype(np.uint8)
-
     def emission_digits(self, digits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Which binary digit of an hpm2 or hmc level of `digits` digits the
         0-based phase `offsets` emit, elementwise: its place p (0 the least
@@ -163,8 +153,8 @@ class ProcessModel:
         p = s - 1 - k
         if self.kind is Kind.HMC:
             p += 2 * s * (k > 2 * s)
-            p[(k >= s) & (k <= 2 * s)] = -3
-        p[k == 0] = -2
+            np.putmask(p, (k >= s) & (k <= 2 * s), -3)
+        np.putmask(p, k == 0, -2)
         return p
 
     def emission_word(self, level: int) -> bytes:

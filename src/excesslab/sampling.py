@@ -29,24 +29,27 @@ group, the top 21 binary digits come from inverting the density
 t**-alpha of t = log2(level) at the within-group uniform, and the j - 21
 low digits are uniform; within a group the sampled density is proportional
 to 1/(m*log2(m)**alpha) to a relative 2**-20.  Digit groups are capped at 2**20
-binary digits; the folded-in residual is about 1.6e-3 of the stationary
-mass at alpha = 1.5 and smaller otherwise.  A phase offset in 0..r-1 is
-X mod r for an integer X of at least 32 more bits than r (`_phase_offsets`).
+binary digits; the stationary mass folded into the last group is
+c*ln2/(alpha-1)*(2**20)**(1-alpha), at series cutoff 1e7 5.7e-2 at alpha =
+1.2, 8.0e-4 at 1.5 and 6.5e-7 at 2, and it grows as alpha approaches 1.  A
+phase offset in 0..r-1 is X mod r for an integer X of at least 32 more
+bits than r (`_phase_offsets`).
 These sampler approximations affect statistical estimates only; all
 certified quantities come from the exact engine.
 
 Levels are int64 arrays, exact up to 62 binary digits and clipped to
-2**62 past them, with their binary digit counts and top 21 digits.  Up to
-53 digits their symbols come from `ProcessModel.emission_array`, all
-streams at once, into one `(count, length)` matrix.  A longer level shows
-at most `length` of its digits, and no symbol needs the rest: each shown
-digit comes from the top 21 or from the one low-digit word that holds it
-(word 3, or a word of lane 3 + w), and the words of every such row are
-read in one pass (`_long_symbols`).  An hpm1 level past 62 digits shows
-its one marker only if its phase lies within `length` of the cycle's end,
-so its phase is the exact remainder, in Python ints that live for one
-pass of rows only (`_phase_offsets`), and is kept clipped.  The hmc words
-that follow the initial one come in blocks of consecutive draws for every
+2**62 past them, with their binary digit counts and top 21 digits (a
+shorter level shifted left to 21 places).  Every hpm2 and hmc symbol, at
+any level, comes from the digit count, the top 21 digits and the one
+low-digit word that holds the digit shown (word 3, or a word of lane 3 +
+w), read only where a symbol asks for it (`_symbols`): hpm2 cycles as one
+`(count, length)` matrix of phases, hmc words as spans.  A level shows at
+most `length` of its digits, and no symbol needs the rest.  An hpm1 cycle
+shows its marker at each step t where t - left + 1 is a multiple of r,
+with `left` the phases left to its end: so a level past 62 digits, held
+clipped, needs only `left`, exact below 2**62, a remainder in Python ints
+that live for one pass of rows only (`_phase_offsets`).  The hmc words that
+follow the initial one come in blocks of consecutive draws for every
 unfinished stream at once (`_branch_words`).  Each trajectory keeps one
 entry per word, its initial state and the level of every later word.
 Draws are read in runs of consecutive counters under one key (`_runs`).  A
@@ -55,9 +58,9 @@ the reference.
 
 Both entry points return a `Trajectories` batch, the one trajectory type:
 the read-only `(count, length)` symbol matrix the passes fill, with the
-seed, the streams and the word records as flat int64 arrays, and no
-per-stream object; `sample_trajectory` returns a batch of one row.  The
-estimator reads the matrix, of a batch or of data from elsewhere.
+word records as flat int64 arrays, and no per-stream object;
+`sample_trajectory` returns a batch of one row.  The estimator reads the
+matrix, of a batch or of data from elsewhere.
 
 The cyclic kinds are nonergodic: a single trajectory stays on one cycle
 forever, so time averages estimate per-component information, not the
@@ -90,7 +93,6 @@ from .series import LN2, branch_normalization_sum, normalization_sum
 _PREFIX_TOP = 1 << 20  # levels sampled from the exact prefix table
 _FIRST_GROUP = 21  # digit count of the first level past the prefix table
 _TOP_DIGITS = 21  # leading binary digits of a tail level set by the inverse
-_ARRAY_DIGITS = 53  # levels of at most this many digits are emitted as int64 arrays
 _EXACT_DIGITS = 62  # levels of at most this many digits are recorded exactly
 _CLIP = 1 << 62  # the record of a longer level, or of a phase this large or larger
 _GROUP_CAP = 1 << 20  # largest digit group representable by the sampler
@@ -325,15 +327,15 @@ def _levels(
 
     Returns three int64 arrays: the levels, exact up to 62 binary digits
     and `_CLIP` past them; their binary digit counts; and their top 21
-    digits (the whole level up to 21 digits).  Below its top digits a
-    level's low digits are word 3 and then the words of lane 3 + w
+    digits, a shorter level shifted left to 21 places.  Below its top
+    digits a level's low digits are word 3 and then the words of lane 3 + w
     (`_low_words`); past 62 digits they are read only where a reader asks
     for them.  A fixed-level model draws nothing."""
     count = len(words)
     if model.fixed_level is not None:
         fixed = model.fixed_level
         digits = fixed.bit_length()
-        top = fixed >> max(0, digits - _TOP_DIGITS)
+        top = fixed << _TOP_DIGITS >> digits
         return np.full(count, min(fixed, _CLIP)), np.full(count, digits), np.full(count, top)
     u = _uniforms(words[:, 0])
     if branch:
@@ -343,7 +345,7 @@ def _levels(
     tail = np.flatnonzero(u >= cdf[-1])
     levels = _prefix_levels(cdf, u).astype(np.int64)
     digits = np.frexp(levels)[1].astype(np.int64)
-    tops = levels.copy()
+    tops = levels << (_TOP_DIGITS - digits)
     if not len(tail):
         return levels, digits, tops
     if branch:
@@ -402,7 +404,7 @@ def _exact_levels(
     return [(top << k) | ((first | rest << 64) & ((1 << k) - 1)) for top, k, first, rest in parts]
 
 
-def _long_symbols(
+def _symbols(
     model: ProcessModel,
     src: np.ndarray,
     offsets: np.ndarray,
@@ -412,21 +414,28 @@ def _long_symbols(
     keys: np.ndarray,
     words_of: np.ndarray,
 ) -> np.ndarray:
-    """The hpm2 or hmc symbol at phase offsets[q] of the level of row
-    src[q], a level past 53 digits: a digit of its top 21 comes from
-    `tops`, a lower one from the one word of its low digits that holds it
-    (`_low_words`), so only the words under the digits shown are read."""
+    """The hpm2 or hmc symbol at phase offset `offsets` of the level of row
+    `src`, for a vector of both, or for a `(rows, length)` matrix of
+    offsets and a `(rows, 1)` column of rows.  A digit of the level's top 21
+    comes from `tops`, a lower one from the one word of its low digits that
+    holds it (`_low_words`), so only the words under the digits shown are
+    read."""
     s = digits[src]
     p = model.emission_digits(s, offsets)
     shift = s - _TOP_DIGITS
-    bits = np.zeros(len(p), np.int64)
-    top = np.flatnonzero(p >= shift)
-    bits[top] = tops[src[top]] >> (p[top] - shift[top])
+    bits = p - shift
+    np.maximum(bits, 0, out=bits)
+    np.right_shift(tops[src], bits, out=bits)
     under = np.flatnonzero((p >= 0) & (p < shift))
-    place = p[under]
-    words = _low_words(model, keys, words_of, low, src[under], place // 64)
-    bits[under] = (words >> (place % 64).astype(np.uint64)).astype(np.int64)
-    return np.where(p >= 0, bits & 1, -p).astype(np.uint8)
+    if len(under):
+        place = p.ravel()[under]
+        rows = np.broadcast_to(src, p.shape).flat[under]
+        words = _low_words(model, keys, words_of, low, rows, place // 64)
+        bits.ravel()[under] = (words >> (place % 64).astype(np.uint64)).astype(np.int64)
+    # A delimiter or 3, -p >= 2, outranks a digit.
+    bits &= 1
+    np.negative(p, out=p)
+    return np.maximum(bits, p, out=bits).astype(np.uint8)
 
 
 def _phase_counts(model: ProcessModel, levels: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -488,16 +497,15 @@ class Trajectories:
     """Trajectories of one length on streams of one seed, as one read-only
     `(count, length)` uint8 symbol matrix and the records of their words.
 
-    Row i is the trajectory of stream `streams[i]` of `model`.  Its record
-    is held in int64 arrays: `initial_levels[i]` and `initial_phases[i]`
+    Row i is the trajectory of `model` on stream i of `sample_trajectories`,
+    or on the one stream of `sample_trajectory`.  Its record is held in
+    int64 arrays: `initial_levels[i]` and `initial_phases[i]`
     are its initial state, and `word_levels[word_starts[i]:word_starts[i +
     1]]` the level of each later word (hmc only), with the binary digit
     count of every level in `initial_digits` and `word_digits`.  A level
     or phase of `_CLIP` = 2**62 or more is held as `_CLIP`."""
 
     symbols: np.ndarray
-    seed: int
-    streams: range
     model: ProcessModel
     initial_levels: np.ndarray
     initial_digits: np.ndarray
@@ -556,18 +564,8 @@ def _sample(model: ProcessModel, length: int, seed: int, streams: range) -> Traj
         word_digits.append(part[5])
     np.cumsum(word_starts, out=word_starts)
     symbols.flags.writeable = False
-    return Trajectories(
-        symbols,
-        seed,
-        streams,
-        model,
-        levels,
-        digits,
-        phases,
-        word_starts,
-        np.concatenate(word_levels),
-        np.concatenate(word_digits),
-    )
+    later = map(np.concatenate, (word_levels, word_digits))
+    return Trajectories(symbols, model, levels, digits, phases, word_starts, *later)
 
 
 def _spans(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,10 +578,10 @@ def _spans(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_rows(model: ProcessModel, seed: int, streams: range, out: np.ndarray) -> tuple:
     """Fill row i of `out` with the symbols of stream streams[i] of `seed`,
     in array passes: the initial states of every stream at once, their
-    symbols as rows of one matrix, then for hmc the later words of every
-    unfinished stream.  Returns the initial levels, digit counts and
-    phases, each row's count of later words, and the levels and digit
-    counts of those words, row after row."""
+    cycles as rows of one matrix or their hmc words as spans, then for hmc
+    the later words of every unfinished stream.  Returns the initial
+    levels, digit counts and phases, each row's count of later words, and
+    the levels and digit counts of those words, row after row."""
     count, length = out.shape
     stream = np.arange(count, dtype=np.uint64) + np.uint64(streams.start)
     keys = np.stack([np.full(count, seed, np.uint64), stream], axis=1)
@@ -592,31 +590,23 @@ def _sample_rows(model: ProcessModel, seed: int, streams: range, out: np.ndarray
     levels, digits, tops = _levels(model, words, branch=False)
     r = _phase_counts(model, levels, digits)
     offsets, left = _phase_offsets(model, r, digits, tops, words, keys)
-    hmc = model.kind is Kind.HMC
-    # Levels the int64 matrix pass cannot emit: past the hpm1 clip, past 53 digits otherwise.
-    long = r == _CLIP if model.kind is Kind.HPM1 else digits > _ARRAY_DIGITS
-    short = ~long
-    phases = offsets[short, None] + np.arange(length)
-    # A cycle starts over after r symbols; an hmc word is cut where it ends.
-    if hmc:
-        np.minimum(phases, r[short, None] - 1, out=phases)
-    else:
-        phases %= r[short, None]
-    out[short] = model.emission_array(levels[short, None], phases)
-    filled = np.minimum(left, length)
-    rows = np.flatnonzero(long)
-    if model.kind is Kind.HPM1:
-        # A clipped level shows at most one marker, at the end of its cycle.
-        out[rows] = 0
-        shown = rows[left[rows] <= length]
-        out[shown, left[shown] - 1] = 1
-    elif len(rows):
-        src, t = _spans(filled[rows] if hmc else np.full(len(rows), length))
-        src = rows[src]
-        k = offsets[src] + t if hmc else (offsets[src] + t) % r[src]
-        out[src, t] = _long_symbols(model, src, k, digits, tops, words[:, 3], keys, zero)
     later = (np.empty(0, np.int64),) * 3
-    if hmc:
+    if model.kind is Kind.HPM1:
+        # The marker ends a cycle: `left` symbols in, and every r after.
+        phases = np.arange(1, length + 1) - left[:, None]
+        phases %= r[:, None]
+        np.equal(phases, 0, out=out)
+    elif model.kind is Kind.HPM2:
+        # A cycle starts over after r symbols.
+        phases = offsets[:, None] + np.arange(length)
+        phases %= r[:, None]
+        rows = np.arange(count)[:, None]
+        out[:] = _symbols(model, rows, phases, digits, tops, words[:, 3], keys, zero)
+    else:
+        # An hmc word is cut where it ends, and the later words fill the rest.
+        filled = np.minimum(left, length)
+        src, t = _spans(filled)
+        out[src, t] = _symbols(model, src, offsets[src] + t, digits, tops, words[:, 3], keys, zero)
         later = _branch_words(model, keys, out, filled)
     counts = np.bincount(later[0], minlength=count)
     return levels, digits, np.minimum(offsets + 1, _CLIP), counts, later[1], later[2]
@@ -649,18 +639,12 @@ def _branch_words(
         starts = (filled[active, None] + np.cumsum(r, axis=1) - r).ravel()
         used = starts < length
         sizes = np.minimum(starts + r.ravel(), length) - starts
-        long = digits > _ARRAY_DIGITS
-        word = np.flatnonzero(used & ~long)
+        word = np.flatnonzero(used)
         at, step = _spans(sizes[word])
         word = word[at]
-        out[rows[word], starts[word] + step] = model.emission_array(levels[word], step)
-        word = np.flatnonzero(used & long)
-        if len(word):
-            at, step = _spans(sizes[word])
-            word = word[at]
-            out[rows[word], starts[word] + step] = _long_symbols(
-                model, word, step, digits, tops, words[:, 3], keys[rows], 1 + draws
-            )
+        out[rows[word], starts[word] + step] = _symbols(
+            model, word, step, digits, tops, words[:, 3], keys[rows], 1 + draws
+        )
         records.append((rows[used], levels[used], digits[used]))
         filled[active] = (starts + sizes).reshape(-1, block)[:, -1]
         drawn += block

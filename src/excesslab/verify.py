@@ -57,7 +57,7 @@ from .exact import (
 from .analysis import _restricted_state_entropy, block_mi_upper_bound
 from .intervals import Enclosure, binary_entropy
 from .models import Kind, ProcessModel
-from .sampling import Trajectories, sample_trajectories
+from .sampling import Trajectories, _phase_counts, sample_trajectories
 from .series import (
     _CHUNK, level_weight_sums, normalization_sum, partial_sum_bracket, tail_sum_bracket
 )
@@ -243,9 +243,9 @@ def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) ->
     trajectory lasts to its end.  The batch's int64 records, clipped at
     2**62, are clipped here at this module's `_CLIP` = 2**32, past which
     nothing is revealed, so that the sums over runs stay far inside int64;
-    r is read from the digit counts.  A run revealed at every phase is
-    filled whole; one revealed at only some phases is a single hmc word,
-    whose phases step from its first without wrapping."""
+    r is the sampler's `_phase_counts` of them.  A run revealed at every
+    phase is filled whole; one revealed at only some phases is a single hmc
+    word, whose phases step from its first without wrapping."""
     kind = trajs.model.kind
     picked = np.arange(len(trajs))[rows]
     word_start = trajs.word_starts[picked]
@@ -262,7 +262,7 @@ def _revealed_levels(trajs: Trajectories, rows: slice, n: int, per_traj: int) ->
     level = np.minimum(level, _CLIP)
     phase = np.ones(len(owner), np.int64)
     phase[first] = np.minimum(trajs.initial_phases[picked], _CLIP)
-    r = {Kind.HPM1: level, Kind.HPM2: s, Kind.HMC: 3 * s}[kind]
+    r = _phase_counts(trajs.model, level, s)
     length = r - phase + 1
     start = np.cumsum(length) - length
     start -= start[first][owner]

@@ -525,21 +525,22 @@ class Trajectory:
     word_levels: tuple[int, ...]
 
 
-def record(batch: Trajectories, i: int) -> Trajectory:
-    """Row i of `batch` as a `Trajectory` with its exact record.  The batch
-    holds a level or phase of 2**62 or more clipped; such a value is drawn
-    again, whole, from (seed, stream) for that row alone.  Word w's level
+def record(batch: Trajectories, seed: int, stream: int, row: int = 0) -> Trajectory:
+    """Row `row` of `batch`, the trajectory of stream `stream` of `seed`, as
+    a `Trajectory` with its exact record.  The batch holds a level or phase
+    of 2**62 or more clipped; such a value is drawn again, whole, from
+    (seed, stream) for that row alone.  Word w's level
     comes from its draw (draw 0 of lane 0 for the initial word, draw w - 1
     of lane 1 after it) and all of its low digits, read for every clipped
     word in one pass; a clipped phase (hpm1 only, on a clipped level) from
     all of its phase words."""
-    model, stream = batch.model, batch.streams[i]
-    later = batch.word_levels[batch.word_starts[i] : batch.word_starts[i + 1]]
-    levels = np.append(batch.initial_levels[i], later)
+    model = batch.model
+    later = batch.word_levels[batch.word_starts[row] : batch.word_starts[row + 1]]
+    levels = np.append(batch.initial_levels[row], later)
     clipped = np.flatnonzero(levels == _CLIP)
-    levels, phase = levels.tolist(), int(batch.initial_phases[i])
+    levels, phase = levels.tolist(), int(batch.initial_phases[row])
     if len(clipped):
-        keys = np.repeat(np.array([[batch.seed, stream]], np.uint64), len(clipped), axis=0)
+        keys = np.repeat(np.array([[seed, stream]], np.uint64), len(clipped), axis=0)
         lanes = np.where(clipped == 0, _STATE_LANE, _BRANCH_LANE)
         words = _runs(keys, lanes, np.maximum(clipped - 1, 0), np.ones_like(clipped))
         for branch in (False, True):
@@ -552,8 +553,8 @@ def record(batch: Trajectories, i: int) -> Trajectory:
         if phase == _CLIP:
             phase = _exact_remainders(keys[:1], words[:1, 2], levels[:1])[0] + 1
     return Trajectory(
-        batch.symbols[i].tobytes(),
-        batch.seed,
+        batch.symbols[row].tobytes(),
+        seed,
         stream,
         model.kind.value,
         model.alpha,
@@ -562,9 +563,10 @@ def record(batch: Trajectories, i: int) -> Trajectory:
     )
 
 
-def records(batch: Trajectories) -> list[Trajectory]:
-    """Every row of `batch` as a `Trajectory`, in order."""
-    return [record(batch, i) for i in range(len(batch))]
+def records(batch: Trajectories, seed: int) -> list[Trajectory]:
+    """Every row of `batch`, from `sample_trajectories` with `seed`, as a
+    `Trajectory`, in order: row i is stream i."""
+    return [record(batch, seed, i, i) for i in range(len(batch))]
 
 
 # ----- scalar trajectory sampler: the reference for the array passes ---------
@@ -832,7 +834,7 @@ def binary_digit(n: int, k: int) -> int:
 
 def emission(model: ProcessModel, state: StateId) -> int:
     """The symbol one hidden state emits, digit by digit: the reference for
-    `ProcessModel.emission_word`, `emission_array` and the sampled paths."""
+    `ProcessModel.emission_word`, `sampling._symbols` and the sampled paths."""
     m, k = state.level, state.phase
     if model.kind is Kind.HPM1:
         return 1 if k == m else 0
@@ -910,7 +912,7 @@ def naive_decoder_agreement(model, windows: int, seed: int, past_override=None) 
     stream = 0
     while seen < windows:
         n = 6 if stream % 2 == 0 else 12
-        traj = record(sample_trajectory(model, 2 * n + per_traj, seed, stream=stream), 0)
+        traj = record(sample_trajectory(model, 2 * n + per_traj, seed, stream=stream), seed, stream)
         stream += 1
         sym = traj.symbols
         states = hidden_states(traj)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from excesslab.exact import enumerate_joint
 from excesslab.intervals import Interval
 from excesslab.models import Kind, ProcessModel, binary_length
+from excesslab.sampling import _symbols
 from excesslab.series import tail_sum_bracket
 
 import conftest
@@ -131,8 +132,10 @@ def test_emission_words(kind, level, expected):
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
 def test_emission_word_matches_emission_at_every_phase(kind):
     # hpm1's word has `level` phases, so its levels stop at 2**9 plus the top
-    # two (every phase up to 2**12 would be 8.4M reference calls).
-    # emission_array must give each word too, up to its bound of 2**31.
+    # two (every phase up to 2**12 would be 8.4M reference calls).  The
+    # sampler's hpm2 and hmc symbols must spell each word too, and the words
+    # of levels either side of 2**31, 2**53 and 2**62, from the digit count,
+    # the top 21 digits and the low-digit word alone.
     m = make_model(kind, 1.5)
     levels = range(2, 2**12 + 1) if kind != "hpm1" else [*range(2, 2**9 + 1), 2**12 - 1, 2**12]
     for level in levels:
@@ -140,11 +143,17 @@ def test_emission_word_matches_emission_at_every_phase(kind):
         assert len(word) == m.phase_count(level)
         for k in range(1, len(word) + 1):
             assert word[k - 1] == emission(m, StateId(level, k)), (level, k)
-    levels = [*levels, *((2**30 + 5, 2**31 - 1) if kind != "hpm1" else ())]
-    stacked = [(level, k) for level in levels for k in range(m.phase_count(level))]
-    array = m.emission_array(*np.array(stacked).T)
-    assert array.dtype == np.uint8
-    assert array.tobytes() == b"".join(m.emission_word(level) for level in levels)
+    if kind == "hpm1":
+        return
+    levels = [*levels, 2**30 + 5, 2**31 - 1, 2**53 - 1, 2**53 + 5, 2**62 - 1, 2**62 + 5]
+    src, k = np.array([(i, k) for i, level in enumerate(levels) for k in range(m.phase_count(level))]).T
+    digits = np.array([level.bit_length() for level in levels])
+    tops = np.array([level << 21 >> level.bit_length() for level in levels])
+    low = np.array([level % 2**64 for level in levels], np.uint64)
+    keys, words_of = np.zeros((len(levels), 2), np.uint64), np.zeros(len(levels), np.int64)
+    symbols = _symbols(m, src, k, digits, tops, low, keys, words_of)
+    assert symbols.dtype == np.uint8
+    assert symbols.tobytes() == b"".join(m.emission_word(level) for level in levels)
 
 
 def _slice_bounds(s: int, r: int) -> list[int]:

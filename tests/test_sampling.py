@@ -120,7 +120,7 @@ def test_fixed_seed_reproduces_draws():
     seq1, seq2 = _initial_levels(model, 99, 1000), _initial_levels(model, 99, 1000)
     assert seq1 == seq2
     for stream in (0, 1, 999):
-        assert record(sample_trajectory(model, 4, 99, stream), 0).initial_state.level == seq1[stream]
+        assert record(sample_trajectory(model, 4, 99, stream), 99, stream).initial_state.level == seq1[stream]
     assert seq1 != _initial_levels(model, 98, 1000)
 
 
@@ -182,7 +182,7 @@ def test_phase_offset_is_its_words_mod_r(r):
     # ceil(b/64) words of lane 2, for r of b binary digits.
     model = make_model("hpm1", 1.5, fixed_level=r)
     more = 0 if r < 2**32 else -(-r.bit_length() // 64)
-    for traj in records(sample_trajectories(model, 50, 1, seed=r % 2**64)):
+    for traj in records(sample_trajectories(model, 50, 1, seed=r % 2**64), r % 2**64):
         key = (traj.seed, traj.stream)
         x = (philox_block(key, 0, 0)[2] << 64 * more) | lane_int(key, 2, more)
         assert traj.initial_state.phase == x % r + 1, (r, traj.stream)
@@ -211,10 +211,10 @@ def _symbols_from_words(model, traj):
 
 def _assert_samplers_equal_oracle(model, count: int, length: int, seed: int) -> list:
     """Both entry points against the scalar reference, field by field."""
-    pooled = records(sample_trajectories(model, count, length, seed))
+    pooled = records(sample_trajectories(model, count, length, seed), seed)
     assert len(pooled) == count
     for stream, traj in enumerate(pooled):
-        single = record(sample_trajectory(model, length, seed, stream=stream), 0)
+        single = record(sample_trajectory(model, length, seed, stream=stream), seed, stream)
         expected = reference_sample(model, length, seed, stream)
         for f in dataclasses.fields(Trajectory):
             case = (f.name, model, length, seed, stream)
@@ -252,16 +252,18 @@ def test_samplers_equal_scalar_oracle(kind, alpha, fixed_level, length, entropy,
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
 def test_sample_trajectories_equal_per_stream_sampler(kind):
     # Every trajectory must be the one the scalar reference draws, field by
-    # field, whichever way it is drawn: as an int64 level in the array pass
-    # or as a Python int past 53 digits, and for hmc in the blocks of branch
-    # draws.  Symbols read with emission_slice must be those of the whole
-    # words (hpm1 never builds a word: its words reach 2**(2**20) symbols).
+    # field: at every digit count, with the fixed levels either side of 2**53
+    # (where float64 stops holding a level exactly) and of 2**62 (where the
+    # records clip), and for hmc in the blocks of branch draws.  Symbols
+    # must be those of the whole words (hpm1 never builds a word: its words
+    # reach 2**(2**20) symbols).
     cases = [
         (make_model(kind, alpha), length, seed, 300)
         for alpha in (1.2, 1.5, 2.0)
         for length, seed in ((1, 171), (16, 172), (64, 173))
     ]
-    cases += [(make_model(kind, 1.5, fixed_level=level), 64, 174, 20) for level in (2, 2**70 + 3)]
+    fixed = (2, 2**53 - 1, 2**53 + 5, 2**62 - 1, 2**62 + 5, 2**70 + 3)
+    cases += [(make_model(kind, 1.5, fixed_level=level), 64, 174, 20) for level in fixed]
     levels, branch_levels, wraps = [], [], 0
     for model, length, seed, count in cases:
         for traj in _assert_samplers_equal_oracle(model, count, length, seed):
@@ -332,13 +334,13 @@ def test_trajectories_do_not_depend_on_the_pass_sizes(kind, monkeypatch):
     # hmc branch draws cut into small passes, and Philox runs read by either
     # engine, give the trajectories of one pass.
     model = make_model(kind, 1.5)
-    whole = records(sample_trajectories(model, 200, 40, 175))
+    whole = records(sample_trajectories(model, 200, 40, 175), 175)
     sizes = {"_CHUNK_SYMBOLS": 120, "_BRANCH_ROWS": 50}
     for settings in (sizes, *ENGINES.values()):
         with monkeypatch.context() as patch:
             for name, value in settings.items():
                 patch.setattr(sampling, name, value)
-            assert records(sample_trajectories(model, 200, 40, 175)) == whole
+            assert records(sample_trajectories(model, 200, 40, 175), 175) == whole
 
 
 @pytest.mark.parametrize("kind", ["hpm1", "hpm2", "hmc"])
@@ -348,8 +350,8 @@ def test_longer_trajectory_starts_with_the_shorter_one(kind, alpha):
     # symbols and reads only the first 512.
     model = make_model(kind, alpha)
     longer_records = 0
-    for long in records(sample_trajectories(model, 40, 524, 2024)):
-        short = record(sample_trajectory(model, 512, 2024, stream=long.stream), 0)
+    for long in records(sample_trajectories(model, 40, 524, 2024), 2024):
+        short = record(sample_trajectory(model, 512, 2024, stream=long.stream), 2024, long.stream)
         assert long.symbols[:512] == short.symbols, long.stream
         assert long.initial_state == short.initial_state, long.stream
         assert long.word_levels[: len(short.word_levels)] == short.word_levels, long.stream
@@ -357,9 +359,9 @@ def test_longer_trajectory_starts_with_the_shorter_one(kind, alpha):
     assert (longer_records > 0) == (kind == "hmc")
 
 
-def _digest(batch) -> str:
+def _digest(batch, seed_: int) -> str:
     h = hashlib.sha256()
-    for t in records(batch):
+    for t in records(batch, seed_):
         state = t.initial_state
         fields = (t.symbols.hex(), t.stream, hex(state.level), hex(state.phase), *map(hex, t.word_levels))
         h.update(repr(fields).encode())
@@ -385,25 +387,22 @@ def test_a_million_hpm2_trajectories_peak_below_64_mb():
 def test_trajectory_digests_are_pinned():
     # Computed once with the counter-based sampler (every variate a function
     # of seed, stream, lane and draw); any change to a draw moves them.
+    # (kind, alpha, count, length, seed); a count of None is one
+    # `sample_trajectory` on stream 0.
     pinned = {
-        "469767bebd1f359aad39f42ac101f77b6de89b435442ef49854d5d855c2bd799": lambda: (
-            sample_trajectories(make_model("hpm1", 1.5), 3000, 16, 601)
-        ),
-        "3e36af1d4e4ffb96b917b71f402646098c23574a8e80bf1adc86217d1eadaade": lambda: (
-            sample_trajectories(make_model("hpm2", 1.2), 3000, 16, 602)
-        ),
-        "ff440f5db41b1077008507aa2264f7cc766b7240f06c0425587ffe1fdb5eb584": lambda: (
-            sample_trajectories(make_model("hpm2", 2.0), 500, 64, 603)
-        ),
-        "e8ca11319841f9dc2870699a55bda3fec5ce6865ff3efde55cbbd1e553557ece": lambda: (
-            sample_trajectory(make_model("hmc", 1.5), 30_000, 604)
-        ),
-        "b3424efcf2ebce1092461abbebbef5e33cb94b9ad775a4c758bce0d207042dd8": lambda: (
-            sample_trajectories(make_model("hmc", 1.2), 100, 600, 605)
-        ),
+        "469767bebd1f359aad39f42ac101f77b6de89b435442ef49854d5d855c2bd799": ("hpm1", 1.5, 3000, 16, 601),
+        "3e36af1d4e4ffb96b917b71f402646098c23574a8e80bf1adc86217d1eadaade": ("hpm2", 1.2, 3000, 16, 602),
+        "ff440f5db41b1077008507aa2264f7cc766b7240f06c0425587ffe1fdb5eb584": ("hpm2", 2.0, 500, 64, 603),
+        "e8ca11319841f9dc2870699a55bda3fec5ce6865ff3efde55cbbd1e553557ece": ("hmc", 1.5, None, 30_000, 604),
+        "b3424efcf2ebce1092461abbebbef5e33cb94b9ad775a4c758bce0d207042dd8": ("hmc", 1.2, 100, 600, 605),
     }
-    for expected, sample in pinned.items():
-        assert _digest(sample()) == expected
+    for expected, (kind, alpha, count, length, seed_) in pinned.items():
+        model = make_model(kind, alpha)
+        if count is None:
+            batch = sample_trajectory(model, length, seed_)
+        else:
+            batch = sample_trajectories(model, count, length, seed_)
+        assert _digest(batch, seed_) == expected
 
 
 def test_seed_and_stream_errors_name_the_value():
@@ -463,7 +462,7 @@ def test_sample_trajectories_check_their_arguments_first():
 def test_hpm1_window_marker_structure():
     model = make_model("hpm1", 1.5)
     for stream in range(60):
-        traj = record(sample_trajectory(model, 400, seed=21, stream=stream), 0)
+        traj = record(sample_trajectory(model, 400, seed=21, stream=stream), 21, stream)
         level = traj.initial_state.level
         if level > 150:
             continue
@@ -476,14 +475,14 @@ def test_hpm1_window_marker_structure():
 def test_cyclic_kinds_never_change_level():
     for kind in ("hpm1", "hpm2"):
         model = make_model(kind, 1.5)
-        traj = record(sample_trajectory(model, 300, seed=31), 0)
+        traj = record(sample_trajectory(model, 300, seed=31), 31, 0)
         levels = {s.level for s in hidden_states(traj)}
         assert len(levels) == 1
 
 
 def test_hmc_separator_runs_have_length_digit_count_plus_one():
     model = make_model("hmc", 1.5)
-    traj = record(sample_trajectory(model, 3000, seed=41), 0)
+    traj = record(sample_trajectory(model, 3000, seed=41), 41, 0)
     states = hidden_states(traj)
     sym = traj.symbols
     runs = []
@@ -508,7 +507,7 @@ def test_hmc_word_start_level_frequencies():
     model = make_model("hmc", 1.5)
     counts = {2: 0, 3: 0}
     starts = 0
-    states = hidden_states(record(sample_trajectory(model, 60_000, seed=51), 0))
+    states = hidden_states(record(sample_trajectory(model, 60_000, seed=51), 51, 0))
     for prev, cur in zip(states, states[1:]):
         if cur.phase == 1:  # word boundary
             starts += 1
@@ -661,7 +660,7 @@ def test_pooled_estimate_lands_in_certified_interval():
 def test_symbols_match_emissions_of_hidden_states():
     for kind in ("hpm1", "hpm2", "hmc"):
         model = make_model(kind, 1.5)
-        traj = record(sample_trajectory(model, 400, seed=131), 0)
+        traj = record(sample_trajectory(model, 400, seed=131), 131, 0)
         for t, state in enumerate(hidden_states(traj)):
             if state.level.bit_length() > 24:
                 continue  # emission recomputes digits; skip the huge-level case
@@ -674,7 +673,7 @@ def test_big_level_symbols_match_emissions_of_hidden_states(kind):
     level = 2**40 + 12345
     model = make_model(kind, 1.5, fixed_level=level)
     for stream in range(4):
-        traj = record(sample_trajectory(model, 400, seed=133, stream=stream), 0)
+        traj = record(sample_trajectory(model, 400, seed=133, stream=stream), 133, stream)
         states = hidden_states(traj)
         assert len(states) == len(traj.symbols)
         assert {s.level for s in states} == {level}
@@ -683,7 +682,7 @@ def test_big_level_symbols_match_emissions_of_hidden_states(kind):
 
 def test_hmc_per_step_level_occupation_matches_stationary_law():
     model = make_model("hmc", 1.5)
-    states = hidden_states(record(sample_trajectory(model, 120_000, seed=141), 0))
+    states = hidden_states(record(sample_trajectory(model, 120_000, seed=141), 141, 0))
     steps = len(states)
     for level in (2, 3):
         occ = sum(1 for s in states if s.level == level) / steps
@@ -700,7 +699,7 @@ def test_single_trajectory_underestimates_ensemble_mi():
     stream = next(
         s
         for s in range(200)
-        if record(sample_trajectory(model, 4, seed=151, stream=s), 0).initial_state.level == 2
+        if record(sample_trajectory(model, 4, seed=151, stream=s), 151, s).initial_state.level == 2
     )
     single = sample_trajectory(model, 2000, seed=151, stream=stream)
     sliding = estimate_block_mi(single, 4, bootstrap_resamples=4)

@@ -94,7 +94,7 @@ def test_window_law_catches_a_table_level_fault(monkeypatch):
 
 def test_window_law_catches_an_hpm2_emission_fault(monkeypatch):
     # The table reads the digits of level 5 reversed; the sampler's
-    # emission_array does not read emission_word.
+    # `_symbols` does not read emission_word.
     real = ProcessModel.emission_word
 
     def faulty(self, level):
