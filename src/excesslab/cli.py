@@ -456,8 +456,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        if args.command == "info":  # prints only, so it makes no directory
+            return cmd_info(config)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "exact":
             return cmd_exact(config, out)
         if args.command == "estimate":
@@ -466,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_verify(config, out, decoder_fault=args.inject_decoder_fault)
         if args.command == "fit":
             return cmd_fit(config, out)
-        if args.command == "info":
-            return cmd_info(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

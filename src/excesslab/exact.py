@@ -14,7 +14,9 @@ length n each as a finite table:
     single-marker keys and the all-zero key, after every row; with tail
     aggregation these masses cover every m >= 2n in closed form.  Levels go
     in chunks of bounded rows, each counted against the entry budget before
-    the next is built;
+    the next is built.  Both kinds read a chunk's windows from one matrix:
+    row i is level i's `emission_word`, padded with zeros and read at
+    t mod r, r the word's length.  The ergodic seeds read the same words;
   * the ergodic kind's hidden paths branch at word boundaries.  Each path
     starts at a seed (level, phase); what follows a boundary depends only on
     how many of the 2n symbols are still needed, so that subtree is expanded
@@ -329,15 +331,18 @@ def enumerate_joint(
         "fixed_level": model.fixed_level,
     }
     alphabet_size = len(model.alphabet)
-    if model.kind is Kind.HMC:
-        keys, masses, pruned, slack = _enumerate_hmc(
-            model, n, level_cutoff, prune_eps, path_budget, entry_budget
-        )
-    else:
-        keys, masses, pruned, slack = _enumerate_cyclic(
-            model, n, level_cutoff, entry_budget, tail_aggregation
-        )
-    return _retained_table(JointBlockTable(n, alphabet_size, keys, masses, pruned, slack, meta))
+    if model.kind is not Kind.HMC:
+        arrays = _enumerate_cyclic(model, n, level_cutoff, entry_budget, tail_aggregation)
+        return _retained_table(JointBlockTable(n, alphabet_size, *arrays, meta))
+    keys, masses, pruned, slack_rate = _enumerate_hmc(
+        model, n, level_cutoff, prune_eps, path_budget, entry_budget
+    )
+    # The slack is a share of the assigned mass, so the table caches that
+    # one fsum, unless `_retained_table` drops an entry and sums afresh.
+    total = math.fsum(masses.tolist())
+    table = JointBlockTable(n, alphabet_size, keys, masses, pruned, slack_rate * total, meta)
+    vars(table)["_assigned_mass"] = total
+    return _retained_table(table)
 
 
 def _retained_table(table: JointBlockTable) -> JointBlockTable:
@@ -404,15 +409,15 @@ def _enumerate_cyclic(
         chunk_levels = row_levels[lo : lo + step]
         level_masses = _level_masses(model, chunk_levels)
         assigned = _running_sum(assigned, level_masses)
-        for (keys, masses, at), (codes, repeat_masses, repeat_at), count in _cyclic_rows(
+        (keys, masses, at), (codes, repeat_masses, repeat_at), count = _cyclic_rows(
             model, chunk_levels, level_masses, length
-        ):
-            unique_keys.append(keys)
-            unique_masses.append(masses)
-            unique_rows.append(rows + at)
-            unique += len(masses)
-            repeating.add(codes, repeat_masses, rows + repeat_at)
-            rows += count
+        )
+        unique_keys.append(keys)
+        unique_masses.append(masses)
+        unique_rows.append(rows + at)
+        unique += len(masses)
+        repeating.add(codes, repeat_masses, rows + repeat_at)
+        rows += count
         check_entries()
     marker = zero = 0.0
     for lo in range(0, len(marker_levels), 1 << 20):
@@ -472,57 +477,56 @@ def _running_sum(total: float, values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
+def _emission_words(model: ProcessModel, levels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row i is `emission_word(levels[i])`, zeros after it to the longest
+    word, and the word lengths, which are r(m)."""
+    words = list(map(model.emission_word, levels))
+    lens = np.fromiter(map(len, words), np.intp, len(words))
+    padded = np.zeros((len(words), lens.max(initial=0)), np.uint8)
+    padded[np.arange(padded.shape[1]) < lens[:, None]] = np.frombuffer(b"".join(words), np.uint8)
+    return padded, lens
+
+
 def _cyclic_rows(
     model: ProcessModel, levels: Sequence[int], level_masses: np.ndarray, length: int
-) -> Iterator[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]]:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
     """The windows of every (level, phase) of `levels`, level-major, each of
-    mass level_mass / r, one group of levels at a time.
-
-    Yields (unique, repeating, count) per group, row indices counted from
-    the group's first row: the key matrix, masses and row indices of the
-    rows that show the marker (hpm1) or delimiter (hpm2) twice or more, each
-    a key of its own since the gap gives the level and the position the
+    mass level_mass / r, as (unique, repeating, count), row indices counted
+    from the first row: the key matrix, masses and row indices of the rows
+    that show the marker (hpm1) or delimiter (hpm2) twice or more, each a
+    key of its own since the gap gives the level and the position the
     phase; the codes, masses and row indices of the others, which can
     repeat (an hpm1 code is the marker position, an hpm2 code the key row);
     and the row count.
 
-    A group's cycles, extended by 2n - 1 symbols, are the rows of one
-    matrix, and only the kept windows are copied out of its sliding view:
-    all hpm1 levels (below 2n) form one group, and hpm2 levels one per digit
-    count, from `emission_word`, exact at any level.  The symbol sits at
-    phase r - 1 (hpm1) or 0 (hpm2), so phase k shows it first at
-    (that phase - k) mod r, and twice when r more symbols still fit."""
+    Both kinds take one matrix: row i is level i's cycle, its padded
+    `emission_word` read at t mod r for t below the longest r plus 2n - 1,
+    and only the kept windows are copied out of its sliding view.  The
+    symbol sits at phase r - 1 (hpm1) or 0 (hpm2), so phase k shows it first
+    at (that phase - k) mod r, and twice when r more symbols still fit."""
     hpm1 = model.kind is Kind.HPM1
-    lo = 0
-    while lo < len(levels):
-        if hpm1:
-            hi = len(levels)
-            r = np.asarray(levels, np.int64)
-            ext = ((np.arange(r[-1] + length - 1) + 1) % r[:, None] == 0).view(np.uint8)
-            symbol_at = r - 1
-        else:
-            s = model.phase_count(levels[lo])
-            hi = bisect.bisect_left(levels, 1 << s, lo)
-            words = b"".join(map(model.emission_word, levels[lo:hi]))
-            words = np.frombuffer(words, np.uint8).reshape(hi - lo, s)
-            ext = words[:, np.arange(s + length - 1) % s]
-            r = np.full(hi - lo, s)
-            symbol_at = np.zeros(hi - lo, np.int64)
-        level_of = np.repeat(np.arange(hi - lo), r)
-        phase = np.arange(len(level_of)) - np.repeat(np.cumsum(r) - r, r)
-        period = r[level_of]
-        first = (symbol_at[level_of] - phase) % period
-        masses = np.repeat(level_masses[lo:hi] / r, r)
-        windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
-        multi = length - 1 - first >= period
-        kept, other = np.flatnonzero(multi), np.flatnonzero(~multi)
-        codes = first[other] if hpm1 else windows[level_of[other], phase[other]]
-        yield (
-            (windows[level_of[kept], phase[kept]], masses[kept], kept),
-            (codes, masses[other], other),
-            len(level_of),
-        )
-        lo = hi
+    words, r = _emission_words(model, levels)
+    # Flat int32 indices: a chunk's padded words hold at most 2**20 symbols
+    # (its rows over its longest r), or one word.
+    width = words.shape[1]
+    at = np.arange(width + length - 1, dtype=np.int32) % r[:, None].astype(np.int32)
+    at += np.arange(0, words.size, width, dtype=np.int32)[:, None]
+    ext = words.take(at)
+    symbol_at = r - 1 if hpm1 else np.zeros_like(r)
+    level_of = np.repeat(np.arange(len(r)), r)
+    phase = np.arange(len(level_of)) - np.repeat(np.cumsum(r) - r, r)
+    period = r[level_of]
+    first = (symbol_at[level_of] - phase) % period
+    masses = np.repeat(level_masses / r, r)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, length, axis=1)
+    multi = length - 1 - first >= period
+    kept, other = np.flatnonzero(multi), np.flatnonzero(~multi)
+    codes = first[other] if hpm1 else windows[level_of[other], phase[other]]
+    return (
+        (windows[level_of[kept], phase[kept]], masses[kept], kept),
+        (codes, masses[other], other),
+        len(level_of),
+    )
 
 
 class _Repeating:
@@ -558,8 +562,9 @@ def _enumerate_hmc(
     label = _input_label(model, n, level_cutoff, prune_eps)
     fixed = model.fixed_level is not None
     levels = [model.fixed_level] if fixed else range(2, level_cutoff + 1)
-    words = [model.emission_word(m) for m in levels]
-    lens = np.array([len(w) for w in words])
+    # Row i is level i's word, then zeros to read 2n symbols from any phase.
+    symbols, lens = _emission_words(model, levels)
+    symbols = np.pad(symbols, ((0, 0), (0, length)))
     seed_masses = _level_masses(model, levels) / lens
     branch_p = _level_masses(model, levels, branch=True)
     if fixed:
@@ -573,10 +578,6 @@ def _enumerate_hmc(
         relw = model.norm_c.width / model.norm_c.mid + length * (
             model.norm_d.width / model.norm_d.mid
         )
-    # Row i is level i's word, then zeros to read 2n symbols from any phase.
-    symbols = np.zeros((len(words), lens.max() + length), np.uint8)
-    for i, word in enumerate(words):
-        symbols[i, : len(word)] = np.frombuffer(word, np.uint8)
     width = -(-length // 8) * 8  # a node's row, padded to whole uint64 words
     # Branches by falling probability, each with the summed probability of
     # itself and every later branch.  prob * b is then falling along them
@@ -592,7 +593,7 @@ def _enumerate_hmc(
     for s in range(length):
         placed[s, :, s:length] = symbols[by_p, : length - s]
     placed = placed.reshape(-1, width).view(np.uint64)
-    branches = [(words[i], q) for i, q in zip(by_p.tolist(), b.tolist())]
+    branches = [(symbols[i, : lens[i]].tobytes(), q) for i, q in zip(by_p.tolist(), b.tolist())]
 
     # After a word boundary the rest of a window depends only on how many
     # symbols it still needs, so each such subtree is summarised once per
@@ -658,7 +659,7 @@ def _enumerate_hmc(
         # which are never pruned.  A node is the row of its first 2n symbols
         # (zeros past `filled`, read as uint64 words), how many of them its
         # path has emitted and its sequential path probability.
-        level = np.repeat(np.arange(len(words)), lens)
+        level = np.repeat(np.arange(len(lens)), lens)
         phase = np.arange(len(level)) - np.repeat(np.cumsum(lens) - lens, lens)
         rows = np.zeros((len(level), width), np.uint8)
         rows[:, :length] = symbols[level[:, None], phase[:, None] + np.arange(length)]
@@ -724,7 +725,7 @@ def _enumerate_hmc(
     for block in cached:
         merge.add(*block)
     keys, masses = merge.result()
-    return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw * math.fsum(masses.tolist())
+    return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw
 
 
 def _cached_rows(
@@ -833,30 +834,26 @@ def _runs(group: np.ndarray, values: np.ndarray, count: int) -> tuple[np.ndarray
     return values[_stable_order(group)], np.bincount(group, minlength=count)
 
 
-def _grouped_entropy(group: np.ndarray, masses: np.ndarray, count: int) -> np.ndarray:
-    """Plug-in entropy of each group's masses, renormalized within the group.
+def _grouped_entropy(m: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Plug-in entropy of each group's masses, renormalized within the group,
+    from the `_runs` of the masses.
 
     Every group must be non-empty.  Each group's run is summed pairwise
     (np.add.reduceat), as `_entropy` sums a whole table."""
-    m, lengths = _runs(group, masses, count)
     starts = np.cumsum(lengths) - lengths
     q = m / np.repeat(np.add.reduceat(m, starts), lengths)
     return -np.add.reduceat(q * np.log2(q), starts)
 
 
-def _marginals_mi(
-    weights: np.ndarray, past_weights: np.ndarray, future_weights: np.ndarray
-) -> float:
-    """Plug-in I(past; future) of the atoms with these weights (masses or
-    counts), renormalized by their total, from the summed weights of each
-    past and future block.  With count weights, zero-weight atoms (the
-    windows a bootstrap resample did not draw) leave the value unchanged."""
-    total = float(np.sum(weights))
+def _marginals_mi(masses: np.ndarray, past_masses: np.ndarray, future_masses: np.ndarray) -> float:
+    """Plug-in I(past; future) of the atoms with these masses, renormalized
+    by their total, from the summed masses of each past and future block.
+    A zero mass, such as a block that lies only on the other side of a
+    `_triple_informations` event, leaves the value unchanged."""
+    total = float(np.sum(masses))
     if total <= 0.0:
         return 0.0
-    return (
-        _entropy(past_weights, total) + _entropy(future_weights, total) - _entropy(weights, total)
-    )
+    return _entropy(past_masses, total) + _entropy(future_masses, total) - _entropy(masses, total)
 
 
 def _mixture_bound(delta: float, support_log2: float) -> float:
@@ -895,10 +892,10 @@ def block_mi(table: JointBlockTable) -> Enclosure:
 
 def _label_profile(
     table: JointBlockTable, past_label: Callable, future_label: Callable | None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[float], tuple[float, float]]:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray], list[float], tuple[float, float]]:
     """One labelling pass: the group id of every entry, past block and future
-    block, the group masses and the certified label entropy as (value,
-    half-width).
+    block, the `_runs` of the entry masses by group, the group masses and the
+    certified label entropy as (value, half-width).
 
     A labeller takes the (k, n) uint8 matrix of the distinct past (or
     future) blocks, as the profile holds it, and returns one label per row,
@@ -920,11 +917,11 @@ def _label_profile(
             f"future={prof.future_blocks[f].tolist()}: "
             f"past-computed {past_z[p]} vs future-computed {future_z[f]}"
         )
-    ordered, lengths = _runs(entry_group, prof.masses, len(first))
-    bounds = [0] + np.cumsum(lengths).tolist()
-    ordered = ordered.tolist()
+    runs = _runs(entry_group, prof.masses, len(first))
+    bounds = [0] + np.cumsum(runs[1]).tolist()
+    ordered = runs[0].tolist()
     masses = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return (entry_group, past_group, future_group), masses, _table_entropy(table, masses, 1)
+    return (entry_group, past_group, future_group), runs, masses, _table_entropy(table, masses, 1)
 
 
 def _label_decomposition(
@@ -936,7 +933,7 @@ def _label_decomposition(
     A past block has exactly one label, and so has a future block, so each
     group's past and future laws are the global marginals restricted to the
     blocks of that label."""
-    (entry_group, past_group, future_group), masses, (h, h_err) = _label_profile(
+    (_, past_group, future_group), entry_runs, masses, (h, h_err) = _label_profile(
         table, past_label, future_label
     )
     e, e_err = table._block_mi
@@ -947,9 +944,9 @@ def _label_decomposition(
     prof = table.profile
     count = len(masses)
     mis = (
-        _grouped_entropy(past_group, prof.past_mass, count)
-        + _grouped_entropy(future_group, prof.future_mass, count)
-        - _grouped_entropy(entry_group, prof.masses, count)
+        _grouped_entropy(*_runs(past_group, prof.past_mass, count))
+        + _grouped_entropy(*_runs(future_group, prof.future_mass, count))
+        - _grouped_entropy(*entry_runs)
     )
     value = math.fsum(((np.asarray(masses) / total) * mis).tolist())
     return e, h_label, Enclosure.around(value, e_err + h_err)

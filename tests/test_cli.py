@@ -460,6 +460,13 @@ def test_info_prints_constants(capsys):
     assert "poly(0.5)" in text
 
 
+def test_info_makes_no_output_directory(tmp_path):
+    out = tmp_path / "run"
+    code = run_cli(["info", "--process", "hpm2", "--n", "4", "--out", str(out)] + FAST)
+    assert code == 0
+    assert not out.exists()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "excesslab.cli", "--version"],
