@@ -39,9 +39,11 @@ _POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)  # binary lengths by searchs
 
 def _decode(kind: Kind, future: bool, blocks: np.ndarray) -> np.ndarray:
     """The decoded level of each row of the (k, n) block matrix, 0 where the
-    row does not determine one.  Raises ValueError on a symbol outside the
-    kind's alphabet."""
+    row does not determine one.  Raises ValueError on anything but a matrix
+    with at least one column, or on a symbol outside the kind's alphabet."""
     blocks = np.asarray(blocks)
+    if blocks.ndim != 2 or not blocks.shape[1]:
+        raise ValueError(f"blocks must be a (k, n) matrix with n >= 1, got shape {blocks.shape}")
     top = ALPHABETS[kind][-1]
     if blocks.size and blocks.max() > top:
         raise ValueError(f"symbol {blocks.max()} outside alphabet 0..{top}")

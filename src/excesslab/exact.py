@@ -33,7 +33,8 @@ length n each as a finite table:
     The leaves become rows of a key matrix and a mass vector, and so do the
     cached (prefix, suffix) combinations: each completion table becomes
     window rows once, suffixes at the end of the row, and a combination is
-    a prefix row OR'd with a suffix row.  Rows are merged in bounded chunks.
+    a prefix row OR'd with a suffix row.  Rows of both kinds are merged by
+    `_Repeating`, these in bounded chunks.
 
 A table holds its entries as two read-only arrays: a (count, 2n) uint8 key
 matrix, past block then future block, and a float64 mass vector.  Every kind
@@ -274,6 +275,13 @@ def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
+def _spans(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, t) for every t in 0..sizes[i]-1, i ascending: the index pairs of
+    consecutive spans of these sizes laid end to end."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
 def enumerate_joint(
     model: ProcessModel,
     n: int,
@@ -368,6 +376,12 @@ def _input_label(model: ProcessModel, n: int, level_cutoff: int | None, prune_ep
     return f"{label}, prune_eps={prune_eps}" if prune_eps > 0.0 else label
 
 
+def _check_entries(count: int, entry_budget: int, label: str) -> None:
+    """Stop a table build whose `count` distinct keys exceed the budget."""
+    if count > entry_budget:
+        raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
+
+
 def _levels(model: ProcessModel, level_cutoff: int) -> Sequence[int]:
     if model.fixed_level is not None:
         return [model.fixed_level] if model.fixed_level <= level_cutoff else []
@@ -388,18 +402,12 @@ def _enumerate_cyclic(
     # its cycle to the all-zero key.  Every other level adds rows.
     split = bisect.bisect_left(levels, length) if hpm1 else len(levels)
     row_levels, marker_levels = levels[:split], levels[split:]
-    if hpm1:
-        repeating = _Repeating(_first_appearance, np.zeros(0, np.intp))
-    else:
-        repeating = _Repeating(_number_blocks, np.zeros((0, length), np.uint8))
+    empty = np.zeros(0, np.intp) if hpm1 else np.zeros((0, length), np.uint8)
+    repeating = _Repeating(_first_appearance if hpm1 else _number_blocks, empty)
     unique_keys = [np.zeros((0, length), np.uint8)]
     unique_masses, unique_rows = [np.zeros(0)], [np.zeros(0, np.intp)]
     unique = rows = 0
     assigned = 0.0
-
-    def check_entries() -> None:
-        if unique + len(repeating.first) > entry_budget:
-            raise BudgetExceededError(f"table exceeded entry budget {entry_budget} ({label})")
 
     # Levels in chunks of at most `chunk` rows, each merged before the next
     # is built, so memory stays within the budget plus one chunk.
@@ -418,7 +426,7 @@ def _enumerate_cyclic(
         unique += len(masses)
         repeating.add(codes, repeat_masses, rows + repeat_at)
         rows += count
-        check_entries()
+        _check_entries(unique + len(repeating.masses), entry_budget, label)
     marker = zero = 0.0
     for lo in range(0, len(marker_levels), 1 << 20):
         chunk_levels = marker_levels[lo : lo + (1 << 20)]
@@ -442,7 +450,7 @@ def _enumerate_cyclic(
         masses = np.full(length + 1, marker)
         masses[length] = zero
         repeating.add(np.arange(length + 1), masses, rows + np.arange(length + 1))
-        check_entries()
+        _check_entries(unique + len(repeating.masses), entry_budget, label)
     pruned = Interval.point(0.0) if aggregate else model.level_tail_mass(level_cutoff)
     repeat_keys = repeating.codes
     if hpm1:
@@ -455,19 +463,22 @@ def _enumerate_cyclic(
     return keys, masses, pruned, slack
 
 
-def _level_masses(model: ProcessModel, levels: Sequence[int], branch: bool = False) -> np.ndarray:
-    """P(N = m) of each level, or with `branch` the hmc branch probability
-    p(m): the midpoint of C times w(m), or of D times w(m) / r(m), in the
-    float operations of `Interval.mid`; ones under a fixed level.  w(m)
-    comes from `level_weight`: np.log2 and np.power may differ from
-    math.log2 and ** by an ulp."""
+def _level_masses(model: ProcessModel, levels: Sequence[int], lens=None) -> np.ndarray:
+    """P(N = m), the midpoint of C times w(m) as `Interval.mid` rounds it,
+    or given the hmc word lengths r(m), P(N = m) / r(m) and p(m), the
+    midpoint of D times w(m) / r(m), from one w(m) per level by
+    `level_weight` (np.log2 and np.power may differ by an ulp); under a
+    fixed level, ones, or 1 / r(m) and ones."""
     if model.fixed_level is not None:
-        return np.ones(len(levels))
+        ones = np.ones(len(levels))
+        return ones if lens is None else np.stack([ones / lens, ones])
     w = np.fromiter((level_weight(m, model.alpha) for m in levels), np.float64, len(levels))
-    if branch:
-        w = w / np.array([model.phase_count(m) for m in levels])
-    const = model.norm_d if branch else model.norm_c
-    return 0.5 * (const.lo * w + const.hi * w)
+    c = model.norm_c
+    masses = 0.5 * (c.lo * w + c.hi * w)
+    if lens is None:
+        return masses
+    d, w = model.norm_d, w / lens
+    return np.stack([masses / lens, 0.5 * (d.lo * w + d.hi * w)])
 
 
 def _running_sum(total: float, values: np.ndarray) -> float:
@@ -513,8 +524,7 @@ def _cyclic_rows(
     at += np.arange(0, words.size, width, dtype=np.int32)[:, None]
     ext = words.take(at)
     symbol_at = r - 1 if hpm1 else np.zeros_like(r)
-    level_of = np.repeat(np.arange(len(r)), r)
-    phase = np.arange(len(level_of)) - np.repeat(np.cumsum(r) - r, r)
+    level_of, phase = _spans(r)
     period = r[level_of]
     first = (symbol_at[level_of] - phase) % period
     masses = np.repeat(level_masses / r, r)
@@ -532,22 +542,36 @@ def _cyclic_rows(
 class _Repeating:
     """Rows that can repeat, merged into distinct codes in order of first
     appearance: each code's mass summed in row order from 0.0 (an in-order
-    np.bincount, as a dict of running sums would add), and the index of its
-    first row.  `number` is `_first_appearance` for a code vector or
-    `_number_blocks` for key rows."""
+    np.bincount, as a dict of running sums would add) and, for rows added
+    with their indices, the index of its first row.  `number` is
+    `_first_appearance` for a code vector or `_number_blocks` for key rows.
 
-    def __init__(self, number: Callable, codes: np.ndarray) -> None:
-        self._number = number
+    Rows wait until `chunk` of them have come, or until `merge`.  A merge
+    numbers the codes so far together with the waiting rows, running codes
+    first, which keeps the order and the bits wherever the merges fall."""
+
+    def __init__(self, number: Callable, codes: np.ndarray, chunk: int = 1) -> None:
+        self._number, self._chunk, self._waiting, self._count = number, chunk, [], 0
         self.codes, self.masses, self.first = codes, np.zeros(0), np.zeros(0, np.intp)
 
-    def add(self, codes: np.ndarray, masses: np.ndarray, rows: np.ndarray) -> None:
-        if not len(masses):
+    def add(self, codes: np.ndarray, masses: np.ndarray, rows: np.ndarray | None = None) -> None:
+        self._waiting.append((codes, masses, rows))
+        self._count += len(masses)
+        if self._count >= self._chunk:
+            self.merge()
+
+    def merge(self) -> None:
+        if not self._count:
             return
-        codes = np.concatenate([self.codes, codes])
+        codes, masses, rows = zip(*self._waiting)
+        self._waiting, self._count = [], 0
+        codes = np.concatenate([self.codes, *codes])
+        masses = np.concatenate([self.masses, *masses])
+        rows = None if rows[0] is None else np.concatenate([self.first, *rows])
         ids, first = self._number(codes)
         self.codes = codes[first]
-        self.masses = np.bincount(ids, np.concatenate([self.masses, masses]), len(first))
-        self.first = np.concatenate([self.first, rows])[first]
+        self.masses = np.bincount(ids, masses, len(first))
+        self.first = self.first if rows is None else rows[first]
 
 
 def _enumerate_hmc(
@@ -565,8 +589,7 @@ def _enumerate_hmc(
     # Row i is level i's word, then zeros to read 2n symbols from any phase.
     symbols, lens = _emission_words(model, levels)
     symbols = np.pad(symbols, ((0, 0), (0, length)))
-    seed_masses = _level_masses(model, levels) / lens
-    branch_p = _level_masses(model, levels, branch=True)
+    seed_masses, branch_p = _level_masses(model, levels, lens)
     if fixed:
         branch_tail = seed_tail = Interval.point(0.0)
         relw = 0.0
@@ -636,9 +659,12 @@ def _enumerate_hmc(
                 )
         return out
 
-    merge = _RowMerge(length, entry_budget, label)
+    # Rows merge in chunks, the keys held to the budget after each merge, so
+    # memory stays within the budget plus one chunk.
+    chunk = max(1, min(entry_budget, 1 << 20))
+    table = _Repeating(_number_blocks, np.zeros((0, length), np.uint8), chunk)
     gate = prune_eps * (1.0 + 1e-12)
-    step = max(1, merge.chunk // len(b))
+    step = max(1, chunk // len(b))
     tail = np.array([branch_tail.lo, branch_tail.hi])
     nodes = 0
 
@@ -659,8 +685,7 @@ def _enumerate_hmc(
         # which are never pruned.  A node is the row of its first 2n symbols
         # (zeros past `filled`, read as uint64 words), how many of them its
         # path has emitted and its sequential path probability.
-        level = np.repeat(np.arange(len(lens)), lens)
-        phase = np.arange(len(level)) - np.repeat(np.cumsum(lens) - lens, lens)
+        level, phase = _spans(lens)
         rows = np.zeros((len(level), width), np.uint8)
         rows[:, :length] = symbols[level[:, None], phase[:, None] + np.arange(length)]
         rows, filled = rows.view(np.uint64), np.minimum(lens[level] - phase, length)
@@ -681,14 +706,14 @@ def _enumerate_hmc(
             hits.append((rows.take(hit, 0), filled[hit], probs[hit]))
             # An expanded boundary keeps each branch whose sequential product
             # clears the threshold; its children are the next depth.
-            # Boundaries go in chunks of at most `merge.chunk` candidates.
+            # Boundaries go in chunks of at most `chunk` candidates.
             kids = [(rows[:0], filled[:0], probs[:0], expand[:0])]
             for lo in range(0, len(expand), step):
                 at = expand[lo : lo + step]
                 k = np.count_nonzero(probs[at, None] * b >= prune_eps, axis=1)
                 count(int(k.sum()))
-                parent = np.repeat(at, k)
-                rank = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+                parent, rank = _spans(k)
+                parent = at[parent]
                 start = filled[parent]
                 child = rows.take(parent, 0) | placed.take(start * len(b) + rank, 0)
                 reach = np.minimum(start + branch_lens[rank], length)
@@ -717,15 +742,17 @@ def _enumerate_hmc(
     pruned = Interval(*np.cumsum(np.concatenate(added), axis=0)[-1].tolist())
     # The leaves go to the merge in chunks of views, and only the views hold
     # them, so the merge drops them as it sums them.
-    for lo in range(0, len(leaf_probs), merge.chunk):
-        hi = lo + merge.chunk
-        merge.add(leaf_rows[lo:hi].view(np.uint8)[:, :length], leaf_probs[lo:hi])
+    leaf_rows = leaf_rows.view(np.uint8)[:, :length]
+    for lo in range(0, len(leaf_probs), chunk):
+        table.add(leaf_rows[lo : lo + chunk], leaf_probs[lo : lo + chunk])
+        _check_entries(len(table.masses), entry_budget, label)
     del leaf_rows, leaf_probs
-    cached = _cached_rows(prefix_rows, prefix_lens, prefix_probs, suffixes, length, merge.chunk)
-    for block in cached:
-        merge.add(*block)
-    keys, masses = merge.result()
-    return keys, masses, pruned.clamp(0.0, 1.0), 0.5 * relw
+    for block in _cached_rows(prefix_rows, prefix_lens, prefix_probs, suffixes, length, chunk):
+        table.add(*block)
+        _check_entries(len(table.masses), entry_budget, label)
+    table.merge()
+    _check_entries(len(table.masses), entry_budget, label)
+    return table.codes, table.masses, pruned.clamp(0.0, 1.0), 0.5 * relw
 
 
 def _cached_rows(
@@ -775,49 +802,6 @@ def _cached_rows(
         keys = rows.take(prefix, 0) | placed.take(suffix, 0)
         yield keys.view(np.uint8)[:, :length], probs[prefix] * q[suffix]
         start = stop
-
-
-class _RowMerge:
-    """Sums (key row, mass) rows into distinct keys in order of first
-    appearance, each key's mass added from 0.0 in row order, as a dict of
-    running sums would: np.bincount adds in input order.
-
-    Rows wait until `chunk` (at most 2**20, and at most the entry budget)
-    have come; the distinct keys so far are then numbered together with
-    them, running keys first, which keeps both the order and the bits.  The
-    distinct count is held to the entry budget after every merge, so memory
-    stays within the budget plus one chunk."""
-
-    def __init__(self, width: int, entry_budget: int, label: str) -> None:
-        self.chunk = max(1, min(entry_budget, 1 << 20))
-        self._budget, self._label = entry_budget, label
-        self._keys = [np.zeros((0, width), np.uint8)]
-        self._masses = [np.zeros(0)]
-        self._waiting = 0
-
-    def add(self, keys: np.ndarray, masses: np.ndarray) -> None:
-        self._keys.append(keys)
-        self._masses.append(masses)
-        self._waiting += len(masses)
-        if self._waiting >= self.chunk:
-            self._merge()
-
-    def _merge(self) -> None:
-        keys, masses = np.concatenate(self._keys), np.concatenate(self._masses)
-        self._keys, self._masses, self._waiting = [], [], 0
-        ids, first = _number_blocks(keys)
-        if len(first) > self._budget:
-            raise BudgetExceededError(
-                f"table exceeded entry budget {self._budget} ({self._label})"
-            )
-        self._keys.append(keys[first])
-        self._masses.append(np.bincount(ids, masses, len(first)))
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct keys and their masses."""
-        if self._waiting:
-            self._merge()
-        return self._keys[0], self._masses[0]
 
 
 # ----- information quantities ------------------------------------------------

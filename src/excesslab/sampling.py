@@ -86,7 +86,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import _number_blocks, _stable_order
+from .exact import _number_blocks, _spans, _stable_order
 from .models import Kind, ProcessModel
 from .series import LN2, branch_normalization_sum, normalization_sum
 
@@ -191,8 +191,8 @@ def _runs(
     long = counts >= _LONG_RUN if len(keys) > _FEW_RUNS else np.full(len(keys), True)
     short = np.flatnonzero(~long)
     if len(short):
-        run = np.repeat(short, counts[short])
-        step = np.arange(len(run)) - np.repeat(np.cumsum(counts[short]) - counts[short], counts[short])
+        run, step = _spans(counts[short])
+        run = short[run]
         zero = np.zeros(len(run), np.uint64)
         counter = ((firsts[run] + step).astype(np.uint64), lanes[run].astype(np.uint64), zero, zero)
         words[starts[run] + step] = np.stack(_philox(counter, keys[run]), axis=1)
@@ -568,13 +568,6 @@ def _sample(model: ProcessModel, length: int, seed: int, streams: range) -> Traj
     return Trajectories(symbols, model, levels, digits, phases, word_starts, *later)
 
 
-def _spans(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, t) for every t in 0..sizes[i]-1, i ascending: the index pairs of
-    consecutive spans of these sizes laid end to end."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
-
-
 def _sample_rows(model: ProcessModel, seed: int, streams: range, out: np.ndarray) -> tuple:
     """Fill row i of `out` with the symbols of stream streams[i] of `seed`,
     in array passes: the initial states of every stream at once, their
@@ -703,7 +696,6 @@ def estimate_block_mi(
     n: int,
     method: str = "plugin",
     bootstrap_resamples: int = 64,
-    bootstrap_seed: int = 0,
 ) -> EstimatorReport:
     """Estimate E(n) from samples: the symbol matrix of a `Trajectories`
     batch, or a `(rows, length)` uint8 matrix of data from elsewhere, one
@@ -715,9 +707,10 @@ def estimate_block_mi(
     correction to each plug-in entropy, which subtracts the usual
     (K_joint - K_past - K_future + 1) / (2*S*ln 2) from the MI.
     Standard errors come from a block bootstrap: over rows in the pooled
-    regime, over circular window blocks in the sliding regime.  With 0
-    resamples the standard error is 0.0; 1 resample has no spread and
-    raises ValueError.
+    regime, over circular window blocks in the sliding regime, from one
+    fixed seed, so the same data give the same report.  With 0 resamples
+    the standard error is 0.0; 1 resample has no spread and raises
+    ValueError.
 
     Each window is numbered once, as the id of its distinct window, and each
     MI comes from count vectors; a bootstrap resample reweights those counts,
@@ -730,7 +723,6 @@ def estimate_block_mi(
     bootstrap_resamples = _check_integer("bootstrap_resamples", bootstrap_resamples, 0)
     if bootstrap_resamples == 1:
         raise ValueError("bootstrap_resamples must be 0 or >= 2, got 1")
-    bootstrap_seed = _check_integer("bootstrap_seed", bootstrap_seed, 0)
 
     symbols = data.symbols if isinstance(data, Trajectories) else np.asarray(data)
     if symbols.ndim != 2 or symbols.dtype != np.uint8:
@@ -774,11 +766,9 @@ def estimate_block_mi(
     xlog2x = _xlog2x(len(joint_id))
     value = _mi_from_counts(np.bincount(joint_id), past_of, future_of, method, xlog2x)
     if regime == "sliding":
-        resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, bootstrap_seed)
+        resampled = _sliding_resamples(joint_id, len(past_of), bootstrap_resamples, 0)
     else:
-        resampled = _pooled_resamples(
-            joint_id, owner, count, len(past_of), bootstrap_resamples, bootstrap_seed
-        )
+        resampled = _pooled_resamples(joint_id, owner, count, len(past_of), bootstrap_resamples, 0)
     values = [_mi_from_counts(joint, past_of, future_of, method, xlog2x) for joint in resampled]
     return EstimatorReport(
         point_estimate=value,

@@ -152,6 +152,18 @@ def test_decoders_reject_foreign_symbols():
         decode(future_decoder("hmc"), bytes([3, 2, 7, 4, 0]))
 
 
+@pytest.mark.parametrize(
+    "shape", [(3, 0), (0, 0), (5,), (2, 3, 4)], ids=["no columns", "empty", "vector", "3-D"]
+)
+def test_decoders_reject_anything_but_a_matrix_with_columns(shape):
+    # Each is named before the decoder divides its chunk by the column count.
+    message = f"blocks must be a (k, n) matrix with n >= 1, got shape {shape}"
+    for kind in Kind:
+        for rule in (past_decoder(kind), future_decoder(kind)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rule(np.zeros(shape, np.uint8))
+
+
 def test_level_from_digits_matches_bit_loop():
     for length in range(13):
         for digits in product((0, 1), repeat=length):

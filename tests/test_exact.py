@@ -185,7 +185,7 @@ def test_hmc_level_law_equals_scalar_oracles_bit_for_bit(alpha):
     h = make_model("hmc", alpha)
     levels = range(2, 4097)
     r = np.array([h.phase_count(m) for m in levels])
-    seeds, branches = _level_masses(h, levels) / r, _level_masses(h, levels, branch=True)
+    seeds, branches = _level_masses(h, levels, r)
     expected_seeds = [level_mass(h, m).mid / h.phase_count(m) for m in levels]
     expected_branches = [branch_probability(h, m).mid for m in levels]
     assert seeds.tobytes() == np.array(expected_seeds).tobytes()
@@ -374,6 +374,21 @@ def test_cyclic_entry_budget_is_exact(kind, n, cutoff, aggregate):
     assert_matches_dict_build(arrays, reference, n)
     with pytest.raises(BudgetExceededError, match=f"^table exceeded entry budget {distinct - 1} "):
         enumerate_joint(model, n, cutoff, tail_aggregation=aggregate, entry_budget=distinct - 1)
+
+
+@pytest.mark.parametrize("n, eps, distinct", [(4, 0.0, 2109), (6, 0.0, 15093), (8, 1e-7, 30684)])
+def test_hmc_entry_budget_is_exact(n, eps, distinct):
+    # A budget of exactly the distinct count passes and builds the same
+    # table; one less raises.  At n = 8 the chunk is the budget, so the
+    # leaves and cached rows merge several times.
+    h = make_model("hmc", 1.5)
+    table = enumerate_joint(h, n, 64, eps, entry_budget=distinct)
+    assert len(table.masses) == distinct
+    reference = enumerate_joint(h, n, 64, eps)
+    assert table.keys.tobytes() == reference.keys.tobytes()
+    assert table.masses.tobytes() == reference.masses.tobytes()
+    with pytest.raises(BudgetExceededError, match=f"^table exceeded entry budget {distinct - 1} "):
+        enumerate_joint(h, n, 64, eps, entry_budget=distinct - 1)
 
 
 def test_cached_rows_follow_cached_then_suffix_order_in_any_chunking():

@@ -84,8 +84,8 @@ def test_window_law_catches_a_table_level_fault(monkeypatch):
     # hpm1 table the conservation interval still contains 1.
     real = exact._level_masses
 
-    def faulty(model, levels, branch=False):
-        masses = real(model, levels, branch)
+    def faulty(model, levels, lens=None):
+        masses = real(model, levels, lens)
         return np.where(np.asarray(levels) == 3, 1.05 * masses, masses)
 
     monkeypatch.setattr(exact, "_level_masses", faulty)
